@@ -204,6 +204,14 @@ func TestReplyCacheEviction(t *testing.T) {
 	if c.Len() != 3 {
 		t.Fatalf("re-put changed size: %d", c.Len())
 	}
+	// The cache holds a copy: the caller's Reply is not kept alive, and
+	// changing it afterwards does not change the cached verdict.
+	mine := &types.Reply{TxID: id(5), Replica: 7, Committed: true, Result: 42}
+	c.Put(id(5), mine)
+	mine.Committed, mine.Result = false, 0
+	if r, _ := c.Get(id(5)); r == mine || *r != (types.Reply{TxID: id(5), Replica: 7, Committed: true, Result: 42}) {
+		t.Fatalf("cached reply %+v follows the caller's object", *r)
+	}
 }
 
 func TestReplyCacheCompaction(t *testing.T) {
@@ -249,8 +257,12 @@ func TestReplyCacheChurn10kClients(t *testing.T) {
 	// 10k distinct clients each run a few transactions through a large
 	// cache; periodic sweeps with a dedup-window cutoff must keep the live
 	// set bounded by the churn between sweeps, not by capacity, and the
-	// order slice must not grow with total traffic.
+	// order slice must not grow with total traffic — nor start at capacity:
+	// a 65,536-entry cache that holds 3,000 entries is sized for 3,000.
 	c := NewReplyCache(1 << 16)
+	if got := cap(c.order); got != 0 {
+		t.Fatalf("fresh cache pre-allocated %d order slots", got)
+	}
 	live := 0
 	for client := 0; client < 10_000; client++ {
 		for seq := uint64(1); seq <= 3; seq++ {
@@ -272,7 +284,7 @@ func TestReplyCacheChurn10kClients(t *testing.T) {
 	if got := c.Len(); got > 3000 {
 		t.Fatalf("unswept tail %d exceeds churn bound", got)
 	}
-	if got := cap(c.order); got > 1<<17 {
-		t.Fatalf("order slice grew to %d under churn", got)
+	if got := cap(c.order); got > 1<<13 {
+		t.Fatalf("order slice grew to %d under a churn of 3000", got)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"sharper/internal/consensus"
+	"sharper/internal/crypto"
 	"sharper/internal/ledger"
 	"sharper/internal/types"
 )
@@ -16,7 +17,9 @@ type xharness struct {
 	t       *testing.T
 	topo    *consensus.Topology
 	engines map[types.NodeID]*xcrash
+	byz     map[types.NodeID]*xbyz // set instead of engines by newXByzHarness
 	heads   map[types.NodeID]types.Hash
+	seqs    map[types.NodeID]uint64
 	drained map[types.NodeID]bool
 	queue   []xrouted
 	decided map[types.NodeID][]crossDecision
@@ -30,12 +33,24 @@ type xrouted struct {
 }
 
 func newXHarness(t *testing.T, clusters int) *xharness {
-	topo := consensus.UniformTopology(types.CrashOnly, clusters, 1)
+	return newXHarnessFor(t, types.CrashOnly, clusters)
+}
+
+// newXByzHarness is the same harness over the Byzantine engines (Algorithm
+// 2), with signatures stubbed out.
+func newXByzHarness(t *testing.T, clusters int) *xharness {
+	return newXHarnessFor(t, types.Byzantine, clusters)
+}
+
+func newXHarnessFor(t *testing.T, model types.FailureModel, clusters int) *xharness {
+	topo := consensus.UniformTopology(model, clusters, 1)
 	h := &xharness{
 		t:       t,
 		topo:    topo,
 		engines: make(map[types.NodeID]*xcrash),
+		byz:     make(map[types.NodeID]*xbyz),
 		heads:   make(map[types.NodeID]types.Hash),
+		seqs:    make(map[types.NodeID]uint64),
 		drained: make(map[types.NodeID]bool),
 		decided: make(map[types.NodeID][]crossDecision),
 		now:     time.Unix(10, 0),
@@ -46,13 +61,27 @@ func newXHarness(t *testing.T, clusters int) *xharness {
 		h.heads[id] = ledger.GenesisHash()
 		h.drained[id] = true
 		status := func() chainStatus {
-			return chainStatus{Head: h.heads[id], Drained: h.drained[id]}
+			return chainStatus{Seq: h.seqs[id], Head: h.heads[id], Drained: h.drained[id]}
 		}
 		validate := func(*types.Transaction) bool { return true }
+		if model == types.Byzantine {
+			h.byz[id] = newXByz(topo, cluster, id, crypto.NoopSigner{}, crypto.NoopSigner{},
+				consensus.NewConflictTable(cluster), status, validate,
+				time.Second, 200*time.Millisecond, 4, int64(id))
+			continue
+		}
 		h.engines[id] = newXCrash(topo, cluster, id, consensus.NewConflictTable(cluster),
 			status, validate, time.Second, 200*time.Millisecond, 4, int64(id))
 	}
 	return h
+}
+
+// engine is id's engine under either model.
+func (h *xharness) engine(id types.NodeID) crossEngine {
+	if e, ok := h.byz[id]; ok {
+		return e
+	}
+	return h.engines[id]
 }
 
 func (h *xharness) sendAll(from types.NodeID, outs []consensus.Outbound) {
@@ -70,7 +99,7 @@ func (h *xharness) pump() {
 	for len(h.queue) > 0 {
 		m := h.queue[0]
 		h.queue = h.queue[1:]
-		outs, decs := h.engines[m.to].Step(m.env, h.now)
+		outs, decs := h.engine(m.to).Step(m.env, h.now)
 		h.sendAll(m.to, outs)
 		for _, d := range decs {
 			h.decided[m.to] = append(h.decided[m.to], d)
@@ -84,7 +113,8 @@ func (h *xharness) pump() {
 func (h *xharness) applyDecision(id types.NodeID, d crossDecision) {
 	block := &types.Block{Txs: d.Txs, Parents: d.Hashes}
 	h.heads[id] = block.Hash()
-	outs, decs := h.engines[id].OnChainAdvanced(h.now)
+	h.seqs[id]++
+	outs, decs := h.engine(id).OnChainAdvanced(h.now)
 	h.sendAll(id, outs)
 	for _, d2 := range decs {
 		h.decided[id] = append(h.decided[id], d2)
@@ -95,7 +125,7 @@ func (h *xharness) applyDecision(id types.NodeID, d crossDecision) {
 func (h *xharness) tick(d time.Duration) {
 	h.now = h.now.Add(d)
 	for _, id := range h.topo.AllNodes() {
-		outs, decs := h.engines[id].Tick(h.now)
+		outs, decs := h.engine(id).Tick(h.now)
 		h.sendAll(id, outs)
 		for _, dd := range decs {
 			h.decided[id] = append(h.decided[id], dd)
@@ -484,5 +514,99 @@ func TestAlg1DisjointSetsDecideIndependently(t *testing.T) {
 		if !found {
 			t.Fatalf("node %s did not decide the disjoint transaction", id)
 		}
+	}
+}
+
+// staleSelfVote scripts the race behind three of seven traced withdrawals:
+// cluster 1's primary self-votes its own fresh lead A for chain slot 1, but
+// a foreign PROPOSE B reaches its backups first and they vote B for that
+// slot. B commits into it; the initiator's vote for A now names a head that
+// is gone. Afterwards one backup fewer than a quorum needs votes A at the new
+// head (here the last one never hears of A), so A is decided without waiting
+// for a timer only if the initiator votes again at the new head.
+func staleSelfVote(t *testing.T, h *xharness) {
+	p0, p1 := h.topo.Primary(0, 0), h.topo.Primary(1, 0)
+	members := h.topo.Members(1)
+	deaf := members[len(members)-1]
+	a, b := xtx(1, 1, 2), xtx(2, 0, 1)
+
+	outsA := h.engine(p1).Initiate(xbatch(a), h.now) // self-vote at slot 1
+	if !h.engine(p1).Locked() {
+		t.Fatal("initiator did not self-vote its fresh lead")
+	}
+	h.sendAll(p0, h.engine(p0).Initiate(xbatch(b), h.now)) // B's PROPOSE is delivered first
+	h.drop = func(to types.NodeID) bool { return to == deaf }
+	h.sendAll(p1, outsA)
+	h.drop = nil
+	h.pump()
+
+	if len(h.decided[p1]) == 0 || !xdecided(h.decided[p1][0], b.ID) {
+		t.Fatal("foreign attempt did not commit into the slot the initiator had promised its lead")
+	}
+	took := h.decided[p1][0]
+	for _, d := range h.decided[p1][1:] {
+		if xdecided(d, a.ID) {
+			if want := (&types.Block{Txs: took.Txs, Parents: took.Hashes}).Hash(); d.Hashes[0] != want {
+				t.Fatalf("lead decided on parent %s, want the block that took its slot, %s", d.Hashes[0], want)
+			}
+			return
+		}
+	}
+	t.Fatal("lead whose self-vote went stale is one vote short until its retry timer")
+}
+
+func TestAlg1StaleSelfVoteIsRecast(t *testing.T) { staleSelfVote(t, newXHarness(t, 3)) }
+
+func TestAlg2StaleSelfVoteIsRecast(t *testing.T) { staleSelfVote(t, newXByzHarness(t, 3)) }
+
+// leadingSpansWithdrawal: a transaction counts as led from Initiate until its
+// attempt decides — through a withdrawal and the back-off after it, which
+// outlast both a client's retransmission timer and the node's inFlight
+// screen. Admitting the retransmission then would commit it twice.
+func leadingSpansWithdrawal(t *testing.T, h *xharness) {
+	p0 := h.topo.Primary(0, 0)
+	a := xtx(1, 0, 1)
+	h.drop = func(to types.NodeID) bool { c, _ := h.topo.ClusterOf(to); return c == 1 } // cluster 1 hears nothing
+	h.sendAll(p0, h.engine(p0).Initiate(xbatch(a), h.now))
+	h.pump()
+	if !h.engine(p0).Leading(a.ID) {
+		t.Fatal("in-flight lead not reported")
+	}
+	h.tick(600 * time.Millisecond) // past the 200–400 ms attempt timer: withdrawn, backing off
+	if h.engine(p0).Locked() {
+		t.Fatal("attempt was not withdrawn")
+	}
+	if !h.engine(p0).Leading(a.ID) {
+		t.Fatal("withdrawn lead no longer reported while it backs off")
+	}
+	h.drop = nil
+	for i := 0; i < 4 && len(h.decided[p0]) == 0; i++ {
+		h.tick(600 * time.Millisecond) // re-proposed, heard, decided
+	}
+	if len(h.decided[p0]) != 1 || h.engine(p0).Leading(a.ID) || h.engine(p0).Leading(xtx(2, 0, 1).ID) {
+		t.Fatalf("after %d decisions Leading(a)=%v", len(h.decided[p0]), h.engine(p0).Leading(a.ID))
+	}
+}
+
+func TestAlg1LeadingSpansWithdrawal(t *testing.T) { leadingSpansWithdrawal(t, newXHarness(t, 2)) }
+
+func TestAlg2LeadingSpansWithdrawal(t *testing.T) { leadingSpansWithdrawal(t, newXByzHarness(t, 2)) }
+
+// TestLaunchDropsCommittedRequests: a request that reached the chain while
+// its duplicate waited in the cross-shard queue is not launched again.
+func TestLaunchDropsCommittedRequests(t *testing.T) {
+	d := newTestDeployment(t, types.CrashOnly, 2)
+	if _, _, err := d.NewClient().Transfer(crossOps(d, 0, 1)); err != nil {
+		t.Fatal(err)
+	}
+	n := d.Node(d.Topo.Primary(0, 0))
+	blocks := n.View().CrossShardBlocks()
+	if len(blocks) != 1 {
+		t.Fatalf("%d cross-shard blocks on the initiator's chain, want 1", len(blocks))
+	}
+	fresh := xtx(99, 0, 1)
+	got := n.dropCommitted([]*types.Transaction{blocks[0].Txs[0], fresh})
+	if len(got) != 1 || got[0] != fresh {
+		t.Fatalf("launching batch kept %d of [committed, fresh], want only the fresh one", len(got))
 	}
 }

@@ -161,6 +161,18 @@ func (x *xbyz) ActiveLeads(involved types.ClusterSet) int {
 	return x.table.LeadsFor(involved)
 }
 
+// Leading reports whether id rides in one of this node's undecided leads.
+func (x *xbyz) Leading(id types.TxID) bool {
+	for _, lead := range x.leads {
+		for _, tx := range lead.txs {
+			if tx.ID == id {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // NeedsSlot reports whether a lead instance still waits to cast its accept.
 func (x *xbyz) NeedsSlot() bool {
 	for digest, inst := range x.instances {
@@ -302,8 +314,14 @@ func (x *xbyz) tryVote(inst *xinst, digest types.Hash, now time.Time) []consensu
 
 // castSelfVotes retries deferred lead accepts in digest order.
 func (x *xbyz) castSelfVotes(now time.Time) ([]consensus.Outbound, []crossDecision) {
-	if x.table.Held() || !x.status().Drained {
+	if !x.status().Drained {
 		return nil, nil // no accept can be cast; skip the scan
+	}
+	if d, held := x.table.Holder(); held {
+		// Only the holder itself may vote again (a voided accept, below).
+		if inst := x.instances[d]; inst == nil || !inst.needAccept {
+			return nil, nil
+		}
 	}
 	var pending []types.Hash
 	for digest, inst := range x.instances {
@@ -341,6 +359,7 @@ func (x *xbyz) castSelfVotes(now time.Time) ([]consensus.Outbound, []crossDecisi
 // not entered the commit phase to release their slot votes.
 func (x *xbyz) withdraw(lead *xbyzLead, digest types.Hash, now time.Time) []consensus.Outbound {
 	x.nWithdraw++
+	x.ring.Recordf("xwithdraw", 0, digest, "v=%d", lead.view)
 	lead.dormant = true
 	lead.deadline = now.Add(x.backoff(lead.attempts))
 
@@ -427,6 +446,7 @@ func (x *xbyz) onPropose(env *types.Envelope, now time.Time) ([]consensus.Outbou
 		inst.proposer = env.From
 	}
 	if !st.Drained || !x.table.CanVote(digest) {
+		x.ring.Recordf("xpark", st.Seq+1, digest, "drained=%v v=%d from=%s", st.Drained, m.View, env.From)
 		x.park(digest, env)
 		return nil, nil
 	}
@@ -657,6 +677,7 @@ func (x *xbyz) onAbort(env *types.Envelope, now time.Time) ([]consensus.Outbound
 	if !ok || inst.proposer != env.From || inst.sentCommit {
 		return nil, nil
 	}
+	x.ring.Recordf("xabort", 0, m.Digest, "v=%d from=%s", m.View, env.From)
 	x.unpark(m.Digest)
 	x.unlock(m.Digest)
 	return x.drainAndVote(now)
@@ -664,7 +685,30 @@ func (x *xbyz) onAbort(env *types.Envelope, now time.Time) ([]consensus.Outbound
 
 // OnChainAdvanced retries parked proposals and deferred lead accepts.
 func (x *xbyz) OnChainAdvanced(now time.Time) ([]consensus.Outbound, []crossDecision) {
+	x.voidStaleSelfVote()
 	return x.drainAndVote(now)
+}
+
+// voidStaleSelfVote re-opens the initiator's accept for a lead whose promised
+// chain slot another block has just filled (see xcrash.voidStaleSelfVote).
+// Here the accept was multicast, so the next one replaces it at every
+// receiver; a second accept for one (view, digest) at a new chain head is
+// what an honest node also sends after a lock expiry, and is not slashable.
+// A node that has entered the commit phase keeps its vote.
+func (x *xbyz) voidStaleSelfVote() {
+	d, held := x.table.Holder()
+	if !held {
+		return
+	}
+	lead, inst := x.leads[d], x.instances[d]
+	if lead == nil || lead.dormant || inst == nil || !inst.sentAccept || inst.sentCommit {
+		return
+	}
+	if slot, _ := x.table.ReservedSlot(); slot <= x.status().Seq {
+		x.ring.Recordf("xstale", slot, d, "v=%d", inst.view)
+		inst.sentAccept = false
+		inst.needAccept = true
+	}
 }
 
 func (x *xbyz) drainAndVote(now time.Time) ([]consensus.Outbound, []crossDecision) {

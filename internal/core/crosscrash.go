@@ -228,6 +228,18 @@ func (x *xcrash) ActiveLeads(involved types.ClusterSet) int {
 	return x.table.LeadsFor(involved)
 }
 
+// Leading reports whether id rides in one of this node's undecided leads.
+func (x *xcrash) Leading(id types.TxID) bool {
+	for _, lead := range x.leads {
+		for _, tx := range lead.txs {
+			if tx.ID == id {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // NeedsSlot reports whether an in-flight lead is still waiting to cast its
 // initiator vote — the node's scheduler must let the chain drain then.
 func (x *xcrash) NeedsSlot() bool {
@@ -286,6 +298,7 @@ func (x *xcrash) propose(lead *xlead, now time.Time) ([]consensus.Outbound, []cr
 	lead.waitNoted = false
 
 	st := x.status()
+	x.ring.Recordf("xpropose", st.Seq+1, lead.digest, "v=%d attempt=%d", lead.view, lead.attempts)
 	msg := &types.ConsensusMsg{
 		View:       lead.view,
 		Digest:     lead.digest,
@@ -332,8 +345,14 @@ func (x *xcrash) castLeadVote(lead *xlead, now time.Time) ([]consensus.Outbound,
 // castSelfVotes retries pending initiator votes in digest order (a
 // deterministic tie-break; at most one can take the slot anyway).
 func (x *xcrash) castSelfVotes(now time.Time) ([]consensus.Outbound, []crossDecision) {
-	if x.table.Held() || !x.status().Drained {
+	if !x.status().Drained {
 		return nil, nil // no self-vote can be cast; skip the scan
+	}
+	if d, held := x.table.Holder(); held {
+		// Only the holder itself may vote again (a voided self-vote, below).
+		if lead := x.leads[d]; lead == nil || !lead.needSelfVote {
+			return nil, nil
+		}
 	}
 	var pending []types.Hash
 	for dg, lead := range x.leads {
@@ -366,6 +385,7 @@ func (x *xcrash) castSelfVotes(now time.Time) ([]consensus.Outbound, []crossDeci
 // lead admissions until it decides or is dropped.
 func (x *xcrash) withdraw(lead *xlead, now time.Time) []consensus.Outbound {
 	x.nWithdraw++
+	x.ring.Recordf("xwithdraw", 0, lead.digest, "v=%d selfvote-pending=%v", lead.view, lead.needSelfVote)
 	lead.view++
 	lead.votes = consensus.NewHashVoteSet()
 	lead.dormant = true
@@ -456,6 +476,7 @@ func (x *xcrash) onPropose(env *types.Envelope, now time.Time) []consensus.Outbo
 	x.txs[digest] = m.Txs
 	st := x.status()
 	if !st.Drained || !x.table.CanVote(digest) {
+		x.ring.Recordf("xpark", st.Seq+1, digest, "drained=%v v=%d from=%s", st.Drained, m.View, env.From)
 		x.park(digest, env, now)
 		return nil
 	}
@@ -519,6 +540,7 @@ func (x *xcrash) onAccept(env *types.Envelope, now time.Time) ([]consensus.Outbo
 	if !ok || !lead.involved.Contains(senderCluster) {
 		return nil, nil
 	}
+	x.ring.Recordf("xaccept", 0, m.Digest, "prev=%s v=%d from=%s", m.PrevHashes[0], m.View, env.From)
 	lead.votes.Add(senderCluster, env.From, consensus.HashVote{
 		Key:   consensus.VoteKey{View: lead.view, Digest: m.Digest},
 		Prev:  m.PrevHashes[0],
@@ -617,6 +639,7 @@ func (x *xcrash) onAbort(env *types.Envelope, now time.Time) ([]consensus.Outbou
 	if err != nil || x.decided[m.Digest] {
 		return nil, nil
 	}
+	x.ring.Recordf("xabort", 0, m.Digest, "v=%d from=%s", m.View, env.From)
 	x.unpark(m.Digest)
 	x.unlock(m.Digest)
 	out, decs := x.castSelfVotes(now)
@@ -631,9 +654,36 @@ func (x *xcrash) onAbort(env *types.Envelope, now time.Time) ([]consensus.Outbou
 // every attempt's lock acquisition lowest-cluster-first — the ordering that
 // keeps the cross-shard waits-for graph acyclic.
 func (x *xcrash) OnChainAdvanced(now time.Time) ([]consensus.Outbound, []crossDecision) {
+	x.voidStaleSelfVote()
 	outs, decs := x.castSelfVotes(now)
 	o2, d2 := x.drainWaiting(now)
 	return append(outs, o2...), append(decs, d2...)
+}
+
+// voidStaleSelfVote re-opens the initiator vote of a lead whose promised chain
+// slot another block has just filled. The backups of the initiator's cluster
+// see a foreign PROPOSE before the initiator's own about as often as after
+// it; when both vote the foreign attempt it commits into the slot the
+// initiator promised its lead, and that vote — a previous-block hash that is
+// no longer the head — can never match a backup's again. Left alone it also
+// keeps the slot vote held, so the initiator can grant nothing else: its lead
+// sits one vote short until the retry timer withdraws it (three of seven
+// withdrawals traced on an 8-cluster, 10 %-cross run). The vote was never
+// sent anywhere, so casting it again at the new head costs nothing.
+func (x *xcrash) voidStaleSelfVote() {
+	d, held := x.table.Holder()
+	if !held {
+		return
+	}
+	lead := x.leads[d]
+	if lead == nil || lead.needSelfVote || lead.dormant || lead.done {
+		return
+	}
+	if slot, _ := x.table.ReservedSlot(); slot <= x.status().Seq {
+		x.ring.Recordf("xstale", slot, d, "v=%d", lead.view)
+		lead.needSelfVote = true
+		lead.waitNoted = false
+	}
 }
 
 // drainWaiting re-steps parked proposals in arrival order; at most one

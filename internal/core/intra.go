@@ -173,6 +173,10 @@ type crossEngine interface {
 	// every arrival as a batch-of-one forfeits the amortization batching
 	// buys).
 	ActiveLeads(involved types.ClusterSet) int
+	// Leading reports whether the transaction rides in an attempt this node
+	// is still initiating (in flight, or withdrawn and backing off), so a
+	// client retransmission of it must not be batched a second time.
+	Leading(id types.TxID) bool
 	// NeedsSlot reports whether an in-flight lead is still waiting to cast
 	// its own vote; the node's scheduler must let the chain drain then
 	// instead of feeding it new intra-shard proposals.

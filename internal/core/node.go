@@ -142,9 +142,12 @@ func (c *NodeConfig) fillDefaults() {
 	}
 	if c.RetryTimeout <= 0 {
 		// With two-shard transactions under super-primary routing the
-		// waits-for graph is acyclic (locks are acquired lowest-cluster
-		// first), so withdrawals are almost always queueing false alarms —
-		// be patient before aborting an attempt.
+		// waits-for graph across clusters is acyclic (locks are acquired
+		// lowest-cluster first), and a parked proposal is normally granted
+		// within a millisecond, so be patient before aborting an attempt.
+		// What does run into this timer is a split vote inside one cluster:
+		// its members promised one chain slot to different candidates
+		// (DESIGN.md "What a withdrawal is").
 		c.RetryTimeout = 250 * time.Millisecond
 	}
 	if c.TickInterval <= 0 {
@@ -1494,7 +1497,10 @@ func (n *Node) flushIntra(now time.Time) {
 }
 
 func (n *Node) proposeCross(tx *types.Transaction, now time.Time) {
-	if n.queued[tx.ID] {
+	if n.queued[tx.ID] || n.cross.Leading(tx.ID) {
+		// Leading: a withdrawn attempt backs off for longer than a client
+		// waits before it retransmits, and longer than inFlight screens a
+		// retransmission; batching the request again would commit it twice.
 		return
 	}
 	n.queued[tx.ID] = true
@@ -1580,7 +1586,10 @@ func (n *Node) launchCross(now time.Time) {
 		if n.cross.Locked() || len(n.deferred) > 0 || !n.chainStatus().Drained {
 			return
 		}
-		batch := n.takeCrossBatch()
+		batch := n.dropCommitted(n.takeCrossBatch())
+		if len(batch) == 0 {
+			return
+		}
 		for _, tx := range batch {
 			n.inFlight[tx.ID] = now
 		}
@@ -1593,12 +1602,30 @@ func (n *Node) launchCross(now time.Time) {
 		if batch == nil {
 			return
 		}
+		if batch = n.dropCommitted(batch); len(batch) == 0 {
+			continue
+		}
 		for _, tx := range batch {
 			n.inFlight[tx.ID] = now
 		}
 		n.bindCrossTrace(batch, now)
 		n.send(n.cross.Initiate(batch, now))
 	}
+}
+
+// dropCommitted removes the transactions of a batch about to launch that
+// reached the chain while they sat in the queue: a request can wait there
+// for seconds behind a blocked cluster set, and meanwhile commit through
+// another node's lead (a view change hands forwarded requests to the new
+// primary while the deposed one still holds them).
+func (n *Node) dropCommitted(batch []*types.Transaction) []*types.Transaction {
+	kept := batch[:0]
+	for _, tx := range batch {
+		if !n.view.Contains(tx.ID) {
+			kept = append(kept, tx)
+		}
+	}
+	return kept
 }
 
 // bindCrossTrace seals the traced members of a launching cross-shard batch

@@ -5,14 +5,21 @@
 // network partitions, and node crashes, so consensus protocols built on top
 // exercise the same code paths they would on a real cluster.
 //
-// Delivery is asynchronous: messages may be delayed, dropped, duplicated, or
-// reordered (the safety assumption of §3), but a message that is delivered
-// is delivered intact and with an authentic sender identity.
+// Delivery is asynchronous: messages may be delayed, dropped or duplicated,
+// and messages on different links race (the safety assumption of §3), but one
+// link delivers in the order it was sent on — what a TCP connection gives —
+// and a message that is delivered is delivered intact and with an authentic
+// sender identity.
+//
+// The queueing model, in the order a message meets it: the sender's core
+// (ProcessingTime, shared with everything that node sends and receives), the
+// shaped link's serialisation, propagation plus jitter, the per-link FIFO
+// clamp, the receiver's core from the instant the message arrives, and the
+// inbox with its bounded overflow. See Network and DESIGN.md "Transport".
 package transport
 
 import (
-	"container/heap"
-	"math/rand"
+	"math/rand/v2"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -101,47 +108,63 @@ type LinkStats struct {
 }
 
 // Network is the in-process message fabric. It is safe for concurrent use.
+//
+// Ownership and locking. Everything the fabric knows about one NodeID lives
+// in that ID's endpoint, and everything about one directed link in a link
+// hanging off the receiving endpoint; both are created on first use, never
+// removed, and found through sync.Maps, so the per-message path takes no
+// process-wide lock except the event queue's. Lock order is link.mu →
+// {endpoint.mu, qMu}; the two inner locks are leaves and never held together.
 type Network struct {
 	cfg    Config
 	locate Locator
+	start  time.Time // event times are offsets from here (monotonic clock)
 
-	mu        sync.RWMutex
-	inboxes   map[types.NodeID]chan *types.Envelope
-	crashed   map[types.NodeID]bool
-	partition map[[2]types.NodeID]bool // blocked ordered pairs
-	closed    bool
+	endpoints sync.Map // types.NodeID → *endpoint
+	closed    atomic.Bool
+	done      chan struct{} // closed by Close; stops the dispatcher and drainers
 
-	rngMu sync.Mutex
-	rng   *rand.Rand
-
-	// busyUntil models each replica's single message-processing core: the
-	// virtual time until which the node is occupied. linkBusy models each
-	// directed link's serialization under a shaped bandwidth the same way.
-	// Both guarded by busyMu.
-	busyMu    sync.Mutex
-	busyUntil map[types.NodeID]time.Time
-	linkBusy  map[[2]types.NodeID]time.Time
-
-	// Delayed-delivery machinery: a min-heap drained by the dispatcher
-	// goroutine on a fine quantum (see Network.dispatcher).
-	qMu     sync.Mutex
-	queue   deliveryHeap
-	qWake   chan struct{}
-	qDone   chan struct{}
-	qClosed bool
-
-	// Per-node overflow queues for messages that found the inbox full; one
-	// drainer goroutine per backed-up node feeds them into the inbox in
-	// order (see Network.deliver).
-	ovMu     sync.Mutex
-	overflow map[types.NodeID][]*types.Envelope
-	ovBusy   map[types.NodeID]bool
+	// Event queue: a min-heap on (at, seq) drained by the dispatcher
+	// goroutine (see Network.dispatcher). wake carries one token, posted
+	// when a push becomes the new head.
+	qMu   sync.Mutex
+	queue eventQueue
+	seq   uint64
+	wake  chan struct{}
 
 	stats Stats
+}
 
-	// Per-destination link counters, created lazily on first send.
-	linkMu sync.RWMutex
-	links  map[types.NodeID]*LinkStats
+// endpoint is one registered (or merely addressed) NodeID: its inbox and
+// overflow spill, its crash mark, the clock of its single message-processing
+// core, the counters of traffic toward it, and the links arriving at it.
+type endpoint struct {
+	id    types.NodeID
+	in    LinkStats
+	links sync.Map // sender types.NodeID → *link
+
+	mu       sync.Mutex
+	inbox    chan *types.Envelope // nil until Register
+	overflow []*types.Envelope    // messages that found the inbox full, in order
+	draining bool                 // a drainOverflow goroutine is running
+	crashed  bool
+	// coreFree is when the node's core finishes the work it has accepted so
+	// far. Sends are charged to it at send time and receives at arrival
+	// time, so the node is one FIFO server of rate 1/ProcessingTime.
+	coreFree time.Duration
+}
+
+// link is the directed channel src → dst. Its shape is resolved once, at
+// first use: the topology and the Shaping matrix are fixed before New.
+type link struct {
+	src, dst *endpoint
+	shape    LinkShape
+	blocked  atomic.Bool // a Partition rule covers this link
+
+	mu          sync.Mutex
+	rng         rand.PCG      // seeded from (cfg.Seed, src, dst): one stream per link
+	busy        time.Duration // when the shaped bandwidth has serialised everything sent so far
+	lastArrival time.Duration // FIFO clamp: no message arrives before its predecessor
 }
 
 // overflowFactor sizes the per-node overflow queue relative to InboxSize;
@@ -150,46 +173,75 @@ type Network struct {
 // (counted in Stats.Dropped) rather than buffered without bound.
 const overflowFactor = 4
 
+// spinHorizon is how close the next event must be for the dispatcher to
+// yield-spin toward it instead of sleeping: Go runtime timers round
+// sub-millisecond waits up to ~1ms, which would dwarf the configured link
+// latencies. A farther head is slept toward, to half a horizon short of it.
+const spinHorizon = 2 * time.Millisecond
+
 // New creates a network with the given behaviour and topology.
 func New(cfg Config, locate Locator) *Network {
 	if cfg.InboxSize <= 0 {
 		cfg.InboxSize = 16384
 	}
+	if cfg.Shaping == nil {
+		// The three scalar latencies are a shape matrix with delays only.
+		cfg.Shaping = &Shaping{
+			Default: LinkShape{Delay: cfg.CrossClusterLatency},
+			Intra:   LinkShape{Delay: cfg.IntraClusterLatency},
+			Client:  LinkShape{Delay: cfg.ClientLatency},
+		}
+	}
 	n := &Network{
-		cfg:       cfg,
-		locate:    locate,
-		inboxes:   make(map[types.NodeID]chan *types.Envelope),
-		crashed:   make(map[types.NodeID]bool),
-		partition: make(map[[2]types.NodeID]bool),
-		rng:       rand.New(rand.NewSource(cfg.Seed)),
-		busyUntil: make(map[types.NodeID]time.Time),
-		linkBusy:  make(map[[2]types.NodeID]time.Time),
-		qWake:     make(chan struct{}, 1),
-		qDone:     make(chan struct{}),
-		overflow:  make(map[types.NodeID][]*types.Envelope),
-		ovBusy:    make(map[types.NodeID]bool),
-		links:     make(map[types.NodeID]*LinkStats),
+		cfg:    cfg,
+		locate: locate,
+		start:  time.Now(),
+		done:   make(chan struct{}),
+		wake:   make(chan struct{}, 1),
 	}
 	go n.dispatcher()
 	return n
 }
 
-// occupy charges the node's processing core for one message starting no
-// earlier than at, returning when processing completes. Clients have no
-// modelled core.
-func (n *Network) occupy(id types.NodeID, at time.Time) time.Time {
-	if n.cfg.ProcessingTime <= 0 || id.IsClient() {
+// now is the fabric's clock: time since New.
+func (n *Network) now() time.Duration { return time.Since(n.start) }
+
+// endpoint returns id's endpoint, creating it on first use.
+func (n *Network) endpoint(id types.NodeID) *endpoint {
+	if e, ok := n.endpoints.Load(id); ok {
+		return e.(*endpoint)
+	}
+	e, _ := n.endpoints.LoadOrStore(id, &endpoint{id: id})
+	return e.(*endpoint)
+}
+
+// link returns the link from → to, creating it on first use.
+func (n *Network) link(from, to types.NodeID) *link {
+	dst := n.endpoint(to)
+	if l, ok := dst.links.Load(from); ok {
+		return l.(*link)
+	}
+	fresh := &link{src: n.endpoint(from), dst: dst, shape: n.shapeFor(from, to)}
+	fresh.rng.Seed(uint64(n.cfg.Seed), uint64(from)<<32|uint64(to))
+	l, _ := dst.links.LoadOrStore(from, fresh)
+	return l.(*link)
+}
+
+// serve charges the endpoint's processing core for one message that is ready
+// at `at`, returning when the core is done with it. Clients have no modelled
+// core.
+func (e *endpoint) serve(at, cost time.Duration) time.Duration {
+	if cost <= 0 || e.id.IsClient() {
 		return at
 	}
-	n.busyMu.Lock()
-	start := at
-	if b := n.busyUntil[id]; b.After(start) {
-		start = b
+	e.mu.Lock()
+	if e.coreFree > at {
+		at = e.coreFree
 	}
-	done := start.Add(n.cfg.ProcessingTime)
-	n.busyUntil[id] = done
-	n.busyMu.Unlock()
-	return done
+	at += cost
+	e.coreFree = at
+	e.mu.Unlock()
+	return at
 }
 
 // Stats returns the live counters.
@@ -197,121 +249,82 @@ func (n *Network) Stats() *Stats { return &n.stats }
 
 // Link returns the live per-destination counters for traffic toward id,
 // creating them on first use.
-func (n *Network) Link(id types.NodeID) *LinkStats {
-	n.linkMu.RLock()
-	ls, ok := n.links[id]
-	n.linkMu.RUnlock()
-	if ok {
-		return ls
-	}
-	n.linkMu.Lock()
-	defer n.linkMu.Unlock()
-	if ls, ok = n.links[id]; ok {
-		return ls
-	}
-	ls = &LinkStats{}
-	n.links[id] = ls
-	return ls
-}
+func (n *Network) Link(id types.NodeID) *LinkStats { return &n.endpoint(id).in }
 
 // QueueDepth reports the number of messages buffered toward id: its inbox
 // backlog plus any overflow spill. Zero for unregistered nodes.
 func (n *Network) QueueDepth(id types.NodeID) int {
-	n.mu.RLock()
-	ch := n.inboxes[id]
-	n.mu.RUnlock()
-	depth := 0
-	if ch != nil {
-		depth = len(ch)
-	}
-	n.ovMu.Lock()
-	depth += len(n.overflow[id])
-	n.ovMu.Unlock()
-	return depth
+	e := n.endpoint(id)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return len(e.inbox) + len(e.overflow)
 }
 
 // Register creates (or returns) the inbox for id. Each node and client calls
 // this once before participating.
 func (n *Network) Register(id types.NodeID) <-chan *types.Envelope {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if ch, ok := n.inboxes[id]; ok {
-		return ch
+	e := n.endpoint(id)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.inbox == nil {
+		e.inbox = make(chan *types.Envelope, n.cfg.InboxSize)
 	}
-	ch := make(chan *types.Envelope, n.cfg.InboxSize)
-	n.inboxes[id] = ch
-	return ch
+	return e.inbox
 }
 
 // Crash marks id as stopped: it receives no further messages until Restart.
 // This models the crash failure of §2.1.
-func (n *Network) Crash(id types.NodeID) {
-	n.mu.Lock()
-	n.crashed[id] = true
-	n.mu.Unlock()
-}
+func (n *Network) Crash(id types.NodeID) { n.setCrashed(id, true) }
 
 // Restart clears the crashed mark for id.
-func (n *Network) Restart(id types.NodeID) {
-	n.mu.Lock()
-	delete(n.crashed, id)
-	n.mu.Unlock()
+func (n *Network) Restart(id types.NodeID) { n.setCrashed(id, false) }
+
+func (n *Network) setCrashed(id types.NodeID, crashed bool) {
+	e := n.endpoint(id)
+	e.mu.Lock()
+	e.crashed = crashed
+	e.mu.Unlock()
 }
 
 // Partition blocks delivery in both directions between every pair drawn from
 // a and b. Heal pairwise with Heal, or wholesale with HealPartition.
-func (n *Network) Partition(a, b []types.NodeID) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	for _, x := range a {
-		for _, y := range b {
-			n.partition[[2]types.NodeID{x, y}] = true
-			n.partition[[2]types.NodeID{y, x}] = true
-		}
-	}
-}
+func (n *Network) Partition(a, b []types.NodeID) { n.setBlocked(a, b, true) }
 
 // Heal removes the partition rules between every pair drawn from a and b,
 // leaving any other partitions in place — so overlapping cuts installed by
 // separate Partition calls can be lifted independently.
-func (n *Network) Heal(a, b []types.NodeID) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
+func (n *Network) Heal(a, b []types.NodeID) { n.setBlocked(a, b, false) }
+
+func (n *Network) setBlocked(a, b []types.NodeID, blocked bool) {
 	for _, x := range a {
 		for _, y := range b {
-			delete(n.partition, [2]types.NodeID{x, y})
-			delete(n.partition, [2]types.NodeID{y, x})
+			n.link(x, y).blocked.Store(blocked)
+			n.link(y, x).blocked.Store(blocked)
 		}
 	}
 }
 
 // HealPartition removes all partition rules.
 func (n *Network) HealPartition() {
-	n.mu.Lock()
-	n.partition = make(map[[2]types.NodeID]bool)
-	n.mu.Unlock()
+	n.endpoints.Range(func(_, e any) bool {
+		e.(*endpoint).links.Range(func(_, l any) bool {
+			l.(*link).blocked.Store(false)
+			return true
+		})
+		return true
+	})
 }
 
 // Close tears the network down; subsequent sends are dropped.
 func (n *Network) Close() {
-	n.mu.Lock()
-	n.closed = true
-	n.mu.Unlock()
-	n.qMu.Lock()
-	if !n.qClosed {
-		n.qClosed = true
-		close(n.qDone)
+	if n.closed.CompareAndSwap(false, true) {
+		close(n.done)
 	}
-	n.qMu.Unlock()
 }
 
-// shapeFor resolves the configured LinkShape of the link from → to (zero
-// when no Shaping matrix is configured).
+// shapeFor resolves the shape of the link from → to in the Shaping matrix.
 func (n *Network) shapeFor(from, to types.NodeID) LinkShape {
 	s := n.cfg.Shaping
-	if s == nil {
-		return LinkShape{}
-	}
 	if from.IsClient() || to.IsClient() {
 		return s.Client
 	}
@@ -323,51 +336,20 @@ func (n *Network) shapeFor(from, to types.NodeID) LinkShape {
 	return s.For(cf, ct)
 }
 
-// latency picks the one-way delay for the link from → to.
-func (n *Network) latency(from, to types.NodeID) time.Duration {
-	var base time.Duration
-	if n.cfg.Shaping != nil {
-		base = n.shapeFor(from, to).Delay
-	} else {
-		switch {
-		case from.IsClient() || to.IsClient():
-			base = n.cfg.ClientLatency
-		default:
-			cf, okF := n.locate(from)
-			ct, okT := n.locate(to)
-			if okF && okT && cf == ct {
-				base = n.cfg.IntraClusterLatency
-			} else {
-				base = n.cfg.CrossClusterLatency
-			}
-		}
-	}
-	if n.cfg.JitterFrac > 0 && base > 0 {
-		n.rngMu.Lock()
-		j := n.rng.Float64() * n.cfg.JitterFrac
-		n.rngMu.Unlock()
-		base += time.Duration(float64(base) * j)
-	}
-	return base
-}
+// float64 draws from the link's stream, uniform in [0, 1). Caller holds l.mu.
+func (l *link) float64() float64 { return float64(l.rng.Uint64()>>11) / (1 << 53) }
 
-// linkOccupy serializes one frame of wireBytes onto the directed link
-// from → to starting no earlier than at, returning when the last bit leaves
-// the sender — the shaped-bandwidth queueing model.
-func (n *Network) linkOccupy(from, to types.NodeID, at time.Time, tx time.Duration) time.Time {
-	if tx <= 0 {
-		return at
+// roll returns true with probability p. Caller holds l.mu.
+func (l *link) roll(p float64) bool { return p > 0 && l.float64() < p }
+
+// propagation draws one one-way delay: the link's latency plus uniform
+// jitter in [0, jitterFrac·latency). Caller holds l.mu.
+func (l *link) propagation(jitterFrac float64) time.Duration {
+	d := l.shape.Delay
+	if jitterFrac > 0 && d > 0 {
+		d += time.Duration(float64(d) * l.float64() * jitterFrac)
 	}
-	key := [2]types.NodeID{from, to}
-	n.busyMu.Lock()
-	start := at
-	if b := n.linkBusy[key]; b.After(start) {
-		start = b
-	}
-	done := start.Add(tx)
-	n.linkBusy[key] = done
-	n.busyMu.Unlock()
-	return done
+	return d
 }
 
 // wireBytes approximates the frame size of env on a real link: payload,
@@ -376,200 +358,295 @@ func wireBytes(env *types.Envelope) int {
 	return len(env.Payload) + len(env.Sig) + 48
 }
 
-// roll returns true with probability p.
-func (n *Network) roll(p float64) bool {
-	if p <= 0 {
-		return false
-	}
-	n.rngMu.Lock()
-	v := n.rng.Float64()
-	n.rngMu.Unlock()
-	return v < p
-}
-
 // Send queues env for delivery to `to`. Drops, duplication, and latency are
 // applied per the config; partitioned or crashed destinations receive
 // nothing. Send never blocks the caller.
+//
+// A message passes, in order: the sender's core, the shaped link's
+// serialisation, propagation with jitter, the per-link FIFO clamp — all
+// settled here, at send time — and then, when the dispatcher reaches its
+// arrival instant, the receiver's core and the inbox.
 func (n *Network) Send(to types.NodeID, env *types.Envelope) {
+	l := n.link(env.From, to)
+	in := &l.dst.in
+	size := int64(len(env.Payload))
 	n.stats.Sent.Add(1)
-	n.stats.Bytes.Add(int64(len(env.Payload)))
-	link := n.Link(to)
-	link.Sent.Add(1)
-	link.Bytes.Add(int64(len(env.Payload)))
+	n.stats.Bytes.Add(size)
+	in.Sent.Add(1)
+	in.Bytes.Add(size)
 
-	n.mu.RLock()
-	closed := n.closed
-	blocked := n.partition[[2]types.NodeID{env.From, to}]
-	n.mu.RUnlock()
-	shape := n.shapeFor(env.From, to)
-	if closed || blocked || n.roll(n.cfg.DropProb) || n.roll(shape.Loss) {
+	l.mu.Lock()
+	if n.closed.Load() || l.blocked.Load() || l.roll(n.cfg.DropProb) || l.roll(l.shape.Loss) {
+		l.mu.Unlock()
 		n.stats.Dropped.Add(1)
-		link.Dropped.Add(1)
+		in.Dropped.Add(1)
 		return
 	}
-
-	// Total delay = sender serialization + shaped link transmission + link
-	// latency + receiver serialization: the node's processing core, then the
-	// link's bandwidth, then propagation.
-	now := time.Now()
-	sent := n.occupy(env.From, now)
-	sent = n.linkOccupy(env.From, to, sent, shape.TxTime(wireBytes(env)))
-	arrival := sent.Add(n.latency(env.From, to))
-	done := n.occupy(to, arrival)
-	link.Delivered.Add(1)
-	link.DelayMicros.Add(done.Sub(now).Microseconds())
-	n.deliverAfter(to, env, done.Sub(now))
-	if n.roll(n.cfg.DupProb) {
-		n.deliverAfter(to, env, done.Sub(now)+n.latency(env.From, to))
+	now := n.now()
+	sent := l.src.serve(now, n.cfg.ProcessingTime)
+	if tx := l.shape.TxTime(wireBytes(env)); tx > 0 {
+		if l.busy > sent {
+			sent = l.busy
+		}
+		sent += tx
+		l.busy = sent
 	}
-}
-
-// queued is one message awaiting its delivery time.
-type queued struct {
-	due time.Time
-	to  types.NodeID
-	env *types.Envelope
-}
-
-// deliveryHeap orders queued messages by due time.
-type deliveryHeap []queued
-
-func (h deliveryHeap) Len() int            { return len(h) }
-func (h deliveryHeap) Less(i, j int) bool  { return h[i].due.Before(h[j].due) }
-func (h deliveryHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *deliveryHeap) Push(x interface{}) { *h = append(*h, x.(queued)) }
-func (h *deliveryHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	item := old[n-1]
-	*h = old[:n-1]
-	return item
-}
-
-func (n *Network) deliverAfter(to types.NodeID, env *types.Envelope, d time.Duration) {
-	if d <= 0 {
-		n.deliver(to, env)
-		return
+	arrival := sent + l.propagation(n.cfg.JitterFrac)
+	// Jitter must not reorder a link: TCP would not, and the engines assume
+	// one peer's messages arrive in the order it sent them.
+	if arrival < l.lastArrival {
+		arrival = l.lastArrival
 	}
+	l.lastArrival = arrival
+	// A duplicate is a stray retransmission, exempt from link ordering.
+	dupAt := time.Duration(-1)
+	if l.roll(n.cfg.DupProb) {
+		dupAt = arrival + l.propagation(n.cfg.JitterFrac)
+	}
+	// Pushed under l.mu so that equal arrival instants keep link order by
+	// sequence number.
 	n.qMu.Lock()
-	heap.Push(&n.queue, queued{due: time.Now().Add(d), to: to, env: env})
+	n.pushLocked(event{at: arrival, dst: l.dst, env: env})
+	if dupAt >= 0 {
+		n.pushLocked(event{at: dupAt, dst: l.dst, env: env})
+	}
 	n.qMu.Unlock()
-	select {
-	case n.qWake <- struct{}{}:
-	default:
+	l.mu.Unlock()
+
+	in.Delivered.Add(1)
+	in.DelayMicros.Add((arrival - now).Microseconds())
+}
+
+// event is one message on its way to dst: first an arrival at the receiver
+// (at = arrival instant), then, once the receiver's core has been charged, a
+// delivery (served, at = when the core finishes it).
+type event struct {
+	at     time.Duration
+	seq    uint64 // push order, the tie-break between equal instants
+	dst    *endpoint
+	env    *types.Envelope
+	served bool
+}
+
+// eventQueue is a binary min-heap on (at, seq). Hand-rolled over the typed
+// slice: container/heap would box every event into an interface.
+type eventQueue []event
+
+func (q eventQueue) less(i, j int) bool {
+	if q[i].at != q[j].at {
+		return q[i].at < q[j].at
+	}
+	return q[i].seq < q[j].seq
+}
+
+func (q *eventQueue) push(ev event) {
+	*q = append(*q, ev)
+	h := *q
+	for i := len(h) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !h.less(i, parent) {
+			break
+		}
+		h[i], h[parent] = h[parent], h[i]
+		i = parent
 	}
 }
 
-// dispatcher delivers queued messages with sub-millisecond precision.
-// Go runtime timers (time.AfterFunc, time.Sleep) round sub-millisecond
-// waits up to ~1ms, which would dwarf the configured link latencies, so the
-// dispatcher sleeps coarsely only while the next deadline is far away and
-// yield-spins across the final stretch.
+func (q *eventQueue) pop() event {
+	h := *q
+	top := h[0]
+	last := len(h) - 1
+	h[0] = h[last]
+	h[last] = event{} // release the envelope
+	h = h[:last]
+	*q = h
+	for i := 0; ; {
+		min := i
+		if c := 2*i + 1; c < last && h.less(c, min) {
+			min = c
+		}
+		if c := 2*i + 2; c < last && h.less(c, min) {
+			min = c
+		}
+		if min == i {
+			break
+		}
+		h[i], h[min] = h[min], h[i]
+		i = min
+	}
+	return top
+}
+
+// pushLocked queues ev and wakes the dispatcher if ev is the new head (any
+// other push leaves the instant the dispatcher is waiting for unchanged).
+// Caller holds qMu.
+func (n *Network) pushLocked(ev event) {
+	n.seq++
+	ev.seq = n.seq
+	n.queue.push(ev)
+	if n.queue[0].seq == ev.seq {
+		select {
+		case n.wake <- struct{}{}:
+		default:
+		}
+	}
+}
+
+// dispatcher serves the event queue in (time, sequence) order. Each pass
+// takes everything due at one reading of the clock. An arrival is charged to
+// the receiver's core at its arrival instant — start = max(arrival,
+// coreFree), done = start + ProcessingTime — and re-queued for done, however
+// late the dispatcher is running; a served event is delivered. A receiver's
+// done instants strictly increase in the order its arrivals are served, and
+// only the queue turns a done instant into a delivery, so its messages reach
+// the inbox in arrival order. A receiver with no modelled core (a client, or
+// ProcessingTime zero) has no second stage: its arrivals are delivered as
+// they pop.
 func (n *Network) dispatcher() {
+	var due, again []event
 	for {
 		n.qMu.Lock()
-		for n.queue.Len() == 0 && !n.qClosed {
-			n.qMu.Unlock()
-			select {
-			case <-n.qWake:
-			case <-n.qDone:
-				return
-			}
-			n.qMu.Lock()
+		for _, ev := range again {
+			n.queue.push(ev) // keeps its seq; no wake: this goroutine is the waiter
 		}
-		if n.qClosed {
-			n.qMu.Unlock()
-			return
+		clear(again) // release the envelopes
+		again = again[:0]
+		now := n.now()
+		for len(n.queue) > 0 && n.queue[0].at <= now {
+			due = append(due, n.queue.pop())
 		}
-		now := time.Now()
-		var due []queued
-		for n.queue.Len() > 0 && !n.queue[0].due.After(now) {
-			due = append(due, heap.Pop(&n.queue).(queued))
-		}
-		var wait time.Duration
-		if n.queue.Len() > 0 {
-			wait = n.queue[0].due.Sub(now)
+		next := time.Duration(-1)
+		if len(n.queue) > 0 {
+			next = n.queue[0].at
 		}
 		n.qMu.Unlock()
-		for _, q := range due {
-			n.deliver(q.to, q.env)
+
+		for _, ev := range due {
+			if !ev.served {
+				if done := ev.dst.serve(ev.at, n.cfg.ProcessingTime); done > ev.at {
+					ev.dst.in.DelayMicros.Add((done - ev.at).Microseconds())
+					ev.at, ev.served = done, true
+					again = append(again, ev)
+					continue
+				}
+			}
+			n.deliver(ev.dst, ev.env)
 		}
-		if wait > 2*time.Millisecond {
-			time.Sleep(wait - time.Millisecond)
-		} else {
+		clear(due) // release the envelopes
+		due = due[:0]
+		if len(again) > 0 {
+			continue
+		}
+		if !n.await(next) {
+			return
+		}
+	}
+}
+
+// await blocks until the event at next (negative: the queue was empty) is
+// due or a push has replaced the head, and reports false once the network is
+// closed. A head beyond spinHorizon is slept toward under a timer that a
+// wake interrupts; the last stretch is a yield-spin.
+func (n *Network) await(next time.Duration) bool {
+	if next < 0 {
+		select {
+		case <-n.wake:
+			return true
+		case <-n.done:
+			return false
+		}
+	}
+	for {
+		wait := next - n.now()
+		if wait <= 0 {
+			return true
+		}
+		if wait > spinHorizon {
+			t := time.NewTimer(wait - spinHorizon/2)
+			select {
+			case <-t.C:
+				continue
+			case <-n.wake:
+				t.Stop()
+				return true
+			case <-n.done:
+				t.Stop()
+				return false
+			}
+		}
+		select {
+		case <-n.wake:
+			return true
+		case <-n.done:
+			return false
+		default:
 			runtime.Gosched()
 		}
 	}
 }
 
-func (n *Network) deliver(to types.NodeID, env *types.Envelope) {
-	n.mu.RLock()
-	ch, ok := n.inboxes[to]
-	dead := n.crashed[to] || n.closed
-	n.mu.RUnlock()
-	if !ok || dead {
+// deliver hands env to dst's inbox, or to its overflow queue when the inbox
+// is full or a backlog is still draining.
+func (n *Network) deliver(dst *endpoint, env *types.Envelope) {
+	dst.mu.Lock()
+	defer dst.mu.Unlock()
+	if dst.inbox == nil || dst.crashed || n.closed.Load() {
 		n.stats.Dropped.Add(1)
 		return
 	}
-	n.ovMu.Lock()
-	if n.ovBusy[to] || len(n.overflow[to]) > 0 {
+	if dst.draining || len(dst.overflow) > 0 {
 		// The node is backed up (queued messages, or the drainer still has
 		// one in flight): append behind them so delivery order is
-		// preserved while the drainer catches up. Checking ovBusy matters —
-		// the drainer pops a message before sending it, so an empty queue
-		// alone does not mean the backlog has fully landed.
-		n.spillLocked(to, ch, env)
-		n.ovMu.Unlock()
+		// preserved while the drainer catches up. Checking draining
+		// matters — the drainer pops a message before sending it, so an
+		// empty queue alone does not mean the backlog has fully landed.
+		n.spillLocked(dst, env)
 		return
 	}
-	n.ovMu.Unlock()
 	select {
-	case ch <- env:
+	case dst.inbox <- env:
 		n.stats.Delivered.Add(1)
 	default:
 		// Inbox full: spill into the bounded per-node overflow queue; a
 		// single drainer goroutine per node feeds it into the inbox in
-		// order, so the timer callback never blocks and saturation cannot
+		// order, so the dispatcher never blocks and saturation cannot
 		// spawn one goroutine per overflowing message.
-		n.ovMu.Lock()
-		n.spillLocked(to, ch, env)
-		n.ovMu.Unlock()
+		n.spillLocked(dst, env)
 	}
 }
 
-// spillLocked enqueues env on to's overflow queue (dropping when the bound
-// is hit) and ensures a drainer goroutine is running. Caller holds ovMu.
-func (n *Network) spillLocked(to types.NodeID, ch chan *types.Envelope, env *types.Envelope) {
-	if len(n.overflow[to]) >= n.cfg.InboxSize*overflowFactor {
+// spillLocked enqueues env on dst's overflow queue (dropping when the bound
+// is hit) and ensures a drainer goroutine is running. Caller holds dst.mu.
+func (n *Network) spillLocked(dst *endpoint, env *types.Envelope) {
+	if len(dst.overflow) >= n.cfg.InboxSize*overflowFactor {
 		n.stats.Dropped.Add(1)
 		return
 	}
-	n.overflow[to] = append(n.overflow[to], env)
-	if !n.ovBusy[to] {
-		n.ovBusy[to] = true
-		go n.drainOverflow(to, ch)
+	dst.overflow = append(dst.overflow, env)
+	if !dst.draining {
+		dst.draining = true
+		go n.drainOverflow(dst)
 	}
 }
 
-// drainOverflow pushes to's backed-up messages into its inbox in order,
+// drainOverflow pushes dst's backed-up messages into its inbox in order,
 // exiting when the queue empties or the network shuts down.
-func (n *Network) drainOverflow(to types.NodeID, ch chan *types.Envelope) {
+func (n *Network) drainOverflow(dst *endpoint) {
 	for {
-		n.ovMu.Lock()
-		q := n.overflow[to]
-		if len(q) == 0 {
-			n.ovBusy[to] = false
-			delete(n.overflow, to)
-			n.ovMu.Unlock()
+		dst.mu.Lock()
+		if len(dst.overflow) == 0 {
+			dst.draining = false
+			dst.overflow = nil
+			dst.mu.Unlock()
 			return
 		}
-		env := q[0]
-		n.overflow[to] = q[1:]
-		n.ovMu.Unlock()
+		env := dst.overflow[0]
+		dst.overflow = dst.overflow[1:]
+		dst.mu.Unlock()
 		select {
-		case ch <- env:
+		case dst.inbox <- env:
 			n.stats.Delivered.Add(1)
-		case <-n.qDone:
+		case <-n.done:
 			return
 		}
 	}
