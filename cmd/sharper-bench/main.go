@@ -14,12 +14,9 @@
 // machine-readable BENCH_batching.json other tooling tracks), latency
 // (per-stage commit-latency breakdown, intra vs cross × loopback vs
 // multiregion × batch 1/16, plus the metrics-overhead A/B → BENCH_latency.json;
-// -assert-overhead makes the overhead budget a hard failure), pipeline
-// (commit pipeline vs inline commit across both fabrics × WAL fsync
-// policies × batch 1/16 → BENCH_pipeline.json), saturation (open-loop
-// offered-load ladder through the gateway ingress path, both fabrics ×
-// batch 1/16, latency-vs-load knee and admission-control sheds →
-// BENCH_saturation.json).
+// -assert-overhead makes the overhead budget a hard failure), saturation
+// (open-loop offered-load ladder, both fabrics × batch 1/16,
+// latency-vs-load knee and admission-control sheds → BENCH_saturation.json).
 package main
 
 import (
@@ -36,7 +33,7 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "all", "figure to regenerate: 6a..6d, 7a..7d, 8a, 8b, s34, ablation, skew, batching, persistence, hotpath, crossparallel, wan, latency, pipeline, saturation, 6, 7, 8, all")
+	fig := flag.String("fig", "all", "figure to regenerate: 6a..6d, 7a..7d, 8a, 8b, s34, ablation, skew, batching, persistence, hotpath, wan, latency, saturation, 6, 7, 8, all")
 	quick := flag.Bool("quick", false, "small client counts and short windows")
 	seed := flag.Int64("seed", 42, "random seed")
 	csvPath := flag.String("csv", "", "also append results as CSV to this file")
@@ -134,10 +131,6 @@ func main() {
 			writeJSON(out, jsonOverride, "BENCH_persistence.json", bench.AblationPersistence(out, o))
 		case name == "hotpath":
 			writeJSON(out, jsonOverride, "BENCH_hotpath.json", bench.AblationHotpath(out, o))
-		case name == "pipeline":
-			writeJSON(out, jsonOverride, "BENCH_pipeline.json", bench.AblationPipeline(out, o))
-		case name == "crossparallel":
-			writeJSON(out, jsonOverride, "BENCH_crossparallel.json", bench.AblationCrossParallel(out, o))
 		case name == "wan":
 			writeJSON(out, jsonOverride, "BENCH_wan.json", bench.AblationWAN(out, o))
 		case name == "saturation":
@@ -162,7 +155,7 @@ func main() {
 			run("8a")
 			run("8b")
 		case name == "all":
-			for _, p := range []string{"6", "7", "8", "s34", "ablation", "skew", "batching", "persistence", "hotpath", "crossparallel", "wan", "latency", "pipeline", "saturation"} {
+			for _, p := range []string{"6", "7", "8", "s34", "ablation", "skew", "batching", "persistence", "hotpath", "wan", "latency", "saturation"} {
 				run(p)
 			}
 		default:

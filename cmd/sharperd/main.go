@@ -8,12 +8,8 @@
 //	sharperd -model crash -clusters 4 -f 1 -cross 10 -clients 16 -duration 5s
 //	sharperd -transport tcp -clusters 4 -f 1 -duration 5s
 //
-// Add -gateway to either single-process variant (or to -drive) to issue the
-// workload through the client-ingress plane — shard-routed submits into
-// per-shard mempool gateways — instead of the direct request path; admission
-// sheds are counted and printed:
-//
-//	sharperd -gateway -transport tcp -clusters 4 -f 1 -duration 5s
+// The workload goes through the client-ingress plane — shard-routed submits
+// into per-shard mempool gateways; admission sheds are counted and printed.
 //
 // Replica process — run ONE replica of a multi-process deployment described
 // by a topology file (every process is started from the same file; node
@@ -79,9 +75,6 @@ func main() {
 	dataDir := flag.String("data", "", "durable storage base directory (each replica uses DIR/node-<id>); a killed replica restarted with the same -data recovers in place")
 	syncPolicy := flag.String("sync", "group", "WAL fsync policy: none, group, or always")
 	lockTimeout := flag.Duration("lock-timeout", 0, "cross-shard lock expiry, the §3.2 'pre-determined time' (0 = default 3s); must dominate worst-case commit delivery in your environment")
-	serializeCross := flag.Bool("serialize-cross", false, "restore the legacy serialized cross-shard scheduler (whole-node lock, drain-gated initiation) for A/B comparison")
-	inlineCommit := flag.Bool("inline-commit", false, "restore the pre-pipeline synchronous commit path (apply, persist, and reply on the event loop) for A/B comparison")
-	gateway := flag.Bool("gateway", false, "issue the workload through the client-ingress plane (shard-routed submits into per-shard mempool gateways) instead of the direct request path; admission sheds are counted and printed")
 	slash := flag.Bool("slash", false, "arm the equivocation-detecting auditor on every replica; the driver and local modes print an offender report from the collected fraud proofs")
 	ed25519 := flag.Bool("ed25519", false, "byzantine model: use ed25519 signatures instead of HMAC, making -slash fraud proofs verifiable by third parties holding only public keys")
 	shapeSpec := flag.String("shape", "", "link shaping: 'multiregion' (the paper's cross-datacenter WAN) or a spec like 'delay 30ms bw 200Mbps loss 0.001' applied to every link; in topology modes it overrides the file's link directives, with -topology-init it is written into the file")
@@ -165,7 +158,6 @@ func main() {
 				TraceDir:       td,
 				Slash:          *slash,
 				Ed25519:        *ed25519,
-				Gateway:        *gateway,
 			}, os.Stdout)
 			if err != nil {
 				log.Fatal(err)
@@ -194,8 +186,6 @@ func main() {
 				DataDir:        *dataDir,
 				Sync:           sync,
 				LockTimeout:    *lockTimeout,
-				SerializeCross: *serializeCross,
-				InlineCommit:   *inlineCommit,
 				Slash:          *slash,
 				Ed25519:        *ed25519,
 				VerifyWindow:   *verifyWindow,
@@ -221,11 +211,9 @@ func main() {
 		Clusters: *clusters, F: *f, CrossPct: *cross, Clients: *clients,
 		Duration: *duration, Seed: *seed, Batch: *batch, ShowDAG: *showDAG,
 		Accounts: *accounts, Balance: *balance, TCP: *transportKind == "tcp",
-		DataDir: *dataDir, Sync: sync, SerializeCross: *serializeCross,
-		InlineCommit: *inlineCommit,
+		DataDir: *dataDir, Sync: sync,
 		Slash: *slash, Ed25519: *ed25519,
 		Multiregion: *shapeSpec == "multiregion", VerifyWindow: *verifyWindow,
-		Gateway: *gateway,
 	})
 }
 
@@ -264,10 +252,6 @@ type replicaOptions struct {
 	Batch    int
 	Accounts int
 	Balance  int64
-	// SerializeCross restores the legacy serialized cross-shard scheduler.
-	SerializeCross bool
-	// InlineCommit restores the pre-pipeline synchronous commit path.
-	InlineCommit bool
 	// DataDir is the deployment's storage base directory; this replica
 	// persists under DataDir/node-<id> and recovers from it on restart.
 	DataDir string
@@ -316,19 +300,17 @@ func runReplica(tf *TopologyFile, self types.NodeID, opts replicaOptions, stop <
 	defer fab.Close()
 
 	pcfg := core.ProcessConfig{
-		Topo:           tf.Topo,
-		Self:           self,
-		Fabric:         fab,
-		Seed:           opts.Seed,
-		BatchSize:      opts.Batch,
-		Sync:           opts.Sync,
-		LockTimeout:    opts.LockTimeout,
-		SerializeCross: opts.SerializeCross,
-		InlineCommit:   opts.InlineCommit,
-		Slash:          opts.Slash,
-		Ed25519:        opts.Ed25519,
-		VerifyWindow:   opts.VerifyWindow,
-		TraceSample:    opts.TraceSample,
+		Topo:         tf.Topo,
+		Self:         self,
+		Fabric:       fab,
+		Seed:         opts.Seed,
+		BatchSize:    opts.Batch,
+		Sync:         opts.Sync,
+		LockTimeout:  opts.LockTimeout,
+		Slash:        opts.Slash,
+		Ed25519:      opts.Ed25519,
+		VerifyWindow: opts.VerifyWindow,
+		TraceSample:  opts.TraceSample,
 	}
 	if opts.DataDir != "" {
 		pcfg.DataDir = core.NodeDataDir(opts.DataDir, self)
@@ -384,16 +366,6 @@ type driverOptions struct {
 	// matching verifier offline.
 	Slash   bool
 	Ed25519 bool
-	// Gateway issues the workload through the client-ingress plane (shard
-	// mempool gateways) instead of the direct request path.
-	Gateway bool
-}
-
-// driverClient is the issuing surface shared by the direct client and the
-// gateway client, so the driver loop is path-agnostic.
-type driverClient interface {
-	MakeTx(ops []types.Op) *types.Transaction
-	Submit(tx *types.Transaction) (bool, time.Duration, error)
 }
 
 // runDriver attaches to a running multi-process deployment over a dial-only
@@ -419,14 +391,9 @@ func runDriver(tf *TopologyFile, opts driverOptions, out io.Writer) error {
 	// Client IDs are partitioned by driver index so several driver processes
 	// can share one deployment without colliding.
 	clientBase := types.ClientIDBase + types.NodeID(opts.DriverIndex)*100_000
-	cls := make([]driverClient, opts.Clients)
+	cls := make([]*core.Client, opts.Clients)
 	for i := range cls {
-		id := clientBase + types.NodeID(i) + 1
-		if opts.Gateway {
-			cls[i] = core.NewGatewayClientAt(fab, tf.Topo, shards, id)
-		} else {
-			cls[i] = core.NewClientAt(fab, tf.Topo, shards, id)
-		}
+		cls[i] = core.NewClientAt(fab, tf.Topo, shards, clientBase+types.NodeID(i)+1)
 	}
 	fmt.Fprintf(out, "sharperd: driver connecting to %d replicas…\n", len(tf.Addrs))
 	if err := fab.ConnectAll(opts.ConnectTimeout); err != nil {
@@ -446,7 +413,7 @@ func runDriver(tf *TopologyFile, opts driverOptions, out io.Writer) error {
 	var wg sync.WaitGroup
 	for i, c := range cls {
 		wg.Add(1)
-		go func(k int, c driverClient) {
+		go func(k int, c *core.Client) {
 			defer wg.Done()
 			g := gen.Split(k)
 			for !stop.Load() {
@@ -947,20 +914,10 @@ type localOptions struct {
 	TCP                            bool
 	DataDir                        string
 	Sync                           storage.SyncPolicy
-	SerializeCross                 bool
-	InlineCommit                   bool
 	Slash                          bool
 	Ed25519                        bool
 	Multiregion                    bool
 	VerifyWindow                   int
-	// Gateway issues the workload through the client-ingress plane.
-	Gateway bool
-}
-
-// localClient is the issuing surface shared by the facade's direct and
-// gateway clients.
-type localClient interface {
-	Submit(ops []sharper.Op) (sharper.Result, error)
 }
 
 // runLocal is the original single-process mode: a full deployment in one
@@ -984,8 +941,6 @@ func runLocal(fm sharper.FailureModel, opts localOptions) {
 		InitialBalance:   opts.Balance,
 		DataDir:          opts.DataDir,
 		Sync:             opts.Sync,
-		SerializeCross:   opts.SerializeCross,
-		InlineCommit:     opts.InlineCommit,
 		Slash:            opts.Slash,
 		Ed25519:          opts.Ed25519,
 		Multiregion:      opts.Multiregion,
@@ -1019,12 +974,7 @@ func runLocal(fm sharper.FailureModel, opts localOptions) {
 		go func(k int) {
 			defer wg.Done()
 			g := gen.Split(k)
-			var c localClient
-			if opts.Gateway {
-				c = net.NewGatewayClient()
-			} else {
-				c = net.NewClient()
-			}
+			c := net.NewClient()
 			for !stop.Load() {
 				ops := g.Next()
 				res, err := c.Submit(toOps(ops))

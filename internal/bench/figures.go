@@ -405,133 +405,6 @@ func AblationPersistence(w io.Writer, o FigureOptions) []PersistenceResult {
 	return results
 }
 
-// PipelineResult is one point of the commit-pipeline ablation, shaped for
-// the machine-readable BENCH_pipeline.json that tracks the decoupled
-// commit path (parallel apply + group-commit durability + off-loop
-// replies) against the inline baseline.
-type PipelineResult struct {
-	// Fabric is "sim" (the modelled in-process network) or "tcp" (real
-	// loopback sockets).
-	Fabric string `json:"fabric"`
-	// Commit is "inline" (the legacy synchronous path: the event loop
-	// applies, persists, and replies before touching the next message) or
-	// "pipelined" (the bounded executor stage).
-	Commit string `json:"commit"`
-	// SyncPolicy is the WAL fsync policy: "none", "group", "always".
-	SyncPolicy   string  `json:"sync_policy"`
-	BatchSize    int     `json:"batch_size"`
-	Clients      int     `json:"clients"`
-	ThroughputTx float64 `json:"tx_per_sec"`
-	AvgLatencyMs float64 `json:"ms_per_tx"`
-	// Speedup is ThroughputTx over the inline row of the same
-	// fabric/sync/batch configuration (pipelined rows only).
-	Speedup float64 `json:"speedup_vs_inline,omitempty"`
-	// Raw holds every rep's throughput (tx/s) behind the reported median, so
-	// the JSON preserves the spread a single cell hides.
-	Raw []float64 `json:"raw,omitempty"`
-}
-
-// AblationPipeline A/Bs the commit pipeline against the inline commit path
-// on the Fig. 6(a) intra-shard workload: both fabrics × WAL fsync policies
-// × batch sizes, every run writing a real write-ahead log. The pipelined
-// rows keep the identical persist-before-ack guarantee (replies leave only
-// after the batched append is durable under the run's sync policy); what
-// changes is *where* the work happens — conflict-partitioned parallel
-// apply off the event loop, and one fsync amortized over a whole commit
-// group instead of one per block. SyncAlways at batch 1 is the stress
-// case: inline pays a blocking fsync per block on the consensus loop,
-// while the pipeline overlaps that fsync with ordering the next blocks.
-// Each cell is the median of three back-to-back runs (one under -quick):
-// single runs on a busy box swing ±10%, which would drown the A/B.
-func AblationPipeline(w io.Writer, o FigureOptions) []PipelineResult {
-	o.fill()
-	const clusters, f = 4, 1
-	clients := 128
-	if o.Quick {
-		clients = 48
-	}
-	batches := []int{1, 16}
-	syncs := []storage.SyncPolicy{storage.SyncNone, storage.SyncGroup, storage.SyncAlways}
-	if o.Quick {
-		syncs = []storage.SyncPolicy{storage.SyncGroup}
-	}
-	gen := workloadFor(clusters, 0, o)
-	var results []PipelineResult
-	var series []Series
-	for _, fabric := range []struct {
-		name string
-		kind core.TransportKind
-	}{{"sim", core.TransportSim}, {"tcp", core.TransportTCP}} {
-		for _, sync := range syncs {
-			for _, bs := range batches {
-				reps := 3
-				if o.Quick {
-					reps = 1
-				}
-				var inlineTx float64
-				for _, commit := range []string{"inline", "pipelined"} {
-					runs := make([]Point, 0, reps)
-					for rep := 0; rep < reps; rep++ {
-						dir, err := os.MkdirTemp("", "sharper-bench-pipeline-")
-						if err != nil {
-							fmt.Fprintf(w, "# %s/%s/batch-%d: tempdir failed: %v\n", fabric.name, sync, bs, err)
-							continue
-						}
-						d, err := core.NewDeployment(core.Config{
-							Model: types.CrashOnly, Clusters: clusters, F: f,
-							Seed: o.Seed, BatchSize: bs, Transport: fabric.kind,
-							DataDir: dir, Sync: sync,
-							InlineCommit: commit == "inline",
-						})
-						if err != nil {
-							fmt.Fprintf(w, "# %s/%s/%s/batch-%d: deployment failed: %v\n", fabric.name, commit, sync, bs, err)
-							os.RemoveAll(dir)
-							continue
-						}
-						d.SeedAccounts(o.AccountsPerShard, seedBalance)
-						d.Start()
-						sys := SharPerSystem{D: d}
-						runs = append(runs, Run(sys, gen, clients, o.bench()))
-						sys.Stop()
-						os.RemoveAll(dir)
-					}
-					if len(runs) == 0 {
-						continue
-					}
-					sort.Slice(runs, func(i, j int) bool { return runs[i].ThroughputTx < runs[j].ThroughputTx })
-					raw := make([]float64, len(runs))
-					for i, run := range runs {
-						raw[i] = run.ThroughputTx
-					}
-					pt := runs[len(runs)/2]
-					r := PipelineResult{
-						Fabric:       fabric.name,
-						Commit:       commit,
-						SyncPolicy:   sync.String(),
-						BatchSize:    bs,
-						Clients:      clients,
-						ThroughputTx: pt.ThroughputTx,
-						AvgLatencyMs: pt.AvgLatencyMs,
-						Raw:          raw,
-					}
-					if commit == "inline" {
-						inlineTx = pt.ThroughputTx
-					} else if inlineTx > 0 {
-						r.Speedup = pt.ThroughputTx / inlineTx
-					}
-					results = append(results, r)
-					series = append(series, Series{
-						Name:   fmt.Sprintf("%s/%s/%s/batch-%d", fabric.name, commit, sync, bs),
-						Points: []Point{pt},
-					})
-				}
-			}
-		}
-	}
-	Fprint(w, "Ablation — commit pipeline vs inline commit, crash model, 0% cross-shard", series)
-	return results
-}
-
 // HotpathResult is one point of the hot-path ablation, shaped for the
 // machine-readable BENCH_hotpath.json that tracks the send/receive/verify
 // overhaul (digest memoization, pooled zero-alloc encoding, coalesced TCP
@@ -632,164 +505,6 @@ func AblationHotpath(w io.Writer, o FigureOptions) []HotpathResult {
 	return results
 }
 
-// CrossParallelResult is one point of the cross-shard scheduling ablation,
-// shaped for the machine-readable BENCH_crossparallel.json that tracks the
-// conflict-aware scheduler against the serialized one it replaced.
-type CrossParallelResult struct {
-	// Workload names the mix: "intra", "cross50-disjoint",
-	// "cross90-disjoint", "cross90-overlap".
-	Workload string `json:"workload"`
-	// Scheduler is "serialized" (whole-node lock, drain-gated initiation,
-	// one lead) or "parallel" (conflict table, pipelined leads,
-	// slot-precise deferral).
-	Scheduler    string  `json:"scheduler"`
-	BatchSize    int     `json:"batch_size"`
-	Clients      int     `json:"clients"`
-	ThroughputTx float64 `json:"tx_per_sec"`
-	AvgLatencyMs float64 `json:"ms_per_tx"`
-	P99LatencyMs float64 `json:"p99_ms"`
-	// MsgsPerTx is delivered fabric messages per committed transaction over
-	// the measurement window — what scheduling churn (re-proposals, parks,
-	// retries) shows up as.
-	MsgsPerTx float64 `json:"msgs_per_tx"`
-	// Scheduler counters summed over all replicas at the end of the run.
-	Leads         uint64 `json:"lead_high_water_sum"`
-	Parks         uint64 `json:"parks"`
-	Withdraws     uint64 `json:"withdraws"`
-	DefersAvoided uint64 `json:"defers_avoided"`
-	SelfVoteWaits uint64 `json:"self_vote_waits"`
-	// Speedup is parallel/serialized throughput for the same workload
-	// (set on parallel rows once both measured).
-	Speedup float64 `json:"speedup_vs_serialized,omitempty"`
-	// Raw holds every rep's throughput (tx/s) behind the reported median.
-	Raw []float64 `json:"raw,omitempty"`
-}
-
-// AblationCrossParallel measures the conflict-aware cross-shard scheduler
-// against the serialized one on cross-heavy workloads (the regime Fig. 8's
-// parallelism claim is about): 50% and 90% cross-shard with cluster-disjoint
-// sets, 90% with overlapping sets (the contention-bound case, where little
-// improvement is possible by construction), and the intra-only workload as a
-// no-regression guard.
-func AblationCrossParallel(w io.Writer, o FigureOptions) []CrossParallelResult {
-	o.fill()
-	const clusters, f = 4, 1
-	bs := 16
-	clients := 96
-	if o.Quick {
-		clients = 32
-	}
-	workloads := []struct {
-		name     string
-		crossPct int
-		sets     workload.CrossSetMode
-	}{
-		{"intra", 0, workload.SetsRandom},
-		{"cross50-disjoint", 50, workload.SetsDisjoint},
-		{"cross90-disjoint", 90, workload.SetsDisjoint},
-		{"cross90-random", 90, workload.SetsRandom},
-		{"cross90-overlap", 90, workload.SetsOverlapping},
-	}
-	// The shared benchmark host is noisy, so each configuration is measured
-	// over fresh deployments several times and the median-throughput run is
-	// reported; single-shot A/B ratios on this machine swing ±15%.
-	reps := 3
-	if o.Quick {
-		reps = 1
-	}
-	var results []CrossParallelResult
-	var series []Series
-	serialized := make(map[string]float64) // workload → serialized tx/s
-	for _, sched := range []struct {
-		name      string
-		serialize bool
-	}{{"serialized", true}, {"parallel", false}} {
-		for _, wl := range workloads {
-			var runs []CrossParallelResult
-			for rep := 0; rep < reps; rep++ {
-				gen := workload.New(workload.Config{
-					Shards:           state.ShardMap{NumShards: clusters},
-					AccountsPerShard: o.AccountsPerShard,
-					CrossShardPct:    wl.crossPct,
-					ShardsPerCross:   2,
-					CrossSets:        wl.sets,
-					Amount:           1,
-					Seed:             o.Seed + int64(rep),
-				})
-				d, err := core.NewDeployment(core.Config{
-					Model: types.CrashOnly, Clusters: clusters, F: f,
-					Seed:      o.Seed + int64(rep),
-					BatchSize: bs, SerializeCross: sched.serialize, NoPersist: true,
-				})
-				if err != nil {
-					fmt.Fprintf(w, "# %s/%s: deployment failed: %v\n", sched.name, wl.name, err)
-					continue
-				}
-				d.SeedAccounts(o.AccountsPerShard, seedBalance)
-				d.Start()
-				sys := SharPerSystem{D: d}
-				startMsgs := d.Net.Stats().Delivered.Load()
-				startCommitted := d.TotalCommitted()
-				pt := Run(sys, gen, clients, o.bench())
-				msgs := d.Net.Stats().Delivered.Load() - startMsgs
-				committed := d.TotalCommitted() - startCommitted
-				sys.Stop() // counters are a quiesced read
-				var agg types.SchedStats
-				for _, n := range d.Nodes() {
-					agg.Add(n.Counters())
-				}
-				r := CrossParallelResult{
-					Workload:      wl.name,
-					Scheduler:     sched.name,
-					BatchSize:     bs,
-					Clients:       clients,
-					ThroughputTx:  pt.ThroughputTx,
-					AvgLatencyMs:  pt.AvgLatencyMs,
-					P99LatencyMs:  pt.P99LatencyMs,
-					Leads:         agg.LeadHighWater,
-					Parks:         agg.Parks,
-					Withdraws:     agg.Withdraws,
-					DefersAvoided: agg.DefersAvoided,
-					SelfVoteWaits: agg.SelfVoteWaits,
-				}
-				if committed > 0 {
-					r.MsgsPerTx = float64(msgs) / float64(committed)
-				}
-				runs = append(runs, r)
-			}
-			if len(runs) == 0 {
-				continue
-			}
-			sort.Slice(runs, func(i, j int) bool {
-				return runs[i].ThroughputTx < runs[j].ThroughputTx
-			})
-			raw := make([]float64, len(runs))
-			for i, run := range runs {
-				raw[i] = run.ThroughputTx
-			}
-			r := runs[len(runs)/2]
-			r.Raw = raw
-			if sched.serialize {
-				serialized[wl.name] = r.ThroughputTx
-			} else if base := serialized[wl.name]; base > 0 {
-				r.Speedup = r.ThroughputTx / base
-			}
-			results = append(results, r)
-			series = append(series, Series{
-				Name: fmt.Sprintf("%s/%s", sched.name, wl.name),
-				Points: []Point{{
-					Clients:      r.Clients,
-					ThroughputTx: r.ThroughputTx,
-					AvgLatencyMs: r.AvgLatencyMs,
-					P99LatencyMs: r.P99LatencyMs,
-				}},
-			})
-		}
-	}
-	Fprint(w, "Ablation — conflict-aware cross-shard scheduling vs serialized, crash model, batch 16", series)
-	return results
-}
-
 // WanResult is one point of the WAN ablation, shaped for the
 // machine-readable BENCH_wan.json that tracks the link-shaping and
 // batched-verification work: shaped-vs-loopback isolates the emulated WAN's
@@ -857,7 +572,7 @@ func AblationWAN(w io.Writer, o FigureOptions) []WanResult {
 	// ramp throughput over the first second), and deployments measured back
 	// to back in one process interfere (GC debt, scheduler state): each
 	// configuration runs over several fresh deployments and reports the
-	// median-throughput run, the same discipline as AblationCrossParallel.
+	// median-throughput run.
 	opts := Options{Warmup: time.Second, Measure: 3 * time.Second}
 	reps := 3
 	if o.Quick {

@@ -29,31 +29,30 @@ type SaturationPoint struct {
 }
 
 // SaturationResult is one fabric × batch-size saturation curve: the latency
-// vs offered load ladder through the gateway path, anchored to the in-process
-// closed-loop reference measured on the same deployment.
+// vs offered load ladder, anchored to the closed-loop reference measured on
+// the same deployment.
 type SaturationResult struct {
 	// Fabric is "sim" (the modelled in-process network) or "tcp" (real
 	// loopback sockets).
 	Fabric    string `json:"fabric"`
 	BatchSize int    `json:"batch_size"`
-	// ClosedLoopTx is the direct-path (MsgRequest, no gateway) closed-loop
-	// throughput the ladder's offered rates are fractions of.
+	// ClosedLoopTx is the closed-loop throughput, through the same gateways,
+	// that the ladder's offered rates are fractions of.
 	ClosedLoopTx float64 `json:"closed_loop_tx_per_sec"`
-	// Knee is the highest offered rate the gateway path still served at
-	// ≥90% goodput; past it latency climbs and admission control sheds.
+	// Knee is the highest offered rate still served at ≥90% goodput; past it
+	// latency climbs and admission control sheds.
 	KneeOfferedTx    float64 `json:"knee_offered_tx_per_sec"`
 	KneeThroughputTx float64 `json:"knee_tx_per_sec"`
 	// GatewayVsClosedPct is knee goodput as a percentage of the closed-loop
-	// reference — how much the ingress plane (mempool admission, propagation
-	// batching, submit replies) costs against in-process clients.
+	// reference: how much of what self-pacing clients get out of the system
+	// an open loop sustains before admission control has to shed.
 	GatewayVsClosedPct float64           `json:"gateway_vs_closed_pct"`
 	Points             []SaturationPoint `json:"points"`
 }
 
 // AblationSaturation measures the client-ingress plane under open-loop load:
-// for each fabric × batch size it takes a closed-loop reference through the
-// direct client path, then offers Poisson arrivals through gateway clients at
-// increasing fractions of that reference. Closed-loop clients adapt their
+// for each fabric × batch size it takes a closed-loop reference, then offers
+// Poisson arrivals at increasing fractions of that reference. Closed-loop clients adapt their
 // arrival rate to the system (each waits for its reply), so they can never
 // show the saturation knee; the open loop keeps offering, so past the knee
 // the latency column climbs and the shed column goes non-zero — that is the
@@ -94,7 +93,7 @@ func AblationSaturation(w io.Writer, o FigureOptions) []SaturationResult {
 			d.SeedAccounts(o.AccountsPerShard, seedBalance)
 			d.Start()
 
-			// Closed-loop reference through the direct MsgRequest path.
+			// Closed-loop reference.
 			ref := Run(SharPerSystem{D: d}, gen, clients, opts)
 			r := SaturationResult{
 				Fabric: fabric.name, BatchSize: bs,
@@ -104,7 +103,7 @@ func AblationSaturation(w io.Writer, o FigureOptions) []SaturationResult {
 				fabric.name, bs, ref.ThroughputTx)
 
 			// Gateway issuer pool: registered once, reused for every rung.
-			gw := GatewaySystem{D: d, Timeout: time.Second, MaxAttempts: 2}
+			gw := SharPerSystem{D: d, Timeout: time.Second, MaxAttempts: 2}
 			issuers := make([]OpenLoopIssuer, inflight)
 			for i := range issuers {
 				issuers[i] = gw.NewOpenIssuer()

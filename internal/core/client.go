@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -11,11 +12,24 @@ import (
 	"sharper/internal/types"
 )
 
-// Client submits transactions to a SharPer deployment and waits for the
-// model-appropriate number of matching replies: one under the crash model,
-// f+1 matching replies from distinct replicas under the Byzantine model
-// (§3.1). Clients are single-goroutine, closed-loop issuers; benchmarks
-// raise concurrency by running many clients.
+// Sentinel submit outcomes surfaced to callers (the open-loop benchmark
+// counts sheds separately from failures).
+var (
+	// ErrOverloaded: the gateway shed the submit; back off and retry later.
+	ErrOverloaded = errors.New("core: gateway overloaded")
+	// ErrExpired: the transaction's timestamp fell outside the mempool TTL;
+	// re-issue with a fresh timestamp.
+	ErrExpired = errors.New("core: submit expired")
+)
+
+// Client submits transactions to a SharPer deployment through its client
+// ingress (MsgSubmit → gateway → mempool → sealer) and waits for the
+// model-appropriate number of matching verdicts: one under the crash model,
+// f+1 from distinct replicas under the Byzantine model (§3.1). It routes
+// shard-aware — the owning cluster for single-shard transactions, the lowest
+// involved cluster (the initiator under super-primary routing) for
+// cross-shard ones. Clients are single-goroutine, closed-loop issuers;
+// benchmarks raise concurrency by running many clients.
 //
 // A client speaks to the deployment only through a transport.Fabric plus
 // the static topology and shard map, so the same type drives an in-process
@@ -27,9 +41,9 @@ type Client struct {
 	shards state.ShardMap
 	inbox  <-chan *types.Envelope
 	seq    uint64
-	sendTo map[types.ClusterID]int // rotating primary guess per cluster
+	sendTo map[types.ClusterID]int // first gateway to try, per cluster
 
-	// Timeout before the client retransmits a request.
+	// Timeout before the client retransmits a submit.
 	Timeout time.Duration
 	// MaxAttempts bounds retransmissions before giving up.
 	MaxAttempts int
@@ -39,7 +53,7 @@ var clientCounter atomic.Uint32
 
 // NewClient registers a fresh client endpoint on the deployment's fabric.
 // Under TransportTCP the client fabric first connects to every replica so
-// replies routed by nodes the client never dialed still find a return path.
+// verdicts from gateways the client never dialed still find a return path.
 func (d *Deployment) NewClient() *Client {
 	c := NewClientOn(d.Net, d.Topo, d.Shards)
 	if d.fabrics != nil {
@@ -47,6 +61,10 @@ func (d *Deployment) NewClient() *Client {
 	}
 	return c
 }
+
+// NewGatewayClient is NewClient under the name it had while a second,
+// gateway-less client existed; the benchmark's surface pins it.
+func (d *Deployment) NewGatewayClient() *Client { return d.NewClient() }
 
 // NewClientOn builds a client with a process-locally unique ID on an
 // arbitrary fabric. Use NewClientAt when several driver processes share one
@@ -87,24 +105,35 @@ func (c *Client) MakeTx(ops []types.Op) *types.Transaction {
 	}
 }
 
-// Submit sends tx and blocks until the reply quorum arrives or every
-// attempt times out. It returns whether the transaction's effects were
-// applied (false = ordered but rejected by validation) and the end-to-end
-// latency.
+// Submit offers tx to the initiator cluster's gateways and blocks until the
+// verdict quorum arrives or every attempt times out. It returns whether the
+// transaction's effects were applied (false = ordered but rejected by
+// validation) and the end-to-end latency. Admission sheds surface
+// immediately as ErrOverloaded / ErrExpired.
 func (c *Client) Submit(tx *types.Transaction) (bool, time.Duration, error) {
-	target := c.targetCluster(tx)
+	target := tx.Involved.Min()
 	needed := 1
 	if c.topo.ModelOf(target) == types.Byzantine {
 		needed = c.topo.F(target) + 1
 	}
-	payload := (&types.Request{Tx: tx}).Encode(nil)
+	payload := (&types.Submit{Txs: []*types.Transaction{tx}}).Encode(nil)
 	start := time.Now()
 
 	for attempt := 0; attempt < c.MaxAttempts; attempt++ {
-		c.sendRequest(target, payload, attempt)
-		ok, committed := c.awaitReplies(tx.ID, needed, c.Timeout)
-		if ok {
-			return committed, time.Since(start), nil
+		c.sendSubmit(target, payload, needed, attempt)
+		code, ok := c.awaitReplies(tx.ID, needed, c.Timeout)
+		if !ok {
+			continue
+		}
+		switch code {
+		case types.SubmitCommitted:
+			return true, time.Since(start), nil
+		case types.SubmitRejected:
+			return false, time.Since(start), nil
+		case types.SubmitOverloaded:
+			return false, time.Since(start), ErrOverloaded
+		case types.SubmitExpired:
+			return false, time.Since(start), ErrExpired
 		}
 	}
 	return false, time.Since(start), fmt.Errorf("core: tx %s timed out after %d attempts", tx.ID, c.MaxAttempts)
@@ -115,59 +144,62 @@ func (c *Client) Transfer(ops []types.Op) (bool, time.Duration, error) {
 	return c.Submit(c.MakeTx(ops))
 }
 
-// targetCluster picks the initiator cluster: the involved cluster itself
-// for intra-shard transactions, min(P) under super-primary routing.
-func (c *Client) targetCluster(tx *types.Transaction) types.ClusterID {
-	return tx.Involved.Min()
-}
-
-// sendRequest sends the request to a member of the target cluster, rotating
-// on retries so a crashed primary does not wedge the client. The receiving
-// node forwards to its current primary.
-func (c *Client) sendRequest(target types.ClusterID, payload []byte, attempt int) {
+// sendSubmit offers the transaction to `needed` distinct gateways of the
+// target cluster. A retry means that window held a crashed or deaf replica:
+// later transactions start one member further on, and this one goes to every
+// member — a Byzantine cluster changes view only when 2f+1 replicas time out
+// on a transaction at about the same moment, which takes all of them holding
+// it.
+func (c *Client) sendSubmit(target types.ClusterID, payload []byte, needed, attempt int) {
 	members := c.topo.Members(target)
-	idx := (c.sendTo[target] + attempt) % len(members)
+	env := &types.Envelope{Type: types.MsgSubmit, From: c.id, Payload: payload}
 	if attempt > 0 {
-		c.sendTo[target] = idx
-	}
-	env := &types.Envelope{Type: types.MsgRequest, From: c.id, Payload: payload}
-	if attempt == 0 {
-		c.net.Send(members[idx], env)
+		c.sendTo[target] = (c.sendTo[target] + 1) % len(members)
+		for _, m := range members {
+			c.net.Send(m, env)
+		}
 		return
 	}
-	// Retry: blanket the cluster so at least one live node forwards.
-	for _, m := range members {
-		c.net.Send(m, env)
+	if needed > len(members) {
+		needed = len(members)
+	}
+	for i := 0; i < needed; i++ {
+		c.net.Send(members[(c.sendTo[target]+i)%len(members)], env)
 	}
 }
 
-// awaitReplies drains the inbox until `needed` matching replies for id
-// arrive from distinct replicas, or the deadline passes.
-func (c *Client) awaitReplies(id types.TxID, needed int, timeout time.Duration) (bool, bool) {
+// awaitReplies drains the inbox until `needed` matching submit verdicts for
+// id arrive from distinct replicas, or the deadline passes. Admission
+// verdicts (Overloaded, Expired) return on the first reply: they are local
+// judgments, and waiting for a quorum of sheds would just burn the timeout.
+func (c *Client) awaitReplies(id types.TxID, needed int, timeout time.Duration) (types.SubmitCode, bool) {
 	deadline := time.NewTimer(timeout)
 	defer deadline.Stop()
-	votes := make(map[bool]map[types.NodeID]bool) // committed? → replicas
+	votes := make(map[types.SubmitCode]map[types.NodeID]bool)
 	for {
 		select {
 		case env := <-c.inbox:
-			if env.Type != types.MsgReply {
+			if env.Type != types.MsgSubmitReply {
 				continue
 			}
-			r, err := types.DecodeReply(env.Payload)
+			r, err := types.DecodeSubmitReply(env.Payload)
 			if err != nil || r.TxID != id || r.Replica != env.From {
 				continue
 			}
-			m, ok := votes[r.Committed]
+			if r.Code == types.SubmitOverloaded || r.Code == types.SubmitExpired {
+				return r.Code, true
+			}
+			m, ok := votes[r.Code]
 			if !ok {
 				m = make(map[types.NodeID]bool)
-				votes[r.Committed] = m
+				votes[r.Code] = m
 			}
 			m[r.Replica] = true
 			if len(m) >= needed {
-				return true, r.Committed
+				return r.Code, true
 			}
 		case <-deadline.C:
-			return false, false
+			return 0, false
 		}
 	}
 }

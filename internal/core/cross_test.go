@@ -469,26 +469,22 @@ func TestDeferIntraSlotPrecision(t *testing.T) {
 		return &types.Envelope{Type: types.MsgPaxosAccept, From: 1, Payload: m.Encode(nil)}
 	}
 	// Free table: nothing defers.
-	if deferIntra(table, false, mkEnv(5)) {
+	if deferIntra(table, mkEnv(5)) {
 		t.Fatal("deferred on a free table")
 	}
 	table.Acquire(types.HashBytes([]byte{1}), types.NewClusterSet(0, 1), 5,
 		ledger.GenesisHash(), time.Unix(100, 0))
 	// Slot-precise: only the reserved slot defers.
-	if !deferIntra(table, false, mkEnv(5)) {
+	if !deferIntra(table, mkEnv(5)) {
 		t.Fatal("proposal at the reserved slot not deferred")
 	}
-	if deferIntra(table, false, mkEnv(6)) || deferIntra(table, false, mkEnv(4)) {
+	if deferIntra(table, mkEnv(6)) || deferIntra(table, mkEnv(4)) {
 		t.Fatal("proposal at a non-reserved slot deferred")
 	}
 	// View-change machinery defers conservatively while the vote is held.
 	vc := &types.Envelope{Type: types.MsgViewChange, From: 1}
-	if !deferIntra(table, false, vc) {
+	if !deferIntra(table, vc) {
 		t.Fatal("view change not deferred while the slot vote is held")
-	}
-	// The serialized legacy mode defers everything node-wide.
-	if !deferIntra(table, true, mkEnv(6)) {
-		t.Fatal("legacy mode did not defer node-wide")
 	}
 }
 

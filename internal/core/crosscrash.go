@@ -32,8 +32,7 @@ import (
 // ever forming a quorum. A long unilateral expiry remains as a last resort
 // against a crashed initiator.
 //
-// Unlike the serialized scheduler this engine replaced, an initiator keeps
-// several leads in flight (the conflict table admits same-set attempts,
+// An initiator keeps several leads in flight (the conflict table admits same-set attempts,
 // which pipeline FIFO through the participants' slot votes, and
 // cluster-disjoint attempts, which never contend): the PROPOSE for the next
 // attempt travels while the previous one commits. The initiator's own vote

@@ -21,8 +21,7 @@ import (
 //
 // Invariants:
 //   - Persist-before-ack: a reply leaves the node only after its block's
-//     chain-log append returned under the configured sync policy, exactly as
-//     the inline path ordered it.
+//     chain-log append returned under the configured sync policy.
 //   - Blocks apply in chain order; within a block, transactions touching a
 //     common stripe apply in block order (wave partitioning), so the store is
 //     byte-identical to serial execution.
@@ -32,21 +31,20 @@ import (
 
 // commitTask is one committed block handed from the event loop to the
 // executor, with everything the off-loop stages need captured at hand-off
-// time (reply gating consults loop-owned primary state).
+// time.
 type commitTask struct {
 	seq      uint64 // chain index the block was appended at
 	block    *types.Block
 	valid    uint64     // decision validity bitmap (all ones for intra)
 	traceSeq uint64     // intra consensus seq for tracer stamps (0: none)
 	digest   types.Hash // cross batch digest for tracer stamps (zero: none)
-	reply    bool       // this node answers these clients (decided on the loop)
 }
 
-// replyOut is one client reply owed after the durable group append.
+// replyOut is one verdict owed to the gateway after the durable group append.
 type replyOut struct {
 	tx     *types.Transaction
 	r      *types.Reply
-	resend bool // retransmission re-reply: always sent, reply gating ignored
+	resend bool // ordered twice: the verdict is the first execution's
 }
 
 // applyJob is one transaction's slot in a block's wave schedule.
@@ -168,7 +166,7 @@ func (e *executor) DurableSeq() uint64 { return e.durableSeq.Load() }
 
 // WaitApplied blocks until every block at or below seq has been applied to
 // the store. The cross engine's validity vote goes through it so votes read
-// fully committed state, exactly as the inline path did.
+// fully committed state.
 func (e *executor) WaitApplied(seq uint64) {
 	if e.appliedSeq.Load() >= seq {
 		return
@@ -282,8 +280,8 @@ func (e *executor) process(group []commitTask) {
 	e.durableSeq.Store(group[len(group)-1].seq)
 	e.cond.Broadcast()
 	e.mu.Unlock()
-	for i := range group {
-		e.sendReplies(&group[i], outs[i])
+	for _, o := range outs {
+		e.sendReplies(o)
 	}
 	e.depth.Add(-int64(len(group)))
 }
@@ -409,11 +407,10 @@ func (e *executor) applyWaves(jobs []applyJob) {
 	e.waveMasks = waveMasks[:0]
 }
 
-// sendReplies answers clients after the group's durable append. Reply gating
-// (crash model: only the responsible primary answers) was decided on the loop
-// at hand-off; retransmission re-replies are always sent, matching the inline
-// path.
-func (e *executor) sendReplies(t *commitTask, outs []replyOut) {
+// sendReplies settles a block's transactions with the gateway after the
+// group's durable append: every replica that admitted a transaction owes its
+// submitter a verdict from its own commit observation.
+func (e *executor) sendReplies(outs []replyOut) {
 	n := e.n
 	var ts time.Time
 	if n.tracer != nil {
@@ -423,17 +420,6 @@ func (e *executor) sendReplies(t *commitTask, outs []replyOut) {
 		if !o.resend && n.tracer != nil {
 			n.tracer.Finish(o.tx.ID, ts)
 		}
-		// The gateway settles regardless of MsgReply ownership: every
-		// replica that admitted this transaction owes its submitter a
-		// verdict from its own commit observation.
 		n.gw.observeCommit(o.tx, o.r)
-		if !o.resend && !t.reply {
-			continue
-		}
-		payload := o.r.Encode(nil)
-		n.cfg.Net.Send(o.tx.Client, &types.Envelope{
-			Type: types.MsgReply, From: n.cfg.Self,
-			Payload: payload, Sig: n.cfg.Signer.Sign(payload),
-		})
 	}
 }

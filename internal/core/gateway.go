@@ -23,16 +23,42 @@ import (
 // accumulator one transaction at a time. Capacity is released only when a
 // commit is observed or the TTL sweep gives up, so a stalled primary backs
 // pressure up to every admitting gateway, which then sheds with Overloaded.
+//
+// Liveness rule: a gateway that handed a transaction toward ordering watches
+// it (watchHandovers). One that stays uncommitted past IntraTimeout, while no
+// block the primary initiated has arrived for as long, makes the gateway
+// suspect the primary it was handed to; one that was handed to the primary of
+// an earlier view and is still uncommitted half an IntraTimeout into the
+// current view goes back to the pool, and the pump offers it to the current
+// primary. A transaction a live gateway admitted therefore commits after a
+// primary crash without a client retransmission.
 type gateway struct {
 	n       *Node
 	pool    *mempool.Pool
 	metrics *obs.MempoolMetrics
+
+	// handed lists, oldest first, the batches drained toward ordering whose
+	// commits watchHandovers has not checked yet. view is the intra-shard
+	// view the pump last saw and viewSince when it first saw it. Loop-owned.
+	handed    []handover
+	view      uint64
+	viewSince time.Time
 
 	// origins maps an admitted transaction to the client endpoint owed a
 	// SubmitReply, stamped for expiry. Written on the loop (onSubmit),
 	// consumed on the executor goroutine (observeCommit).
 	mu      sync.Mutex
 	origins map[types.TxID]gatewayOrigin
+}
+
+// handover is one batch drained from the pool at one instant: into this
+// node's accumulators on the primary, onto a propagation message elsewhere.
+type handover struct {
+	at  time.Time
+	txs []*types.Transaction
+	// shared: the watch already ran out once on these in this view (and, in
+	// a Byzantine cluster, the peers were given them).
+	shared bool
 }
 
 // gatewayOrigin is one client endpoint awaiting a commit verdict.
@@ -156,8 +182,8 @@ func (g *gateway) sendReply(to types.NodeID, id types.TxID, code types.SubmitCod
 // observeCommit settles one executed transaction: its mempool capacity is
 // released, its digest enters the committed dedup window, and any client owed
 // a verdict gets it. Called from the commit pipeline's reply stage (after the
-// durable group append) and from the inline execute path, on whatever
-// goroutine runs execution.
+// durable group append) on the executor goroutine, and on the loop for a
+// drained transaction that turns out to be executed already.
 func (g *gateway) observeCommit(tx *types.Transaction, r *types.Reply) {
 	g.pool.MarkCommitted(tx.Digest(), time.Now())
 	origin, ok := g.takeOrigin(tx.ID)
@@ -206,6 +232,85 @@ func (g *gateway) refreshGauges() {
 	g.metrics.PendingCount.Set(uint64(g.pool.PendingCount()))
 }
 
+// noteHandover starts the watch on a batch just drained from the pool.
+// Batches drained within one tick share an entry: the watch runs on the tick.
+func (g *gateway) noteHandover(txs []*types.Transaction, now time.Time) {
+	if k := len(g.handed) - 1; k >= 0 && !g.handed[k].shared &&
+		now.Sub(g.handed[k].at) < g.n.cfg.TickInterval {
+		g.handed[k].txs = append(g.handed[k].txs, txs...)
+		return
+	}
+	g.handed = append(g.handed, handover{at: now, txs: txs})
+}
+
+// watchHandovers applies the liveness rule to every batch whose time has run
+// out. A batch handed over in the current view gets IntraTimeout from the
+// hand-over. One handed over in an earlier view gets half of that from the
+// start of the current view: offered again at once, the transactions the view
+// change itself carries over (whatever the deposed primary had proposed) would
+// be ordered twice, while the new primary has to order the rest before the
+// backups' own timers, one IntraTimeout from the install, depose it in turn.
+// Runs on the tick.
+func (g *gateway) watchHandovers(now time.Time) {
+	n := g.n
+	for len(g.handed) > 0 {
+		h := g.handed[0]
+		stale := h.at.Before(g.viewSince)
+		due := h.at.Add(n.cfg.IntraTimeout)
+		if stale {
+			due = g.viewSince.Add(n.cfg.IntraTimeout / 2)
+		}
+		if now.Before(due) {
+			return
+		}
+		g.handed[0] = handover{}
+		g.handed = g.handed[1:]
+		open := h.txs[:0]
+		for _, tx := range h.txs {
+			if !n.view.Contains(tx.ID) {
+				open = append(open, tx)
+			}
+		}
+		primary := n.intra.IsPrimary()
+		if stale || (!primary && now.Sub(n.ledAppend) < n.cfg.IntraTimeout) {
+			// Handed to a primary that is gone — or to one that is alive:
+			// blocks it initiated still arrive, so the batch waits behind
+			// something else (a cross-shard lock, a backed-off lead — a
+			// correct primary can take seconds over those, so no
+			// per-transaction bound holds) or the hand-over was lost on the
+			// way. Deposing the primary cures neither; offering the batch
+			// again cures the second, and the primary's own pool screens it
+			// if it was the first.
+			g.pool.Requeue(open)
+			continue
+		}
+		// Expired and settled-elsewhere transactions have left the pool;
+		// only what it still counts in flight keeps the primary on the clock.
+		if open = g.pool.InFlight(open); len(open) == 0 {
+			continue
+		}
+		switch {
+		case primary:
+			// The backups' timers police a primary; it only keeps the batch
+			// on watch for the day it is deposed.
+		case n.cfg.Model == types.Byzantine && !h.shared:
+			// One replica's suspicion deposes no Byzantine primary — it only
+			// takes that replica out of the quorum. Give the batch to the
+			// peers first: their watches then run out together with this
+			// one's second round, and f+1 suspicions bring the rest along.
+			peers := othersOf(n.cfg.Topology.Members(n.cfg.Cluster), n.cfg.Self)
+			for rest := open; len(rest) > 0; {
+				k := min(len(rest), propagationBatch(n.cfg.BatchSize))
+				n.cfg.Net.Multicast(peers, n.propagation(rest[:k]))
+				rest = rest[k:]
+			}
+		default:
+			n.send(n.intra.SuspectPrimary(now))
+		}
+		g.handed = append(g.handed, handover{at: now, txs: open, shared: true})
+	}
+}
+
 // pumpGateway moves admitted transactions toward ordering: the primary
 // drains its pool straight into the batch accumulators (bounded so the
 // sealer, not the pool, stays the batching authority), while a non-primary
@@ -215,18 +320,30 @@ func (g *gateway) refreshGauges() {
 // sheds.
 func (n *Node) pumpGateway(now time.Time) {
 	g := n.gw
-	if g == nil || !g.pool.HasQueued() {
+	if v := n.intra.View(); v != g.view {
+		g.view, g.viewSince = v, now
+	}
+	primary := n.intra.IsPrimary()
+	if !primary {
+		n.releaseAccumulators()
+	}
+	if !g.pool.HasQueued() {
 		return
 	}
-	if n.exec != nil && n.exec.Full() {
+	if n.exec.Full() {
 		return // commit pipeline full: stop feeding, keep receiving
 	}
-	if n.intra.IsPrimary() {
+	if primary {
 		budget := n.cfg.BatchSize*n.cfg.MaxInFlight - len(n.pendingIntra) - len(n.pendingCross)
 		if budget > 256 {
 			budget = 256
 		}
-		for _, tx := range g.pool.Drain(budget) {
+		txs := g.pool.Drain(budget)
+		if len(txs) == 0 {
+			return
+		}
+		g.noteHandover(txs, now)
+		for _, tx := range txs {
 			n.ingestFromPool(tx, now)
 		}
 		return
@@ -235,11 +352,37 @@ func (n *Node) pumpGateway(now time.Time) {
 	if len(batch) == 0 {
 		return
 	}
-	payload := (&types.Submit{Via: n.cfg.Self, Txs: batch}).Encode(nil)
-	n.cfg.Net.Send(n.intra.Primary(), &types.Envelope{
+	g.noteHandover(batch, now)
+	n.cfg.Net.Send(n.intra.Primary(), n.propagation(batch))
+}
+
+// propagation wraps txs as one gateway-to-gateway, admission-only batch.
+func (n *Node) propagation(txs []*types.Transaction) *types.Envelope {
+	payload := (&types.Submit{Via: n.cfg.Self, Txs: txs}).Encode(nil)
+	return &types.Envelope{
 		Type: types.MsgSubmit, From: n.cfg.Self,
 		Payload: payload, Sig: n.cfg.Signer.Sign(payload),
-	})
+	}
+}
+
+// releaseAccumulators keeps the batch accumulators a primary-only structure:
+// a node that is not the primary returns whatever sits in them to its pool,
+// and the pump propagates it to the current primary. A deposed primary would
+// otherwise hold those transactions forever (Propose refuses, flushIntra puts
+// the batch back, every turn) and propose them again, long committed
+// elsewhere, if it were re-elected.
+func (n *Node) releaseAccumulators() {
+	if len(n.pendingIntra)+len(n.pendingCross) == 0 {
+		return
+	}
+	txs := append(n.pendingIntra, n.pendingCross...)
+	n.pendingIntra, n.pendingCross = nil, nil
+	for _, tx := range txs {
+		delete(n.queued, tx.ID)
+		delete(n.crossArrived, tx.ID)
+		delete(n.inFlight, tx.ID)
+	}
+	n.gw.pool.Requeue(txs)
 }
 
 // propagationBatch sizes a gateway→primary batch: several sealer batches per
@@ -255,8 +398,8 @@ func propagationBatch(batchSize int) int {
 	return pb
 }
 
-// ingestFromPool routes one drained transaction into the proposal path,
-// running the same dedup chain onRequest applies to direct client requests.
+// ingestFromPool routes one drained transaction into the proposal path
+// unless it is already executed, queued, on the chain, or in consensus.
 // Skipped transactions stay in the pool's in-flight set; the commit
 // observation (or the TTL sweep) releases them.
 func (n *Node) ingestFromPool(tx *types.Transaction, now time.Time) {

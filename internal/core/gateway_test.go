@@ -14,13 +14,13 @@ import (
 // submitTo offers tx directly to one chosen gateway replica, bypassing the
 // client's own routing, so tests can exercise specific ingress paths
 // (duplicates across nodes, misrouted cross-shard submits).
-func submitTo(c *GatewayClient, to types.NodeID, tx *types.Transaction) {
+func submitTo(c *Client, to types.NodeID, tx *types.Transaction) {
 	payload := (&types.Submit{Txs: []*types.Transaction{tx}}).Encode(nil)
 	c.net.Send(to, &types.Envelope{Type: types.MsgSubmit, From: c.id, Payload: payload})
 }
 
 // awaitVerdict drains the client inbox until a submit reply for id arrives.
-func awaitVerdict(t *testing.T, c *GatewayClient, id types.TxID, timeout time.Duration) (types.SubmitCode, types.NodeID) {
+func awaitVerdict(t *testing.T, c *Client, id types.TxID, timeout time.Duration) (types.SubmitCode, types.NodeID) {
 	t.Helper()
 	deadline := time.After(timeout)
 	for {
@@ -48,7 +48,7 @@ func awaitVerdict(t *testing.T, c *GatewayClient, id types.TxID, timeout time.Du
 // re-driving consensus.
 func TestGatewayDuplicateSubmitAcrossNodes(t *testing.T) {
 	d := newTestDeployment(t, types.CrashOnly, 2)
-	c := d.NewGatewayClient()
+	c := d.NewClient()
 	members := d.Topo.Members(0)
 	tx := c.MakeTx(intraOps(d, 0))
 
@@ -86,7 +86,7 @@ func TestGatewayDuplicateSubmitAcrossNodes(t *testing.T) {
 // commit must appear in both involved chains.
 func TestGatewayCrossShardLandsAtLowestInitiator(t *testing.T) {
 	d := newTestDeployment(t, types.CrashOnly, 3)
-	c := d.NewGatewayClient()
+	c := d.NewClient()
 	tx := c.MakeTx(crossOps(d, 1, 2))
 	if got := tx.Involved.Min(); got != 1 {
 		t.Fatalf("test workload: initiator cluster = %d, want 1", got)
@@ -121,7 +121,7 @@ func TestGatewayCrossShardLandsAtLowestInitiator(t *testing.T) {
 func TestGatewaySubmitExpiredDistinctCode(t *testing.T) {
 	const ttl = 250 * time.Millisecond
 	run := func(t *testing.T, d *Deployment) {
-		c := d.NewGatewayClient()
+		c := d.NewClient()
 		c.Timeout = 2 * time.Second
 		tx := c.MakeTx(intraOps(d, 0))
 		tx.Timestamp = time.Now().Add(-4 * ttl).UnixNano()
@@ -199,7 +199,7 @@ func TestGatewayOverloadShedsSafely(t *testing.T) {
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
-			c := d.NewGatewayClient()
+			c := d.NewClient()
 			c.Timeout = time.Second
 			c.MaxAttempts = 1
 			for j := 0; j < perClient; j++ {
@@ -269,7 +269,7 @@ func TestGatewayOverloadTCPSheds(t *testing.T) {
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
-			c := d.NewGatewayClient()
+			c := d.NewClient()
 			c.Timeout = time.Second
 			c.MaxAttempts = 1
 			for j := 0; j < perClient; j++ {
@@ -297,4 +297,166 @@ func TestGatewayOverloadTCPSheds(t *testing.T) {
 		}
 	}
 	t.Logf("tcp overload: committed=%d shed=%d", committed.Load(), shed.Load())
+}
+
+// viewChanges reads a replica's intra-shard view-change counter.
+func viewChanges(n *Node) uint64 {
+	return n.Metrics().Counter("paxos_view_changes").Load() +
+		n.Metrics().Counter("pbft_view_changes").Load()
+}
+
+// TestGatewayPrimaryCrashCommitsWithoutRetransmission pins the gateway's
+// liveness rule: with the view-0 primary dead, a transaction submitted once
+// (no client retransmission) through surviving backup gateways must still
+// commit — the gateways time out on what they handed to the dead primary,
+// depose it, and offer the transaction to the primary of the new view.
+func TestGatewayPrimaryCrashCommitsWithoutRetransmission(t *testing.T) {
+	for _, model := range []types.FailureModel{types.CrashOnly, types.Byzantine} {
+		t.Run(model.String(), func(t *testing.T) {
+			d, err := NewDeployment(Config{
+				Model: model, Clusters: 2, F: 1, Seed: 31,
+				IntraTimeout: 200 * time.Millisecond,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			d.SeedAccounts(64, 1_000_000)
+			d.Start()
+			t.Cleanup(d.Stop)
+
+			c := d.NewClient()
+			if _, _, err := c.Transfer(intraOps(d, 0)); err != nil {
+				t.Fatalf("warm-up transfer: %v", err)
+			}
+			members := d.Topo.Members(0)
+			d.CrashNode(members[0]) // the view-0 primary
+
+			// One attempt, through the surviving backups only: member 1 under
+			// the crash model, members 1 and 2 (f+1 gateways) under the
+			// Byzantine one.
+			c.MaxAttempts = 1
+			c.Timeout = 15 * time.Second
+			c.sendTo[0] = 1
+			ok, _, err := c.Transfer(intraOps(d, 0))
+			if err != nil {
+				t.Fatalf("transfer through a backup gateway after the primary crash: %v", err)
+			}
+			if !ok {
+				t.Fatal("transfer rejected")
+			}
+			for _, m := range members[1:] {
+				if viewChanges(d.Node(m)) == 0 {
+					t.Fatalf("replica %s committed without leaving the dead primary's view", m)
+				}
+			}
+			waitQuiesce(t, d)
+			if err := d.DAG().Verify(); err != nil {
+				t.Fatalf("DAG verify: %v", err)
+			}
+		})
+	}
+}
+
+// TestDeposedPrimaryHandsOverAccumulators deposes a live primary that is
+// loaded with work: cut off from its backups it fills its pipeline with
+// proposals nobody accepts and its accumulator with transactions it cannot
+// propose. Once it learns of the new view it must hold nothing back — the
+// accumulated and the proposed-but-lost transactions all reach the new
+// primary and commit, each exactly once.
+func TestDeposedPrimaryHandsOverAccumulators(t *testing.T) {
+	const batch, inFlight = 4, 2
+	d, err := NewDeployment(Config{
+		Model: types.CrashOnly, Clusters: 2, F: 1, Seed: 32,
+		BatchSize: batch, MaxInFlight: inFlight, IntraTimeout: 200 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.SeedAccounts(64, 1_000_000)
+	d.Start()
+	t.Cleanup(d.Stop)
+
+	members := d.Topo.Members(0)
+	old, backups := members[0], members[1:]
+	c := d.NewClient()
+	if _, _, err := c.Transfer(intraOps(d, 0)); err != nil {
+		t.Fatalf("warm-up transfer: %v", err)
+	}
+	waitQuiesce(t, d)
+
+	// Cut off, the primary proposes a full pipeline and accumulates a full
+	// pump budget behind it.
+	d.Faults().Partition([]types.NodeID{old}, backups)
+	want := make(map[types.TxID]bool)
+	for i := 0; i < 2*batch*inFlight; i++ {
+		tx := c.MakeTx(intraOps(d, 0))
+		want[tx.ID] = true
+		submitTo(c, old, tx)
+	}
+	pending := d.Node(old).Metrics().Gauge("queue_pending_intra")
+	waitFor(t, "the cut-off primary to fill its accumulator", func() bool {
+		return pending.Load() == batch*inFlight
+	})
+
+	// A transaction through a backup gateway goes unanswered by the cut-off
+	// primary; the backups depose it and commit in view 1.
+	c2 := d.NewClient()
+	tx := c2.MakeTx(intraOps(d, 0))
+	submitTo(c2, backups[0], tx)
+	if code, _ := awaitVerdict(t, c2, tx.ID, 10*time.Second); code != types.SubmitCommitted {
+		t.Fatalf("transfer through a backup: %s", code)
+	}
+	// Healed, the old primary learns of view 1 from the next proposal.
+	d.Faults().HealPartition()
+	tx = c2.MakeTx(intraOps(d, 0))
+	submitTo(c2, backups[0], tx)
+	if code, _ := awaitVerdict(t, c2, tx.ID, 10*time.Second); code != types.SubmitCommitted {
+		t.Fatalf("transfer after the heal: %s", code)
+	}
+
+	// Every transaction the old primary admitted is answered, by it.
+	deadline := time.After(15 * time.Second)
+	for len(want) > 0 {
+		select {
+		case env := <-c.inbox:
+			r, err := types.DecodeSubmitReply(env.Payload)
+			if env.Type != types.MsgSubmitReply || err != nil || !want[r.TxID] {
+				continue
+			}
+			if r.Code != types.SubmitCommitted || env.From != old {
+				t.Fatalf("verdict for %s: %s from %s", r.TxID, r.Code, env.From)
+			}
+			delete(want, r.TxID)
+		case <-deadline:
+			t.Fatalf("%d transactions the deposed primary held never committed", len(want))
+		}
+	}
+	waitQuiesce(t, d)
+	waitFor(t, "the deposed primary to empty its accumulator", func() bool {
+		return pending.Load() == 0
+	})
+	for _, m := range members {
+		seen := make(map[types.TxID]bool)
+		for _, b := range d.Node(m).View().Blocks() {
+			for _, tx := range b.Txs {
+				if seen[tx.ID] {
+					t.Fatalf("replica %s ordered %s twice", m, tx.ID)
+				}
+				seen[tx.ID] = true
+			}
+		}
+	}
+	if err := d.DAG().Verify(); err != nil {
+		t.Fatalf("DAG verify: %v", err)
+	}
+}
+
+// waitFor polls cond until it holds or five seconds pass.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
 }

@@ -65,12 +65,6 @@ type NodeConfig struct {
 	// compatible attempts at once).
 	MaxInFlight int
 
-	// SerializeCross restores the pre-conflict-table scheduler for A/B
-	// measurement: one cross-shard lead at a time, initiation gated on a
-	// fully drained chain, and node-wide deferral of intra-shard proposals
-	// while any cross-shard slot vote is held.
-	SerializeCross bool
-
 	// Storage, when non-nil, is the replica's durability subsystem: the
 	// node logs committed blocks and acceptor state through it
 	// (persist-before-ack), checkpoints periodically, and — when the store
@@ -95,11 +89,6 @@ type NodeConfig struct {
 	// override, defaulting to crypto.DefaultVerifyWindow.
 	VerifyWindow int
 
-	// InlineCommit restores the pre-pipeline synchronous commit path for A/B
-	// measurement: the event loop itself applies, persists, and replies
-	// between consensus messages. Off by default — decided blocks normally
-	// flow through the commit pipeline (see exec.go).
-	InlineCommit bool
 	// PipelineDepth bounds the commit pipeline's queued blocks: at this depth
 	// the node stops proposing (never receiving) until the executor drains.
 	// 0 takes the default (32).
@@ -231,7 +220,7 @@ type Node struct {
 	store *state.Store
 	// exec is the commit pipeline (exec.go): the loop appends decided blocks
 	// to the view and hands them off; apply, durability, and replies run on
-	// the executor goroutine. Nil under InlineCommit.
+	// the executor goroutine.
 	exec *executor
 
 	// Primary-side request accumulators. pendingIntra is the intra-shard
@@ -270,14 +259,15 @@ type Node struct {
 	// inFlight dedups client retransmissions against proposals that are
 	// still working their way through consensus.
 	inFlight map[types.TxID]time.Time
-	// forwarded tracks client requests relayed to the primary; if one goes
-	// unexecuted past the timeout, the primary is suspected (view change).
-	forwarded map[types.TxID]*forwardedReq
 
 	// Chain-sync (state transfer) bookkeeping: a replica that fell behind
 	// while blocked asks peers for the blocks it missed. Under the
 	// Byzantine model a block is adopted only with f+1 matching copies.
 	lastAppend time.Time
+	// ledAppend is when the last block this cluster's primary initiated (an
+	// intra-shard block, or a cross-shard one this cluster leads) was
+	// appended here: the gateway's evidence that the primary is alive.
+	ledAppend  time.Time
 	syncPeer   int
 	tickCount  int
 	syncVotes  map[uint64]map[types.NodeID]types.Hash
@@ -336,7 +326,6 @@ func NewNode(cfg NodeConfig) *Node {
 		replyCache:   consensus.NewReplyCache(replyCacheSize),
 		crossArrived: make(map[types.TxID]time.Time),
 		inFlight:     make(map[types.TxID]time.Time),
-		forwarded:    make(map[types.TxID]*forwardedReq),
 		queued:       make(map[types.TxID]bool),
 		failedTx:     make(map[types.TxID]bool),
 		lastAppend:   time.Now(),
@@ -369,28 +358,18 @@ func NewNode(cfg NodeConfig) *Node {
 	if cfg.Storage != nil {
 		persist = cfg.Storage
 	}
-	if !cfg.InlineCommit {
-		n.exec = newExecutor(n, cfg.PipelineDepth)
-	}
+	n.exec = newExecutor(n, cfg.PipelineDepth)
 	status := n.chainStatus
-	// Validity votes must read fully committed state: with the pipeline on,
-	// wait for every block the loop has committed to reach the store before
-	// validating (the inline path had this property for free).
+	// Validity votes must read fully committed state: wait for every block
+	// the loop has committed to reach the store before validating.
 	validate := func(tx *types.Transaction) bool {
-		if n.exec != nil {
-			n.exec.WaitApplied(uint64(n.view.Len() - 1))
-		}
+		n.exec.WaitApplied(uint64(n.view.Len() - 1))
 		return n.store.Validate(tx) == nil
 	}
 	// The conflict table is the scheduling authority shared between the
 	// cross engine (slot votes, lead admission) and the node (slot-precise
-	// deferral of intra proposals). The legacy serialized scheduler is one
-	// lead with whole-node deferral.
+	// deferral of intra proposals).
 	n.table = consensus.NewConflictTable(cfg.Cluster)
-	maxLeads := cfg.MaxInFlight
-	if cfg.SerializeCross {
-		maxLeads = 1
-	}
 	n.intra = newIntraEngine(cfg.Model, cfg.Topology, cfg.Cluster, cfg.Self,
 		cfg.Signer, cfg.Verifier, cfg.IntraTimeout, genesis, persist,
 		n.table.ConflictsIntra, obs.NewEngineMetrics(n.reg, intraPrefix), onPrepared)
@@ -401,12 +380,12 @@ func NewNode(cfg NodeConfig) *Node {
 	// ones) — the hybrid arrangement §3.4 sketches via SeeMoRe.
 	if cfg.Topology.AnyByzantine() {
 		xb := newXByz(cfg.Topology, cfg.Cluster, cfg.Self, cfg.Signer, cfg.Verifier,
-			n.table, status, validate, cfg.LockTimeout, cfg.RetryTimeout, maxLeads, cfg.Seed)
+			n.table, status, validate, cfg.LockTimeout, cfg.RetryTimeout, cfg.MaxInFlight, cfg.Seed)
 		xb.tracer = n.tracer
 		n.cross = xb
 	} else {
 		xc := newXCrash(cfg.Topology, cfg.Cluster, cfg.Self,
-			n.table, status, validate, cfg.LockTimeout, cfg.RetryTimeout, maxLeads, cfg.Seed)
+			n.table, status, validate, cfg.LockTimeout, cfg.RetryTimeout, cfg.MaxInFlight, cfg.Seed)
 		xc.tracer = n.tracer
 		n.cross = xc
 	}
@@ -593,11 +572,9 @@ func (n *Node) chainStatus() chainStatus {
 // must see them).
 func (n *Node) Start() {
 	n.finishRecovery()
-	if n.exec != nil {
-		// The store now reflects the full recovered chain; the pipeline picks
-		// up from that height.
-		n.exec.start(uint64(n.view.Len() - 1))
-	}
+	// The store now reflects the full recovered chain; the pipeline picks up
+	// from that height.
+	n.exec.start(uint64(n.view.Len() - 1))
 	// The pool starts with the loop (not at NewNode) so never-started nodes
 	// leak no goroutines. NoopSigner deployments skip it: every envelope
 	// verifies trivially, the pipeline would be pure overhead.
@@ -615,12 +592,9 @@ func (n *Node) Stop() {
 	n.stopOnce.Do(func() {
 		close(n.stopCh)
 		<-n.doneCh
-		if n.exec != nil {
-			// Drain the pipeline before closing storage: every decided block
-			// is applied, persisted, and replied, so post-Stop reads see
-			// final state.
-			n.exec.Close()
-		}
+		// Drain the pipeline before closing storage: every decided block is
+		// applied, persisted, and replied, so post-Stop reads see final state.
+		n.exec.Close()
 		if n.vpool != nil {
 			n.vpool.Close()
 		}
@@ -681,9 +655,6 @@ func (n *Node) dispatch(env *types.Envelope, now time.Time) {
 		}
 	}
 	switch env.Type {
-	case types.MsgRequest:
-		n.onRequest(env, now)
-
 	case types.MsgSubmit:
 		n.gw.onSubmit(env, now)
 
@@ -699,7 +670,7 @@ func (n *Node) dispatch(env *types.Envelope, now time.Time) {
 		// changes still defer conservatively — a new primary's value
 		// recovery re-proposes values at arbitrary slots, including the
 		// reserved one.
-		if deferIntra(n.table, n.cfg.SerializeCross, env) {
+		if deferIntra(n.table, env) {
 			n.table.NoteDefer()
 			n.deferredGen = n.table.Gen()
 			n.deferred = append(n.deferred, env)
@@ -748,7 +719,8 @@ func (n *Node) dispatch(env *types.Envelope, now time.Time) {
 		n.onEvidenceRequest(env)
 
 	default:
-		// Replies and baseline-only traffic are not for us.
+		// Baseline-only traffic (the ahl and replica packages' request/reply
+		// pair) is not for us.
 	}
 	n.maybeLaunch(now)
 }
@@ -823,7 +795,7 @@ func (n *Node) FraudProofs() []*types.FraudProof {
 func (n *Node) tick(now time.Time) {
 	n.tickCount++
 	n.refreshGauges()
-	n.checkForwards(now)
+	n.gw.watchHandovers(now)
 	iouts, idecs := n.intra.Tick(now)
 	n.send(iouts)
 	n.applyIntra(idecs, now)
@@ -854,13 +826,9 @@ func (n *Node) tick(now time.Time) {
 // the price of not needing a copy-on-write store.
 func (n *Node) maybeCheckpoint() {
 	st := n.cfg.Storage
-	height := uint64(n.view.Len() - 1)
-	if n.exec != nil {
-		// The pipeline may still be applying the newest blocks; checkpoint at
-		// the durable frontier, where store, log, and verdict list agree.
-		height = n.exec.DurableSeq()
-	}
-	if !st.CheckpointDue(height) {
+	// The pipeline may still be applying the newest blocks; checkpoint at the
+	// durable frontier, where store, log, and verdict list agree.
+	if !st.CheckpointDue(n.exec.DurableSeq()) {
 		return
 	}
 	// On a failing disk CheckpointDue stays true; retry at most once per
@@ -870,14 +838,12 @@ func (n *Node) maybeCheckpoint() {
 		return
 	}
 	n.lastCkptAttempt = now
-	if n.exec != nil {
-		// Quiesce the executor at a group boundary so the snapshot is a
-		// consistent cut; the loop keeps receiving while paused, acceptor
-		// writes stay on the loop, so no WAL record can race the rotation.
-		n.exec.Pause()
-		defer n.exec.Resume()
-		height = n.exec.DurableSeq()
-	}
+	// Quiesce the executor at a group boundary so the snapshot is a
+	// consistent cut; the loop keeps receiving while paused, acceptor writes
+	// stay on the loop, so no WAL record can race the rotation.
+	n.exec.Pause()
+	defer n.exec.Resume()
+	height := n.exec.DurableSeq()
 	view, promised, insts := n.intra.DurableState()
 	if err := st.Checkpoint(height, n.store.Snapshot(), n.store.Applied(), n.failedList,
 		view, promised, insts); err != nil {
@@ -887,70 +853,25 @@ func (n *Node) maybeCheckpoint() {
 	}
 }
 
-// persistCommit logs a block just appended at chain index seq — with the
-// decision's validity bitmap, so replay reproduces remote shards' vetoes —
-// before its effects (execution, replies) happen. Losing an unsynced tail
-// commit is safe: the cluster quorum holds the block and chain sync
-// refetches it. Inline path only; the pipeline batches its own appends.
-func (n *Node) persistCommit(b *types.Block, valid uint64) {
-	if n.cfg.Storage != nil {
-		n.cfg.Storage.AppendCommit(uint64(n.view.Len()-1), valid, b)
-	}
-}
-
 // handOff moves a block just appended to the DAG into the commit pipeline:
-// the executor applies it, group-commits it to the chain log, and replies.
-// Under InlineCommit all three steps run synchronously right here, the
-// pre-pipeline behavior. Either way the loop's retransmission-dedup maps are
-// cleared now — onRequest's view.Contains check covers the window until the
-// reply cache entry exists.
+// the executor applies it, group-commits it to the chain log, and answers the
+// gateway's clients. The loop's retransmission-dedup map is cleared now —
+// ingestFromPool's view.Contains check covers the window until the reply
+// cache entry exists.
 func (n *Node) handOff(b *types.Block, valid uint64, traceSeq uint64, digest types.Hash) {
 	for _, tx := range b.Txs {
 		delete(n.inFlight, tx.ID)
-		delete(n.forwarded, tx.ID)
 	}
-	if n.exec != nil {
-		n.exec.enqueue(commitTask{
-			seq:      uint64(n.view.Len() - 1),
-			block:    b,
-			valid:    valid,
-			traceSeq: traceSeq,
-			digest:   digest,
-			reply:    n.replyOwner(b),
-		})
-		return
+	if len(b.Txs) > 0 && n.initiatorCluster(b.Txs[0].Involved) == n.cfg.Cluster {
+		n.ledAppend = n.lastAppend // every append path stamps lastAppend first
 	}
-	n.persistCommit(b, valid)
-	if n.tracer != nil {
-		// Persisted is stamped after the (possibly synchronous) log write,
-		// so the committed→persisted delta is the durability cost.
-		ts := time.Now()
-		if traceSeq != 0 {
-			n.tracer.StampSeq(traceSeq, obs.StagePersisted, ts)
-		}
-		if !digest.IsZero() {
-			n.tracer.StampDigest(digest, obs.StagePersisted, ts)
-		}
-	}
-	for i, tx := range b.Txs {
-		n.execute(tx, valid&(1<<uint(i)) != 0)
-	}
-}
-
-// replyOwner decides, on the loop at hand-off time, whether this node
-// answers the block's clients. Under the crash model only the responsible
-// primary answers (Fig. 3a): the cluster primary for intra-shard blocks, the
-// initiator cluster's primary for cross-shard ones. Byzantine clients wait
-// for f+1 matching replies, so every replica answers. All transactions in a
-// block share one involved-cluster set, so the verdict is per-block.
-func (n *Node) replyOwner(b *types.Block) bool {
-	if n.cfg.Model != types.CrashOnly {
-		return true
-	}
-	if len(b.Txs) == 0 {
-		return false
-	}
-	return n.initiatorCluster(b.Txs[0].Involved) == n.cfg.Cluster && n.intra.IsPrimary()
+	n.exec.enqueue(commitTask{
+		seq:      uint64(n.view.Len() - 1),
+		block:    b,
+		valid:    valid,
+		traceSeq: traceSeq,
+		digest:   digest,
+	})
 }
 
 // maybeSync probes a rotating cluster peer for blocks we may have missed.
@@ -1104,14 +1025,10 @@ func (n *Node) adoptBlock(b *types.Block, now time.Time) bool {
 // deferIntra decides whether an intra-shard protocol message must wait for
 // the held cross-shard slot vote. With the conflict table the test is
 // slot-precise: only a proposal at the reserved slot (or the view-change
-// machinery, which may re-bind it) defers. The serialized legacy scheduler
-// defers everything node-wide, as the pre-table engines did.
-func deferIntra(table *consensus.ConflictTable, serialize bool, env *types.Envelope) bool {
+// machinery, which may re-bind it) defers.
+func deferIntra(table *consensus.ConflictTable, env *types.Envelope) bool {
 	if !table.Held() {
 		return false
-	}
-	if serialize {
-		return true
 	}
 	switch env.Type {
 	case types.MsgViewChange, types.MsgNewView:
@@ -1206,12 +1123,10 @@ func (n *Node) refreshGauges() {
 	g.pendingCross.Set(uint64(len(n.pendingCross)))
 	g.deferredIn.Set(uint64(len(n.deferred)))
 	g.inboxDepth.Set(uint64(len(n.inbox)))
-	if n.exec != nil {
-		g.pipelineDepth.Set(uint64(n.exec.Depth()))
-		// apply_lag is committed seq − applied seq: how far the store trails
-		// the DAG head.
-		g.applyLag.Set(uint64(n.view.Len()-1) - n.exec.AppliedSeq())
-	}
+	g.pipelineDepth.Set(uint64(n.exec.Depth()))
+	// apply_lag is committed seq − applied seq: how far the store trails the
+	// DAG head.
+	g.applyLag.Set(uint64(n.view.Len()-1) - n.exec.AppliedSeq())
 }
 
 // onMetricsRequest answers a registry fetch with the node's full snapshot
@@ -1225,25 +1140,13 @@ func (n *Node) onMetricsRequest(env *types.Envelope) {
 	})
 }
 
-// onStateRequest answers a store-fingerprint audit fetch. With the pipeline
-// on, the executor is paused at a group boundary so the fingerprint is a
-// consistent cut at an exact chain height; inline nodes are already
-// consistent between dispatches.
+// onStateRequest answers a store-fingerprint audit fetch. The executor is
+// paused at a group boundary so the fingerprint is a consistent cut at an
+// exact chain height.
 func (n *Node) onStateRequest(env *types.Envelope) {
-	height := uint64(n.view.Len() - 1)
-	if n.exec != nil {
-		n.exec.Pause()
-		height = n.exec.AppliedSeq()
-	}
-	dump := &types.StateDigest{
-		Node:    n.cfg.Self,
-		Height:  height,
-		Applied: uint64(n.store.Applied()),
-		Hash:    n.store.Fingerprint(),
-	}
-	if n.exec != nil {
-		n.exec.Resume()
-	}
+	n.exec.Pause()
+	dump := n.StateDigest()
+	n.exec.Resume()
 	n.cfg.Net.Send(env.From, &types.Envelope{
 		Type: types.MsgStateResponse, From: n.cfg.Self, Payload: dump.Encode(nil),
 	})
@@ -1253,13 +1156,9 @@ func (n *Node) onStateRequest(env *types.Envelope) {
 // (the in-process mirror of MsgStateRequest). Safe on a stopped or quiesced
 // node.
 func (n *Node) StateDigest() *types.StateDigest {
-	height := uint64(n.view.Len() - 1)
-	if n.exec != nil {
-		height = n.exec.AppliedSeq()
-	}
 	return &types.StateDigest{
 		Node:    n.cfg.Self,
-		Height:  height,
+		Height:  n.exec.AppliedSeq(),
 		Applied: uint64(n.store.Applied()),
 		Hash:    n.store.Fingerprint(),
 	}
@@ -1282,108 +1181,6 @@ func (n *Node) onTraceRequest(env *types.Envelope) {
 	n.cfg.Net.Send(env.From, &types.Envelope{
 		Type: types.MsgTraceResponse, From: n.cfg.Self, Payload: dump.Encode(nil),
 	})
-}
-
-// onRequest routes a client request: intra-shard requests go through this
-// cluster's primary, cross-shard requests through the initiator cluster's
-// primary (the super primary when the optimization is on).
-func (n *Node) onRequest(env *types.Envelope, now time.Time) {
-	req, err := types.DecodeRequest(env.Payload)
-	if err != nil || len(req.Tx.Involved) == 0 {
-		return
-	}
-	tx := req.Tx
-	if r, ok := n.replyCache.Get(tx.ID); ok {
-		// Retransmission of an already-committed request: re-reply.
-		n.cfg.Net.Send(tx.Client, &types.Envelope{
-			Type: types.MsgReply, From: n.cfg.Self, Payload: r.Encode(nil),
-		})
-		return
-	}
-	if n.queued[tx.ID] {
-		return // already waiting in a primary queue
-	}
-	if n.view.Contains(tx.ID) {
-		// Committed but still in the pipeline (no reply cache entry yet):
-		// re-proposing would order it twice; the executor replies after the
-		// durable append.
-		return
-	}
-	if t, ok := n.inFlight[tx.ID]; ok && now.Sub(t) < n.cfg.IntraTimeout {
-		// Retransmission of a request still in consensus: proposing it
-		// again would order it twice. Past the timeout we allow a fresh
-		// proposal (the first may have died with a deposed primary).
-		return
-	}
-
-	if !tx.IsCrossShard() {
-		if tx.Involved[0] != n.cfg.Cluster {
-			return // misrouted: not our shard
-		}
-		if !n.intra.IsPrimary() {
-			// Forward to the primary we currently believe in, remembering
-			// the request so a dead primary is eventually suspected.
-			n.rememberForward(tx, env, now)
-			n.cfg.Net.Send(n.intra.Primary(), env)
-			return
-		}
-		n.inFlight[tx.ID] = now
-		n.tracer.Start(tx.ID, false, now)
-		n.proposeIntra(tx, now)
-		return
-	}
-
-	initCluster := n.initiatorCluster(tx.Involved)
-	if initCluster != n.cfg.Cluster {
-		// Forward toward the initiator cluster; its members route to their
-		// own primary.
-		n.cfg.Net.Send(n.cfg.Topology.Members(initCluster)[0], env)
-		return
-	}
-	if !n.intra.IsPrimary() {
-		n.rememberForward(tx, env, now)
-		n.cfg.Net.Send(n.intra.Primary(), env)
-		return
-	}
-	n.inFlight[tx.ID] = now
-	n.tracer.Start(tx.ID, true, now)
-	n.proposeCross(tx, now)
-}
-
-// forwardedReq is a relayed client request awaiting execution.
-type forwardedReq struct {
-	tx  *types.Transaction
-	env *types.Envelope
-	at  time.Time
-}
-
-func (n *Node) rememberForward(tx *types.Transaction, env *types.Envelope, now time.Time) {
-	if _, ok := n.forwarded[tx.ID]; !ok {
-		n.forwarded[tx.ID] = &forwardedReq{tx: tx, env: env, at: now}
-	}
-}
-
-// checkForwards suspects the primary when relayed requests sit unexecuted
-// past the timeout, and re-drives them in the new view.
-func (n *Node) checkForwards(now time.Time) {
-	for id, fw := range n.forwarded {
-		if n.replyCache.Contains(id) {
-			delete(n.forwarded, id)
-			continue
-		}
-		if now.Sub(fw.at) < n.cfg.IntraTimeout {
-			continue
-		}
-		fw.at = now
-		if n.intra.IsPrimary() {
-			// The view changed onto us: drive the request ourselves.
-			delete(n.forwarded, id)
-			n.dispatch(fw.env, now)
-			continue
-		}
-		n.send(n.intra.SuspectPrimary(now))
-		n.cfg.Net.Send(n.intra.Primary(), fw.env)
-	}
 }
 
 // initiatorCluster applies the super-primary rule: min(P) initiates. With
@@ -1438,18 +1235,14 @@ func (n *Node) flushIntra(now time.Time) {
 		// vote, a held slot vote (the next proposal slot is exactly the
 		// reserved one), and a lead still waiting to cast its own vote.
 		// Merely-queued cross batches (accumulating toward BatchSize behind
-		// an in-flight lead) do NOT block intra — under the serialized
-		// legacy scheduler they did, which starved intra whenever the cross
-		// queue never emptied.
+		// an in-flight lead) do NOT block intra: that starves it whenever the
+		// cross queue never empties.
 		if n.cross.Locked() || n.cross.Waiting() > 0 || n.cross.NeedsSlot() ||
 			n.crossWantsDrain {
 			return
 		}
-		if n.exec != nil && n.exec.Full() {
+		if n.exec.Full() {
 			return // commit pipeline full: stop proposing, keep receiving
-		}
-		if n.cfg.SerializeCross && len(n.pendingCross) > 0 {
-			return
 		}
 		inFlight := n.inFlightIntra()
 		if inFlight >= n.cfg.MaxInFlight {
@@ -1511,29 +1304,6 @@ func (n *Node) proposeCross(tx *types.Transaction, now time.Time) {
 	// same turn it arrives.
 }
 
-// takeCrossBatch removes and returns the next cross-shard batch: the head of
-// the queue plus every later queued transaction with the same
-// involved-cluster set, up to BatchSize — those commit through one flattened
-// consensus instance and one DAG block.
-func (n *Node) takeCrossBatch() []*types.Transaction {
-	head := n.pendingCross[0]
-	batch := []*types.Transaction{head}
-	var rest []*types.Transaction
-	for _, tx := range n.pendingCross[1:] {
-		if len(batch) < n.cfg.BatchSize && tx.Involved.Equal(head.Involved) {
-			batch = append(batch, tx)
-		} else {
-			rest = append(rest, tx)
-		}
-	}
-	n.pendingCross = rest
-	for _, tx := range batch {
-		delete(n.queued, tx.ID)
-		delete(n.crossArrived, tx.ID)
-	}
-	return batch
-}
-
 // maybeLaunch makes progress on whatever the node was forced to postpone:
 // deferred intra messages whose slot conflict may have cleared, queued
 // cross-shard initiations the conflict table admits, then the accumulated
@@ -1568,34 +1338,17 @@ func (n *Node) replayDeferred(now time.Time) {
 	}
 }
 
-// launchCross initiates every queued cross-shard batch the scheduler
-// admits. The conflict-aware path walks the queue in arrival order and
-// skips involved-cluster sets blocked by an in-flight conflicting lead, so
-// a blocked head-of-line set no longer stalls later disjoint sets; the
-// legacy serialized path (SerializeCross) launches one batch at a time and
-// only on a fully drained, unlocked chain.
+// launchCross initiates every queued cross-shard batch the conflict table
+// admits. It walks the queue in arrival order and skips involved-cluster sets
+// blocked by an in-flight conflicting lead, so a blocked head-of-line set
+// does not stall later disjoint sets.
 func (n *Node) launchCross(now time.Time) {
 	n.crossWantsDrain = false
 	if len(n.pendingCross) == 0 {
 		return
 	}
-	if n.exec != nil && n.exec.Full() {
+	if n.exec.Full() {
 		return // commit pipeline full: stop initiating, keep receiving
-	}
-	if n.cfg.SerializeCross {
-		if n.cross.Locked() || len(n.deferred) > 0 || !n.chainStatus().Drained {
-			return
-		}
-		batch := n.dropCommitted(n.takeCrossBatch())
-		if len(batch) == 0 {
-			return
-		}
-		for _, tx := range batch {
-			n.inFlight[tx.ID] = now
-		}
-		n.bindCrossTrace(batch, now)
-		n.send(n.cross.Initiate(batch, now))
-		return
 	}
 	for len(n.pendingCross) > 0 {
 		batch := n.takeLaunchableBatch(now)
@@ -1688,9 +1441,9 @@ scan:
 			// A lead over this set is already working: only a FULL follow-up
 			// batch launches alongside it, and only when batching is on at
 			// all. Partial batches wait for the in-flight lead to decide
-			// (the launch then happens in the same dispatch, exactly the
-			// serialized cadence) — splitting batches across pipelined leads
-			// costs more per-block overhead than the pipelining recovers,
+			// (the launch then happens in the same dispatch) — splitting
+			// batches across pipelined leads costs more per-block overhead
+			// than the pipelining recovers,
 			// and single-transaction "batches" gain nothing from a follower
 			// (the per-chain commit cadence is one block per accept/commit
 			// round trip regardless). The RetryTimeout fallback bounds the
@@ -1839,52 +1592,4 @@ func (n *Node) retryPendingApply(now time.Time) {
 	for _, d := range pending {
 		n.applyCrossOne(d, now)
 	}
-}
-
-// execute applies the transaction to the shard store and answers the client.
-// Transactions that fail validation are still ordered (the block is already
-// appended) but have no effect and are reported as not committed; for
-// cross-shard transactions the aggregated validity vote (valid) gates the
-// apply so all involved shards act atomically. Execution is idempotent: a
-// transaction ordered twice (client retransmission racing a slow commit)
-// applies only once.
-func (n *Node) execute(tx *types.Transaction, valid bool) {
-	if r, done := n.replyCache.Get(tx.ID); done {
-		n.gw.observeCommit(tx, r)
-		n.cfg.Net.Send(tx.Client, &types.Envelope{
-			Type: types.MsgReply, From: n.cfg.Self, Payload: r.Encode(nil),
-		})
-		return
-	}
-	delete(n.inFlight, tx.ID)
-	delete(n.forwarded, tx.ID)
-	ok := valid && n.store.Apply(tx) == nil
-	if !ok && n.cfg.Storage != nil {
-		// Remember rejected verdicts for checkpoints, so a restarted
-		// replica re-answers retransmissions honestly.
-		n.recordFailed(tx.ID)
-	}
-	n.committed.Add(1)
-	n.committedCtr.Inc()
-	r := &types.Reply{TxID: tx.ID, Replica: n.cfg.Self, Committed: ok}
-	n.replyCache.Put(tx.ID, r)
-	n.gw.observeCommit(tx, r)
-	if n.tracer != nil {
-		n.tracer.Finish(tx.ID, time.Now())
-	}
-	// Under the crash model only the responsible primary answers (Fig. 3a):
-	// the cluster primary for intra-shard transactions, the initiator
-	// cluster's primary for cross-shard ones. Byzantine clients wait for
-	// f+1 matching replies, so every replica of a Byzantine cluster
-	// answers.
-	if n.cfg.Model == types.CrashOnly {
-		if n.initiatorCluster(tx.Involved) != n.cfg.Cluster || !n.intra.IsPrimary() {
-			return
-		}
-	}
-	payload := r.Encode(nil)
-	n.cfg.Net.Send(tx.Client, &types.Envelope{
-		Type: types.MsgReply, From: n.cfg.Self,
-		Payload: payload, Sig: n.cfg.Signer.Sign(payload),
-	})
 }

@@ -189,6 +189,40 @@ func (p *Pool) Drain(max int) []*types.Transaction {
 	return out
 }
 
+// InFlight returns the members of txs that were drained and have neither
+// settled nor expired since, filtering txs in place.
+func (p *Pool) InFlight(txs []*types.Transaction) []*types.Transaction {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	kept := txs[:0]
+	for _, tx := range txs {
+		if _, ok := p.inflight[tx.Digest()]; ok {
+			kept = append(kept, tx)
+		}
+	}
+	return kept
+}
+
+// Requeue moves the members of txs that are in flight back to the tail of the
+// pending FIFO, so a later Drain hands them out again: what a gateway does
+// with transactions whose hand-over it has reason to believe was lost. Their
+// admission time, and with it their TTL, is unchanged.
+func (p *Pool) Requeue(txs []*types.Transaction) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, tx := range txs {
+		d := tx.Digest()
+		e, ok := p.inflight[d]
+		if !ok {
+			continue
+		}
+		delete(p.inflight, d)
+		p.pending[d] = e
+		p.order = append(p.order, e)
+	}
+	p.queuedN.Store(int64(len(p.pending)))
+}
+
 // MarkCommitted records that the transaction with digest d committed (or was
 // ordered and rejected — either way it is settled): its capacity is released
 // and the digest enters the committed dedup window.

@@ -165,3 +165,43 @@ func TestCommittedWindowHardCap(t *testing.T) {
 		t.Fatalf("committed set %d exceeds cap %d", n, committedCap)
 	}
 }
+
+// TestRequeueReturnsInFlightToPending covers the gateway's re-offer: only
+// what is still in flight goes back, it drains again, it keeps counting
+// against the caps throughout, and it keeps its original admission time.
+func TestRequeueReturnsInFlightToPending(t *testing.T) {
+	now := time.Now()
+	p := New(Config{TTL: time.Second})
+	a, b, c := mkTx(types.ClientIDBase, 1, now), mkTx(types.ClientIDBase, 2, now), mkTx(types.ClientIDBase, 3, now)
+	for _, tx := range []*types.Transaction{a, b, c} {
+		if code := p.Admit(tx, now); code != Admitted {
+			t.Fatalf("admit %s: got %d", tx.ID, code)
+		}
+	}
+	if got := p.Drain(2); len(got) != 2 { // a, b in flight; c pending
+		t.Fatalf("drained %d", len(got))
+	}
+	p.MarkCommitted(a.Digest(), now)
+	if got := p.InFlight([]*types.Transaction{a, b, c}); len(got) != 1 || got[0] != b {
+		t.Fatalf("InFlight = %v, want only the drained, unsettled one", got)
+	}
+
+	p.Requeue([]*types.Transaction{a, b, c}) // a settled, c never drained: only b moves
+	if n := p.QueuedCount(); n != 2 {
+		t.Fatalf("queued after requeue: %d, want 2", n)
+	}
+	if n := p.PendingCount(); n != 2 {
+		t.Fatalf("capacity after requeue: %d, want 2", n)
+	}
+	if code := p.Admit(b, now); code != Duplicate {
+		t.Fatalf("re-admit requeued: got %d, want Duplicate", code)
+	}
+	if got := p.Drain(10); len(got) != 2 || got[0] != c || got[1] != b {
+		t.Fatalf("drain after requeue = %v, want the pending one then the requeued one", got)
+	}
+	// A requeued transaction ages from its admission, not from the requeue.
+	p.Requeue([]*types.Transaction{b})
+	if exp := p.Sweep(now.Add(2 * time.Second)); len(exp) != 1 || exp[0] != b {
+		t.Fatalf("sweep expired %v, want the requeued transaction", exp)
+	}
+}

@@ -173,14 +173,6 @@ type Options struct {
 	// strictly per signature; 0 takes the SHARPER_VERIFY_WINDOW override,
 	// defaulting to crypto.DefaultVerifyWindow.
 	VerifyWindow int
-	// SerializeCross restores the legacy serialized cross-shard scheduler
-	// (whole-node lock, drain-gated initiation, one lead at a time) in
-	// place of the conflict-aware one, for A/B comparison.
-	SerializeCross bool
-	// InlineCommit restores the pre-pipeline synchronous commit path (the
-	// event loop applies, persists, and replies between consensus
-	// messages) in place of the commit pipeline, for A/B comparison.
-	InlineCommit bool
 	// DataDir enables durable storage: every replica keeps a write-ahead
 	// log and periodic checkpoints under DataDir/node-<id>, and a replica
 	// restarted over the same directory (RestartNode, or a new process for
@@ -254,8 +246,6 @@ func New(opts Options) (*Network, error) {
 		BatchTimeout:        opts.BatchTimeout,
 		MaxInFlight:         opts.MaxInFlight,
 		VerifyWindow:        opts.VerifyWindow,
-		SerializeCross:      opts.SerializeCross,
-		InlineCommit:        opts.InlineCommit,
 		DataDir:             opts.DataDir,
 		Sync:                opts.Sync,
 		CheckpointInterval:  opts.CheckpointInterval,
@@ -370,8 +360,12 @@ type Result struct {
 	Latency time.Duration
 }
 
-// Client issues transactions against the deployment. Each client is a
-// single closed-loop issuer; create one per concurrent goroutine.
+// Client issues transactions against the deployment through its client
+// ingress (gateway → per-shard mempool → sealer): submits are routed
+// shard-aware to the owning cluster's gateways, admitted into byte- and
+// count-capped pools, and answered per transaction — including explicit
+// ErrOverloaded / ErrExpired verdicts when admission control sheds. Each
+// client is a single closed-loop issuer; create one per concurrent goroutine.
 type Client struct {
 	n *Network
 	c *core.Client
@@ -403,7 +397,8 @@ func (c *Client) Transfer(from, to AccountID, amount int64) (Result, error) {
 	return c.Submit([]Op{{From: from, To: to, Amount: amount}})
 }
 
-// Submit executes a multi-op transaction atomically.
+// Submit executes a multi-op transaction atomically. Admission sheds return
+// ErrOverloaded or ErrExpired.
 func (c *Client) Submit(ops []Op) (Result, error) {
 	tx := c.c.MakeTx(ops)
 	committed, lat, err := c.c.Submit(tx)
@@ -414,7 +409,7 @@ func (c *Client) Submit(ops []Op) (Result, error) {
 	}, err
 }
 
-// Submit outcomes surfaced by gateway clients.
+// Submit outcomes a gateway's admission control surfaces.
 var (
 	// ErrOverloaded: the gateway's mempool shed the submit under admission
 	// control; back off and retry later.
@@ -423,50 +418,6 @@ var (
 	// re-issue with a fresh timestamp.
 	ErrExpired = core.ErrExpired
 )
-
-// GatewayClient issues transactions through the client-ingress plane
-// (MsgSubmit → per-shard mempool → sealer) instead of the direct request
-// path: submits are routed shard-aware to the owning cluster's gateways,
-// admitted into byte- and count-capped pools, and answered per transaction —
-// including explicit Overloaded / Expired verdicts when admission control
-// sheds. Create one per concurrent goroutine, like Client.
-type GatewayClient struct {
-	n *Network
-	c *core.GatewayClient
-}
-
-// NewGatewayClient registers a new gateway-client endpoint.
-func (n *Network) NewGatewayClient() *GatewayClient {
-	return &GatewayClient{n: n, c: n.d.NewGatewayClient()}
-}
-
-// SetRetry adjusts the client's per-attempt reply timeout and its attempt
-// budget (default 2s × 8), like Client.SetRetry.
-func (c *GatewayClient) SetRetry(timeout time.Duration, attempts int) {
-	if timeout > 0 {
-		c.c.Timeout = timeout
-	}
-	if attempts > 0 {
-		c.c.MaxAttempts = attempts
-	}
-}
-
-// Transfer moves amount between accounts through the gateway path.
-func (c *GatewayClient) Transfer(from, to AccountID, amount int64) (Result, error) {
-	return c.Submit([]Op{{From: from, To: to, Amount: amount}})
-}
-
-// Submit executes a multi-op transaction atomically through the gateway
-// path. Admission sheds return ErrOverloaded or ErrExpired.
-func (c *GatewayClient) Submit(ops []Op) (Result, error) {
-	tx := c.c.MakeTx(ops)
-	committed, lat, err := c.c.Submit(tx)
-	return Result{
-		Committed:  committed,
-		CrossShard: tx.IsCrossShard(),
-		Latency:    lat,
-	}, err
-}
 
 // Plan is a cluster layout, possibly heterogeneous (§3.4): groups with
 // known, different fault bounds yield more clusters than a single global f.
