@@ -513,6 +513,77 @@ func TestAlg1DisjointSetsDecideIndependently(t *testing.T) {
 	}
 }
 
+// TestAlg1CommitRetransmissionSchedule retains a run of decided attempts at
+// their initiator and ticks it every 5 ms, as a node does. Each COMMIT must go
+// out again on the first tick past a quarter of the lock timeout, once more a
+// quarter after that, and be retired a quarter later — the schedule a walk
+// over every retained commit produced — while a tick that finds the oldest
+// deadline still ahead looks at nothing else.
+func TestAlg1CommitRetransmissionSchedule(t *testing.T) {
+	h := newXHarness(t, 2)
+	p0 := h.topo.Primary(0, 0)
+	x := h.engines[p0]
+	const (
+		commits = 32
+		spacing = 7 * time.Millisecond
+		tick    = 5 * time.Millisecond
+		quarter = time.Second / 4 // the harness's lock timeout is one second
+	)
+	start := h.now
+	retained := make(map[types.Hash]time.Time)
+	for i := 0; i < commits; i++ {
+		batch := xbatch(xtx(uint64(i+1), 0, 1))
+		h.sendAll(p0, x.Initiate(batch, h.now))
+		h.pump()
+		retained[types.BatchDigest(batch)] = h.now
+		h.now = h.now.Add(spacing)
+	}
+	if len(x.recent) != commits || len(x.recentDue) != commits {
+		t.Fatalf("retained %d commits (%d queued), want %d", len(x.recent), len(x.recentDue), commits)
+	}
+
+	// Nothing is due yet. Were the tick to look past the head it would find
+	// these deadlines, which the test moves into the past, and resend.
+	for _, r := range x.recentDue[1:] {
+		r.deadline = r.deadline.Add(-time.Hour)
+	}
+	if outs, _ := x.Tick(h.now); len(outs) != 0 {
+		t.Fatalf("tick with the head not due sent %d messages", len(outs))
+	}
+	for _, r := range x.recentDue[1:] {
+		r.deadline = r.deadline.Add(time.Hour)
+	}
+
+	resent := make(map[types.Hash][]time.Time)
+	for now := h.now; now.Before(start.Add(commits*spacing + 4*quarter)); now = now.Add(tick) {
+		outs, _ := x.Tick(now)
+		for _, o := range outs {
+			if o.Env.Type != types.MsgXCommit {
+				t.Fatalf("tick sent a %v", o.Env.Type)
+			}
+			m, err := types.DecodeConsensusMsg(o.Env.Payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resent[m.Digest] = append(resent[m.Digest], now)
+		}
+	}
+	firstTickAfter := func(at time.Time) time.Time {
+		return h.now.Add((at.Sub(h.now)/tick + 1) * tick)
+	}
+	for digest, at := range retained {
+		first := firstTickAfter(at.Add(quarter))
+		want := []time.Time{first, firstTickAfter(first.Add(quarter))}
+		got := resent[digest]
+		if len(got) != maxCommitResends || !got[0].Equal(want[0]) || !got[1].Equal(want[1]) {
+			t.Fatalf("commit retained at +%v resent at %v, want %v", at.Sub(start), got, want)
+		}
+	}
+	if len(x.recent) != 0 || len(x.recentDue) != 0 {
+		t.Fatalf("%d commits (%d queued) still retained after their schedule ran out", len(x.recent), len(x.recentDue))
+	}
+}
+
 // staleSelfVote scripts the race behind three of seven traced withdrawals:
 // cluster 1's primary self-votes its own fresh lead A for chain slot 1, but
 // a foreign PROPOSE B reaches its backups first and they vote B for that

@@ -83,8 +83,11 @@ type xcrash struct {
 	// a participant cluster would otherwise leave that cluster's view
 	// permanently missing the block (no participant can fetch a decision it
 	// never saw, and intra-cluster chain sync cannot heal a cluster where
-	// nobody has it).
-	recent map[types.Hash]*xcommitRetain
+	// nobody has it). recentDue holds the same entries in deadline order —
+	// every deadline is set to now + lockTimeout/4, so that is the order they
+	// are queued in — and Tick looks at its head only.
+	recent    map[types.Hash]*xcommitRetain
+	recentDue []*xcommitRetain
 
 	// Diagnostics (read via Counters / Stats).
 	nPropose, nWithdraw, nGrant, nDecide, nLockExpire int
@@ -175,6 +178,7 @@ const maxCrossAttempts = 64
 
 // xcommitRetain schedules a decided attempt's COMMIT retransmissions.
 type xcommitRetain struct {
+	digest   types.Hash
 	env      *types.Envelope
 	to       []types.NodeID
 	resends  int
@@ -599,9 +603,9 @@ func (x *xcrash) tryComplete(lead *xlead, now time.Time) ([]consensus.Outbound, 
 	// Retain the commit for retransmission: participants are holding their
 	// chains locked for it, and a lost or slow copy must not strand a
 	// cluster without the decided block.
-	x.recent[lead.digest] = &xcommitRetain{
-		env: cenv, to: to, deadline: now.Add(x.lockTimeout / 4),
-	}
+	r := &xcommitRetain{digest: lead.digest, env: cenv, to: to, deadline: now.Add(x.lockTimeout / 4)}
+	x.recent[lead.digest] = r
+	x.recentDue = append(x.recentDue, r)
 	out := []consensus.Outbound{{To: to, Env: cenv}}
 	dec := []crossDecision{{Txs: lead.txs, Digest: lead.digest, Hashes: hashes, Valid: valid}}
 	return out, dec
@@ -749,16 +753,17 @@ func (x *xcrash) Tick(now time.Time) ([]consensus.Outbound, []crossDecision) {
 		x.lockHold += time.Since(x.lockedAt)
 		x.ring.Recordf("xexpire", 0, d, "")
 	}
-	for digest, r := range x.recent {
-		if !now.After(r.deadline) {
-			continue
-		}
+	for len(x.recentDue) > 0 && now.After(x.recentDue[0].deadline) {
+		r := x.recentDue[0]
+		x.recentDue[0] = nil
+		x.recentDue = x.recentDue[1:]
 		if r.resends >= maxCommitResends {
-			delete(x.recent, digest)
+			delete(x.recent, r.digest)
 			continue
 		}
 		r.resends++
 		r.deadline = now.Add(x.lockTimeout / 4)
+		x.recentDue = append(x.recentDue, r)
 		outs = append(outs, consensus.Outbound{To: r.to, Env: r.env})
 	}
 	var decs []crossDecision

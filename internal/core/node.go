@@ -616,7 +616,7 @@ func (n *Node) loop() {
 	defer ticker.Stop()
 	// With a verification pool, envelopes arrive pre-verified through its
 	// ordered output; the raw inbox is set nil so the select never races the
-	// pool's feeder for messages.
+	// pool's workers for messages.
 	inbox := n.inbox
 	var verified <-chan *types.Envelope
 	if n.vpool != nil {

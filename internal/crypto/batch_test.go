@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"sharper/internal/obs"
 	"sharper/internal/types"
 )
 
@@ -69,6 +70,61 @@ func TestBisectPinsForgedSignature(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// countingKeyring counts the calls that reach a MACKeyring.
+type countingKeyring struct {
+	*MACKeyring
+	singles, batches int
+}
+
+func (c *countingKeyring) Verify(from types.NodeID, payload, sig []byte) bool {
+	c.singles++
+	return c.MACKeyring.Verify(from, payload, sig)
+}
+
+func (c *countingKeyring) VerifyBatch(from []types.NodeID, payloads, sigs [][]byte) bool {
+	c.batches++
+	return c.MACKeyring.VerifyBatch(from, payloads, sigs)
+}
+
+// TestUnsignedEnvelopesStayOutOfTheAggregate: clients do not sign their
+// submits, and a submit that shares a window with honest votes must not fail
+// the window's aggregate check — that used to bisect every such window down
+// to single envelopes, each MAC computed again. The unsigned ones read
+// invalid and the votes valid after one VerifyBatch call and no bisection.
+func TestUnsignedEnvelopesStayOutOfTheAggregate(t *testing.T) {
+	k := &countingKeyring{MACKeyring: NewMACKeyring()}
+	const window = 16
+	envs := makeSignedWindow(t, k, window, 3)
+	unsigned := map[int]bool{0: true, 5: true, 6: true, 15: true}
+	for i := range unsigned {
+		envs[i] = &types.Envelope{Type: types.MsgSubmit, From: types.ClientIDBase + 1, Payload: envs[i].Payload}
+	}
+	envs[6].Sig = []byte{} // present but empty reads the same as absent
+
+	m := obs.NewVerifyMetrics(obs.NewRegistry())
+	p := &VerifyPool{verifier: k, batch: k, window: window}
+	p.SetMetrics(m)
+	p.verifyWindow(envs, &batchScratch{})
+	for i, env := range envs {
+		if ok, known := env.Auth(); !known || ok == unsigned[i] {
+			t.Fatalf("envelope %d (unsigned %v): verdict %v, known %v", i, unsigned[i], ok, known)
+		}
+	}
+	if k.batches != 1 || k.singles != 0 {
+		t.Fatalf("%d VerifyBatch and %d Verify calls, want 1 and 0", k.batches, k.singles)
+	}
+	if n := m.Bisects.Load(); n != 0 {
+		t.Fatalf("%d bisections of an honest window", n)
+	}
+
+	// A window of nothing but submits reaches the verifier not at all.
+	k.batches = 0
+	p.verifyWindow([]*types.Envelope{envs[0], envs[5]}, &batchScratch{})
+	if k.batches != 0 || k.singles != 0 {
+		t.Fatalf("unsigned-only window made %d VerifyBatch and %d Verify calls", k.batches, k.singles)
 	}
 }
 
@@ -142,9 +198,9 @@ func TestVerifyPoolWindowOneIsPerSignature(t *testing.T) {
 	}
 }
 
-// TestVerifyPoolBatchedWindowEndToEnd pre-fills the inbox so the feed loop
-// gathers one full window, with a single forged signature inside it, and
-// checks the emitted stream pins exactly that envelope.
+// TestVerifyPoolBatchedWindowEndToEnd pre-fills the inbox so the first worker
+// at it gathers one full window, with a single forged signature inside it,
+// and checks the emitted stream pins exactly that envelope.
 func TestVerifyPoolBatchedWindowEndToEnd(t *testing.T) {
 	k := NewMACKeyring()
 	const window = 16
@@ -156,7 +212,7 @@ func TestVerifyPoolBatchedWindowEndToEnd(t *testing.T) {
 	for _, e := range envs {
 		in <- e
 	}
-	// The pool starts after the inbox is full, so the first job sees the
+	// The pool starts after the inbox is full, so the first turn sees the
 	// whole window at once.
 	p := NewVerifyPool(k, in, 2, 8, window)
 	defer p.Close()

@@ -9,7 +9,6 @@ import (
 	"crypto/hmac"
 	"crypto/sha256"
 	"fmt"
-	"hash"
 	"math/rand"
 	"sync"
 
@@ -59,8 +58,9 @@ type Authenticator interface {
 // answer: true iff every (from, payload, sig) triple verifies. It does not
 // attribute failures — a backend with a genuine aggregate check (batched
 // ed25519 equations, shared keyed-MAC sessions) answers for the window as a
-// whole, and on false the caller bisects into sub-windows (ultimately
-// singleton Verify calls) to recover exact per-item verdicts. VerifyPool
+// whole, and on false the caller bisects into sub-windows (ultimately single
+// items, where the aggregate answer is the verdict) to recover exact per-item
+// verdicts. VerifyPool
 // implements that bisection, which is what keeps slashing evidence sound:
 // batching can never blur which envelope carried the forged signature.
 type BatchVerifier interface {
@@ -145,21 +145,19 @@ func (k *Keyring) Verify(from types.NodeID, payload, sig []byte) bool {
 
 // VerifyBatch reports whether every signature in the window verifies. The
 // in-tree backend has no aggregate ed25519 equation (that is what a curve
-// library would slot in here), so the window win is amortized key-directory
-// locking and the caller's amortized dispatch; verdict semantics match a
-// loop of Verify exactly.
+// library would slot in here), so all a window saves is key-directory
+// locking, one look-up per same-sender streak; verdict semantics match a loop
+// of Verify exactly.
 func (k *Keyring) VerifyBatch(from []types.NodeID, payloads, sigs [][]byte) bool {
-	k.mu.RLock()
-	pubs := make([]ed25519.PublicKey, len(from))
-	for i, id := range from {
-		pubs[i] = k.pub[id]
-	}
-	k.mu.RUnlock()
+	var pub ed25519.PublicKey
 	for i := range from {
-		if pubs[i] == nil || len(sigs[i]) != ed25519.SignatureSize {
+		if i == 0 || from[i] != from[i-1] {
+			pub, _ = k.PublicKey(from[i])
+		}
+		if pub == nil || len(sigs[i]) != ed25519.SignatureSize {
 			return false
 		}
-		if !ed25519.Verify(pubs[i], payloads[i], sigs[i]) {
+		if !ed25519.Verify(pub, payloads[i], sigs[i]) {
 			return false
 		}
 	}
@@ -211,23 +209,19 @@ func (r rngReader) Read(p []byte) (int, error) {
 // recomputes the tag. Byzantine nodes still cannot forge tags for other
 // nodes (they lack the secrets), which is the property the protocols need.
 type MACKeyring struct {
-	mu   sync.RWMutex
-	keys map[types.NodeID][]byte
-	// sessions pools pre-keyed HMAC states per node: the batch path and the
-	// signers Reset a pooled state instead of paying hmac.New's two SHA-256
-	// key blocks (and four allocations) per message. The singleton Verify
-	// keeps the straightforward per-call construction — it is the
-	// per-signature baseline the batching window is measured against, and
-	// the cold path engines fall back to.
+	mu sync.RWMutex
+	// sessions pools pre-keyed HMAC states per node, the one place a node's
+	// secret lives: Verify, VerifyBatch and the signers all draw a session
+	// and Reset it instead of paying hmac.New's two SHA-256 key blocks (and
+	// four allocations) per message. A session is the same keyed state the
+	// transport holds per link (FrameSession), tag buffer included, so a
+	// verification allocates nothing.
 	sessions map[types.NodeID]*sync.Pool
 }
 
 // NewMACKeyring creates an empty MAC keyring.
 func NewMACKeyring() *MACKeyring {
-	return &MACKeyring{
-		keys:     make(map[types.NodeID][]byte),
-		sessions: make(map[types.NodeID]*sync.Pool),
-	}
+	return &MACKeyring{sessions: make(map[types.NodeID]*sync.Pool)}
 }
 
 // Generate creates and registers a 32-byte secret for id.
@@ -237,71 +231,60 @@ func (k *MACKeyring) Generate(id types.NodeID, rng *rand.Rand) error {
 		key[i] = byte(rng.Intn(256))
 	}
 	k.mu.Lock()
-	k.keys[id] = key
-	k.sessions[id] = &sync.Pool{New: func() any { return hmac.New(sha256.New, key) }}
+	k.sessions[id] = &sync.Pool{New: func() any {
+		return &FrameSession{m: hmac.New(sha256.New, key)}
+	}}
 	k.mu.Unlock()
 	return nil
 }
 
-// Verify recomputes the sender's tag over payload.
-func (k *MACKeyring) Verify(from types.NodeID, payload, sig []byte) bool {
+// sessionsOf returns id's session pool, nil for an unregistered node.
+func (k *MACKeyring) sessionsOf(id types.NodeID) *sync.Pool {
 	k.mu.RLock()
-	key, ok := k.keys[from]
+	pool := k.sessions[id]
 	k.mu.RUnlock()
-	if !ok || len(sig) != sha256.Size {
-		return false
-	}
-	mac := hmac.New(sha256.New, key)
-	mac.Write(payload)
-	return hmac.Equal(sig, mac.Sum(nil))
+	return pool
 }
 
-// VerifyBatch reports whether every tag in the window verifies, recomputing
-// each over a pooled per-sender keyed state — the session-MAC fast path. A
-// one-slot sender cache exploits the same-sender streaks consensus windows
-// are full of (a primary's pre-prepares, a burst of one replica's votes).
+// Verify recomputes the sender's tag over payload on a pooled session.
+func (k *MACKeyring) Verify(from types.NodeID, payload, sig []byte) bool {
+	pool := k.sessionsOf(from)
+	if pool == nil {
+		return false
+	}
+	s := pool.Get().(*FrameSession)
+	ok := s.Verify(payload, sig)
+	pool.Put(s)
+	return ok
+}
+
+// VerifyBatch reports whether every tag in the window verifies, holding one
+// session across each same-sender streak — consensus windows are full of
+// them (a primary's pre-prepares, a burst of one replica's votes).
 func (k *MACKeyring) VerifyBatch(from []types.NodeID, payloads, sigs [][]byte) bool {
 	var (
-		cached   types.NodeID
-		pool     *sync.Pool
-		mac      hash.Hash
-		sum      [sha256.Size]byte
-		verified = true
+		pool *sync.Pool
+		s    *FrameSession
 	)
-	release := func() {
-		if mac != nil {
-			pool.Put(mac)
-			mac = nil
-		}
-	}
 	for i := range from {
-		if !verified {
-			break
-		}
-		if len(sigs[i]) != sha256.Size {
-			verified = false
-			break
-		}
-		if mac == nil || from[i] != cached {
-			release()
-			k.mu.RLock()
-			pool = k.sessions[from[i]]
-			k.mu.RUnlock()
-			if pool == nil {
-				verified = false
-				break
+		if s == nil || from[i] != from[i-1] {
+			if s != nil {
+				pool.Put(s)
 			}
-			cached = from[i]
-			mac = pool.Get().(hash.Hash)
+			if pool = k.sessionsOf(from[i]); pool == nil {
+				return false
+			}
+			s = pool.Get().(*FrameSession)
 		}
-		mac.Reset()
-		mac.Write(payloads[i])
-		if !hmac.Equal(sigs[i], mac.Sum(sum[:0])) {
-			verified = false
+		if !s.Verify(payloads[i], sigs[i]) {
+			pool.Put(s)
+			return false
 		}
 	}
-	release()
-	return verified
+	if s != nil {
+		pool.Put(s)
+	}
+	return true
 }
 
 // FrameAuth returns a pooled wire-frame authenticator for key.
@@ -309,10 +292,8 @@ func (k *MACKeyring) FrameAuth(key []byte) *FrameAuth { return NewFrameAuth(key)
 
 // SignerFor returns a Signer bound to id's secret.
 func (k *MACKeyring) SignerFor(id types.NodeID) (Signer, error) {
-	k.mu.RLock()
-	pool, ok := k.sessions[id]
-	k.mu.RUnlock()
-	if !ok {
+	pool := k.sessionsOf(id)
+	if pool == nil {
 		return nil, fmt.Errorf("crypto: no MAC key for %s", id)
 	}
 	return macSigner{pool: pool}, nil
@@ -324,10 +305,8 @@ type macSigner struct{ pool *sync.Pool }
 // state (the signing half of the session-MAC machinery: no per-message keyed
 // setup; only the returned tag allocates, since it escapes to the wire).
 func (s macSigner) Sign(payload []byte) []byte {
-	mac := s.pool.Get().(hash.Hash)
-	mac.Reset()
-	mac.Write(payload)
-	tag := mac.Sum(nil)
-	s.pool.Put(mac)
+	sess := s.pool.Get().(*FrameSession)
+	tag := sess.AppendTag(nil, payload)
+	s.pool.Put(sess)
 	return tag
 }

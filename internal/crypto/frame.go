@@ -90,7 +90,8 @@ func (a *FrameAuth) NewSession() *FrameSession {
 	return &FrameSession{m: hmac.New(sha256.New, a.key)}
 }
 
-// FrameSession is the per-link form of FrameAuth (see NewSession).
+// FrameSession is one keyed HMAC state with its own tag buffer: the per-link
+// form of FrameAuth (see NewSession), and what MACKeyring pools per sender.
 type FrameSession struct {
 	m   hash.Hash
 	sum [FrameTagSize]byte

@@ -3,6 +3,7 @@ package crypto
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"sharper/internal/obs"
@@ -22,18 +23,42 @@ const DefaultVerifyWindow = 16
 // arrived — so per-sender FIFO delivery, which the protocols rely on, is
 // preserved while the signature CPU cost moves off the event loop.
 //
-// # Windowed batch verification
+// # Turns and tickets
 //
-// With window > 1 and a Verifier that implements BatchVerifier, the pool
-// accumulates up to `window` envelopes per job — only what the inbox already
-// holds, never waiting, so an idle link adds zero latency — and verifies the
-// window with one VerifyBatch call (pooled per-sender MAC sessions, or an
-// aggregate signature equation in a batched backend). A window that fails
-// the aggregate check is bisected: each half re-verified, down to singleton
-// Verify calls, so every envelope still ends up with its own exact verdict.
-// That bisection is what keeps slashing evidence sound — a forged signature
-// in a batch of honest traffic is pinned to precisely the envelope that
-// carried it, and only that envelope is marked invalid.
+// The workers take turns at the inbox. One token circulates on turn; the
+// worker that holds it waits for the next envelope, gathers whatever else the
+// inbox already holds — up to the window, never waiting, so an idle link adds
+// zero latency —, and passes the token on with the next ticket before it
+// verifies. Windows are therefore drawn in arrival order and verified in
+// parallel. A ticket names a slot in a small ring, and the slot holds the
+// window until it has gone out, which happens in ticket order without any
+// worker waiting for another: a worker that finishes a window whose
+// predecessor is still being verified leaves it in its slot and takes the
+// next turn, and whoever emits the predecessor emits it too (see slot). An
+// envelope crosses two channels (inbox, Out); windows and argument slices are
+// reused, so a warm pool allocates nothing.
+//
+// # Verdicts
+//
+// A worker verifies its window with one VerifyBatch call when the Verifier
+// implements BatchVerifier and window > 1 (pooled per-sender MAC sessions, or
+// an aggregate signature equation in a batched backend), a window of one
+// included. A window that fails the aggregate check is bisected, each half
+// re-verified, down to single envelopes, so every envelope still ends up with
+// its own exact verdict. That bisection is what keeps slashing evidence sound
+// — a forged signature in a batch of honest traffic is pinned to precisely
+// the envelope that carried it, and only that envelope is marked invalid. An
+// envelope with no signature at all (a client's submit) is unauthenticated by
+// definition: it is marked invalid without joining the aggregate, so it
+// cannot fail the honest votes it shares a window with.
+//
+// # Backpressure and shutdown
+//
+// Out is the pool's only queue: when the consumer stalls it fills, the worker
+// emitting blocks on it, the others fill the ring behind it (two windows per
+// worker) and block in turn, and the fabric's inbox fills exactly as it would
+// without the pool. No mutex is involved, and every blocking point also waits
+// on the stop channel, so Close returns promptly from any state.
 //
 // The engines consult the cached verdict through Envelope.Auth and only
 // fall back to inline verification for envelopes that never passed through
@@ -42,31 +67,50 @@ type VerifyPool struct {
 	verifier Verifier
 	batch    BatchVerifier // nil → per-signature verification
 	window   int
-	metrics  *obs.VerifyMetrics
+	metrics  atomic.Pointer[obs.VerifyMetrics]
 
-	work    chan *verifyJob
-	ordered chan *verifyJob
-	out     chan *types.Envelope
+	in  <-chan *types.Envelope
+	out chan *types.Envelope
 
-	done      chan struct{}
+	// turn carries the one inbox token; its value is the ticket the next
+	// window draws, an index into slots.
+	turn chan int
+	// free holds one token per slot not in use. Slots are drawn and released
+	// in ticket order, so a token in hand means the slot the turn names is
+	// the one that was released.
+	free  chan struct{}
+	slots []slot
+
+	stop      chan struct{}
 	closeOnce sync.Once
 	wg        sync.WaitGroup
 }
 
-// verifyJob is one verification window in flight; done closes when every
-// envelope in it has its verdict marked.
-type verifyJob struct {
-	envs []*types.Envelope
-	done chan struct{}
+// slot is one window on its way through the pool. Its state settles, without
+// a lock, who sends the window to Out: the worker that verified it, if the
+// window before it has already gone out (slotNext), or else the worker that
+// sends that window, which finds this one waiting (slotVerified). Each side
+// makes one compare-and-swap from slotPending and the loser of the race does
+// the emitting, so exactly one of them does.
+type slot struct {
+	envs  []*types.Envelope
+	state atomic.Uint32
 }
+
+const (
+	slotPending  uint32 = iota // free, or its window is being gathered or verified
+	slotVerified               // verdicts marked, an earlier window still to go out
+	slotNext                   // every earlier window has gone out
+)
 
 // NewVerifyPool starts a pool that drains `in`, verifies with v, and emits
 // verified envelopes on Out in arrival order. workers ≤ 0 picks
-// min(GOMAXPROCS, 4); depth ≤ 0 picks 256 (the backpressure bound: when the
-// consumer stalls, Submit stalls, and the fabric's inbox fills exactly as it
-// would without the pool). window ≤ 0 picks DefaultVerifyWindow; window 1
-// verifies strictly per signature (the A/B baseline); larger windows batch
-// when v implements BatchVerifier. Close the pool after the consumer stops.
+// min(GOMAXPROCS, 4); depth ≤ 0 picks 256, the capacity of Out and with it
+// the backpressure bound (see VerifyPool). window ≤ 0 picks
+// DefaultVerifyWindow; window 1 verifies strictly per signature with
+// Verifier.Verify; larger windows use VerifyBatch when v implements
+// BatchVerifier. The workers are the pool's only goroutines. Close the pool
+// after the consumer stops.
 func NewVerifyPool(v Verifier, in <-chan *types.Envelope, workers, depth, window int) *VerifyPool {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -80,24 +124,32 @@ func NewVerifyPool(v Verifier, in <-chan *types.Envelope, workers, depth, window
 	if window <= 0 {
 		window = DefaultVerifyWindow
 	}
+	// Two slots per worker: one being verified, one verified and waiting for
+	// an earlier window, so a slow window holds up Out but not the workers.
+	ring := 2 * workers
 	p := &VerifyPool{
 		verifier: v,
 		window:   window,
-		work:     make(chan *verifyJob, depth),
-		ordered:  make(chan *verifyJob, depth),
+		in:       in,
 		out:      make(chan *types.Envelope, depth),
-		done:     make(chan struct{}),
+		turn:     make(chan int, 1),
+		free:     make(chan struct{}, ring),
+		slots:    make([]slot, ring),
+		stop:     make(chan struct{}),
 	}
 	if bv, ok := v.(BatchVerifier); ok && window > 1 {
 		p.batch = bv
 	}
+	for i := range p.slots {
+		p.slots[i].envs = make([]*types.Envelope, 0, window)
+		p.free <- struct{}{}
+	}
+	p.slots[0].state.Store(slotNext)
+	p.turn <- 0
+	p.wg.Add(workers)
 	for i := 0; i < workers; i++ {
-		p.wg.Add(1)
 		go p.worker()
 	}
-	p.wg.Add(2)
-	go p.feed(in)
-	go p.collect()
 	return p
 }
 
@@ -105,140 +157,144 @@ func NewVerifyPool(v Verifier, in <-chan *types.Envelope, workers, depth, window
 func (p *VerifyPool) Out() <-chan *types.Envelope { return p.out }
 
 // SetMetrics attaches pool instrumentation (window count and occupancy,
-// bisection events, per-window verify latency). Call before traffic flows;
-// a nil bundle (or never calling) leaves the pool unobserved.
-func (p *VerifyPool) SetMetrics(m *obs.VerifyMetrics) { p.metrics = m }
+// bisection events, per-window verify latency). A nil bundle (or never
+// calling) leaves the pool unobserved.
+func (p *VerifyPool) SetMetrics(m *obs.VerifyMetrics) { p.metrics.Store(m) }
 
 // Close stops every pool goroutine. Envelopes still in flight are dropped
 // (the pool only closes after its consumer has stopped dispatching).
 func (p *VerifyPool) Close() {
-	p.closeOnce.Do(func() { close(p.done) })
+	p.closeOnce.Do(func() { close(p.stop) })
 	p.wg.Wait()
 }
 
-// feed submits inbox arrivals in order: the ordered queue fixes emission
-// order, the work queue feeds the workers. Each job gathers whatever the
-// inbox already holds, up to the window — accumulation never waits for
-// traffic that has not arrived.
-func (p *VerifyPool) feed(in <-chan *types.Envelope) {
+// worker runs the turn/ticket cycle described on VerifyPool. turn and free
+// have a buffer slot for every token that exists, so returning a token never
+// blocks; every receive that can block also watches stop.
+func (p *VerifyPool) worker() {
 	defer p.wg.Done()
+	var scratch batchScratch
 	for {
+		var ticket int
 		select {
-		case <-p.done:
+		case ticket = <-p.turn:
+		case <-p.stop:
 			return
-		case env := <-in:
-			j := &verifyJob{envs: make([]*types.Envelope, 1, p.window), done: make(chan struct{})}
-			j.envs[0] = env
-		fill:
-			for len(j.envs) < p.window {
+		}
+		select {
+		case <-p.free:
+		case <-p.stop:
+			return
+		}
+		s := &p.slots[ticket]
+		select {
+		case env := <-p.in:
+			s.envs = append(s.envs, env)
+		case <-p.stop:
+			return
+		}
+	gather:
+		for len(s.envs) < p.window {
+			select {
+			case env := <-p.in:
+				s.envs = append(s.envs, env)
+			default:
+				break gather
+			}
+		}
+		p.turn <- (ticket + 1) % len(p.slots)
+
+		if m := p.metrics.Load(); m != nil {
+			start := time.Now()
+			p.verifyWindow(s.envs, &scratch)
+			m.Windows.Inc()
+			m.Envelopes.Add(uint64(len(s.envs)))
+			m.Occupancy.Observe(uint64(len(s.envs)))
+			m.VerifyMicros.Observe(uint64(time.Since(start).Microseconds()))
+		} else {
+			p.verifyWindow(s.envs, &scratch)
+		}
+
+		if s.state.CompareAndSwap(slotPending, slotVerified) {
+			continue // an earlier window is still out; its emitter sends this one
+		}
+		// This window is next, and after it every window already verified.
+		for {
+			for _, env := range s.envs {
 				select {
-				case more := <-in:
-					j.envs = append(j.envs, more)
-				default:
-					break fill
+				case p.out <- env:
+				case <-p.stop:
+					return
 				}
 			}
-			select {
-			case p.ordered <- j:
-			case <-p.done:
-				return
-			}
-			select {
-			case p.work <- j:
-			case <-p.done:
-				return
+			s.envs = s.envs[:0]
+			s.state.Store(slotPending)
+			p.free <- struct{}{}
+			ticket = (ticket + 1) % len(p.slots)
+			s = &p.slots[ticket]
+			if s.state.CompareAndSwap(slotPending, slotNext) {
+				break // not verified yet (or not drawn): its verifier sends it
 			}
 		}
 	}
 }
 
-// batchScratch is one worker's reusable argument slices for VerifyBatch.
+// batchScratch is one worker's reusable argument slices for VerifyBatch: the
+// signed envelopes of the window under verification, column by column.
 type batchScratch struct {
+	envs     []*types.Envelope
 	from     []types.NodeID
 	payloads [][]byte
 	sigs     [][]byte
 }
 
+// load fills the columns from the signed members of envs and gives the
+// unsigned ones their verdict on the spot: no signature, not authenticated.
 func (s *batchScratch) load(envs []*types.Envelope) {
-	s.from, s.payloads, s.sigs = s.from[:0], s.payloads[:0], s.sigs[:0]
+	s.envs, s.from, s.payloads, s.sigs = s.envs[:0], s.from[:0], s.payloads[:0], s.sigs[:0]
 	for _, e := range envs {
+		if len(e.Sig) == 0 {
+			e.MarkAuth(false)
+			continue
+		}
+		s.envs = append(s.envs, e)
 		s.from = append(s.from, e.From)
 		s.payloads = append(s.payloads, e.Payload)
 		s.sigs = append(s.sigs, e.Sig)
 	}
 }
 
-// worker verifies windows as they come, in any order.
-func (p *VerifyPool) worker() {
-	defer p.wg.Done()
-	var scratch batchScratch
-	for {
-		select {
-		case <-p.done:
-			return
-		case j := <-p.work:
-			if m := p.metrics; m != nil {
-				start := time.Now()
-				p.verifyWindow(j.envs, &scratch)
-				m.Windows.Inc()
-				m.Envelopes.Add(uint64(len(j.envs)))
-				m.Occupancy.Observe(uint64(len(j.envs)))
-				m.VerifyMicros.Observe(uint64(time.Since(start).Microseconds()))
-			} else {
-				p.verifyWindow(j.envs, &scratch)
-			}
-			close(j.done)
-		}
+// verifyWindow marks a verdict on every envelope of the window.
+func (p *VerifyPool) verifyWindow(envs []*types.Envelope, scratch *batchScratch) {
+	scratch.load(envs)
+	if len(scratch.envs) > 0 {
+		p.verifyRange(scratch, 0, len(scratch.envs))
 	}
 }
 
-// verifyWindow marks a verdict on every envelope: one aggregate VerifyBatch
-// when the whole window is clean (the overwhelmingly common case), bisection
-// down to singleton Verify calls when it is not.
-func (p *VerifyPool) verifyWindow(envs []*types.Envelope, scratch *batchScratch) {
-	if len(envs) == 1 {
-		env := envs[0]
-		env.MarkAuth(p.verifier.Verify(env.From, env.Payload, env.Sig))
+// verifyRange settles the loaded envelopes [lo, hi): one aggregate
+// VerifyBatch when the whole range is clean (the overwhelmingly common case),
+// bisection when it is not. A range of one needs no bisection — the aggregate
+// answer for a single envelope is its verdict. Without a BatchVerifier every
+// envelope is checked on its own.
+func (p *VerifyPool) verifyRange(s *batchScratch, lo, hi int) {
+	if p.batch == nil {
+		for i := lo; i < hi; i++ {
+			s.envs[i].MarkAuth(p.verifier.Verify(s.from[i], s.payloads[i], s.sigs[i]))
+		}
 		return
 	}
-	if p.batch != nil {
-		scratch.load(envs)
-		if p.batch.VerifyBatch(scratch.from, scratch.payloads, scratch.sigs) {
-			for _, e := range envs {
-				e.MarkAuth(true)
-			}
-			return
+	ok := p.batch.VerifyBatch(s.from[lo:hi], s.payloads[lo:hi], s.sigs[lo:hi])
+	if ok || hi-lo == 1 {
+		for _, e := range s.envs[lo:hi] {
+			e.MarkAuth(ok)
 		}
+		return
 	}
-	if m := p.metrics; m != nil {
+	if m := p.metrics.Load(); m != nil {
 		m.Bisects.Inc()
 	}
-	mid := len(envs) / 2
-	p.verifyWindow(envs[:mid], scratch)
-	p.verifyWindow(envs[mid:], scratch)
-}
-
-// collect re-serializes: wait for each window in submission order, then emit
-// its envelopes.
-func (p *VerifyPool) collect() {
-	defer p.wg.Done()
-	for {
-		select {
-		case <-p.done:
-			return
-		case j := <-p.ordered:
-			select {
-			case <-j.done:
-			case <-p.done:
-				return
-			}
-			for _, env := range j.envs {
-				select {
-				case p.out <- env:
-				case <-p.done:
-					return
-				}
-			}
-		}
-	}
+	mid := lo + (hi-lo)/2
+	p.verifyRange(s, lo, mid)
+	p.verifyRange(s, mid, hi)
 }

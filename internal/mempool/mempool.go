@@ -83,9 +83,13 @@ type entry struct {
 }
 
 // committedEntry remembers one committed digest until its window expires.
+// Like the map beside it, it holds the commit instant as Unix nanoseconds: a
+// time.Time carries a *Location, and a hundred thousand of those per replica
+// are pointers the collector has to scan and the ring has to grow through
+// write barriers.
 type committedEntry struct {
 	digest types.Hash
-	at     time.Time
+	at     int64
 }
 
 // Pool is one gateway's transaction pool. Safe for concurrent use: the node
@@ -99,8 +103,8 @@ type Pool struct {
 	order     []*entry              // FIFO over pending (nil holes after removal)
 	head      int                   // first live index in order
 	inflight  map[types.Hash]*entry // drained toward the sealer, commit not yet seen
-	committed map[types.Hash]time.Time
-	comOrder  []committedEntry // FIFO over committed for window expiry
+	committed map[types.Hash]int64  // commit instant, Unix nanoseconds
+	comOrder  []committedEntry      // FIFO over committed for window expiry
 	comHead   int
 
 	bytes int64 // pending + inflight encoded bytes
@@ -117,7 +121,7 @@ func New(cfg Config) *Pool {
 		cfg:       cfg.withDefaults(),
 		pending:   make(map[types.Hash]*entry),
 		inflight:  make(map[types.Hash]*entry),
-		committed: make(map[types.Hash]time.Time),
+		committed: make(map[types.Hash]int64),
 	}
 }
 
@@ -238,15 +242,16 @@ func (p *Pool) MarkCommitted(d types.Hash, now time.Time) {
 		p.releaseLocked(e)
 	}
 	if _, ok := p.committed[d]; !ok {
-		p.committed[d] = now
-		p.comOrder = append(p.comOrder, committedEntry{digest: d, at: now})
+		at := now.UnixNano()
+		p.committed[d] = at
+		p.comOrder = append(p.comOrder, committedEntry{digest: d, at: at})
 		// Hard cap: evict the oldest committed digests past capacity so a
 		// burst cannot grow the window without bound.
 		for len(p.comOrder)-p.comHead > committedCap {
 			old := p.comOrder[p.comHead]
 			p.comOrder[p.comHead] = committedEntry{}
 			p.comHead++
-			if at, ok := p.committed[old.digest]; ok && at.Equal(old.at) {
+			if at, ok := p.committed[old.digest]; ok && at == old.at {
 				delete(p.committed, old.digest)
 			}
 		}
@@ -283,15 +288,15 @@ func (p *Pool) Sweep(now time.Time) []*types.Transaction {
 			p.releaseLocked(e)
 		}
 	}
-	comCutoff := now.Add(-p.cfg.CommittedWindow)
+	comCutoff := now.Add(-p.cfg.CommittedWindow).UnixNano()
 	for p.comHead < len(p.comOrder) {
 		old := p.comOrder[p.comHead]
-		if !old.at.Before(comCutoff) {
+		if old.at >= comCutoff {
 			break
 		}
 		p.comOrder[p.comHead] = committedEntry{}
 		p.comHead++
-		if at, ok := p.committed[old.digest]; ok && at.Equal(old.at) {
+		if at, ok := p.committed[old.digest]; ok && at == old.at {
 			delete(p.committed, old.digest)
 		}
 	}

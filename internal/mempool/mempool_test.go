@@ -166,6 +166,40 @@ func TestCommittedWindowHardCap(t *testing.T) {
 	}
 }
 
+// TestCommittedWindowExpiry pins the dedup window's edges now that it is kept
+// in Unix nanoseconds: a committed digest reads Duplicate up to and including
+// the instant the window closes, and the first sweep past it forgets the
+// digest in the map and the ring alike.
+func TestCommittedWindowExpiry(t *testing.T) {
+	t0 := time.Now()
+	const window = 10 * time.Second
+	p := New(Config{CommittedWindow: window, TTL: time.Hour})
+	early, late := mkTx(types.ClientIDBase, 1, t0), mkTx(types.ClientIDBase, 2, t0)
+	p.MarkCommitted(early.Digest(), t0)
+	p.MarkCommitted(late.Digest(), t0.Add(time.Second))
+
+	at := t0.Add(window)
+	p.Sweep(at)
+	if c := p.Admit(early, at); c != Duplicate {
+		t.Fatalf("at the window's edge: got %d, want Duplicate", c)
+	}
+	at = t0.Add(window + time.Nanosecond)
+	p.Sweep(at)
+	if c := p.Admit(early, at); c != Admitted {
+		t.Fatalf("past the window: got %d, want Admitted", c)
+	}
+	if c := p.Admit(late, at); c != Duplicate {
+		t.Fatalf("younger digest inside its window: got %d, want Duplicate", c)
+	}
+	p.Sweep(t0.Add(time.Second + window + time.Nanosecond))
+	p.mu.Lock()
+	n, ring := len(p.committed), len(p.comOrder)-p.comHead
+	p.mu.Unlock()
+	if n != 0 || ring != 0 {
+		t.Fatalf("after both windows closed: %d digests, %d ring entries, want 0 and 0", n, ring)
+	}
+}
+
 // TestRequeueReturnsInFlightToPending covers the gateway's re-offer: only
 // what is still in flight goes back, it drains again, it keeps counting
 // against the caps throughout, and it keeps its original admission time.

@@ -13,9 +13,9 @@ import (
 type Stage uint8
 
 const (
-	StageIngest    Stage = iota // request accepted into the proposal queue
-	StageSeal                   // batch sealed (accumulator flushed)
-	StagePropose                // consensus instance launched; cross: the
+	StageIngest  Stage = iota // request accepted into the proposal queue
+	StageSeal                 // batch sealed (accumulator flushed)
+	StagePropose              // consensus instance launched; cross: the
 	// seal→propose delta is the lead-pipeline wait for conflict-table admission
 	StageLockGrant // cross only: initiator's own slot vote granted
 	StagePrepared  // quorum reached (commit-quorum / prepared certificate)

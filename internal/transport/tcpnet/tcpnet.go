@@ -572,10 +572,10 @@ type linkShaper struct {
 	shape  transport.LinkShape
 	rng    *rand.Rand    // loss gate; seeded per link for reproducibility
 	shaped *atomic.Int64 // cumulative emulated delay added, µs (may be nil)
-	busy  time.Time  // virtual clock: when queued bytes finish serializing
-	queue []shapedBatch
-	bytes int      // wire bytes on the delay line, bounded by shapedBacklog
-	free  [][]byte // recycled batch buffers
+	busy   time.Time     // virtual clock: when queued bytes finish serializing
+	queue  []shapedBatch
+	bytes  int      // wire bytes on the delay line, bounded by shapedBacklog
+	free   [][]byte // recycled batch buffers
 }
 
 // shapedBatch is one assembled batch waiting out its delay.
