@@ -5,8 +5,6 @@
 package apr
 
 import (
-	"time"
-
 	"sharper/internal/consensus"
 	"sharper/internal/crypto"
 	"sharper/internal/ledger"
@@ -28,9 +26,9 @@ func NewCrash(total, f int, net transport.Config, seed int64) (*replica.Deployme
 		Seed:       seed,
 		Factory: func(topo *consensus.Topology, self types.NodeID,
 			signer crypto.Signer, verifier crypto.Verifier) replica.Engine {
-			return paxosAdapter{paxos.New(paxos.Config{
+			return paxos.New(paxos.Config{
 				Topology: topo, Cluster: 0, Self: self,
-			}, ledger.GenesisHash())}
+			}, ledger.GenesisHash())
 		},
 	})
 }
@@ -47,27 +45,10 @@ func NewByzantine(total, f int, net transport.Config, seed int64) (*replica.Depl
 		Seed:       seed,
 		Factory: func(topo *consensus.Topology, self types.NodeID,
 			signer crypto.Signer, verifier crypto.Verifier) replica.Engine {
-			return pbftAdapter{pbft.New(pbft.Config{
+			return pbft.New(pbft.Config{
 				Topology: topo, Cluster: 0, Self: self,
 				Signer: signer, Verifier: verifier,
-			}, ledger.GenesisHash())}
+			}, ledger.GenesisHash())
 		},
 	})
-}
-
-// paxosAdapter narrows *paxos.Engine to replica.Engine (dropping the
-// cross-shard specific SyncChainHead surface).
-type paxosAdapter struct{ *paxos.Engine }
-
-// Step forwards to the engine.
-func (a paxosAdapter) Step(env *types.Envelope, now time.Time) ([]consensus.Outbound, []consensus.Decision) {
-	return a.Engine.Step(env, now)
-}
-
-// pbftAdapter narrows *pbft.Engine to replica.Engine.
-type pbftAdapter struct{ *pbft.Engine }
-
-// Step forwards to the engine.
-func (a pbftAdapter) Step(env *types.Envelope, now time.Time) ([]consensus.Outbound, []consensus.Decision) {
-	return a.Engine.Step(env, now)
 }

@@ -97,14 +97,19 @@ func (h *xharness) sendAll(from types.NodeID, outs []consensus.Outbound) {
 
 func (h *xharness) pump() {
 	for len(h.queue) > 0 {
-		m := h.queue[0]
-		h.queue = h.queue[1:]
-		outs, decs := h.engine(m.to).Step(m.env, h.now)
-		h.sendAll(m.to, outs)
-		for _, d := range decs {
-			h.decided[m.to] = append(h.decided[m.to], d)
-			h.applyDecision(m.to, d)
-		}
+		h.pumpOne()
+	}
+}
+
+// pumpOne delivers the message at the head of the queue.
+func (h *xharness) pumpOne() {
+	m := h.queue[0]
+	h.queue = h.queue[1:]
+	outs, decs := h.engine(m.to).Step(m.env, h.now)
+	h.sendAll(m.to, outs)
+	for _, d := range decs {
+		h.decided[m.to] = append(h.decided[m.to], d)
+		h.applyDecision(m.to, d)
 	}
 }
 
@@ -625,6 +630,68 @@ func staleSelfVote(t *testing.T, h *xharness) {
 func TestAlg1StaleSelfVoteIsRecast(t *testing.T) { staleSelfVote(t, newXHarness(t, 3)) }
 
 func TestAlg2StaleSelfVoteIsRecast(t *testing.T) { staleSelfVote(t, newXByzHarness(t, 3)) }
+
+// TestAlg1DecidedSelfVoteTakesItsSlot: an initiator whose lead A decides
+// inside OnChainAdvanced (the re-cast self-vote completes a quorum its
+// backups' accepts had already filled) has spent the next chain slot on A,
+// although A's block is not appended until the call returns. A foreign
+// proposal C parked behind A must not be voted on in that same call: the
+// head the vote would name is the one A is about to extend, a second vote at
+// one slot, and a lagging backup's honest vote for C at that head then
+// commits C beside A (found as "cross-shard tx missing from involved
+// cluster" in the multi-process test: one cluster committed C's block, the
+// other could never chain it).
+func TestAlg1DecidedSelfVoteTakesItsSlot(t *testing.T) {
+	h := newXHarness(t, 3)
+	p0, p1 := h.topo.Primary(0, 0), h.topo.Primary(1, 0)
+	lagging := h.topo.Members(1)[2]
+	a, b, c := xtx(1, 1, 2), xtx(2, 0, 1), xtx(3, 0, 1)
+
+	outsA := h.engine(p1).Initiate(xbatch(a), h.now) // self-vote at slot 1
+	h.sendAll(p0, h.engine(p0).Initiate(xbatch(b), h.now))
+	h.drop = func(to types.NodeID) bool { return to == lagging } // never hears of A
+	h.sendAll(p1, outsA)
+	h.drop = nil
+	h.sendAll(p0, h.engine(p0).Initiate(xbatch(c), h.now)) // same set as B: queues behind it
+
+	// B takes slot 1 of cluster 1. Its COMMIT reaches p1 last, after the
+	// other backup has already voted A at the new head.
+	var late []xrouted
+	for len(h.queue) > 0 {
+		m := h.queue[0]
+		h.queue = h.queue[1:]
+		if m.to == p1 && m.env.Type == types.MsgXCommit {
+			late = append(late, m)
+			continue
+		}
+		h.queue = append([]xrouted{m}, h.queue...)
+		h.pumpOne()
+	}
+	h.queue = late
+	h.pump()
+
+	parentIn := func(tx *types.Transaction) (types.Hash, bool) {
+		for _, id := range h.topo.AllNodes() {
+			for _, d := range h.decided[id] {
+				if xdecided(d, tx.ID) {
+					for i, cl := range d.Involved() {
+						if cl == 1 {
+							return d.Hashes[i], true
+						}
+					}
+				}
+			}
+		}
+		return types.Hash{}, false
+	}
+	pa, okA := parentIn(a)
+	if !okA {
+		t.Fatal("lead A did not decide")
+	}
+	if pc, okC := parentIn(c); okC && pc == pa {
+		t.Fatalf("A and C both decided on cluster 1's block %s: two blocks at one chain slot", pa)
+	}
+}
 
 // leadingSpansWithdrawal: a transaction counts as led from Initiate until its
 // attempt decides — through a withdrawal and the back-off after it, which

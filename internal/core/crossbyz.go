@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math/rand"
-	"os"
 	"sort"
 	"time"
 
@@ -137,7 +136,7 @@ func newXByz(topo *consensus.Topology, cluster types.ClusterID, self types.NodeI
 		instances: make(map[types.Hash]*xinst),
 		leads:     make(map[types.Hash]*xbyzLead),
 		decided:   make(map[types.Hash]bool),
-		ring:      obs.NewEventRing(0, os.Getenv("SHARPER_TRACE") != ""),
+		ring:      obs.NewTraceRing(),
 	}
 }
 

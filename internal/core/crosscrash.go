@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"math/rand"
-	"os"
 	"sort"
 	"time"
 
@@ -207,7 +206,7 @@ func newXCrash(topo *consensus.Topology, cluster types.ClusterID, self types.Nod
 		decided:  make(map[types.Hash]bool),
 		txs:      make(map[types.Hash][]*types.Transaction),
 		recent:   make(map[types.Hash]*xcommitRetain),
-		ring:     obs.NewEventRing(0, os.Getenv("SHARPER_TRACE") != ""),
+		ring:     obs.NewTraceRing(),
 	}
 }
 
@@ -370,15 +369,16 @@ func (x *xcrash) castSelfVotes(now time.Time) ([]consensus.Outbound, []crossDeci
 		return bytes.Compare(pending[i][:], pending[j][:]) < 0
 	})
 	var outs []consensus.Outbound
-	var decs []crossDecision
 	for _, dg := range pending {
 		if lead, ok := x.leads[dg]; ok {
 			o, d := x.castLeadVote(lead, now)
 			outs = append(outs, o...)
-			decs = append(decs, d...)
+			if len(d) > 0 {
+				return outs, d // the decided lead took the slot the rest would vote at (see castThenDrain)
+			}
 		}
 	}
-	return outs, decs
+	return outs, nil
 }
 
 // withdraw invalidates the current attempt and releases everyone's slot
@@ -645,9 +645,7 @@ func (x *xcrash) onAbort(env *types.Envelope, now time.Time) ([]consensus.Outbou
 	x.ring.Recordf("xabort", 0, m.Digest, "v=%d from=%s", m.View, env.From)
 	x.unpark(m.Digest)
 	x.unlock(m.Digest)
-	out, decs := x.castSelfVotes(now)
-	o2, d2 := x.drainWaiting(now)
-	return append(out, o2...), append(decs, d2...)
+	return x.castThenDrain(now)
 }
 
 // OnChainAdvanced retries pending initiator votes and parked proposals now
@@ -658,9 +656,22 @@ func (x *xcrash) onAbort(env *types.Envelope, now time.Time) ([]consensus.Outbou
 // keeps the cross-shard waits-for graph acyclic.
 func (x *xcrash) OnChainAdvanced(now time.Time) ([]consensus.Outbound, []crossDecision) {
 	x.voidStaleSelfVote()
+	return x.castThenDrain(now)
+}
+
+// castThenDrain casts pending self-votes, then grants parked proposals —
+// unless a self-vote just decided its lead. That lead has taken the next
+// chain slot, but its block is appended only after this call returns, so
+// status() still names the head it extends: a vote cast now would be a
+// second vote at that slot. The runtime calls OnChainAdvanced once the block
+// lands, and the parked proposals are voted on then, at the new head.
+func (x *xcrash) castThenDrain(now time.Time) ([]consensus.Outbound, []crossDecision) {
 	outs, decs := x.castSelfVotes(now)
+	if len(decs) > 0 {
+		return outs, decs
+	}
 	o2, d2 := x.drainWaiting(now)
-	return append(outs, o2...), append(decs, d2...)
+	return append(outs, o2...), d2
 }
 
 // voidStaleSelfVote re-opens the initiator vote of a lead whose promised chain
@@ -800,10 +811,8 @@ func (x *xcrash) Tick(now time.Time) ([]consensus.Outbound, []crossDecision) {
 			}
 		}
 	}
-	o, d := x.castSelfVotes(now)
-	outs, decs = append(outs, o...), append(decs, d...)
-	o2, d2 := x.drainWaiting(now)
-	return append(outs, o2...), append(decs, d2...)
+	o, d := x.castThenDrain(now)
+	return append(outs, o...), append(decs, d...)
 }
 
 // othersOf filters self out of a destination list.

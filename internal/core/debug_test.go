@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"sharper/internal/paxos"
 	"sharper/internal/types"
 	"sharper/internal/workload"
 )
@@ -193,7 +192,7 @@ func TestStressWorkloadCrash(t *testing.T) {
 		}
 		st := n.chainStatus()
 		eng := ""
-		if pe, ok := n.intra.(*paxos.Engine); ok {
+		if pe, ok := n.intra.(interface{ DebugString() string }); ok {
 			eng = " || " + pe.DebugString()
 		}
 		holder, _ := x.table.Holder()

@@ -190,7 +190,7 @@ func (e *Engine) onPropose(env *types.Envelope, now time.Time) ([]consensus.Outb
 	}
 	if m.Seq <= e.committedSeq {
 		// Delivered slot: a re-delivered proposal must not resurrect its
-		// deleted instance (see pbft.Engine.onPrepare).
+		// deleted instance (see ordering.Engine.straggler).
 		e.cfg.Obs.Stragglers().Inc()
 		return nil, nil
 	}
@@ -232,7 +232,7 @@ func (e *Engine) onAccept(env *types.Envelope) ([]consensus.Outbound, []consensu
 	}
 	if m.Seq <= e.committedSeq {
 		e.cfg.Obs.Stragglers().Inc()
-		return nil, nil // delivered slot; straggler vote (see pbft.Engine.onPrepare)
+		return nil, nil // delivered slot; straggler vote (see ordering.Engine.straggler)
 	}
 	inst := e.getInstance(m.Seq)
 	inst.accepts[env.From] = m.Digest

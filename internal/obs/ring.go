@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"os"
 	"time"
 
 	"sharper/internal/types"
@@ -49,6 +50,13 @@ func NewEventRing(capacity int, enabled bool) *EventRing {
 		capacity = DefaultRingCapacity
 	}
 	return &EventRing{on: enabled, buf: make([]Event, capacity)}
+}
+
+// NewTraceRing builds the protocol-event ring of a consensus engine: default
+// capacity, recording only when the SHARPER_TRACE environment variable is
+// set at construction.
+func NewTraceRing() *EventRing {
+	return NewEventRing(0, os.Getenv("SHARPER_TRACE") != "")
 }
 
 // Enabled reports whether the ring records events.

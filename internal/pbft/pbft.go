@@ -1,1017 +1,23 @@
-// Package pbft implements the intra-shard Byzantine-fault-tolerant
-// consensus of §3.1 (Fig. 3b): PBFT's normal-case agreement over 3f+1 nodes
-// (pre-prepare, prepare with 2f matching votes, commit with 2f+1 matching
-// votes) plus the timeout-driven view change that deposes a faulty primary.
-// Messages are signed and verified per §2.1.
+// Package pbft names the intra-shard Byzantine-fault-tolerant consensus of
+// §3.1 (Fig. 3b): PBFT's normal-case agreement over 3f+1 nodes (pre-prepare,
+// prepare with 2f matching votes, commit with 2f+1 matching votes) plus the
+// timeout-driven view change that deposes a faulty primary. Messages are
+// signed and verified per §2.1.
 //
-// Like the Paxos engine, this is a pure state machine: envelopes and ticks
-// in, outbound messages and ordered decisions out.
+// The protocol is internal/ordering's engine under its Byzantine policy;
+// this package is the constructor that picks it.
 package pbft
 
 import (
-	"os"
-	"sort"
-	"time"
-
-	"sharper/internal/consensus"
-	"sharper/internal/crypto"
-	"sharper/internal/obs"
+	"sharper/internal/ordering"
 	"sharper/internal/types"
 )
 
-// Engine is one node's PBFT state for one cluster.
-type Engine struct {
-	topo    *consensus.Topology
-	cluster types.ClusterID
-	self    types.NodeID
-	signer  crypto.Signer
-	verify  crypto.Verifier
-
-	view uint64
-
-	proposedSeq  uint64
-	proposedHead types.Hash
-
-	committedSeq  uint64
-	committedHead types.Hash
-
-	instances map[uint64]*instance
-	delivered map[uint64]bool
-	// parked holds pre-prepares that arrived out of order; they are retried
-	// whenever the proposal chain advances.
-	parked map[uint64]*types.Envelope
-
-	// promised is the highest view this node has voted a view change for:
-	// once cast, votes for lower views are refused (see paxos.Engine).
-	vcVotes      map[uint64]map[types.NodeID]*types.ViewChange
-	viewChanging bool
-	promised     uint64
-	// vcDeadline bounds how long the node waits mid-view-change before
-	// escalating to the next view (see paxos.Engine.vcDeadline: the
-	// candidate primary may itself be dead, and without escalation every
-	// live node wedges in viewChanging).
-	vcDeadline time.Time
-
-	// New-primary recovery state (see paxos.Engine): values the deposed
-	// view owed the chain, and the commit level to reach before proposing.
-	pendingRepropose []preparedCand
-	reproposeBarrier uint64
-
-	timeout time.Duration
-
-	// persist, when set, records acceptances and view positions to stable
-	// storage before the message they vouch for leaves the node (see
-	// consensus.Persister and paxos.Engine).
-	persist consensus.Persister
-
-	// reserved consults the cross-shard conflict table (see Config.Reserved).
-	reserved func(seq uint64) bool
-
-	// ring records structured protocol events for post-mortem debugging when
-	// SHARPER_TRACE is set (see obs.EventRing; same format as the Paxos and
-	// cross-shard engines, so divergence dumps merge into one timeline).
-	ring *obs.EventRing
-	// metrics, when configured, tracks engine health; nil-safe handles.
-	metrics *obs.EngineMetrics
-	// onPrepared fires when a proposal this primary launched reaches its
-	// prepared certificate — the intra-shard "prepared" lifecycle stamp.
-	onPrepared func(seq uint64)
-}
-
-// DebugTrace returns the recent protocol events (oldest first), rendered in
-// the historical SHARPER_TRACE line format.
-func (e *Engine) DebugTrace() []string { return e.ring.Lines() }
-
-// DebugEvents returns the recent protocol events in structured form.
-func (e *Engine) DebugEvents() []obs.Event { return e.ring.Events() }
-
-// slotReserved reports whether the cross-shard engine holds this node's vote
-// for the chain slot.
-func (e *Engine) slotReserved(seq uint64) bool {
-	return e.reserved != nil && e.reserved(seq)
-}
-
-// preparedCand is one value owed to the chain by a deposed view, with the
-// certificate that admitted it (re-reported if this primary is deposed
-// too). digest is the batch digest the recovery already verified for txs.
-type preparedCand struct {
-	seq    uint64
-	view   uint64
-	digest types.Hash
-	parent types.Hash // parent the certificate's votes bound
-	txs    []*types.Transaction
-	proof  []types.VoteProof
-}
-
-type instance struct {
-	digest types.Hash
-	parent types.Hash
-	txs    []*types.Transaction
-	// block is the batch as a chain block, built once when the body is
-	// known; its memoized Hash makes every later chain-walk relink cheap.
-	block    *types.Block
-	view     uint64
-	own      bool // proposed by this node (as primary)
-	prePrep  bool
-	prepares map[types.NodeID]types.Hash
-	commits  map[types.NodeID]types.Hash
-	// voteSigs keeps each node's signature over its prepare/commit payload
-	// (one canonical encoding), so a view change can carry a verifiable
-	// prepared certificate instead of an unproven claim.
-	voteSigs   map[types.NodeID][]byte
-	sentPrep   bool
-	sentCommit bool
-	committed  bool
-	deadline   time.Time
-	// durableView/durableDigest track what PersistAccept last recorded for
-	// this slot, so duplicate deliveries do not rewrite the log.
-	durable       bool
-	durableView   uint64
-	durableDigest types.Hash
-}
-
-// Config parametrizes an Engine.
-type Config struct {
-	Topology *consensus.Topology
-	Cluster  types.ClusterID
-	Self     types.NodeID
-	Signer   crypto.Signer
-	Verifier crypto.Verifier
-	Timeout  time.Duration
-	// Persist, when non-nil, is the stable-storage hook for acceptor state
-	// (persist-before-ack; see consensus.Persister).
-	Persist consensus.Persister
-	// Reserved, when non-nil, reports whether the node's cross-shard engine
-	// holds this node's vote for the given chain slot (§3.2; see
-	// paxos.Config.Reserved). Pre-prepares at a reserved slot park until
-	// the reservation clears instead of drawing a prepare vote.
-	Reserved func(seq uint64) bool
-	// Obs, when non-nil, receives engine health metrics (view changes,
-	// straggler drops, live instance count).
-	Obs *obs.EngineMetrics
-	// OnPrepared, when non-nil, fires when a proposal this primary launched
-	// reaches its prepared certificate (per-transaction lifecycle tracing).
-	OnPrepared func(seq uint64)
-}
+// Config parametrizes an engine. A nil Signer or Verifier means no
+// signatures. Timeout defaults to one second.
+type Config = ordering.Config
 
 // New creates an engine at view 0 with the genesis head.
-func New(cfg Config, genesis types.Hash) *Engine {
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = time.Second
-	}
-	if cfg.Signer == nil {
-		cfg.Signer = crypto.NoopSigner{}
-	}
-	if cfg.Verifier == nil {
-		cfg.Verifier = crypto.NoopSigner{}
-	}
-	return &Engine{
-		topo:          cfg.Topology,
-		cluster:       cfg.Cluster,
-		self:          cfg.Self,
-		signer:        cfg.Signer,
-		verify:        cfg.Verifier,
-		proposedHead:  genesis,
-		committedHead: genesis,
-		instances:     make(map[uint64]*instance),
-		delivered:     make(map[uint64]bool),
-		parked:        make(map[uint64]*types.Envelope),
-		vcVotes:       make(map[uint64]map[types.NodeID]*types.ViewChange),
-		timeout:       cfg.Timeout,
-		persist:       cfg.Persist,
-		reserved:      cfg.Reserved,
-		ring:          obs.NewEventRing(0, os.Getenv("SHARPER_TRACE") != ""),
-		metrics:       cfg.Obs,
-		onPrepared:    cfg.OnPrepared,
-	}
-}
-
-// persistAccept records the instance's current binding if it changed since
-// the last record for this slot. False means the record did not reach
-// stable storage and the caller must withhold the vote (the durable marker
-// stays clear, so the next delivery retries).
-func (e *Engine) persistAccept(seq uint64, inst *instance) bool {
-	if e.persist == nil || len(inst.txs) == 0 {
-		return true
-	}
-	if inst.durable && inst.durableView == inst.view && inst.durableDigest == inst.digest {
-		return true
-	}
-	if err := e.persist.PersistAccept(seq, inst.view, inst.parent, inst.digest, inst.txs); err != nil {
-		return false
-	}
-	inst.durable = true
-	inst.durableView = inst.view
-	inst.durableDigest = inst.digest
-	return true
-}
-
-// persistViewState records the engine's view position; false withholds the
-// dependent message.
-func (e *Engine) persistViewState() bool {
-	if e.persist == nil {
-		return true
-	}
-	return e.persist.PersistView(e.view, e.promised) == nil
-}
-
-// Restore warms a freshly built engine from recovered durable state (see
-// paxos.Engine.Restore). The restored node re-signs its own prepare vote
-// for each recovered instance so it stays bound to the digest it voted for:
-// an equivocating pre-prepare for the same slot is rejected against the
-// restored binding.
-func (e *Engine) Restore(view, promised uint64, insts []consensus.DurableInstance, now time.Time) {
-	if view > e.view {
-		e.view = view
-	}
-	if promised > e.promised {
-		e.promised = promised
-	}
-	for _, d := range insts {
-		if d.Seq <= e.committedSeq || len(d.Txs) == 0 {
-			continue
-		}
-		payload := (&types.ConsensusMsg{
-			View: d.View, Seq: d.Seq, Digest: d.Digest, Cluster: e.cluster,
-			PrevHashes: []types.Hash{d.Parent},
-		}).Encode(nil)
-		e.instances[d.Seq] = &instance{
-			digest:   d.Digest,
-			parent:   d.Parent,
-			txs:      d.Txs,
-			block:    &types.Block{Txs: d.Txs, Parents: []types.Hash{d.Parent}},
-			view:     d.View,
-			prePrep:  true,
-			prepares: map[types.NodeID]types.Hash{e.self: d.Digest},
-			commits:  make(map[types.NodeID]types.Hash),
-			voteSigs: map[types.NodeID][]byte{e.self: e.sign(payload)},
-			deadline: now.Add(e.timeout),
-			durable:  true, durableView: d.View, durableDigest: d.Digest,
-		}
-	}
-	// Restored acceptances occupy their pipeline slots (see
-	// paxos.Engine.Restore): walk the proposal chain over the contiguous
-	// run so a restarted primary cannot re-allocate a slot it voted in.
-	expect := e.proposedHead
-	for s := e.proposedSeq + 1; ; s++ {
-		inst, ok := e.instances[s]
-		if !ok || len(inst.txs) == 0 || inst.parent != expect {
-			break
-		}
-		bh := inst.block.Hash()
-		e.proposedSeq = s
-		e.proposedHead = bh
-		expect = bh
-	}
-}
-
-// DurableState reports the engine state a checkpoint must carry forward
-// into a fresh log segment (see paxos.Engine.DurableState).
-func (e *Engine) DurableState() (view, promised uint64, insts []consensus.DurableInstance) {
-	for seq, inst := range e.instances {
-		if seq > e.committedSeq && len(inst.txs) > 0 {
-			insts = append(insts, consensus.DurableInstance{
-				Seq: seq, View: inst.view, Parent: inst.parent, Digest: inst.digest, Txs: inst.txs,
-			})
-		}
-	}
-	for _, c := range e.pendingRepropose {
-		if c.seq > e.committedSeq {
-			insts = append(insts, consensus.DurableInstance{
-				Seq: c.seq, View: c.view, Digest: c.digest, Txs: c.txs,
-			})
-		}
-	}
-	return e.view, e.promised, insts
-}
-
-// View returns the current view.
-func (e *Engine) View() uint64 { return e.view }
-
-// Primary returns the primary of the current view.
-func (e *Engine) Primary() types.NodeID { return e.topo.Primary(e.cluster, e.view) }
-
-// IsPrimary reports whether this node leads the current view.
-func (e *Engine) IsPrimary() bool { return e.Primary() == e.self }
-
-// ProposedHead returns the sequence and hash of the last proposed block.
-func (e *Engine) ProposedHead() (uint64, types.Hash) { return e.proposedSeq, e.proposedHead }
-
-// SyncChainHead advances past a block decided by the cross-shard protocol,
-// discarding in-flight proposals that no longer extend the chain and
-// retrying parked ones.
-func (e *Engine) SyncChainHead(seq uint64, head types.Hash, now time.Time) ([]consensus.Outbound, []consensus.Decision, []*types.Transaction) {
-	if seq <= e.committedSeq {
-		// Stale: rewinding would discard acceptances other nodes may have
-		// counted toward quorums (see paxos.Engine.SyncChainHead).
-		return nil, nil, nil
-	}
-	e.proposedSeq = seq
-	e.proposedHead = head
-	e.committedSeq = seq
-	e.committedHead = head
-	// Slots at or below the new head are decided; their instances are
-	// stale, and this node's own uncommitted proposals among them are
-	// handed back for re-proposal. Instances above the head survive while
-	// they still chain onto it (see paxos.Engine.SyncChainHead — wiping a
-	// still-valid acceptance the primary already counted lets a cross-shard
-	// block steal its slot).
-	var orphans []*types.Transaction
-	for s, inst := range e.instances {
-		if s <= seq {
-			if inst.own && !inst.committed {
-				orphans = append(orphans, inst.txs...)
-			}
-			delete(e.instances, s)
-		}
-	}
-	expect := head
-	for s := seq + 1; ; s++ {
-		inst, ok := e.instances[s]
-		if !ok || len(inst.txs) == 0 || inst.parent != expect {
-			break
-		}
-		bh := inst.block.Hash()
-		e.proposedSeq = s
-		e.proposedHead = bh
-		expect = bh
-	}
-	for s, inst := range e.instances {
-		if s > e.proposedSeq && !inst.committed {
-			if inst.own {
-				orphans = append(orphans, inst.txs...)
-			}
-			delete(e.instances, s)
-		}
-	}
-	for s := range e.parked {
-		if s <= seq {
-			delete(e.parked, s)
-		}
-	}
-	out, decs := e.retryParked(now)
-	out = append(out, e.drainRepropose(now)...)
-	return out, decs, orphans
-}
-
-// HasUncommitted reports whether any consensus instance with a known body
-// sits above the committed head (see paxos.Engine.HasUncommitted): the
-// cross-shard protocol must not treat the chain as drained while one does.
-func (e *Engine) HasUncommitted() bool {
-	q := 2*e.topo.F(e.cluster) + 1
-	for seq, inst := range e.instances {
-		if seq <= e.committedSeq {
-			continue
-		}
-		if len(inst.txs) > 0 || inst.committed {
-			return true
-		}
-		// A bodyless instance with a full commit certificate is a known
-		// bound slot even before the pre-prepare arrives.
-		counts := make(map[types.Hash]int)
-		for _, d := range inst.commits {
-			counts[d]++
-			if counts[d] >= q {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// retryParked replays parked pre-prepares that may now extend the chain.
-// Decisions surfaced here MUST propagate to the caller (see
-// paxos.Engine.retryParked — dropping them desyncs engine and ledger).
-func (e *Engine) retryParked(now time.Time) ([]consensus.Outbound, []consensus.Decision) {
-	var out []consensus.Outbound
-	var decs []consensus.Decision
-	for {
-		if e.slotReserved(e.proposedSeq + 1) {
-			return out, decs // the slot is promised to a cross-shard vote
-		}
-		env, ok := e.parked[e.proposedSeq+1]
-		if !ok {
-			return out, decs
-		}
-		delete(e.parked, e.proposedSeq+1)
-		o, d := e.onPrePrepare(env, now)
-		out = append(out, o...)
-		decs = append(decs, d...)
-		if len(o) == 0 {
-			return out, decs
-		}
-	}
-}
-
-func (e *Engine) sign(payload []byte) []byte { return e.signer.Sign(payload) }
-
-// authentic checks the envelope's protocol-level signature, preferring the
-// verdict the parallel verification pool already computed (see
-// crypto.VerifyPool); envelopes stepped in directly (tests, replay paths)
-// carry no verdict and are verified inline.
-func (e *Engine) authentic(env *types.Envelope) bool {
-	if ok, known := env.Auth(); known {
-		return ok
-	}
-	return e.verify.Verify(env.From, env.Payload, env.Sig)
-}
-
-// Propose starts consensus on a batch of transactions; primary only. The
-// whole batch occupies one consensus instance and one block, and the digest
-// the cluster votes on covers every transaction in the batch.
-func (e *Engine) Propose(txs []*types.Transaction, now time.Time) ([]consensus.Outbound, uint64) {
-	if !e.IsPrimary() || e.viewChanging || len(txs) == 0 {
-		return nil, 0
-	}
-	// A fresh primary first replays what the deposed view owed the chain;
-	// see paxos.Engine.Propose.
-	if e.committedSeq < e.reproposeBarrier || len(e.pendingRepropose) > 0 {
-		return nil, 0
-	}
-	seq := e.proposedSeq + 1
-	if e.slotReserved(seq) {
-		// The cross-shard engine holds this node's vote for the slot; the
-		// batch stays queued until the reservation resolves.
-		return nil, 0
-	}
-	parent := e.proposedHead
-	block := &types.Block{Txs: txs, Parents: []types.Hash{parent}}
-	digest := block.BatchDigest()
-	if prev, ok := e.instances[seq]; ok {
-		if prev.committed {
-			// The slot is already bound (a commit certificate raced ahead
-			// of its body): proposing over it would erase that knowledge.
-			// Chain sync delivers or supersedes it; the batch stays queued.
-			return nil, 0
-		}
-		if len(prev.txs) > 0 && prev.view == e.view && prev.digest != digest {
-			// Already voted a different value at this (view, seq) — a
-			// restored acceptance outside the proposal walk; proposing a
-			// second binding in the same view is equivocation.
-			return nil, 0
-		}
-	}
-	// Persist the primary's own acceptance before anything leaves the node
-	// (see paxos.Engine.Propose): unpersistable ⇒ refuse, batch requeued.
-	if e.persist != nil {
-		if err := e.persist.PersistAccept(seq, e.view, parent, digest, txs); err != nil {
-			return nil, 0
-		}
-	}
-
-	// A fresh instance, never getInstance: a retained instance from a
-	// deposed view may linger at this slot, and its stale votes must not
-	// count toward the new binding's quorums.
-	inst := &instance{
-		prepares: make(map[types.NodeID]types.Hash),
-		commits:  make(map[types.NodeID]types.Hash),
-		voteSigs: make(map[types.NodeID][]byte),
-		durable:  true, durableView: e.view, durableDigest: digest,
-	}
-	e.instances[seq] = inst
-	inst.digest = digest
-	inst.parent = parent
-	inst.txs = txs
-	inst.block = block
-	inst.view = e.view
-	inst.own = true
-	inst.prePrep = true
-	inst.deadline = now.Add(e.timeout)
-	e.proposedSeq = seq
-	e.proposedHead = block.Hash()
-
-	msg := &types.ConsensusMsg{
-		View: e.view, Seq: seq, Digest: digest, Cluster: e.cluster,
-		PrevHashes: []types.Hash{parent}, Txs: txs,
-	}
-	e.ring.Recordf("propose", seq, digest, "v=%d tx0=%s", e.view, txs[0].ID)
-	payload := msg.Encode(nil)
-	out := []consensus.Outbound{{
-		To:  others(e.topo.Members(e.cluster), e.self),
-		Env: &types.Envelope{Type: types.MsgPrePrepare, From: e.self, Payload: payload, Sig: e.sign(payload)},
-	}}
-	// The primary's own prepare vote is broadcast like everyone else's.
-	out = append(out, e.votePrepare(inst, seq)...)
-	e.metrics.InstGauge().Set(uint64(len(e.instances)))
-	return out, seq
-}
-
-func (e *Engine) getInstance(seq uint64) *instance {
-	inst, ok := e.instances[seq]
-	if !ok {
-		inst = &instance{
-			prepares: make(map[types.NodeID]types.Hash),
-			commits:  make(map[types.NodeID]types.Hash),
-			voteSigs: make(map[types.NodeID][]byte),
-		}
-		e.instances[seq] = inst
-	}
-	return inst
-}
-
-// Step consumes one protocol message.
-func (e *Engine) Step(env *types.Envelope, now time.Time) ([]consensus.Outbound, []consensus.Decision) {
-	outs, decs := e.step(env, now)
-	e.metrics.InstGauge().Set(uint64(len(e.instances)))
-	return outs, decs
-}
-
-func (e *Engine) step(env *types.Envelope, now time.Time) ([]consensus.Outbound, []consensus.Decision) {
-	if !e.authentic(env) {
-		return nil, nil
-	}
-	switch env.Type {
-	case types.MsgPrePrepare:
-		return e.onPrePrepare(env, now)
-	case types.MsgPrepare:
-		return e.onPrepare(env)
-	case types.MsgCommit:
-		return e.onCommit(env)
-	case types.MsgViewChange:
-		return e.onViewChange(env, now)
-	case types.MsgNewView:
-		return e.onNewView(env, now)
-	default:
-		return nil, nil
-	}
-}
-
-func (e *Engine) onPrePrepare(env *types.Envelope, now time.Time) ([]consensus.Outbound, []consensus.Decision) {
-	m, err := types.DecodeConsensusMsg(env.Payload)
-	if err != nil || len(m.Txs) == 0 || len(m.PrevHashes) != 1 {
-		return nil, nil
-	}
-	if env.From != e.topo.Primary(e.cluster, m.View) || m.View != e.view || m.View < e.promised {
-		return nil, nil
-	}
-	body := &types.Block{Txs: m.Txs, Parents: m.PrevHashes}
-	if m.Digest != body.BatchDigest() {
-		return nil, nil // malicious primary: digest mismatch (any tampered tx in the batch)
-	}
-	// Proposals must extend our chain in order (see paxos.Engine.onAccept):
-	// park ahead-of-chain pre-prepares, drop stale ones.
-	if dup := e.instances[m.Seq]; !(m.Seq == e.proposedSeq && dup != nil && dup.parent == m.PrevHashes[0]) {
-		if m.Seq != e.proposedSeq+1 {
-			if m.Seq > e.proposedSeq+1 {
-				e.parked[m.Seq] = env
-			}
-			return nil, nil
-		}
-		if m.PrevHashes[0] != e.proposedHead {
-			return nil, nil
-		}
-	}
-	if e.slotReserved(m.Seq) {
-		// This node's cross-shard vote has promised the slot away (§3.2);
-		// voting prepare for an intra-shard binding there would vote twice
-		// at one height. Park until the reservation resolves.
-		e.parked[m.Seq] = env
-		return nil, nil
-	}
-	inst := e.getInstance(m.Seq)
-	if inst.prePrep && inst.view == m.View && inst.digest != m.Digest {
-		return nil, nil // equivocating primary: keep the first pre-prepare
-	}
-	if inst.committed && inst.digest != m.Digest {
-		return nil, nil // slot already committed with a different value
-	}
-	if inst.view != m.View {
-		// A retained instance from a deposed view is overwritten by the new
-		// view's pre-prepare; its old votes must not leak into the new one.
-		inst.prepares = make(map[types.NodeID]types.Hash)
-		inst.commits = make(map[types.NodeID]types.Hash)
-		inst.voteSigs = make(map[types.NodeID][]byte)
-		inst.sentPrep = false
-		inst.sentCommit = false
-		inst.own = false
-	}
-	inst.prePrep = true
-	inst.digest = m.Digest
-	inst.parent = m.PrevHashes[0]
-	inst.txs = m.Txs
-	inst.block = body
-	inst.view = m.View
-	inst.deadline = now.Add(e.timeout)
-	if m.Seq > e.proposedSeq {
-		e.proposedSeq = m.Seq
-		e.proposedHead = body.Hash()
-	}
-	out := e.votePrepare(inst, m.Seq)
-	out2, dec := e.maybeProgress(inst, m.Seq)
-	out = append(out, out2...)
-	o3, d3 := e.retryParked(now)
-	return append(out, o3...), append(dec, d3...)
-}
-
-func (e *Engine) votePrepare(inst *instance, seq uint64) []consensus.Outbound {
-	if inst.sentPrep {
-		return nil
-	}
-	// Persist before the prepare vote leaves: the vote can end up inside a
-	// prepared certificate, and a restarted node must keep honoring it.
-	// Unpersistable ⇒ no vote (a re-delivered pre-prepare retries).
-	if !e.persistAccept(seq, inst) {
-		return nil
-	}
-	inst.sentPrep = true
-	inst.prepares[e.self] = inst.digest
-	// The vote names the parent it extends: a slot re-bound after a
-	// cross-shard SyncChainHead is legitimately re-voted with a different
-	// digest, and only the parent distinguishes that from equivocation —
-	// both for the slasher and for anyone verifying a vote offline.
-	m := &types.ConsensusMsg{View: inst.view, Seq: seq, Digest: inst.digest, Cluster: e.cluster,
-		PrevHashes: []types.Hash{inst.parent}}
-	payload := m.Encode(nil)
-	sig := e.sign(payload)
-	inst.voteSigs[e.self] = sig
-	return []consensus.Outbound{{
-		To:  others(e.topo.Members(e.cluster), e.self),
-		Env: &types.Envelope{Type: types.MsgPrepare, From: e.self, Payload: payload, Sig: sig},
-	}}
-}
-
-func (e *Engine) onPrepare(env *types.Envelope) ([]consensus.Outbound, []consensus.Decision) {
-	m, err := types.DecodeConsensusMsg(env.Payload)
-	if err != nil || m.View != e.view || m.View < e.promised {
-		return nil, nil
-	}
-	if m.Seq <= e.committedSeq {
-		// The slot is already delivered; a straggler vote must not resurrect
-		// its deleted instance (the zombie would sit in e.instances forever —
-		// only SyncChainHead trims below the head — and every Tick and
-		// HasUncommitted pays to skip it). The slasher audited the envelope
-		// before dispatch, so no equivocation evidence is lost.
-		e.metrics.Stragglers().Inc()
-		return nil, nil
-	}
-	inst := e.getInstance(m.Seq)
-	inst.prepares[env.From] = m.Digest
-	inst.voteSigs[env.From] = env.Sig
-	return e.maybeProgress(inst, m.Seq)
-}
-
-func (e *Engine) onCommit(env *types.Envelope) ([]consensus.Outbound, []consensus.Decision) {
-	m, err := types.DecodeConsensusMsg(env.Payload)
-	if err != nil || m.View < e.promised {
-		return nil, nil
-	}
-	if m.Seq <= e.committedSeq {
-		e.metrics.Stragglers().Inc()
-		return nil, nil // delivered slot; see onPrepare
-	}
-	inst := e.getInstance(m.Seq)
-	inst.commits[env.From] = m.Digest
-	if _, ok := inst.voteSigs[env.From]; !ok {
-		inst.voteSigs[env.From] = env.Sig
-	}
-	return e.maybeProgress(inst, m.Seq)
-}
-
-// maybeProgress moves an instance through prepared → committed as vote
-// quorums fill in, tolerating any message arrival order.
-func (e *Engine) maybeProgress(inst *instance, seq uint64) ([]consensus.Outbound, []consensus.Decision) {
-	var out []consensus.Outbound
-	f := e.topo.F(e.cluster)
-	if inst.prePrep && !inst.sentCommit && countMatching(inst.prepares, inst.digest) >= 2*f+1 {
-		// Prepared: 2f matching prepares from others + our own (§3.1).
-		inst.sentCommit = true
-		inst.commits[e.self] = inst.digest
-		e.ring.Recordf("prepared", seq, inst.digest, "v=%d", inst.view)
-		if e.onPrepared != nil && inst.own {
-			e.onPrepared(seq)
-		}
-		m := &types.ConsensusMsg{View: inst.view, Seq: seq, Digest: inst.digest, Cluster: e.cluster,
-			PrevHashes: []types.Hash{inst.parent}}
-		payload := m.Encode(nil)
-		sig := e.sign(payload)
-		if _, ok := inst.voteSigs[e.self]; !ok {
-			inst.voteSigs[e.self] = sig
-		}
-		out = append(out, consensus.Outbound{
-			To:  others(e.topo.Members(e.cluster), e.self),
-			Env: &types.Envelope{Type: types.MsgCommit, From: e.self, Payload: payload, Sig: sig},
-		})
-	}
-	if inst.prePrep && !inst.committed && countMatching(inst.commits, inst.digest) >= 2*f+1 {
-		inst.committed = true
-	}
-	return out, e.advance()
-}
-
-func (e *Engine) advance() []consensus.Decision {
-	var out []consensus.Decision
-	for {
-		seq := e.committedSeq + 1
-		inst, ok := e.instances[seq]
-		if !ok || !inst.committed || len(inst.txs) == 0 || e.delivered[seq] {
-			return out
-		}
-		block := inst.block
-		e.delivered[seq] = true
-		e.committedSeq = seq
-		e.committedHead = block.Hash()
-		e.ring.Recordf("deliver", seq, inst.digest, "")
-		out = append(out, consensus.Decision{Block: block, Seq: seq})
-		delete(e.instances, seq)
-		e.metrics.InstGauge().Set(uint64(len(e.instances)))
-	}
-}
-
-// Tick fires the backup timers that trigger view changes; a fresh primary
-// uses it to retry recovery obligations once chain sync catches it up. A
-// node stuck mid-view-change past its deadline escalates to the next view.
-func (e *Engine) Tick(now time.Time) ([]consensus.Outbound, []consensus.Decision) {
-	if e.viewChanging {
-		if now.After(e.vcDeadline) {
-			return e.startViewChange(e.promised+1, now), nil
-		}
-		return nil, nil
-	}
-	// A slot reservation released without a chain advance (cross-shard abort
-	// or expiry) leaves reserve-parked pre-prepares with no other retry path.
-	out, decs := e.retryParked(now)
-	if e.IsPrimary() {
-		return append(out, e.drainRepropose(now)...), decs
-	}
-	for seq, inst := range e.instances {
-		if seq > e.committedSeq && inst.prePrep && !inst.committed && now.After(inst.deadline) {
-			return append(out, e.startViewChange(e.view+1, now)...), decs
-		}
-	}
-	return out, decs
-}
-
-func (e *Engine) startViewChange(newView uint64, now time.Time) []consensus.Outbound {
-	e.viewChanging = true
-	// Two full windows for the candidate primary to assemble the view.
-	e.vcDeadline = now.Add(2 * e.timeout)
-	if newView > e.promised {
-		e.promised = newView
-	}
-	// The promise must reach stable storage before the vote leaves (see
-	// paxos.Engine.startViewChange); unpersistable ⇒ no vote, the
-	// escalation timer retries.
-	if !e.persistViewState() {
-		return nil
-	}
-	vc := &types.ViewChange{
-		NewView:  newView,
-		Cluster:  e.cluster,
-		LastSeq:  e.committedSeq,
-		LastHash: e.committedHead,
-	}
-	// Report prepared-certified instances (2f+1 matching, signed prepare or
-	// commit votes) and committed-but-undelivered ones, with bodies and the
-	// vote signatures as the certificate, for value recovery.
-	q := 2*e.topo.F(e.cluster) + 1
-	reported := make(map[uint64]bool)
-	for seq, inst := range e.instances {
-		if seq <= e.committedSeq || len(inst.txs) == 0 {
-			continue
-		}
-		proof := instanceProof(inst)
-		if len(proof) < q {
-			continue
-		}
-		vc.Prepared = append(vc.Prepared, types.PreparedInstance{
-			Seq: seq, View: inst.view, Digest: inst.digest, Parent: inst.parent,
-			Txs: inst.txs, Proof: proof,
-		})
-		reported[seq] = true
-		if seq > vc.PreparedSeq {
-			vc.PreparedSeq = seq
-			vc.PreparedHash = inst.digest
-		}
-	}
-	// Recovered-but-not-yet-re-proposed values must survive further view
-	// changes too (see paxos.Engine.startViewChange); their certificates
-	// ride along from the recovery that admitted them.
-	for _, c := range e.pendingRepropose {
-		if c.seq > e.committedSeq && !reported[c.seq] {
-			vc.Prepared = append(vc.Prepared, types.PreparedInstance{
-				Seq: c.seq, View: c.view, Digest: c.digest, Parent: c.parent,
-				Txs: c.txs, Proof: c.proof,
-			})
-		}
-	}
-	e.recordViewChange(e.self, vc)
-	e.ring.Recordf("vc-vote", vc.LastSeq, types.ZeroHash, "nv=%d prepared=%d", newView, len(vc.Prepared))
-	payload := vc.Encode(nil)
-	env := &types.Envelope{Type: types.MsgViewChange, From: e.self, Payload: payload, Sig: e.sign(payload)}
-	return []consensus.Outbound{{To: others(e.topo.Members(e.cluster), e.self), Env: env}}
-}
-
-func (e *Engine) recordViewChange(from types.NodeID, vc *types.ViewChange) {
-	m, ok := e.vcVotes[vc.NewView]
-	if !ok {
-		m = make(map[types.NodeID]*types.ViewChange)
-		e.vcVotes[vc.NewView] = m
-	}
-	m[from] = vc
-}
-
-func (e *Engine) onViewChange(env *types.Envelope, now time.Time) ([]consensus.Outbound, []consensus.Decision) {
-	vc, err := types.DecodeViewChange(env.Payload)
-	if err != nil || vc.NewView <= e.view || vc.Cluster != e.cluster {
-		return nil, nil
-	}
-	e.recordViewChange(env.From, vc)
-	votes := e.vcVotes[vc.NewView]
-	f := e.topo.F(e.cluster)
-
-	var out []consensus.Outbound
-	// Join once f+1 distinct nodes ask for this view: at least one correct
-	// node timed out, so the suspicion is credible.
-	if !e.viewChanging && len(votes) >= f+1 {
-		out = append(out, e.startViewChange(vc.NewView, now)...)
-		votes = e.vcVotes[vc.NewView]
-	}
-	if e.topo.Primary(e.cluster, vc.NewView) != e.self {
-		return out, nil
-	}
-	if len(votes) < 2*f+1 {
-		return out, nil
-	}
-	nv := &types.ViewChange{NewView: vc.NewView, Cluster: e.cluster,
-		LastSeq: e.committedSeq, LastHash: e.committedHead}
-	payload := nv.Encode(nil)
-	out = append(out, consensus.Outbound{
-		To:  others(e.topo.Members(e.cluster), e.self),
-		Env: &types.Envelope{Type: types.MsgNewView, From: e.self, Payload: payload, Sig: e.sign(payload)},
-	})
-	e.adoptRecovery(votes, f)
-	e.installView(vc.NewView, now)
-	out = append(out, e.drainRepropose(now)...)
-	return out, nil
-}
-
-// adoptRecovery digests the view-change quorum into the new primary's
-// obligations, with Byzantine-grade filters: a value counts only with a
-// verifiable prepared certificate — 2f+1 distinct nodes' signatures over
-// the canonical prepare/commit payload — so one honest reporter suffices
-// (a commit anywhere implies f+1 honest certificate holders, and any 2f+1
-// view-change quorum intersects them) while no coalition of f liars can
-// fabricate a binding. The catch-up barrier is the (f+1)-th highest
-// reported LastSeq, so it is bounded by an honest node's commit.
-func (e *Engine) adoptRecovery(votes map[types.NodeID]*types.ViewChange, f int) {
-	lastSeqs := make([]uint64, 0, len(votes))
-	cands := make(map[uint64]preparedCand)
-	for _, vc := range votes {
-		lastSeqs = append(lastSeqs, vc.LastSeq)
-		for _, p := range vc.Prepared {
-			if p.Seq <= e.committedSeq || len(p.Txs) == 0 || types.BatchDigest(p.Txs) != p.Digest {
-				continue
-			}
-			if !e.verifyCertificate(&p, 2*f+1) {
-				continue
-			}
-			if cur, ok := cands[p.Seq]; !ok || p.View > cur.view {
-				cands[p.Seq] = preparedCand{seq: p.Seq, view: p.View, digest: p.Digest,
-					parent: p.Parent, txs: p.Txs, proof: p.Proof}
-			}
-		}
-	}
-	sort.Slice(lastSeqs, func(i, j int) bool { return lastSeqs[i] > lastSeqs[j] })
-	barrier := e.committedSeq
-	if len(lastSeqs) > f && lastSeqs[f] > barrier {
-		barrier = lastSeqs[f]
-	}
-	e.reproposeBarrier = barrier
-	e.pendingRepropose = e.pendingRepropose[:0]
-	for _, c := range cands {
-		e.pendingRepropose = append(e.pendingRepropose, c)
-	}
-	sort.Slice(e.pendingRepropose, func(i, j int) bool {
-		return e.pendingRepropose[i].seq < e.pendingRepropose[j].seq
-	})
-}
-
-// verifyCertificate checks that a reported prepared instance carries at
-// least `need` distinct cluster members' valid signatures over the
-// canonical vote payload for (view, seq, digest).
-func (e *Engine) verifyCertificate(p *types.PreparedInstance, need int) bool {
-	payload := (&types.ConsensusMsg{
-		View: p.View, Seq: p.Seq, Digest: p.Digest, Cluster: e.cluster,
-		PrevHashes: []types.Hash{p.Parent},
-	}).Encode(nil)
-	members := make(map[types.NodeID]bool, len(e.topo.Members(e.cluster)))
-	for _, m := range e.topo.Members(e.cluster) {
-		members[m] = true
-	}
-	valid := make(map[types.NodeID]bool)
-	for _, pr := range p.Proof {
-		if !members[pr.Node] || valid[pr.Node] {
-			continue
-		}
-		if e.verify.Verify(pr.Node, payload, pr.Sig) {
-			valid[pr.Node] = true
-			if len(valid) >= need {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// instanceProof assembles the certificate for an instance: every recorded
-// prepare/commit vote matching the instance's digest, with its signature.
-func instanceProof(inst *instance) []types.VoteProof {
-	seen := make(map[types.NodeID]bool)
-	var proof []types.VoteProof
-	add := func(votes map[types.NodeID]types.Hash) {
-		for id, d := range votes {
-			if d == inst.digest && !seen[id] {
-				seen[id] = true
-				proof = append(proof, types.VoteProof{Node: id, Sig: inst.voteSigs[id]})
-			}
-		}
-	}
-	add(inst.prepares)
-	add(inst.commits)
-	return proof
-}
-
-// drainRepropose re-binds recovered values once the primary caught up to
-// the barrier; slots already filled by synced blocks are skipped.
-func (e *Engine) drainRepropose(now time.Time) []consensus.Outbound {
-	if !e.IsPrimary() || e.viewChanging || e.committedSeq < e.reproposeBarrier || len(e.pendingRepropose) == 0 {
-		return nil
-	}
-	pending := e.pendingRepropose
-	e.pendingRepropose = nil
-	var out []consensus.Outbound
-	for _, c := range pending {
-		if c.seq <= e.committedSeq {
-			continue
-		}
-		o, _ := e.Propose(c.txs, now)
-		out = append(out, o...)
-	}
-	return out
-}
-
-func (e *Engine) onNewView(env *types.Envelope, now time.Time) ([]consensus.Outbound, []consensus.Decision) {
-	nv, err := types.DecodeViewChange(env.Payload)
-	if err != nil || nv.NewView < e.view || nv.Cluster != e.cluster {
-		return nil, nil
-	}
-	if env.From != e.topo.Primary(e.cluster, nv.NewView) {
-		return nil, nil
-	}
-	e.installView(nv.NewView, now)
-	return nil, nil
-}
-
-func (e *Engine) installView(v uint64, now time.Time) {
-	if v <= e.view {
-		e.viewChanging = false
-		return
-	}
-	e.view = v
-	e.viewChanging = false
-	e.metrics.VC().Inc()
-	e.persistViewState()
-	e.ring.Recordf("install-view", e.committedSeq, types.ZeroHash, "v=%d", v)
-	e.proposedSeq = e.committedSeq
-	e.proposedHead = e.committedHead
-	// Uncommitted instances are retained (see paxos.Engine.installView):
-	// prepared certificates must survive into later view changes. Timers
-	// restart so the new primary gets a full window.
-	for seq, inst := range e.instances {
-		if seq > e.committedSeq && !inst.committed {
-			inst.deadline = now.Add(e.timeout)
-		}
-	}
-	e.parked = make(map[uint64]*types.Envelope)
-}
-
-func countMatching(votes map[types.NodeID]types.Hash, digest types.Hash) int {
-	n := 0
-	for _, d := range votes {
-		if d == digest {
-			n++
-		}
-	}
-	return n
-}
-
-func others(members []types.NodeID, self types.NodeID) []types.NodeID {
-	out := make([]types.NodeID, 0, len(members)-1)
-	for _, m := range members {
-		if m != self {
-			out = append(out, m)
-		}
-	}
-	return out
-}
-
-// SuspectPrimary votes to depose the current primary. The runtime calls it
-// when a forwarded client request goes unexecuted past its timeout — the
-// PBFT rule that lets a cluster recover from a primary that fails while
-// holding no in-flight proposals.
-func (e *Engine) SuspectPrimary(now time.Time) []consensus.Outbound {
-	if e.IsPrimary() || e.viewChanging {
-		return nil
-	}
-	return e.startViewChange(e.view+1, now)
+func New(cfg Config, genesis types.Hash) *ordering.Engine {
+	return ordering.NewByzantine(cfg, genesis)
 }

@@ -1,216 +1,63 @@
-package pbft
+package pbft_test
 
 import (
-	"math/rand"
 	"testing"
-	"time"
 
-	"sharper/internal/consensus"
-	"sharper/internal/crypto"
 	"sharper/internal/ledger"
+	"sharper/internal/ordertest"
 	"sharper/internal/types"
 )
 
-// harness drives a PBFT cluster deterministically with real signatures.
-type harness struct {
-	t       *testing.T
-	topo    *consensus.Topology
-	keyring *crypto.Keyring
-	engines map[types.NodeID]*Engine
-	queue   []routed
-	decided map[types.NodeID][]consensus.Decision
-	drop    func(to types.NodeID, env *types.Envelope) bool
-	now     time.Time
+// The behaviour this constructor's engine shares with paxos.New's is the
+// contract in internal/ordertest, which internal/ordering runs over every
+// policy. The one-line tests below run single rows of it against pbft.New
+// under the names the recorded test lists know them by.
+func row(t *testing.T, name string) { ordertest.RunRow(t, ordertest.Byz(1), name) }
+
+func TestNormalCaseCommit(t *testing.T)           { row(t, "normal case") }
+func TestBatchedNormalCaseCommit(t *testing.T)    { row(t, "batched") }
+func TestCommitWithFByzantineSilent(t *testing.T) { row(t, "f silent members") }
+func TestViewChangeAfterPrimaryFailure(t *testing.T) {
+	row(t, "suspect primary")
+	row(t, "view change carries a prepared value over")
 }
+func TestSyncChainHeadOrphans(t *testing.T) { row(t, "sync chain head orphans the dead pipeline") }
 
-type routed struct {
-	to  types.NodeID
-	env *types.Envelope
-}
-
-func newHarness(t *testing.T, f int) *harness {
-	topo := consensus.UniformTopology(types.Byzantine, 1, f)
-	h := &harness{
-		t:       t,
-		topo:    topo,
-		keyring: crypto.NewKeyring(),
-		engines: make(map[types.NodeID]*Engine),
-		decided: make(map[types.NodeID][]consensus.Decision),
-		now:     time.Unix(0, 0),
-	}
-	rng := rand.New(rand.NewSource(1))
-	for _, id := range topo.AllNodes() {
-		if err := h.keyring.Generate(id, rng); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, id := range topo.AllNodes() {
-		signer, err := h.keyring.SignerFor(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h.engines[id] = New(Config{
-			Topology: topo, Cluster: 0, Self: id,
-			Signer: signer, Verifier: h.keyring,
-			Timeout: 100 * time.Millisecond,
-		}, ledger.GenesisHash())
-	}
-	return h
-}
-
-func (h *harness) sendAll(outs []consensus.Outbound) {
-	for _, o := range outs {
-		for _, to := range o.To {
-			if h.drop != nil && h.drop(to, o.Env) {
-				continue
-			}
-			h.queue = append(h.queue, routed{to: to, env: o.Env})
-		}
-	}
-}
-
-func (h *harness) pump() {
-	for len(h.queue) > 0 {
-		m := h.queue[0]
-		h.queue = h.queue[1:]
-		outs, decs := h.engines[m.to].Step(m.env, h.now)
-		h.sendAll(outs)
-		h.decided[m.to] = append(h.decided[m.to], decs...)
-	}
-}
-
-func (h *harness) tick(d time.Duration) {
-	h.now = h.now.Add(d)
-	for _, id := range h.topo.AllNodes() {
-		outs, decs := h.engines[id].Tick(h.now)
-		h.sendAll(outs)
-		h.decided[id] = append(h.decided[id], decs...)
-	}
-	h.pump()
-}
-
-func (h *harness) primary() *Engine {
-	for _, e := range h.engines {
-		if e.IsPrimary() {
-			return e
-		}
-	}
-	h.t.Fatal("no primary")
-	return nil
-}
-
-func (h *harness) propose(txs ...*types.Transaction) {
-	outs, _ := h.primary().Propose(txs, h.now)
-	h.sendAll(outs)
-	h.pump()
-}
-
-// batch wraps transactions as a proposal batch.
-func batch(txs ...*types.Transaction) []*types.Transaction { return txs }
-
-func tx(seq uint64) *types.Transaction {
-	return &types.Transaction{
-		ID:       types.TxID{Client: types.ClientIDBase + 1, Seq: seq},
-		Client:   types.ClientIDBase + 1,
-		Ops:      []types.Op{{From: 0, To: 1, Amount: int64(seq)}},
-		Involved: types.ClusterSet{0},
-	}
-}
-
-func TestNormalCaseCommit(t *testing.T) {
-	h := newHarness(t, 1)
-	h.propose(tx(1))
-	h.propose(tx(2))
-	for id, decs := range h.decided {
-		if len(decs) != 2 {
-			t.Fatalf("node %s decided %d, want 2", id, len(decs))
-		}
-		if decs[0].Block.Txs[0].ID.Seq != 1 || decs[1].Block.Txs[0].ID.Seq != 2 {
-			t.Fatalf("node %s decided out of order", id)
-		}
-	}
-}
-
-func TestCommitWithFByzantineSilent(t *testing.T) {
-	h := newHarness(t, 1)
-	silent := h.topo.Members(0)[3]
-	h.drop = func(to types.NodeID, env *types.Envelope) bool { return to == silent }
-	h.propose(tx(1))
-	for id, decs := range h.decided {
-		if id == silent {
-			continue
-		}
-		if len(decs) != 1 {
-			t.Fatalf("node %s decided %d, want 1", id, len(decs))
-		}
-	}
+// proposal is the PRE-PREPARE the view-0 primary would sign for a batch at
+// slot 1 on the genesis head.
+func proposal(h *ordertest.Harness, m *types.ConsensusMsg) *types.Envelope {
+	return h.Envelope(types.MsgPrePrepare, h.Members()[0], m)
 }
 
 func TestForgedMessageRejected(t *testing.T) {
-	h := newHarness(t, 1)
-	backup := h.topo.Members(0)[1]
-	m := &types.ConsensusMsg{
-		View: 0, Seq: 1, Digest: types.BatchDigest(batch(tx(1))), Cluster: 0,
-		PrevHashes: []types.Hash{ledger.GenesisHash()}, Txs: batch(tx(1)),
-	}
-	payload := m.Encode(nil)
-	// Claim to be the primary but sign nothing valid.
-	outs, decs := h.engines[backup].Step(&types.Envelope{
-		Type: types.MsgPrePrepare, From: h.topo.Primary(0, 0),
-		Payload: payload, Sig: make([]byte, 64),
-	}, h.now)
-	if len(outs) != 0 || len(decs) != 0 {
+	h := ordertest.NewHarness(t, ordertest.Byz(1), nil)
+	env := proposal(h, ordertest.ProposalMsg(0, 1, ledger.GenesisHash(), ordertest.Tx(1)))
+	env.Sig = make([]byte, 64) // claims to be the primary, signs nothing valid
+	if outs, decs := h.Deliver(h.Members()[1], env); len(outs) != 0 || len(decs) != 0 {
 		t.Fatal("forged pre-prepare processed")
 	}
 }
 
 func TestDigestMismatchRejected(t *testing.T) {
-	h := newHarness(t, 1)
-	primaryID := h.topo.Primary(0, 0)
-	signer, _ := h.keyring.SignerFor(primaryID)
-	m := &types.ConsensusMsg{
-		View: 0, Seq: 1, Digest: types.HashBytes([]byte("lie")), Cluster: 0,
-		PrevHashes: []types.Hash{ledger.GenesisHash()}, Txs: batch(tx(1)),
-	}
-	payload := m.Encode(nil)
-	backup := h.topo.Members(0)[1]
-	outs, _ := h.engines[backup].Step(&types.Envelope{
-		Type: types.MsgPrePrepare, From: primaryID,
-		Payload: payload, Sig: signer.Sign(payload),
-	}, h.now)
-	if len(outs) != 0 {
+	h := ordertest.NewHarness(t, ordertest.Byz(1), nil)
+	m := ordertest.ProposalMsg(0, 1, ledger.GenesisHash(), ordertest.Tx(1))
+	m.Digest = types.HashBytes([]byte("lie"))
+	if outs, _ := h.Deliver(h.Members()[1], proposal(h, m)); len(outs) != 0 {
 		t.Fatal("pre-prepare with mismatched digest answered")
 	}
 }
 
 func TestEquivocatingPrimaryCannotForkCluster(t *testing.T) {
-	h := newHarness(t, 1)
-	primaryID := h.topo.Primary(0, 0)
-	signer, _ := h.keyring.SignerFor(primaryID)
-	backups := []types.NodeID{h.topo.Members(0)[1], h.topo.Members(0)[2], h.topo.Members(0)[3]}
-
-	send := func(to types.NodeID, txx *types.Transaction) {
-		m := &types.ConsensusMsg{
-			View: 0, Seq: 1, Digest: types.BatchDigest(batch(txx)), Cluster: 0,
-			PrevHashes: []types.Hash{ledger.GenesisHash()}, Txs: batch(txx),
-		}
-		payload := m.Encode(nil)
-		outs, decs := h.engines[to].Step(&types.Envelope{
-			Type: types.MsgPrePrepare, From: primaryID,
-			Payload: payload, Sig: signer.Sign(payload),
-		}, h.now)
-		h.sendAll(outs)
-		h.decided[to] = append(h.decided[to], decs...)
-	}
+	h := ordertest.NewHarness(t, ordertest.Byz(1), nil)
+	backups := h.Members()[1:]
 	// Equivocate: tx 1 to two backups, tx 2 to the third.
-	send(backups[0], tx(1))
-	send(backups[1], tx(1))
-	send(backups[2], tx(2))
-	h.pump()
-
+	for i, tx := range []*types.Transaction{ordertest.Tx(1), ordertest.Tx(1), ordertest.Tx(2)} {
+		h.Deliver(backups[i], proposal(h, ordertest.ProposalMsg(0, 1, ledger.GenesisHash(), tx)))
+	}
+	h.Pump()
 	// No two nodes may decide different blocks at seq 1.
-	var committed map[types.Hash]bool = map[types.Hash]bool{}
-	for _, decs := range h.decided {
+	committed := map[types.Hash]bool{}
+	for _, decs := range h.Decided {
 		for _, d := range decs {
 			if d.Seq == 1 {
 				committed[d.Block.Hash()] = true
@@ -220,27 +67,9 @@ func TestEquivocatingPrimaryCannotForkCluster(t *testing.T) {
 	if len(committed) > 1 {
 		t.Fatal("equivocation forked the cluster")
 	}
-}
-
-// TestBatchedNormalCaseCommit: a multi-transaction batch commits through one
-// PBFT instance, delivering one block with every transaction in proposal
-// order at every node.
-func TestBatchedNormalCaseCommit(t *testing.T) {
-	h := newHarness(t, 1)
-	h.propose(tx(1), tx(2), tx(3), tx(4))
-	for id, decs := range h.decided {
-		if len(decs) != 1 {
-			t.Fatalf("node %s decided %d instances, want 1 (one batch)", id, len(decs))
-		}
-		b := decs[0].Block
-		if len(b.Txs) != 4 {
-			t.Fatalf("node %s block carries %d txs, want 4", id, len(b.Txs))
-		}
-		for i, bt := range b.Txs {
-			if bt.ID.Seq != uint64(i+1) {
-				t.Fatalf("node %s batch order broken at %d", id, i)
-			}
-		}
+	// Nor may one node be talked out of its first binding.
+	if outs, _ := h.Deliver(backups[0], proposal(h, ordertest.ProposalMsg(0, 1, ledger.GenesisHash(), ordertest.Tx(2)))); len(outs) != 0 {
+		t.Fatal("a second pre-prepare for the same (view, slot) drew a vote")
 	}
 }
 
@@ -249,97 +78,20 @@ func TestBatchedNormalCaseCommit(t *testing.T) {
 // the batch-digest check — the pre-prepare is dropped, exactly like the
 // single-transaction digest-mismatch case.
 func TestTamperedBatchTxRejected(t *testing.T) {
-	h := newHarness(t, 1)
-	primaryID := h.topo.Primary(0, 0)
-	signer, _ := h.keyring.SignerFor(primaryID)
-
-	honest := batch(tx(1), tx(2), tx(3))
-	digest := types.BatchDigest(honest)
-	tampered := batch(tx(1), tx(2), tx(3))
+	h := ordertest.NewHarness(t, ordertest.Byz(1), nil)
+	backup := h.Members()[1]
+	honest := []*types.Transaction{ordertest.Tx(1), ordertest.Tx(2), ordertest.Tx(3)}
+	tampered := []*types.Transaction{ordertest.Tx(1), ordertest.Tx(2), ordertest.Tx(3)}
 	tampered[1].Ops[0].Amount += 1000 // inflate the middle transfer
 
-	m := &types.ConsensusMsg{
-		View: 0, Seq: 1, Digest: digest, Cluster: 0,
-		PrevHashes: []types.Hash{ledger.GenesisHash()}, Txs: tampered,
-	}
-	payload := m.Encode(nil)
-	backup := h.topo.Members(0)[1]
-	outs, decs := h.engines[backup].Step(&types.Envelope{
-		Type: types.MsgPrePrepare, From: primaryID,
-		Payload: payload, Sig: signer.Sign(payload),
-	}, h.now)
-	if len(outs) != 0 || len(decs) != 0 {
+	m := ordertest.ProposalMsg(0, 1, ledger.GenesisHash(), honest...)
+	m.Txs = tampered
+	if outs, decs := h.Deliver(backup, proposal(h, m)); len(outs) != 0 || len(decs) != 0 {
 		t.Fatal("pre-prepare with a tampered batch transaction was processed")
 	}
 	// The honest batch under the same digest is accepted.
 	m.Txs = honest
-	payload = m.Encode(nil)
-	outs, _ = h.engines[backup].Step(&types.Envelope{
-		Type: types.MsgPrePrepare, From: primaryID,
-		Payload: payload, Sig: signer.Sign(payload),
-	}, h.now)
-	if len(outs) == 0 {
+	if outs, _ := h.Deliver(backup, proposal(h, m)); len(outs) == 0 {
 		t.Fatal("honest batch with matching digest was not answered")
-	}
-}
-
-func TestViewChangeAfterPrimaryFailure(t *testing.T) {
-	h := newHarness(t, 1)
-	old := h.topo.Primary(0, 0)
-	h.propose(tx(1))
-	// The primary goes dark before seeing any new request: the cluster can
-	// still commit in-flight work (2f+1 backups form quorums on their own),
-	// but fresh client requests stall, so backups suspect the primary via
-	// the request timer and install view 1.
-	h.drop = func(to types.NodeID, env *types.Envelope) bool { return to == old }
-	for _, id := range h.topo.Members(0) {
-		if id == old {
-			continue
-		}
-		h.sendAll(h.engines[id].SuspectPrimary(h.now))
-	}
-	h.pump()
-	live := 0
-	for id, e := range h.engines {
-		if id == old {
-			continue
-		}
-		if e.View() >= 1 {
-			live++
-		}
-	}
-	if live != 3 {
-		t.Fatalf("%d live nodes changed view, want 3", live)
-	}
-	// Progress under the new primary.
-	newPrimary := h.engines[h.topo.Primary(0, h.engines[h.topo.Members(0)[1]].View())]
-	outs, _ := newPrimary.Propose(batch(tx(3)), h.now)
-	h.sendAll(outs)
-	h.pump()
-	n := 0
-	for id, decs := range h.decided {
-		if id == old {
-			continue
-		}
-		for _, d := range decs {
-			if d.Block.Txs[0].ID.Seq == 3 {
-				n++
-			}
-		}
-	}
-	if n != 3 {
-		t.Fatalf("tx 3 committed at %d nodes, want 3", n)
-	}
-}
-
-func TestSyncChainHeadOrphans(t *testing.T) {
-	h := newHarness(t, 1)
-	p := h.primary()
-	h.propose(tx(1))
-	p.Propose(batch(tx(2)), h.now)
-	external := types.HashBytes([]byte("x"))
-	_, _, orphans := p.SyncChainHead(2, external, h.now)
-	if len(orphans) != 1 || orphans[0].ID.Seq != 2 {
-		t.Fatalf("orphans = %v", orphans)
 	}
 }

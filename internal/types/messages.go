@@ -789,8 +789,8 @@ type PreparedInstance struct {
 	View   uint64 // view the instance was accepted in; highest view wins
 	Digest Hash
 	// Parent is the chain parent the certified votes bound: vote payloads
-	// carry it (see pbft.Engine.votePrepare), so certificate verification
-	// must reconstruct it.
+	// carry it (see votePayload in internal/ordering), so certificate
+	// verification must reconstruct it.
 	Parent Hash
 	Txs    []*Transaction
 	Proof  []VoteProof
