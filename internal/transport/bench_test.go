@@ -1,7 +1,9 @@
 package transport
 
 import (
+	"slices"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -118,4 +120,44 @@ func BenchmarkSimFanIn(b *testing.B) {
 		due += n.cfg.ProcessingTime
 	}
 	b.ReportMetric(float64(late.Nanoseconds())/float64(scored), "late-ns/msg")
+}
+
+// processCPU is the CPU time, user plus system, the process has used so far.
+func processCPU() time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		panic(err)
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
+}
+
+// BenchmarkSimIdleHop ping-pongs one message between two endpoints over a
+// 100 µs link on an otherwise idle fabric: the dispatcher always has exactly
+// one head to wait for and nothing else to do, the regime of a WAN deployment
+// between bursts. ns/op is wall time per hop; late-ns/hop is the median delay
+// past the modelled delivery instant at which the consumer had the message;
+// cpu-ns/hop is process CPU per hop, which a dispatcher that spins toward its
+// head pays in full.
+func BenchmarkSimIdleHop(b *testing.B) {
+	const link = 100 * time.Microsecond
+	n := New(Config{IntraClusterLatency: link}, locateAll)
+	defer n.Close()
+	ids := []types.NodeID{0, 1}
+	inboxes := []<-chan *types.Envelope{n.Register(ids[0]), n.Register(ids[1])}
+	envs := benchEnvelopes(ids)
+	late := make([]time.Duration, b.N)
+	b.ResetTimer()
+	cpu := processCPU()
+	for i := range late {
+		from, to := i%2, 1-i%2
+		sent := n.now()
+		n.Send(ids[to], envs[from])
+		<-inboxes[to]
+		late[i] = n.now() - sent - link
+	}
+	cpu = processCPU() - cpu
+	b.StopTimer()
+	slices.Sort(late)
+	b.ReportMetric(float64(late[len(late)/2].Nanoseconds()), "late-ns/hop")
+	b.ReportMetric(float64(cpu.Nanoseconds())/float64(b.N), "cpu-ns/hop")
 }

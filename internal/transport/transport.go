@@ -123,14 +123,19 @@ type Network struct {
 	endpoints sync.Map // types.NodeID → *endpoint
 	closed    atomic.Bool
 	done      chan struct{} // closed by Close; stops the dispatcher and drainers
+	exited    chan struct{} // closed by the dispatcher as it returns
 
 	// Event queue: a min-heap on (at, seq) drained by the dispatcher
-	// goroutine (see Network.dispatcher). wake carries one token, posted
-	// when a push becomes the new head.
-	qMu   sync.Mutex
-	queue eventQueue
-	seq   uint64
-	wake  chan struct{}
+	// goroutine (see Network.dispatcher and Network.await). kicked is set by
+	// a push that becomes the new head, and by Close; asleep is the
+	// dispatcher's announcement that it is about to sleep in sleeper, which
+	// a kick then wakes.
+	qMu     sync.Mutex
+	queue   eventQueue
+	seq     uint64
+	kicked  atomic.Bool
+	asleep  atomic.Bool
+	sleeper waiter
 
 	stats Stats
 }
@@ -173,13 +178,19 @@ type link struct {
 // (counted in Stats.Dropped) rather than buffered without bound.
 const overflowFactor = 4
 
-// spinHorizon is how close the next event must be for the dispatcher to
-// yield-spin toward it instead of sleeping: Go runtime timers round
-// sub-millisecond waits up to ~1ms, which would dwarf the configured link
-// latencies. A farther head is slept toward, to half a horizon short of it.
-const spinHorizon = 2 * time.Millisecond
+// A head at most spinFloor away is yield-spun toward: a sleep that short
+// would be mostly its own round trip through the kernel. A farther head is
+// slept toward, to wakeLead short of it — about what the kernel overshoots
+// by — and the rest is spun. DESIGN.md "How the dispatcher waits" has the
+// measurements behind both.
+const (
+	spinFloor = 30 * time.Microsecond
+	wakeLead  = 10 * time.Microsecond
+)
 
-// New creates a network with the given behaviour and topology.
+// New creates a network with the given behaviour and topology. On Linux its
+// dispatcher holds one file descriptor until Close; New panics if the process
+// has none left to give it.
 func New(cfg Config, locate Locator) *Network {
 	if cfg.InboxSize <= 0 {
 		cfg.InboxSize = 16384
@@ -193,11 +204,12 @@ func New(cfg Config, locate Locator) *Network {
 		}
 	}
 	n := &Network{
-		cfg:    cfg,
-		locate: locate,
-		start:  time.Now(),
-		done:   make(chan struct{}),
-		wake:   make(chan struct{}, 1),
+		cfg:     cfg,
+		locate:  locate,
+		start:   time.Now(),
+		done:    make(chan struct{}),
+		exited:  make(chan struct{}),
+		sleeper: newWaiter(),
 	}
 	go n.dispatcher()
 	return n
@@ -315,11 +327,16 @@ func (n *Network) HealPartition() {
 	})
 }
 
-// Close tears the network down; subsequent sends are dropped.
+// Close tears the network down; subsequent sends are dropped. It returns once
+// the dispatcher has exited and released its wait.
 func (n *Network) Close() {
 	if n.closed.CompareAndSwap(false, true) {
 		close(n.done)
+		n.qMu.Lock()
+		n.kickLocked()
+		n.qMu.Unlock()
 	}
+	<-n.exited
 }
 
 // shapeFor resolves the shape of the link from → to in the Shaping matrix.
@@ -477,7 +494,7 @@ func (q *eventQueue) pop() event {
 	return top
 }
 
-// pushLocked queues ev and wakes the dispatcher if ev is the new head (any
+// pushLocked queues ev and kicks the dispatcher if ev is the new head (any
 // other push leaves the instant the dispatcher is waiting for unchanged).
 // Caller holds qMu.
 func (n *Network) pushLocked(ev event) {
@@ -485,10 +502,20 @@ func (n *Network) pushLocked(ev event) {
 	ev.seq = n.seq
 	n.queue.push(ev)
 	if n.queue[0].seq == ev.seq {
-		select {
-		case n.wake <- struct{}{}:
-		default:
-		}
+		n.kickLocked()
+	}
+}
+
+// kickLocked tells the dispatcher that the instant it waits for has changed,
+// and wakes it if it has announced a sleep. The flag is set before the
+// announcement is read and await announces before it reads the flag, so one
+// of the two sees the other: no kick is lost. Only the kick that clears the
+// announcement writes, so a sleep is woken once. Caller holds qMu, which also
+// keeps the dispatcher from closing the waiter under the write.
+func (n *Network) kickLocked() {
+	n.kicked.Store(true)
+	if n.asleep.CompareAndSwap(true, false) {
+		n.sleeper.wake()
 	}
 }
 
@@ -503,14 +530,16 @@ func (n *Network) pushLocked(ev event) {
 // ProcessingTime zero) has no second stage: its arrivals are delivered as
 // they pop.
 func (n *Network) dispatcher() {
+	defer close(n.exited)
 	var due, again []event
 	for {
 		n.qMu.Lock()
 		for _, ev := range again {
-			n.queue.push(ev) // keeps its seq; no wake: this goroutine is the waiter
+			n.queue.push(ev) // keeps its seq; no kick: this goroutine is the waiter
 		}
 		clear(again) // release the envelopes
 		again = again[:0]
+		n.kicked.Store(false) // this reading of the queue sees every push so far
 		now := n.now()
 		for len(n.queue) > 0 && n.queue[0].at <= now {
 			due = append(due, n.queue.pop())
@@ -538,51 +567,48 @@ func (n *Network) dispatcher() {
 			continue
 		}
 		if !n.await(next) {
-			return
+			break
 		}
 	}
+	n.qMu.Lock() // no kick is mid-write: asleep stays false from here on
+	n.sleeper.close()
+	n.qMu.Unlock()
 }
 
 // await blocks until the event at next (negative: the queue was empty) is
-// due or a push has replaced the head, and reports false once the network is
-// closed. A head beyond spinHorizon is slept toward under a timer that a
-// wake interrupts; the last stretch is a yield-spin.
+// due or a kick has replaced the head, and reports false once the network is
+// closed. A head within spinFloor is yield-spun toward; a farther one (or an
+// empty queue) is slept toward in sleeper, to wakeLead short of it, under an
+// announcement that lets a kick wake the sleep. See DESIGN.md "How the
+// dispatcher waits".
 func (n *Network) await(next time.Duration) bool {
-	if next < 0 {
-		select {
-		case <-n.wake:
-			return true
-		case <-n.done:
-			return false
-		}
-	}
-	for {
-		wait := next - n.now()
-		if wait <= 0 {
-			return true
-		}
-		if wait > spinHorizon {
-			t := time.NewTimer(wait - spinHorizon/2)
-			select {
-			case <-t.C:
-				continue
-			case <-n.wake:
-				t.Stop()
-				return true
-			case <-n.done:
-				t.Stop()
-				return false
+	yielded := false
+	for !n.kicked.Load() && !n.closed.Load() {
+		wait := time.Duration(-1)
+		if next >= 0 {
+			if wait = next - n.now(); wait <= 0 {
+				break
 			}
+			if wait <= spinFloor {
+				runtime.Gosched()
+				continue
+			}
+			wait -= wakeLead
 		}
-		select {
-		case <-n.wake:
-			return true
-		case <-n.done:
-			return false
-		default:
+		if !yielded {
+			// This pass's deliveries may have readied consumers onto this P,
+			// and a thread asleep in the kernel keeps its P: let them run.
 			runtime.Gosched()
+			yielded = true
+			continue
 		}
+		n.asleep.Store(true)
+		if !n.kicked.Load() {
+			n.sleeper.sleep(wait)
+		}
+		n.asleep.Store(false)
 	}
+	return !n.closed.Load()
 }
 
 // deliver hands env to dst's inbox, or to its overflow queue when the inbox
