@@ -10,14 +10,13 @@ import (
 	"sharper/internal/types"
 )
 
-// xharness drives the crash-model flattened engines (Algorithm 1) as pure
-// state machines: every node's engine plus a scripted chain status, with
-// deterministic FIFO delivery.
+// xharness drives one flattened engine per node as pure state machines,
+// under either policy: every node's engine plus a scripted chain status,
+// with deterministic FIFO delivery.
 type xharness struct {
-	t       *testing.T
+	tb      testing.TB
 	topo    *consensus.Topology
-	engines map[types.NodeID]*xcrash
-	byz     map[types.NodeID]*xbyz // set instead of engines by newXByzHarness
+	engines map[types.NodeID]*xengine
 	heads   map[types.NodeID]types.Hash
 	seqs    map[types.NodeID]uint64
 	drained map[types.NodeID]bool
@@ -32,23 +31,14 @@ type xrouted struct {
 	env *types.Envelope
 }
 
-func newXHarness(t *testing.T, clusters int) *xharness {
-	return newXHarnessFor(t, types.CrashOnly, clusters)
-}
-
-// newXByzHarness is the same harness over the Byzantine engines (Algorithm
-// 2), with signatures stubbed out.
-func newXByzHarness(t *testing.T, clusters int) *xharness {
-	return newXHarnessFor(t, types.Byzantine, clusters)
-}
-
-func newXHarnessFor(t *testing.T, model types.FailureModel, clusters int) *xharness {
+// newXHarnessFor builds the harness over clusters of f = 1 under model, with
+// signatures stubbed out under the Byzantine policy.
+func newXHarnessFor(tb testing.TB, model types.FailureModel, clusters int) *xharness {
 	topo := consensus.UniformTopology(model, clusters, 1)
 	h := &xharness{
-		t:       t,
+		tb:      tb,
 		topo:    topo,
-		engines: make(map[types.NodeID]*xcrash),
-		byz:     make(map[types.NodeID]*xbyz),
+		engines: make(map[types.NodeID]*xengine),
 		heads:   make(map[types.NodeID]types.Hash),
 		seqs:    make(map[types.NodeID]uint64),
 		drained: make(map[types.NodeID]bool),
@@ -64,25 +54,15 @@ func newXHarnessFor(t *testing.T, model types.FailureModel, clusters int) *xharn
 			return chainStatus{Seq: h.seqs[id], Head: h.heads[id], Drained: h.drained[id]}
 		}
 		validate := func(*types.Transaction) bool { return true }
-		if model == types.Byzantine {
-			h.byz[id] = newXByz(topo, cluster, id, crypto.NoopSigner{}, crypto.NoopSigner{},
-				consensus.NewConflictTable(cluster), status, validate,
-				time.Second, 200*time.Millisecond, 4, int64(id))
-			continue
-		}
-		h.engines[id] = newXCrash(topo, cluster, id, consensus.NewConflictTable(cluster),
-			status, validate, time.Second, 200*time.Millisecond, 4, int64(id))
+		h.engines[id] = newXEngine(topo, cluster, id, crypto.NoopSigner{}, crypto.NoopSigner{},
+			consensus.NewConflictTable(cluster), status, validate,
+			time.Second, 200*time.Millisecond, 4, int64(id))
 	}
 	return h
 }
 
-// engine is id's engine under either model.
-func (h *xharness) engine(id types.NodeID) crossEngine {
-	if e, ok := h.byz[id]; ok {
-		return e
-	}
-	return h.engines[id]
-}
+// engine is id's engine.
+func (h *xharness) engine(id types.NodeID) *xengine { return h.engines[id] }
 
 func (h *xharness) sendAll(from types.NodeID, outs []consensus.Outbound) {
 	for _, o := range outs {
@@ -162,8 +142,18 @@ func xtx(seq uint64, clusters ...types.ClusterID) *types.Transaction {
 	}
 }
 
-func TestAlg1NormalCase(t *testing.T) {
-	h := newXHarness(t, 3)
+// alg1 and alg2 build the harness under Algorithm 1 (crash) and Algorithm 2
+// (Byzantine). A row whose rule both algorithms share runs its body under
+// each, as TestAlg1X and TestAlg2X.
+func alg1(tb testing.TB, clusters int) *xharness {
+	return newXHarnessFor(tb, types.CrashOnly, clusters)
+}
+
+func alg2(tb testing.TB, clusters int) *xharness {
+	return newXHarnessFor(tb, types.Byzantine, clusters)
+}
+
+func normalCase(t *testing.T, h *xharness) {
 	initiator := h.topo.Primary(0, 0)
 	tx := xtx(1, 0, 1)
 	h.sendAll(initiator, h.engines[initiator].Initiate(xbatch(tx), h.now))
@@ -196,8 +186,11 @@ func TestAlg1NormalCase(t *testing.T) {
 	}
 }
 
-func TestAlg1ParticipantLockBlocksSecondProposal(t *testing.T) {
-	h := newXHarness(t, 3)
+func TestAlg1NormalCase(t *testing.T) { normalCase(t, alg1(t, 3)) }
+
+func TestAlg2NormalCase(t *testing.T) { normalCase(t, alg2(t, 3)) }
+
+func participantLockBlocksSecondProposal(t *testing.T, h *xharness) {
 	p0 := h.topo.Primary(0, 0)
 	p1member := h.topo.Members(1)[1] // a backup of cluster 1
 
@@ -246,8 +239,15 @@ func TestAlg1ParticipantLockBlocksSecondProposal(t *testing.T) {
 	}
 }
 
-func TestAlg1WithdrawReleasesLocks(t *testing.T) {
-	h := newXHarness(t, 2)
+func TestAlg1ParticipantLockBlocksSecondProposal(t *testing.T) {
+	participantLockBlocksSecondProposal(t, alg1(t, 3))
+}
+
+func TestAlg2ParticipantLockBlocksSecondProposal(t *testing.T) {
+	participantLockBlocksSecondProposal(t, alg2(t, 3))
+}
+
+func withdrawReleasesLocks(t *testing.T, h *xharness) {
 	p0 := h.topo.Primary(0, 0)
 	// Cluster 1 is unreachable: T1 can never gather its quorum.
 	h.drop = func(to types.NodeID) bool {
@@ -277,17 +277,18 @@ func TestAlg1WithdrawReleasesLocks(t *testing.T) {
 	}
 }
 
-func TestAlg1StaleAcceptCannotCommitAfterWithdraw(t *testing.T) {
-	h := newXHarness(t, 2)
+func TestAlg1WithdrawReleasesLocks(t *testing.T) { withdrawReleasesLocks(t, alg1(t, 2)) }
+
+func TestAlg2WithdrawReleasesLocks(t *testing.T) { withdrawReleasesLocks(t, alg2(t, 2)) }
+
+func staleAcceptCannotCommitAfterWithdraw(t *testing.T, h *xharness) {
 	p0 := h.topo.Primary(0, 0)
 	t1 := xtx(1, 0, 1)
 
 	// Capture cluster-1's accepts instead of delivering them.
 	var stale []xrouted
-	h.drop = func(to types.NodeID) bool { return false }
 	outs := h.engines[p0].Initiate(xbatch(t1), h.now)
-	// Deliver proposals; intercept resulting accepts bound for p0 from
-	// cluster-1 nodes.
+	// Deliver proposals; intercept resulting accepts from cluster-1 nodes.
 	for _, o := range outs {
 		for _, to := range o.To {
 			h.queue = append(h.queue, xrouted{to: to, env: o.Env})
@@ -307,7 +308,8 @@ func TestAlg1StaleAcceptCannotCommitAfterWithdraw(t *testing.T) {
 			h.decided[m.to] = append(h.decided[m.to], d)
 		}
 	}
-	// The initiator withdraws (view bump invalidates the old votes)…
+	// The initiator withdraws (the next attempt's view invalidates the old
+	// votes)…
 	h.tick(600 * time.Millisecond)
 	// …then the stale accepts finally arrive: they must not complete a
 	// quorum for the withdrawn attempt.
@@ -322,29 +324,42 @@ func TestAlg1StaleAcceptCannotCommitAfterWithdraw(t *testing.T) {
 	}
 }
 
-func TestAlg1SplitVotesTriggerImmediateReproposal(t *testing.T) {
-	h := newXHarness(t, 2)
+func TestAlg1StaleAcceptCannotCommitAfterWithdraw(t *testing.T) {
+	staleAcceptCannotCommitAfterWithdraw(t, alg1(t, 2))
+}
+
+func TestAlg2StaleAcceptCannotCommitAfterWithdraw(t *testing.T) {
+	staleAcceptCannotCommitAfterWithdraw(t, alg2(t, 2))
+}
+
+func splitVotesTriggerImmediateReproposal(t *testing.T, h *xharness) {
 	p0 := h.topo.Primary(0, 0)
-	// Cluster 1's three nodes report three different chain heads: no f+1
-	// match is possible and the initiator must re-propose without waiting
-	// for its timer.
+	// Cluster 1's nodes report as many different chain heads: no quorum can
+	// match and the initiator must re-propose without waiting for its timer.
 	for i, id := range h.topo.Members(1) {
 		h.heads[id] = types.HashBytes([]byte{byte(i), 0xab})
 	}
 	t1 := xtx(1, 0, 1)
 	h.sendAll(p0, h.engines[p0].Initiate(xbatch(t1), h.now))
 	h.pump()
-	proposes, _, _, decides, _ := h.engines[p0].Counters()
-	if decides != 0 {
-		t.Fatal("decided despite a three-way head split")
+	s := h.engines[p0].Stats()
+	if s.Decides != 0 {
+		t.Fatal("decided despite a split of every head")
 	}
-	if proposes < 2 {
-		t.Fatalf("initiator proposed %d times; split votes should force an immediate retry", proposes)
+	if s.Proposes < 2 {
+		t.Fatalf("initiator proposed %d times; split votes should force an immediate retry", s.Proposes)
 	}
 }
 
-func TestAlg1InvalidVoteGatesExecution(t *testing.T) {
-	h := newXHarness(t, 2)
+func TestAlg1SplitVotesTriggerImmediateReproposal(t *testing.T) {
+	splitVotesTriggerImmediateReproposal(t, alg1(t, 2))
+}
+
+func TestAlg2SplitVotesTriggerImmediateReproposal(t *testing.T) {
+	splitVotesTriggerImmediateReproposal(t, alg2(t, 2))
+}
+
+func invalidVoteGatesExecution(t *testing.T, h *xharness) {
 	// Cluster 1's nodes all vote "invalid" for their local part.
 	for _, id := range h.topo.Members(1) {
 		h.engines[id].validate = func(*types.Transaction) bool { return false }
@@ -362,8 +377,11 @@ func TestAlg1InvalidVoteGatesExecution(t *testing.T) {
 	}
 }
 
-func TestAlg1PipelinedSameSetLeads(t *testing.T) {
-	h := newXHarness(t, 2)
+func TestAlg1InvalidVoteGatesExecution(t *testing.T) { invalidVoteGatesExecution(t, alg1(t, 2)) }
+
+func TestAlg2InvalidVoteGatesExecution(t *testing.T) { invalidVoteGatesExecution(t, alg2(t, 2)) }
+
+func pipelinedSameSetLeads(t *testing.T, h *xharness) {
 	p0 := h.topo.Primary(0, 0)
 	t1, t2 := xtx(1, 0, 1), xtx(2, 0, 1)
 
@@ -394,8 +412,11 @@ func TestAlg1PipelinedSameSetLeads(t *testing.T) {
 	}
 }
 
-func TestAlg1WithdrawCascadesToSameSetFollowers(t *testing.T) {
-	h := newXHarness(t, 2)
+func TestAlg1PipelinedSameSetLeads(t *testing.T) { pipelinedSameSetLeads(t, alg1(t, 2)) }
+
+func TestAlg2PipelinedSameSetLeads(t *testing.T) { pipelinedSameSetLeads(t, alg2(t, 2)) }
+
+func withdrawCascadesToSameSetFollowers(t *testing.T, h *xharness) {
 	p0 := h.topo.Primary(0, 0)
 	// Cluster 1 unreachable: neither attempt can quorum.
 	h.drop = func(to types.NodeID) bool {
@@ -410,9 +431,9 @@ func TestAlg1WithdrawCascadesToSameSetFollowers(t *testing.T) {
 	// same-set follower with it, so no follower keeps remote slot votes
 	// while the home slot could go to a foreign attempt.
 	h.tick(700 * time.Millisecond)
-	for _, lead := range h.engines[p0].leads {
-		if !lead.dormant {
-			t.Fatalf("lead %s still live after the withdraw cascade", lead.digest)
+	for dg, inst := range h.engines[p0].leads {
+		if !inst.lead.dormant {
+			t.Fatalf("lead %s still live after the withdraw cascade", dg)
 		}
 	}
 	if h.engines[p0].Locked() {
@@ -425,8 +446,15 @@ func TestAlg1WithdrawCascadesToSameSetFollowers(t *testing.T) {
 	}
 }
 
-func TestAlg1DeferredSelfVote(t *testing.T) {
-	h := newXHarness(t, 2)
+func TestAlg1WithdrawCascadesToSameSetFollowers(t *testing.T) {
+	withdrawCascadesToSameSetFollowers(t, alg1(t, 2))
+}
+
+func TestAlg2WithdrawCascadesToSameSetFollowers(t *testing.T) {
+	withdrawCascadesToSameSetFollowers(t, alg2(t, 2))
+}
+
+func deferredSelfVote(t *testing.T, h *xharness) {
 	p0 := h.topo.Primary(0, 0)
 	// The initiator's chain is undrained at launch: the PROPOSE still goes
 	// out, but the initiator's own vote waits.
@@ -443,7 +471,7 @@ func TestAlg1DeferredSelfVote(t *testing.T) {
 		t.Fatal("deferred self-vote not reported via NeedsSlot")
 	}
 	h.sendAll(p0, outs)
-	h.pump() // participants vote; quorum still needs... possibly done via backups
+	h.pump() // participants vote; the quorum may or may not need the initiator
 	// The chain drains; the self-vote is cast on the next chain-advance
 	// retry and the attempt completes if it had not already.
 	h.drained[p0] = true
@@ -464,6 +492,10 @@ func TestAlg1DeferredSelfVote(t *testing.T) {
 		t.Fatal("attempt with a deferred self-vote never decided at the initiator")
 	}
 }
+
+func TestAlg1DeferredSelfVote(t *testing.T) { deferredSelfVote(t, alg1(t, 2)) }
+
+func TestAlg2DeferredSelfVote(t *testing.T) { deferredSelfVote(t, alg2(t, 2)) }
 
 func TestDeferIntraSlotPrecision(t *testing.T) {
 	table := consensus.NewConflictTable(0)
@@ -493,8 +525,7 @@ func TestDeferIntraSlotPrecision(t *testing.T) {
 	}
 }
 
-func TestAlg1DisjointSetsDecideIndependently(t *testing.T) {
-	h := newXHarness(t, 4)
+func disjointSetsDecideIndependently(t *testing.T, h *xharness) {
 	pa := h.topo.Primary(0, 0)
 	pc := h.topo.Primary(2, 0)
 	// Hold ALL of T1's traffic undelivered while T2 {2,3} runs end to end:
@@ -518,6 +549,14 @@ func TestAlg1DisjointSetsDecideIndependently(t *testing.T) {
 	}
 }
 
+func TestAlg1DisjointSetsDecideIndependently(t *testing.T) {
+	disjointSetsDecideIndependently(t, alg1(t, 4))
+}
+
+func TestAlg2DisjointSetsDecideIndependently(t *testing.T) {
+	disjointSetsDecideIndependently(t, alg2(t, 4))
+}
+
 // TestAlg1CommitRetransmissionSchedule retains a run of decided attempts at
 // their initiator and ticks it every 5 ms, as a node does. Each COMMIT must go
 // out again on the first tick past a quarter of the lock timeout, once more a
@@ -525,9 +564,10 @@ func TestAlg1DisjointSetsDecideIndependently(t *testing.T) {
 // over every retained commit produced — while a tick that finds the oldest
 // deadline still ahead looks at nothing else.
 func TestAlg1CommitRetransmissionSchedule(t *testing.T) {
-	h := newXHarness(t, 2)
+	h := alg1(t, 2)
 	p0 := h.topo.Primary(0, 0)
 	x := h.engines[p0]
+	c := x.pol.(*crash)
 	const (
 		commits = 32
 		spacing = 7 * time.Millisecond
@@ -543,19 +583,19 @@ func TestAlg1CommitRetransmissionSchedule(t *testing.T) {
 		retained[types.BatchDigest(batch)] = h.now
 		h.now = h.now.Add(spacing)
 	}
-	if len(x.recent) != commits || len(x.recentDue) != commits {
-		t.Fatalf("retained %d commits (%d queued), want %d", len(x.recent), len(x.recentDue), commits)
+	if len(c.recent) != commits || len(c.recentDue) != commits {
+		t.Fatalf("retained %d commits (%d queued), want %d", len(c.recent), len(c.recentDue), commits)
 	}
 
 	// Nothing is due yet. Were the tick to look past the head it would find
 	// these deadlines, which the test moves into the past, and resend.
-	for _, r := range x.recentDue[1:] {
+	for _, r := range c.recentDue[1:] {
 		r.deadline = r.deadline.Add(-time.Hour)
 	}
 	if outs, _ := x.Tick(h.now); len(outs) != 0 {
 		t.Fatalf("tick with the head not due sent %d messages", len(outs))
 	}
-	for _, r := range x.recentDue[1:] {
+	for _, r := range c.recentDue[1:] {
 		r.deadline = r.deadline.Add(time.Hour)
 	}
 
@@ -584,8 +624,8 @@ func TestAlg1CommitRetransmissionSchedule(t *testing.T) {
 			t.Fatalf("commit retained at +%v resent at %v, want %v", at.Sub(start), got, want)
 		}
 	}
-	if len(x.recent) != 0 || len(x.recentDue) != 0 {
-		t.Fatalf("%d commits (%d queued) still retained after their schedule ran out", len(x.recent), len(x.recentDue))
+	if len(c.recent) != 0 || len(c.recentDue) != 0 {
+		t.Fatalf("%d commits (%d queued) still retained after their schedule ran out", len(c.recent), len(c.recentDue))
 	}
 }
 
@@ -627,9 +667,9 @@ func staleSelfVote(t *testing.T, h *xharness) {
 	t.Fatal("lead whose self-vote went stale is one vote short until its retry timer")
 }
 
-func TestAlg1StaleSelfVoteIsRecast(t *testing.T) { staleSelfVote(t, newXHarness(t, 3)) }
+func TestAlg1StaleSelfVoteIsRecast(t *testing.T) { staleSelfVote(t, alg1(t, 3)) }
 
-func TestAlg2StaleSelfVoteIsRecast(t *testing.T) { staleSelfVote(t, newXByzHarness(t, 3)) }
+func TestAlg2StaleSelfVoteIsRecast(t *testing.T) { staleSelfVote(t, alg2(t, 3)) }
 
 // TestAlg1DecidedSelfVoteTakesItsSlot: an initiator whose lead A decides
 // inside OnChainAdvanced (the re-cast self-vote completes a quorum its
@@ -642,7 +682,7 @@ func TestAlg2StaleSelfVoteIsRecast(t *testing.T) { staleSelfVote(t, newXByzHarne
 // cluster" in the multi-process test: one cluster committed C's block, the
 // other could never chain it).
 func TestAlg1DecidedSelfVoteTakesItsSlot(t *testing.T) {
-	h := newXHarness(t, 3)
+	h := alg1(t, 3)
 	p0, p1 := h.topo.Primary(0, 0), h.topo.Primary(1, 0)
 	lagging := h.topo.Members(1)[2]
 	a, b, c := xtx(1, 1, 2), xtx(2, 0, 1), xtx(3, 0, 1)
@@ -693,6 +733,67 @@ func TestAlg1DecidedSelfVoteTakesItsSlot(t *testing.T) {
 	}
 }
 
+// TestAlg2DecidedSelfVoteTakesItsSlot is the same rule under Algorithm 2,
+// where a decision needs the commit phase too. p1 leads A with its chain
+// undrained, so its own accept waits; C's PROPOSE parks behind it. Every
+// other node of A's clusters accepts and commits, and only one commit to p1
+// is withheld, so p1's own accept, cast when its chain drains, completes
+// both of A's quorums inside OnChainAdvanced. That call must not go on to
+// accept C at the head A is about to extend.
+func TestAlg2DecidedSelfVoteTakesItsSlot(t *testing.T) {
+	h := alg2(t, 3)
+	p0, p1 := h.topo.Primary(0, 0), h.topo.Primary(1, 0)
+	withheld := h.topo.Members(1)[3]
+	a, c := xtx(1, 1, 2), xtx(2, 0, 1)
+	cDigest := types.BatchDigest(xbatch(c))
+
+	h.drained[p1] = false
+	h.sendAll(p1, h.engine(p1).Initiate(xbatch(a), h.now))
+	for _, o := range h.engine(p0).Initiate(xbatch(c), h.now) {
+		if o.Env.Type == types.MsgXPropose {
+			h.queue = append(h.queue, xrouted{to: p1, env: o.Env}) // the rest of C's traffic is lost
+		}
+	}
+	for len(h.queue) > 0 {
+		if m := h.queue[0]; m.to == p1 && m.env.From == withheld && m.env.Type == types.MsgXCommit {
+			h.queue = h.queue[1:]
+			continue
+		}
+		h.pumpOne()
+	}
+	if h.engine(p1).Waiting() != 1 || len(h.decided[p1]) != 0 {
+		t.Fatalf("p1 parked %d proposals and decided %d, want C parked and A undecided",
+			h.engine(p1).Waiting(), len(h.decided[p1]))
+	}
+
+	h.drained[p1] = true
+	outs, decs := h.engine(p1).OnChainAdvanced(h.now)
+	if len(decs) != 1 || !xdecided(decs[0], a.ID) {
+		t.Fatalf("p1's own accept decided %d batches, want A", len(decs))
+	}
+	acceptsC := func(outs []consensus.Outbound) (types.Hash, bool) {
+		for _, o := range outs {
+			if m, err := types.DecodeConsensusMsg(o.Env.Payload); err == nil &&
+				o.Env.Type == types.MsgXAccept && m.Digest == cDigest {
+				return m.PrevHashes[0], true
+			}
+		}
+		return types.Hash{}, false
+	}
+	if head, ok := acceptsC(outs); ok {
+		t.Fatalf("p1 accepted C at head %s, the slot A took, in the call that decided A", head)
+	}
+	// Once A's block lands, C is voted on at the new head.
+	h.applyDecision(p1, decs[0])
+	var queued []consensus.Outbound
+	for _, m := range h.queue {
+		queued = append(queued, consensus.Outbound{Env: m.env})
+	}
+	if head, ok := acceptsC(queued); !ok || head != h.heads[p1] {
+		t.Fatalf("after A's block, p1 accepted C at %s (sent %v), want the new head %s", head, ok, h.heads[p1])
+	}
+}
+
 // leadingSpansWithdrawal: a transaction counts as led from Initiate until its
 // attempt decides — through a withdrawal and the back-off after it, which
 // outlast both a client's retransmission timer and the node's inFlight
@@ -722,9 +823,183 @@ func leadingSpansWithdrawal(t *testing.T, h *xharness) {
 	}
 }
 
-func TestAlg1LeadingSpansWithdrawal(t *testing.T) { leadingSpansWithdrawal(t, newXHarness(t, 2)) }
+func TestAlg1LeadingSpansWithdrawal(t *testing.T) { leadingSpansWithdrawal(t, alg1(t, 2)) }
 
-func TestAlg2LeadingSpansWithdrawal(t *testing.T) { leadingSpansWithdrawal(t, newXByzHarness(t, 2)) }
+func TestAlg2LeadingSpansWithdrawal(t *testing.T) { leadingSpansWithdrawal(t, alg2(t, 2)) }
+
+// perDigestStateIsBounded: a decided batch, one whose initiator withdraws it
+// until it gives up, and accepts and commits for digests nobody proposed
+// leave nothing behind once the lock timeout has passed — neither undecided
+// instances, nor parked proposals, nor the record of old decisions, nor
+// retained commits.
+func perDigestStateIsBounded(t *testing.T, h *xharness) {
+	p0 := h.topo.Primary(0, 0)
+	h.sendAll(p0, h.engine(p0).Initiate(xbatch(xtx(1, 0, 1)), h.now))
+	h.pump()
+	if len(h.decided[p0]) != 1 {
+		t.Fatal("the first batch did not decide")
+	}
+
+	h.drop = func(to types.NodeID) bool { c, _ := h.topo.ClusterOf(to); return c == 1 }
+	h.sendAll(p0, h.engine(p0).Initiate(xbatch(xtx(2, 0, 1)), h.now))
+	h.pump()
+	for i := 0; i < 400 && len(h.engine(p0).leads) > 0; i++ {
+		h.tick(time.Second)
+	}
+	h.drop = nil
+	if s := h.engine(p0).Stats(); len(h.engine(p0).leads) > 0 || s.Proposes != maxCrossAttempts+1 {
+		t.Fatalf("initiator still leads %d batches after %d proposals", len(h.engine(p0).leads), s.Proposes)
+	}
+
+	forger := h.topo.Members(1)[1]
+	for i := 0; i < 100; i++ {
+		m := &types.ConsensusMsg{View: 1, Digest: types.HashBytes([]byte{byte(i)}), Cluster: 1,
+			PrevHashes: []types.Hash{ledger.GenesisHash()}}
+		for _, typ := range []types.MsgType{types.MsgXAccept, types.MsgXCommit} {
+			env := &types.Envelope{Type: typ, From: forger, Payload: m.Encode(nil)}
+			for _, to := range h.topo.Members(0) {
+				h.queue = append(h.queue, xrouted{to: to, env: env})
+			}
+		}
+	}
+	h.pump()
+	h.tick(time.Second + time.Millisecond)
+
+	for _, id := range h.topo.AllNodes() {
+		x := h.engine(id)
+		if x.Pending() != 0 || len(x.leads) != 0 || len(x.waiting) != 0 || len(x.decided) != 0 {
+			t.Errorf("node %s keeps %d instances, %d leads, %d parked proposals and %d decisions",
+				id, x.Pending(), len(x.leads), len(x.waiting), len(x.decided))
+		}
+		if c, ok := x.pol.(*crash); ok && len(c.recent)+len(c.recentDue) != 0 {
+			t.Errorf("node %s retains %d commits", id, len(c.recent))
+		}
+	}
+}
+
+func TestAlg1PerDigestStateIsBounded(t *testing.T) { perDigestStateIsBounded(t, alg1(t, 2)) }
+
+func TestAlg2PerDigestStateIsBounded(t *testing.T) { perDigestStateIsBounded(t, alg2(t, 2)) }
+
+// byzAbort is an ABORT for the batch from a node, as any member could sign it.
+func byzAbort(from types.NodeID, batch []*types.Transaction) *types.Envelope {
+	m := &types.ConsensusMsg{View: 1, Digest: types.BatchDigest(batch), Cluster: 0}
+	return &types.Envelope{Type: types.MsgXAbort, From: from, Payload: m.Encode(nil)}
+}
+
+// TestAlg2AbortFromNonProposerIsIgnored: under Algorithm 2 only the attempt's
+// proposer may release a vote with an ABORT; another member of an involved
+// cluster cannot.
+func TestAlg2AbortFromNonProposerIsIgnored(t *testing.T) {
+	h := alg2(t, 2)
+	p0, backup := h.topo.Primary(0, 0), h.topo.Members(1)[1]
+	batch := xbatch(xtx(1, 0, 1))
+	for _, o := range h.engine(p0).Initiate(batch, h.now) {
+		if o.Env.Type == types.MsgXPropose {
+			h.engine(backup).Step(o.Env, h.now)
+		}
+	}
+	if !h.engine(backup).Locked() {
+		t.Fatal("backup did not vote")
+	}
+	h.engine(backup).Step(byzAbort(h.topo.Members(1)[2], batch), h.now)
+	if !h.engine(backup).Locked() {
+		t.Fatal("an ABORT from a node that did not propose released the vote")
+	}
+	h.engine(backup).Step(byzAbort(p0, batch), h.now)
+	if h.engine(backup).Locked() {
+		t.Fatal("the proposer's ABORT did not release the vote")
+	}
+}
+
+// byzPinned runs a batch to its decision everywhere except one backup of
+// cluster 1, which hears every message but the other nodes' COMMITs: it has
+// sent its own COMMIT, so it is pinned to the hash list, and holds its vote.
+func byzPinned(t *testing.T, h *xharness) (types.NodeID, []*types.Transaction) {
+	p0, backup := h.topo.Primary(0, 0), h.topo.Members(1)[1]
+	batch := xbatch(xtx(1, 0, 1))
+	h.sendAll(p0, h.engine(p0).Initiate(batch, h.now))
+	for len(h.queue) > 0 {
+		if m := h.queue[0]; m.to == backup && m.env.Type == types.MsgXCommit {
+			h.queue = h.queue[1:]
+			continue
+		}
+		h.pumpOne()
+	}
+	inst := h.engine(backup).insts[types.BatchDigest(batch)]
+	if len(h.decided[backup]) != 0 || inst == nil || inst.pinned == nil || !h.engine(backup).Locked() {
+		t.Fatal("backup did not commit and wait for the others' commits")
+	}
+	return backup, batch
+}
+
+// TestAlg2AbortAfterCommitDoesNotRelease: a node that has sent its COMMIT
+// keeps its vote through the proposer's ABORT — its cluster may be pinned by
+// a decision already in flight.
+func TestAlg2AbortAfterCommitDoesNotRelease(t *testing.T) {
+	h := alg2(t, 2)
+	backup, batch := byzPinned(t, h)
+	h.engine(backup).Step(byzAbort(h.topo.Primary(0, 0), batch), h.now)
+	if !h.engine(backup).Locked() {
+		t.Fatal("an ABORT after this node's COMMIT released its vote")
+	}
+}
+
+// TestAlg2DeadPinnedCommitIsReleased: once the chain head a pinned commit
+// names for this node's cluster has moved on, no correct node of the cluster
+// can endorse that hash list again, and the node lets the vote go.
+func TestAlg2DeadPinnedCommitIsReleased(t *testing.T) {
+	h := alg2(t, 2)
+	backup, batch := byzPinned(t, h)
+	h.heads[backup], h.seqs[backup] = types.HashBytes([]byte("another block")), 1
+	h.engine(backup).Tick(h.now)
+	if inst := h.engine(backup).insts[types.BatchDigest(batch)]; h.engine(backup).Locked() || inst.pinned != nil {
+		t.Fatal("a commit pinned to a head that moved was kept")
+	}
+}
+
+// FuzzCrossStep steps one arbitrary payload, under each cross-shard message
+// type and twice (a duplicate is one voice, not two), into a primary and a
+// backup of a two-cluster deployment, under both policies; the sender is a
+// member of an involved cluster. Nothing may panic. Under Algorithm 2 one
+// sender's messages never decide anything, and a tick past the lock timeout
+// leaves the targets with no per-digest state. (Under Algorithm 1 a COMMIT is
+// the initiator's word and decides.)
+func FuzzCrossStep(f *testing.F) {
+	kinds := []types.MsgType{types.MsgXPropose, types.MsgXAccept, types.MsgXCommit, types.MsgXAbort}
+	batch := xbatch(xtx(1, 0, 1))
+	digest, g := types.BatchDigest(batch), ledger.GenesisHash()
+	for _, m := range []*types.ConsensusMsg{
+		{View: 1, Digest: digest, Cluster: 1, PrevHashes: []types.Hash{g}, Txs: batch},
+		{View: 1, Digest: digest, Cluster: 1, PrevHashes: []types.Hash{g}, Seq: 1},
+		{View: 1, Digest: digest, Cluster: 1, PrevHashes: []types.Hash{g, g}, Txs: batch, Seq: 1},
+		{View: 2, Digest: digest, Cluster: 1},
+	} {
+		for k := range kinds {
+			f.Add(uint8(k), m.Encode(nil))
+		}
+	}
+	f.Add(uint8(0), []byte(nil))
+
+	f.Fuzz(func(t *testing.T, kind uint8, payload []byte) {
+		for _, model := range []types.FailureModel{types.CrashOnly, types.Byzantine} {
+			h := newXHarnessFor(t, model, 2)
+			env := &types.Envelope{Type: kinds[int(kind)%len(kinds)], From: h.topo.Members(1)[2], Payload: payload}
+			for _, to := range []types.NodeID{h.topo.Primary(0, 0), h.topo.Members(1)[1]} {
+				x := h.engine(to)
+				for i := 0; i < 2; i++ {
+					if _, decs := x.Step(env, h.now); len(decs) > 0 && model == types.Byzantine {
+						t.Fatalf("one %v from node %s decided at node %s", env.Type, env.From, to)
+					}
+				}
+				x.Tick(h.now.Add(time.Second + time.Millisecond))
+				if model == types.Byzantine && x.Pending() != 0 {
+					t.Fatalf("node %s keeps %d instances past the lock timeout", to, x.Pending())
+				}
+			}
+		}
+	})
+}
 
 // TestLaunchDropsCommittedRequests: a request that reached the chain while
 // its duplicate waited in the cross-shard queue is not launched again.

@@ -118,13 +118,13 @@ func TestStressMixedByz(t *testing.T) {
 	}
 	d.Stop() // quiesce node goroutines before reading their state
 	for _, n := range d.Nodes() {
-		x := n.cross.(*xbyz)
+		x := n.cross
 		extra := ""
-		for dg, inst := range x.instances {
-			extra += fmt.Sprintf(" inst[%s]{view=%d sentA=%v sentC=%v txs=%d}", dg, inst.view, inst.sentAccept, inst.sentCommit, len(inst.txs))
+		for dg, inst := range x.insts {
+			extra += fmt.Sprintf(" inst[%s]{view=%d voted=%v pinned=%v txs=%d}", dg, inst.view, inst.voted, inst.pinned != nil, len(inst.txs))
 		}
-		for dg, lead := range x.leads {
-			extra += fmt.Sprintf(" lead[%s]{view=%d att=%d dormant=%v}", dg, lead.view, lead.attempts, lead.dormant)
+		for dg, inst := range x.leads {
+			extra += fmt.Sprintf(" lead[%s]{view=%d att=%d dormant=%v}", dg, inst.view, inst.lead.attempts, inst.lead.dormant)
 		}
 		st := n.chainStatus()
 		holder, _ := x.table.Holder()
@@ -182,10 +182,10 @@ func TestStressWorkloadCrash(t *testing.T) {
 	}
 	d.Stop() // quiesce node goroutines before reading their state
 	for _, n := range d.Nodes() {
-		x := n.cross.(*xcrash)
+		x := n.cross
 		extra := ""
-		for dg, lead := range x.leads {
-			extra += fmt.Sprintf(" lead[%s]{view=%d att=%d dormant=%v inv=%s}", dg, lead.view, lead.attempts, lead.dormant, lead.involved)
+		for dg, inst := range x.leads {
+			extra += fmt.Sprintf(" lead[%s]{view=%d att=%d dormant=%v inv=%s}", dg, inst.view, inst.lead.attempts, inst.lead.dormant, inst.involved)
 		}
 		for dg := range x.waiting {
 			extra += fmt.Sprintf(" wait[%s]", dg)
@@ -238,9 +238,9 @@ func TestCross100Diag(t *testing.T) {
 		float64(done.Load())/elapsed.Seconds())
 	d.Stop() // quiesce node goroutines before reading their state
 	for _, n := range d.Nodes() {
-		p, w, g, dec, le := n.cross.(*xcrash).Counters()
+		s := n.Counters()
 		t.Logf("node %s %s: proposes=%d withdraws=%d grants=%d decides=%d lockExpiries=%d pendingCross=%d",
-			n.ID(), n.Cluster(), p, w, g, dec, le, len(n.pendingCross))
+			n.ID(), n.Cluster(), s.Proposes, s.Withdraws, s.Grants, s.Decides, s.LockExpiries, len(n.pendingCross))
 	}
 }
 
@@ -287,10 +287,9 @@ func TestCross100Sustained(t *testing.T) {
 	t.Logf("committed %d cross txs in 600ms (%.0f tx/s)", start, float64(start)/0.6)
 	d.Stop() // quiesce node goroutines before reading their state
 	for _, n := range d.Nodes() {
-		p, w, g, dec, le := n.cross.(*xcrash).Counters()
-		parks, avgPark, avgLead, avgHold := n.cross.(*xcrash).WaitStats()
-		t.Logf("node %s %s: prop=%d wdr=%d grant=%d dec=%d lockExp=%d pc=%d pi=%d parks=%d avgParkMs=%.1f avgLeadMs=%.2f avgHoldMs=%.2f",
-			n.ID(), n.Cluster(), p, w, g, dec, le, len(n.pendingCross), len(n.pendingIntra),
-			parks, avgPark, avgLead, avgHold)
+		s := n.Counters()
+		t.Logf("node %s %s: prop=%d wdr=%d grant=%d dec=%d lockExp=%d pc=%d pi=%d parks=%d",
+			n.ID(), n.Cluster(), s.Proposes, s.Withdraws, s.Grants, s.Decides, s.LockExpiries,
+			len(n.pendingCross), len(n.pendingIntra), s.Parks)
 	}
 }

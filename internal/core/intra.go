@@ -1,8 +1,9 @@
 // Package core implements SharPer itself (§2–§3): the node runtime that
 // glues a cluster's intra-shard consensus engine (Paxos or PBFT, pluggable
-// per §3.1) to the flattened cross-shard consensus protocol (Algorithm 1 for
-// crash-only deployments, Algorithm 2 for Byzantine ones), the per-cluster
-// DAG ledger view, the sharded account store, and the simulated network.
+// per §3.1) to the flattened cross-shard consensus engine (cross.go: one
+// instance lifecycle with a crash vote policy for Algorithm 1 and a
+// Byzantine one for Algorithm 2), the per-cluster DAG ledger view, the
+// sharded account store, and the simulated network.
 package core
 
 import (
@@ -154,52 +155,4 @@ func validBits(txs []*types.Transaction, validate func(*types.Transaction) bool)
 		}
 	}
 	return bits
-}
-
-// crossEngine is the flattened cross-shard protocol, one implementation per
-// failure model.
-type crossEngine interface {
-	// Initiate starts flattened consensus on a batch of transactions that
-	// share one involved-cluster set (initiator primary only). Callers check
-	// CanInitiate first; several leads may be in flight at once.
-	Initiate(txs []*types.Transaction, now time.Time) []consensus.Outbound
-	// CanInitiate reports whether a new lead over the involved-cluster set
-	// may launch alongside the in-flight ones: the conflict table admits
-	// identical sets (they pipeline FIFO) and sets disjoint outside the own
-	// cluster (they never contend), up to the lead cap.
-	CanInitiate(involved types.ClusterSet) bool
-	// ActiveLeads reports the in-flight leads over exactly this set, so the
-	// scheduler can keep accumulating a batch while one works (launching
-	// every arrival as a batch-of-one forfeits the amortization batching
-	// buys).
-	ActiveLeads(involved types.ClusterSet) int
-	// Leading reports whether the transaction rides in an attempt this node
-	// is still initiating (in flight, or withdrawn and backing off), so a
-	// client retransmission of it must not be batched a second time.
-	Leading(id types.TxID) bool
-	// NeedsSlot reports whether an in-flight lead is still waiting to cast
-	// its own vote; the node's scheduler must let the chain drain then
-	// instead of feeding it new intra-shard proposals.
-	NeedsSlot() bool
-	// Stats reports the scheduler-observability counters (leads in flight,
-	// conflict-table size, parks, withdraws, deferral precision).
-	Stats() types.SchedStats
-	// Step consumes a cross-shard protocol message.
-	Step(env *types.Envelope, now time.Time) ([]consensus.Outbound, []crossDecision)
-	// OnChainAdvanced is called after the local chain appends a block, so
-	// proposals that waited for the chain to drain can be voted on.
-	OnChainAdvanced(now time.Time) ([]consensus.Outbound, []crossDecision)
-	// Tick fires lock expiry and initiator retries.
-	Tick(now time.Time) ([]consensus.Outbound, []crossDecision)
-	// Locked reports whether this node is currently blocked on an in-flight
-	// cross-shard transaction (§3.2: a node that voted accepts no other
-	// transactions until commit or timeout).
-	Locked() bool
-	// Waiting reports the number of cross-shard proposals parked at this
-	// node (held back by a lock or an undrained chain). A primary must stop
-	// feeding intra-shard proposals while this is non-zero, or the chain
-	// never drains and the parked proposals starve.
-	Waiting() int
-	// Pending reports the number of in-flight instances (for tests).
-	Pending() int
 }

@@ -210,7 +210,7 @@ type Node struct {
 	vpool *crypto.VerifyPool
 
 	intra IntraEngine
-	cross crossEngine
+	cross *xengine
 	// table is the conflict table shared with the cross engine: the single
 	// authority over the node's cross-shard slot vote and lead admission,
 	// consulted by dispatch for slot-precise deferral.
@@ -373,22 +373,9 @@ func NewNode(cfg NodeConfig) *Node {
 	n.intra = newIntraEngine(cfg.Model, cfg.Topology, cfg.Cluster, cfg.Self,
 		cfg.Signer, cfg.Verifier, cfg.IntraTimeout, genesis, persist,
 		n.table.ConflictsIntra, obs.NewEngineMetrics(n.reg, intraPrefix), onPrepared)
-	// Cross-shard protocol selection: the crash-only Algorithm 1 applies
-	// only when every cluster is crash-only; as soon as any cluster may
-	// lie, the decentralized Algorithm 2 runs deployment-wide with
-	// per-cluster quorums (f+1 from crash clusters, 2f+1 from Byzantine
-	// ones) — the hybrid arrangement §3.4 sketches via SeeMoRe.
-	if cfg.Topology.AnyByzantine() {
-		xb := newXByz(cfg.Topology, cfg.Cluster, cfg.Self, cfg.Signer, cfg.Verifier,
-			n.table, status, validate, cfg.LockTimeout, cfg.RetryTimeout, cfg.MaxInFlight, cfg.Seed)
-		xb.tracer = n.tracer
-		n.cross = xb
-	} else {
-		xc := newXCrash(cfg.Topology, cfg.Cluster, cfg.Self,
-			n.table, status, validate, cfg.LockTimeout, cfg.RetryTimeout, cfg.MaxInFlight, cfg.Seed)
-		xc.tracer = n.tracer
-		n.cross = xc
-	}
+	n.cross = newXEngine(cfg.Topology, cfg.Cluster, cfg.Self, cfg.Signer, cfg.Verifier,
+		n.table, status, validate, cfg.LockTimeout, cfg.RetryTimeout, cfg.MaxInFlight, cfg.Seed)
+	n.cross.tracer = n.tracer
 	if cfg.Storage != nil {
 		n.recoverChain(cfg.Storage.Recovered())
 	}
