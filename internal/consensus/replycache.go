@@ -13,7 +13,7 @@ import (
 // transaction ever committed. Eviction is FIFO: retransmissions arrive
 // within a client's timeout window, so only recent entries matter. Entries
 // are stamped at insertion so Sweep can also expire by age, tying the live
-// set to the mempool's dedup window instead of letting a large capacity keep
+// set to the node's committed window instead of letting a large capacity keep
 // per-client state alive indefinitely under 10k-client churn.
 //
 // It is safe for concurrent use: the commit pipeline's executor populates it

@@ -104,9 +104,11 @@ func (g *gateway) onSubmit(env *types.Envelope, now time.Time) {
 			}
 			continue
 		}
+		// Already executed: a client is answered from the cached verdict, and
+		// a peer's propagated copy is dropped as a duplicate. The pool forgets
+		// a transaction once it commits, so this is the only check that does.
 		if direct {
 			if r, ok := n.replyCache.Get(tx.ID); ok {
-				// Already executed: answer from the cached verdict.
 				code := types.SubmitCommitted
 				if !r.Committed {
 					code = types.SubmitRejected
@@ -114,6 +116,11 @@ func (g *gateway) onSubmit(env *types.Envelope, now time.Time) {
 				g.sendReply(env.From, tx.ID, code)
 				continue
 			}
+		} else if n.replyCache.Contains(tx.ID) {
+			if g.metrics != nil {
+				g.metrics.Deduped.Inc()
+			}
+			continue
 		}
 		switch g.pool.Admit(tx, now) {
 		case mempool.Admitted:
@@ -180,10 +187,10 @@ func (g *gateway) sendReply(to types.NodeID, id types.TxID, code types.SubmitCod
 }
 
 // observeCommit settles one executed transaction: its mempool capacity is
-// released, its digest enters the committed dedup window, and any client owed
-// a verdict gets it. Called from the commit pipeline's reply stage (after the
-// durable group append) on the executor goroutine, and on the loop for a
-// drained transaction that turns out to be executed already.
+// released and any client owed a verdict gets it. Called from the commit
+// pipeline's reply stage (after the durable group append) on the executor
+// goroutine, and on the loop for a drained transaction that turns out to be
+// executed already.
 func (g *gateway) observeCommit(tx *types.Transaction, r *types.Reply) {
 	g.pool.MarkCommitted(tx.Digest(), time.Now())
 	origin, ok := g.takeOrigin(tx.ID)

@@ -79,6 +79,43 @@ func TestGatewayDuplicateSubmitAcrossNodes(t *testing.T) {
 	}
 }
 
+// TestGatewayDropsPropagatedExecutedTx replays a peer gateway's propagation
+// batch (Via != 0) carrying a transaction the receiver already executed. The
+// reply cache screens it before the pool sees it: no pool entry, counted as
+// a duplicate, and no second commit.
+func TestGatewayDropsPropagatedExecutedTx(t *testing.T) {
+	d := newTestDeployment(t, types.CrashOnly, 2)
+	c := d.NewClient()
+	members := d.Topo.Members(0)
+	tx := c.MakeTx(intraOps(d, 0))
+
+	submitTo(c, members[0], tx)
+	if code, from := awaitVerdict(t, c, tx.ID, 5*time.Second); code != types.SubmitCommitted {
+		t.Fatalf("submit: got %s from %s, want committed", code, from)
+	}
+	waitQuiesce(t, d)
+	before := d.TotalCommitted()
+
+	gw := d.Node(members[0]).gw
+	admitted, deduped := gw.metrics.Admitted.Load(), gw.metrics.Deduped.Load()
+	peer := members[1]
+	payload := (&types.Submit{Via: peer, Txs: []*types.Transaction{tx}}).Encode(nil)
+	d.NodeFabric(peer).Send(members[0], &types.Envelope{Type: types.MsgSubmit, From: peer, Payload: payload})
+	waitFor(t, "the propagated copy to count as a duplicate", func() bool {
+		return gw.metrics.Deduped.Load() > deduped
+	})
+	if got := gw.metrics.Admitted.Load(); got != admitted {
+		t.Fatalf("propagated copy of an executed transaction was admitted (%d → %d)", admitted, got)
+	}
+	if n := gw.pool.PendingCount(); n != 0 {
+		t.Fatalf("pool holds %d transactions after the duplicate, want 0", n)
+	}
+	waitQuiesce(t, d)
+	if after := d.TotalCommitted(); after != before {
+		t.Fatalf("propagated duplicate drove %d extra commits", after-before)
+	}
+}
+
 // TestGatewayCrossShardLandsAtLowestInitiator submits a cross-shard
 // transaction to a gateway of the *wrong* (higher) involved cluster: the
 // gateway must relay it to the lowest involved cluster — the initiator under

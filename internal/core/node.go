@@ -193,9 +193,15 @@ func envVerifyWindow() int {
 	return crypto.DefaultVerifyWindow
 }
 
-// replyCacheSize bounds the retransmission-dedup cache; entries older than
-// any client's retry window are safe to evict.
-const replyCacheSize = 1 << 16
+// The reply cache is the node's one window of executed transactions: it
+// answers client retransmissions at any gateway and screens peers'
+// propagated copies of what already committed. replyCacheSize bounds it and
+// replyCacheWindow ages it; entries older than any client's retry window are
+// safe to evict.
+const (
+	replyCacheSize   = 1 << 17
+	replyCacheWindow = 30 * time.Second
+)
 
 // Node is one SharPer replica: it runs the cluster's intra-shard consensus
 // engine and the flattened cross-shard engine over its inbox, maintains its
@@ -794,10 +800,10 @@ func (n *Node) tick(now time.Time) {
 	n.maybeSync(now)
 	if n.tickCount%64 == 0 {
 		// Expiry cadence for the ingest plane: pool TTL sweeps, and reply
-		// cache entries older than the mempool's committed dedup window
-		// (client retries arrive well inside it).
+		// cache entries past the committed window (client retries arrive
+		// well inside it).
 		n.gw.sweep(now)
-		n.replyCache.Sweep(now.Add(-n.gw.pool.Config().CommittedWindow))
+		n.replyCache.Sweep(now.Add(-replyCacheWindow))
 	}
 	if n.cfg.Storage != nil {
 		// Fsync cadence is the store's own business (SyncGroup runs a
@@ -1001,8 +1007,8 @@ func (n *Node) adoptBlock(b *types.Block, now time.Time) bool {
 	// Validation is deterministic over the chain prefix, so re-validating
 	// locally reproduces the voted verdict for our shard's part.
 	n.handOff(b, ^uint64(0), 0, types.Hash{})
-	seq := uint64(n.view.Len() - 1)
-	outs, decs, orphans := n.intra.SyncChainHead(seq, b.Hash(), now)
+	seq, head := n.view.HeadInfo() // the block just appended, hashed once by the view
+	outs, decs, orphans := n.intra.SyncChainHead(seq, head, now)
 	n.send(outs)
 	n.requeueOrphans(orphans)
 	n.applyIntra(decs, now)
@@ -1538,8 +1544,8 @@ func (n *Node) applyCrossOne(d crossDecision, now time.Time) {
 	}
 	n.lastAppend = now
 	n.handOff(block, d.Valid, 0, d.Digest)
-	seq := uint64(n.view.Len() - 1)
-	outs, decs, orphans := n.intra.SyncChainHead(seq, block.Hash(), now)
+	seq, head := n.view.HeadInfo() // the block just appended, hashed once by the view
+	outs, decs, orphans := n.intra.SyncChainHead(seq, head, now)
 	n.send(outs)
 	n.requeueOrphans(orphans)
 	n.applyIntra(decs, now)

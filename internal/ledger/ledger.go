@@ -42,19 +42,16 @@ type View struct {
 	mu     sync.RWMutex
 	blocks []*types.Block          // index 0 is genesis
 	hashes []types.Hash            // hashes[i] == blocks[i].Hash()
-	byHash map[types.Hash]int      // hash → index
 	byTx   map[types.TxID]struct{} // committed transaction IDs (dedup)
 }
 
 // NewView creates a view for cluster, containing only the genesis block.
 func NewView(cluster types.ClusterID) *View {
 	g := GenesisBlock()
-	h := g.Hash()
 	return &View{
 		cluster: cluster,
 		blocks:  []*types.Block{g},
-		hashes:  []types.Hash{h},
-		byHash:  map[types.Hash]int{h: 0},
+		hashes:  []types.Hash{g.Hash()},
 		byTx:    map[types.TxID]struct{}{},
 	}
 }
@@ -200,10 +197,8 @@ func (v *View) Append(b *types.Block) error {
 		return fmt.Errorf("ledger: block %s parent %s does not extend head %s of %s",
 			blockLabel(b), b.Parents[slot], head, v.cluster)
 	}
-	h := b.Hash()
 	v.blocks = append(v.blocks, b)
-	v.hashes = append(v.hashes, h)
-	v.byHash[h] = len(v.blocks) - 1
+	v.hashes = append(v.hashes, b.Hash())
 	for _, tx := range b.Txs {
 		v.byTx[tx.ID] = struct{}{}
 	}

@@ -1,7 +1,11 @@
 // Package mempool implements the per-shard transaction pool behind the
-// client-ingress gateway: digest-keyed admission with dedup against both
-// pending and recently-committed transactions, byte- and count-capped
-// pending pools, expiration windows, and FIFO draining toward the sealer.
+// client-ingress gateway: digest-keyed admission with dedup against pending
+// and in-flight transactions, byte- and count-capped pending pools, an
+// expiration window, and FIFO draining toward the sealer.
+//
+// The pool forgets a transaction once its commit is observed. Dedup against
+// executed transactions is the gateway's: it consults the node's reply cache,
+// keyed by TxID, before offering anything to the pool.
 //
 // The pool's capacity accounting covers pending ∪ in-flight transactions:
 // a transaction drained toward the primary stays counted against the caps
@@ -26,7 +30,7 @@ type Code uint8
 // Admission outcomes.
 const (
 	Admitted   Code = iota // accepted into the pending pool
-	Duplicate              // already pending, in flight, or recently committed
+	Duplicate              // already pending or in flight
 	Overloaded             // shed: pool at byte or count capacity
 	Expired                // client timestamp outside the TTL window
 )
@@ -40,22 +44,14 @@ type Config struct {
 	// TTL is how old a client timestamp may be at admission, and how long a
 	// pending transaction may wait before the sweep expires it.
 	TTL time.Duration
-	// CommittedWindow is how long committed digests are remembered for
-	// dedup after commit.
-	CommittedWindow time.Duration
 }
 
 // Defaults, sized after the knobs production pools expose (pending pool
 // bytes, propagation batch size, expiration deadline).
 const (
-	DefaultMaxBytes        = int64(16 << 20)
-	DefaultMaxCount        = 1 << 16
-	DefaultTTL             = 30 * time.Second
-	DefaultCommittedWindow = 30 * time.Second
-
-	// committedCap bounds the committed-digest dedup set independently of
-	// the time window, so a throughput burst cannot grow it without limit.
-	committedCap = 1 << 17
+	DefaultMaxBytes = int64(16 << 20)
+	DefaultMaxCount = 1 << 16
+	DefaultTTL      = 30 * time.Second
 )
 
 func (c Config) withDefaults() Config {
@@ -68,9 +64,6 @@ func (c Config) withDefaults() Config {
 	if c.TTL <= 0 {
 		c.TTL = DefaultTTL
 	}
-	if c.CommittedWindow <= 0 {
-		c.CommittedWindow = DefaultCommittedWindow
-	}
 	return c
 }
 
@@ -82,30 +75,17 @@ type entry struct {
 	admitted time.Time
 }
 
-// committedEntry remembers one committed digest until its window expires.
-// Like the map beside it, it holds the commit instant as Unix nanoseconds: a
-// time.Time carries a *Location, and a hundred thousand of those per replica
-// are pointers the collector has to scan and the ring has to grow through
-// write barriers.
-type committedEntry struct {
-	digest types.Hash
-	at     int64
-}
-
 // Pool is one gateway's transaction pool. Safe for concurrent use: the node
 // loop admits and drains while the commit pipeline's executor goroutine
 // marks commits.
 type Pool struct {
 	cfg Config
 
-	mu        sync.Mutex
-	pending   map[types.Hash]*entry // admitted, not yet drained
-	order     []*entry              // FIFO over pending (nil holes after removal)
-	head      int                   // first live index in order
-	inflight  map[types.Hash]*entry // drained toward the sealer, commit not yet seen
-	committed map[types.Hash]int64  // commit instant, Unix nanoseconds
-	comOrder  []committedEntry      // FIFO over committed for window expiry
-	comHead   int
+	mu       sync.Mutex
+	pending  map[types.Hash]*entry // admitted, not yet drained
+	order    []*entry              // FIFO over pending (nil holes after removal)
+	head     int                   // first live index in order
+	inflight map[types.Hash]*entry // drained toward the sealer, commit not yet seen
 
 	bytes int64 // pending + inflight encoded bytes
 	count int   // pending + inflight transactions
@@ -118,10 +98,9 @@ type Pool struct {
 // New returns an empty pool bounded by cfg.
 func New(cfg Config) *Pool {
 	return &Pool{
-		cfg:       cfg.withDefaults(),
-		pending:   make(map[types.Hash]*entry),
-		inflight:  make(map[types.Hash]*entry),
-		committed: make(map[types.Hash]int64),
+		cfg:      cfg.withDefaults(),
+		pending:  make(map[types.Hash]*entry),
+		inflight: make(map[types.Hash]*entry),
 	}
 }
 
@@ -148,9 +127,6 @@ func (p *Pool) Admit(tx *types.Transaction, now time.Time) Code {
 		return Duplicate
 	}
 	if _, ok := p.inflight[d]; ok {
-		return Duplicate
-	}
-	if _, ok := p.committed[d]; ok {
 		return Duplicate
 	}
 	size := txSize(tx)
@@ -228,9 +204,10 @@ func (p *Pool) Requeue(txs []*types.Transaction) {
 }
 
 // MarkCommitted records that the transaction with digest d committed (or was
-// ordered and rejected — either way it is settled): its capacity is released
-// and the digest enters the committed dedup window.
-func (p *Pool) MarkCommitted(d types.Hash, now time.Time) {
+// ordered and rejected — either way it is settled): the pool forgets it and
+// releases its capacity. It keeps no record of the settlement, so the instant
+// is ignored; the gateway's reply cache answers later duplicates.
+func (p *Pool) MarkCommitted(d types.Hash, _ time.Time) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if e, ok := p.pending[d]; ok {
@@ -240,21 +217,6 @@ func (p *Pool) MarkCommitted(d types.Hash, now time.Time) {
 	} else if e, ok := p.inflight[d]; ok {
 		delete(p.inflight, d)
 		p.releaseLocked(e)
-	}
-	if _, ok := p.committed[d]; !ok {
-		at := now.UnixNano()
-		p.committed[d] = at
-		p.comOrder = append(p.comOrder, committedEntry{digest: d, at: at})
-		// Hard cap: evict the oldest committed digests past capacity so a
-		// burst cannot grow the window without bound.
-		for len(p.comOrder)-p.comHead > committedCap {
-			old := p.comOrder[p.comHead]
-			p.comOrder[p.comHead] = committedEntry{}
-			p.comHead++
-			if at, ok := p.committed[old.digest]; ok && at == old.at {
-				delete(p.committed, old.digest)
-			}
-		}
 	}
 }
 
@@ -267,8 +229,8 @@ func (p *Pool) releaseLocked(e *entry) {
 // Sweep expires state by age: pending transactions older than the TTL are
 // removed and returned (the gateway answers their origins with Expired);
 // over-age in-flight entries are silently released (their commit reply, if
-// any, already went through the reply cache); committed digests past the
-// window are forgotten. Call it periodically from the node tick.
+// any, already went through the reply cache). Call it periodically from the
+// node tick.
 func (p *Pool) Sweep(now time.Time) []*types.Transaction {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -288,19 +250,6 @@ func (p *Pool) Sweep(now time.Time) []*types.Transaction {
 			p.releaseLocked(e)
 		}
 	}
-	comCutoff := now.Add(-p.cfg.CommittedWindow).UnixNano()
-	for p.comHead < len(p.comOrder) {
-		old := p.comOrder[p.comHead]
-		if old.at >= comCutoff {
-			break
-		}
-		p.comOrder[p.comHead] = committedEntry{}
-		p.comHead++
-		if at, ok := p.committed[old.digest]; ok && at == old.at {
-			delete(p.committed, old.digest)
-		}
-	}
-	p.compactComLocked()
 	return expired
 }
 
@@ -309,14 +258,6 @@ func (p *Pool) compactLocked() {
 	if p.head > 0 && (p.head >= len(p.order) || p.head > 4096) {
 		p.order = append(p.order[:0], p.order[p.head:]...)
 		p.head = 0
-	}
-}
-
-// compactComLocked reclaims the consumed prefix of the committed FIFO.
-func (p *Pool) compactComLocked() {
-	if p.comHead > 0 && (p.comHead >= len(p.comOrder) || p.comHead > 4096) {
-		p.comOrder = append(p.comOrder[:0], p.comOrder[p.comHead:]...)
-		p.comHead = 0
 	}
 }
 

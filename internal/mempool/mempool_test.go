@@ -48,17 +48,6 @@ func TestAdmitDrainCommit(t *testing.T) {
 	if b := p.PendingBytes(); b != 0 {
 		t.Fatalf("bytes not released: %d", b)
 	}
-	// Committed window still dedups.
-	if c := p.Admit(tx, now); c != Duplicate {
-		t.Fatalf("re-admit committed: got %d, want Duplicate", c)
-	}
-	// Past the window the same digest admits again.
-	later := now.Add(2 * DefaultCommittedWindow)
-	p.Sweep(later)
-	tx2 := mkTx(types.ClientIDBase, 1, later)
-	if c := p.Admit(tx2, later); c != Admitted {
-		t.Fatalf("admit after window: got %d", c)
-	}
 }
 
 func TestCountCapSheds(t *testing.T) {
@@ -149,54 +138,6 @@ func TestDrainFIFO(t *testing.T) {
 	}
 	if n := p.QueuedCount(); n != 2 {
 		t.Fatalf("queued after drain: %d", n)
-	}
-}
-
-func TestCommittedWindowHardCap(t *testing.T) {
-	now := time.Now()
-	p := New(Config{})
-	for i := 0; i < committedCap+100; i++ {
-		p.MarkCommitted(mkTx(types.ClientIDBase, uint64(i+1), now).Digest(), now)
-	}
-	p.mu.Lock()
-	n := len(p.committed)
-	p.mu.Unlock()
-	if n > committedCap {
-		t.Fatalf("committed set %d exceeds cap %d", n, committedCap)
-	}
-}
-
-// TestCommittedWindowExpiry pins the dedup window's edges now that it is kept
-// in Unix nanoseconds: a committed digest reads Duplicate up to and including
-// the instant the window closes, and the first sweep past it forgets the
-// digest in the map and the ring alike.
-func TestCommittedWindowExpiry(t *testing.T) {
-	t0 := time.Now()
-	const window = 10 * time.Second
-	p := New(Config{CommittedWindow: window, TTL: time.Hour})
-	early, late := mkTx(types.ClientIDBase, 1, t0), mkTx(types.ClientIDBase, 2, t0)
-	p.MarkCommitted(early.Digest(), t0)
-	p.MarkCommitted(late.Digest(), t0.Add(time.Second))
-
-	at := t0.Add(window)
-	p.Sweep(at)
-	if c := p.Admit(early, at); c != Duplicate {
-		t.Fatalf("at the window's edge: got %d, want Duplicate", c)
-	}
-	at = t0.Add(window + time.Nanosecond)
-	p.Sweep(at)
-	if c := p.Admit(early, at); c != Admitted {
-		t.Fatalf("past the window: got %d, want Admitted", c)
-	}
-	if c := p.Admit(late, at); c != Duplicate {
-		t.Fatalf("younger digest inside its window: got %d, want Duplicate", c)
-	}
-	p.Sweep(t0.Add(time.Second + window + time.Nanosecond))
-	p.mu.Lock()
-	n, ring := len(p.committed), len(p.comOrder)-p.comHead
-	p.mu.Unlock()
-	if n != 0 || ring != 0 {
-		t.Fatalf("after both windows closed: %d digests, %d ring entries, want 0 and 0", n, ring)
 	}
 }
 

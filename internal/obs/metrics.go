@@ -120,7 +120,7 @@ func (m *StoreMetrics) Ckpt() *Counter {
 // MempoolMetrics instruments the client-ingress gateway and its mempool.
 type MempoolMetrics struct {
 	Admitted     *Counter   // transactions admitted into the pending pool
-	Deduped      *Counter   // submits dropped as duplicates (pending/inflight/committed)
+	Deduped      *Counter   // submits dropped as duplicates (pending, in flight, or executed)
 	Expired      *Counter   // submits rejected or swept for stale timestamps
 	Shed         *Counter   // submits shed with Overloaded (pool at capacity)
 	PendingBytes *Gauge     // encoded bytes pending + in flight

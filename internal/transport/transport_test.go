@@ -179,6 +179,11 @@ func TestProcessingTimeCapsThroughput(t *testing.T) {
 	}
 }
 
+// TestCrossClusterSlowerThanIntra checks that each link class honours its
+// configured one-way delay. Only the lower bounds are the fabric's promise:
+// how much later a wall-clock sample lands is up to the host's scheduler, so
+// the test compares each delivery with its floor, never two deliveries with
+// each other.
 func TestCrossClusterSlowerThanIntra(t *testing.T) {
 	cfg := Config{
 		IntraClusterLatency: 100 * time.Microsecond,
@@ -196,15 +201,15 @@ func TestCrossClusterSlowerThanIntra(t *testing.T) {
 	start := time.Now()
 	n.Send(c, &types.Envelope{From: a, Type: types.MsgRequest})
 	<-inboxC
-	intra := time.Since(start)
+	if intra := time.Since(start); intra < cfg.IntraClusterLatency {
+		t.Fatalf("intra-cluster delivery took %v, under its configured %v", intra, cfg.IntraClusterLatency)
+	}
 
 	start = time.Now()
 	n.Send(b, &types.Envelope{From: a, Type: types.MsgRequest})
 	<-inboxB
-	cross := time.Since(start)
-
-	if cross < 2*intra {
-		t.Fatalf("cross-cluster (%v) not noticeably slower than intra (%v)", cross, intra)
+	if cross := time.Since(start); cross < cfg.CrossClusterLatency {
+		t.Fatalf("cross-cluster delivery took %v, under its configured %v", cross, cfg.CrossClusterLatency)
 	}
 }
 

@@ -2,8 +2,8 @@
 
 // Steady-state allocation regressions for the wire codec hot path. The
 // counts are contractual (see ISSUE/DESIGN "hot path"): encoding a
-// consensus message into a reused buffer and re-deriving a memoized digest
-// must not allocate at all. Excluded under the race detector, which adds
+// consensus message into a reused buffer and deriving a digest must not
+// allocate at all. Excluded under the race detector, which adds
 // its own allocations.
 
 package types
@@ -61,9 +61,9 @@ func TestConsensusMsgEncodeAllocs(t *testing.T) {
 
 func TestTxDigestSteadyStateAllocs(t *testing.T) {
 	tx := allocBatch(1)[0]
-	tx.Digest() // warm the cache
+	tx.Digest() // warm the scratch pool
 	n := testing.AllocsPerRun(200, func() { tx.Digest() })
-	assertAllocs(t, "Transaction.Digest (memoized)", 0, n)
+	assertAllocs(t, "Transaction.Digest", 0, n)
 }
 
 func TestBlockDigestSteadyStateAllocs(t *testing.T) {
@@ -71,9 +71,34 @@ func TestBlockDigestSteadyStateAllocs(t *testing.T) {
 	bl.Hash()
 	bl.BatchDigest()
 	n := testing.AllocsPerRun(200, func() { bl.Hash() })
-	assertAllocs(t, "Block.Hash (memoized)", 0, n)
+	assertAllocs(t, "Block.Hash", 0, n)
 	n = testing.AllocsPerRun(200, func() { bl.BatchDigest() })
-	assertAllocs(t, "Block.BatchDigest (memoized)", 0, n)
+	assertAllocs(t, "Block.BatchDigest", 0, n)
+}
+
+// TestDigestFirstCallAllocs pins that deriving a digest leaves nothing behind
+// on the value: the first call on a freshly decoded transaction or block, the
+// one the commit path makes, allocates no more than every later call does.
+func TestDigestFirstCallAllocs(t *testing.T) {
+	const runs = 200
+	txs := allocBatch(runs + 1) // AllocsPerRun adds one warm-up call
+	blocks := make([]*Block, runs+1)
+	for i := range blocks {
+		blocks[i] = &Block{Txs: allocBatch(4), Parents: []Hash{{byte(i)}}}
+	}
+	BatchDigest(txs) // warm the scratch pool
+	for _, c := range []struct {
+		what string
+		call func(i int)
+	}{
+		{"Transaction.Digest on a fresh transaction", func(i int) { txs[i].Digest() }},
+		{"Block.Hash on a fresh block", func(i int) { blocks[i].Hash() }},
+		{"Block.BatchDigest on a fresh block", func(i int) { blocks[i].BatchDigest() }},
+	} {
+		i := 0
+		n := testing.AllocsPerRun(runs, func() { c.call(i); i++ })
+		assertAllocs(t, c.what, 0, n)
+	}
 }
 
 func TestBatchDigestAllocs(t *testing.T) {

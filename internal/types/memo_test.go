@@ -12,10 +12,10 @@ func memoTx(amount int64) *Transaction {
 	}
 }
 
-// TestDigestMemoizationInvalidation locks in the safety contract of the
-// digest caches: a decoded-then-mutated transaction (or block) must never
-// reuse a stale cached digest, whether the mutation happens before or after
-// the first Digest call.
+// TestDigestMemoizationInvalidation pins that a digest always reflects the
+// transaction's current content: a decoded-then-mutated transaction never
+// reports a stale digest, whether the mutation happens before or after the
+// first Digest call.
 func TestDigestMemoizationInvalidation(t *testing.T) {
 	enc := memoTx(3).Encode(nil)
 	dec, _, err := DecodeTransaction(enc)
@@ -27,16 +27,16 @@ func TestDigestMemoizationInvalidation(t *testing.T) {
 	if d1 != memoTx(3).Digest() {
 		t.Fatal("decoded transaction digest differs from original")
 	}
-	// Mutate AFTER the digest was computed and cached.
+	// Mutate AFTER the digest was computed.
 	dec.Ops[0].Amount = 4
 	d2 := dec.Digest()
 	if d2 == d1 {
-		t.Fatal("mutated transaction reused the stale cached digest")
+		t.Fatal("mutated transaction reported the stale digest")
 	}
 	if d2 != memoTx(4).Digest() {
 		t.Fatal("post-mutation digest does not match a fresh equivalent transaction")
 	}
-	// Mutate back: the cache must track the content, not the history.
+	// Mutate back: the digest tracks the content, not the history.
 	dec.Ops[0].Amount = 3
 	if dec.Digest() != d1 {
 		t.Fatal("digest did not return to the original after undoing the mutation")
@@ -56,8 +56,8 @@ func TestDigestMemoizationInvalidation(t *testing.T) {
 }
 
 // TestBlockMemoizationInvalidation is the block-level counterpart: Hash and
-// BatchDigest are memoized per block and must miss after any transaction in
-// the batch (or a parent link) changes.
+// BatchDigest change as soon as any transaction in the batch (or, for Hash,
+// a parent link) changes.
 func TestBlockMemoizationInvalidation(t *testing.T) {
 	bl := &Block{Txs: []*Transaction{memoTx(3), memoTx(5)}, Parents: []Hash{{1, 2, 3}}}
 	h1, bd1 := bl.Hash(), bl.BatchDigest()
@@ -67,13 +67,13 @@ func TestBlockMemoizationInvalidation(t *testing.T) {
 
 	bl.Txs[1].Ops[0].Amount = 6
 	if bl.Hash() == h1 {
-		t.Fatal("block hash reused stale cache after tx mutation")
+		t.Fatal("block hash stale after tx mutation")
 	}
 	if bl.BatchDigest() == bd1 {
-		t.Fatal("batch digest reused stale cache after tx mutation")
+		t.Fatal("batch digest stale after tx mutation")
 	}
 	if bl.BatchDigest() != BatchDigest(bl.Txs) {
-		t.Fatal("memoized batch digest disagrees with the free-function digest")
+		t.Fatal("block batch digest disagrees with the free-function digest")
 	}
 
 	bl.Txs[1].Ops[0].Amount = 5
@@ -83,7 +83,7 @@ func TestBlockMemoizationInvalidation(t *testing.T) {
 
 	bl.Parents[0] = Hash{9}
 	if bl.Hash() == h1 {
-		t.Fatal("block hash reused stale cache after parent mutation")
+		t.Fatal("block hash stale after parent mutation")
 	}
 	if bl.BatchDigest() != bd1 {
 		t.Fatal("batch digest must not cover parent links")
@@ -91,7 +91,7 @@ func TestBlockMemoizationInvalidation(t *testing.T) {
 }
 
 // TestDecodedBlockDigestsMatch guards the decode path: a round-tripped
-// block's memoized digests agree with the original's.
+// block's digests agree with the original's.
 func TestDecodedBlockDigestsMatch(t *testing.T) {
 	bl := &Block{Txs: []*Transaction{memoTx(3)}, Parents: []Hash{{7}}}
 	dec, _, err := DecodeBlock(bl.Encode(nil))

@@ -1,12 +1,10 @@
 package types
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"sync"
-	"sync/atomic"
 )
 
 // Hash is a SHA-256 digest. It is used both as the cryptographic hash linking
@@ -30,34 +28,19 @@ func HashBytes(b []byte) Hash { return sha256.Sum256(b) }
 // runs without per-call allocations.
 var encScratch = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
 
-// getScratch/putScratch wrap the pool; buffers that grew beyond 1 MiB are
-// dropped so one huge sync response cannot pin memory forever.
-func getScratch() *[]byte { return encScratch.Get().(*[]byte) }
-func putScratch(bp *[]byte) {
+// sumEncoding hashes what enc appends to a pooled scratch buffer. Nothing of
+// the encoding outlives the call: a digest is derived from the value's
+// current content every time, so a mutated value can never report a stale
+// one, and a committed transaction or block holds no copy of its own bytes.
+// Buffers that grew beyond 1 MiB are dropped so one huge sync response cannot
+// pin memory forever.
+func sumEncoding(enc func([]byte) []byte) Hash {
+	bp := encScratch.Get().(*[]byte)
+	*bp = enc((*bp)[:0])
+	sum := sha256.Sum256(*bp)
 	if cap(*bp) <= 1<<20 {
 		encScratch.Put(bp)
 	}
-}
-
-// digestCache memoizes a SHA-256 over a canonical encoding. The cache is
-// validated on every read by re-encoding into a pooled buffer and comparing
-// against enc — a mutated value can never reuse a stale digest, and a cache
-// hit replaces the SHA-256 with a (much cheaper) byte comparison.
-type digestCache struct {
-	enc []byte // the canonical encoding the digest was computed over
-	sum Hash
-}
-
-// lookup returns the memoized digest when enc matches the cached encoding,
-// computing and caching it otherwise. p is an atomic pointer so concurrent
-// readers (the node loop, ledger audits, the verify pool) race safely; all
-// writers store the same value for the same bytes.
-func (c *digestCache) lookup(p *atomic.Pointer[digestCache], enc []byte) Hash {
-	if c != nil && bytes.Equal(c.enc, enc) {
-		return c.sum
-	}
-	sum := sha256.Sum256(enc)
-	p.Store(&digestCache{enc: append([]byte(nil), enc...), sum: sum})
 	return sum
 }
 
@@ -109,11 +92,6 @@ type Transaction struct {
 	// Involved is the set of clusters the Ops touch (precomputed by the
 	// client or the receiving primary through the shard map).
 	Involved ClusterSet
-
-	// dcache memoizes Digest. It is validated against the current encoding
-	// on every read (see digestCache), so mutating any field above simply
-	// misses the cache — it can never serve a stale digest.
-	dcache atomic.Pointer[digestCache]
 }
 
 // TxID identifies a transaction: the client's NodeID and a per-client
@@ -130,17 +108,9 @@ func (t *Transaction) IsCrossShard() bool { return len(t.Involved) > 1 }
 
 // Digest returns D(m): the SHA-256 digest of the transaction's canonical
 // encoding. Two correct nodes always compute the same digest for the same
-// transaction. The digest is memoized: repeated calls re-encode into a
-// pooled buffer and compare against the cached encoding, skipping the
-// SHA-256 (and all allocations) when the transaction is unchanged.
-func (t *Transaction) Digest() Hash {
-	bp := getScratch()
-	enc := t.Encode((*bp)[:0])
-	sum := t.dcache.Load().lookup(&t.dcache, enc)
-	*bp = enc
-	putScratch(bp)
-	return sum
-}
+// transaction. Each call encodes into a pooled buffer and hashes it; a
+// caller that needs the digest twice holds it.
+func (t *Transaction) Digest() Hash { return sumEncoding(t.Encode) }
 
 // Encode appends the canonical binary encoding of t to dst and returns the
 // extended slice. The layout is fixed-width little-endian fields followed by
@@ -224,12 +194,6 @@ func DecodeTransaction(b []byte) (*Transaction, int, error) {
 type Block struct {
 	Txs     []*Transaction
 	Parents []Hash
-
-	// hcache/bdcache memoize Hash and BatchDigest, validated against the
-	// current encoding on every read (see digestCache) so a mutated block
-	// misses rather than serving stale digests.
-	hcache  atomic.Pointer[digestCache]
-	bdcache atomic.Pointer[digestCache]
 }
 
 // Involved returns the involved-cluster set shared by every transaction in
@@ -246,28 +210,13 @@ func (bl *Block) IsCrossShard() bool { return len(bl.Involved()) > 1 }
 
 // BatchDigest returns D(m) for the block's batch — the value consensus votes
 // refer to. Tampering with any transaction in the batch changes the digest.
-// Memoized per block (see Transaction.Digest for the invalidation rule).
-func (bl *Block) BatchDigest() Hash {
-	bp := getScratch()
-	enc := EncodeTxBatch((*bp)[:0], bl.Txs)
-	sum := bl.bdcache.Load().lookup(&bl.bdcache, enc)
-	*bp = enc
-	putScratch(bp)
-	return sum
-}
+func (bl *Block) BatchDigest() Hash { return BatchDigest(bl.Txs) }
 
 // BatchDigest returns the SHA-256 digest of the canonical encoding of a
 // transaction batch. Two correct nodes always compute the same digest for
-// the same ordered batch; any bit of any transaction changes it. Unlike
-// Block.BatchDigest there is no holder to memoize on, but the encoding runs
-// in a pooled buffer so the call stays allocation-free.
+// the same ordered batch; any bit of any transaction changes it.
 func BatchDigest(txs []*Transaction) Hash {
-	bp := getScratch()
-	enc := EncodeTxBatch((*bp)[:0], txs)
-	sum := sha256.Sum256(enc)
-	*bp = enc
-	putScratch(bp)
-	return sum
+	return sumEncoding(func(dst []byte) []byte { return EncodeTxBatch(dst, txs) })
 }
 
 // Encode appends the canonical encoding of the block.
@@ -303,18 +252,9 @@ func DecodeBlock(b []byte) (*Block, int, error) {
 }
 
 // Hash returns the block's cryptographic hash, covering the transaction and
-// all parent links. This is the value successor blocks chain to. Memoized
-// per block (see Transaction.Digest for the invalidation rule), which makes
-// the repeated chain-walk hashing in the consensus engines and the ledger
-// nearly free for an unchanged block.
-func (bl *Block) Hash() Hash {
-	bp := getScratch()
-	enc := bl.Encode((*bp)[:0])
-	sum := bl.hcache.Load().lookup(&bl.hcache, enc)
-	*bp = enc
-	putScratch(bp)
-	return sum
-}
+// all parent links. This is the value successor blocks chain to; the ledger
+// view holds it per block, so a chain walk reads it rather than re-deriving it.
+func (bl *Block) Hash() Hash { return sumEncoding(bl.Encode) }
 
 // EncodeTxBatch appends a length-prefixed batch of transactions, used by
 // the active/passive baselines to stream execution results efficiently.
