@@ -87,7 +87,7 @@ func benchGen(shards, crossPct int) *workload.Generator {
 
 func sharperSys(b *testing.B, model types.FailureModel, clusters, f int) bench.System {
 	b.Helper()
-	d, err := core.NewDeployment(core.Config{Model: model, Clusters: clusters, F: f, Seed: 42})
+	d, err := core.NewDeployment(matrixConfig(b, core.Config{Model: model, Clusters: clusters, F: f, Seed: 42}))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -102,10 +102,10 @@ func sharperPlanSys(b *testing.B, groups []Group) bench.System {
 	if err != nil {
 		b.Fatal(err)
 	}
-	n, err := New(Options{
+	n, err := New(WithMatrix(b, Options{
 		Model: Byzantine, Plan: plan,
 		AccountsPerShard: benchAccountsPerShard, InitialBalance: benchSeedBalance, Seed: 42,
-	})
+	}))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -172,9 +172,9 @@ func BenchmarkFig6d_100pctCross(b *testing.B) { benchFig6(b, 100) }
 
 func sharperBatchSys(b *testing.B, model types.FailureModel, clusters, f, batchSize int) bench.System {
 	b.Helper()
-	d, err := core.NewDeployment(core.Config{
+	d, err := core.NewDeployment(matrixConfig(b, core.Config{
 		Model: model, Clusters: clusters, F: f, Seed: 42, BatchSize: batchSize,
-	})
+	}))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -249,9 +249,9 @@ func BenchmarkAblationSuperPrimary_On(b *testing.B) {
 }
 
 func BenchmarkAblationSuperPrimary_Off(b *testing.B) {
-	d, err := core.NewDeployment(core.Config{
+	d, err := core.NewDeployment(matrixConfig(b, core.Config{
 		Model: types.CrashOnly, Clusters: 4, F: 1, Seed: 42, DisableSuperPrimary: true,
-	})
+	}))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -26,6 +26,9 @@
 // Scaffold a topology file with -topology-init:
 //
 //	sharperd -topology topo.txt -topology-init -clusters 4 -f 1
+//
+// Every mode parses its flags into one core.Config; the single-process mode
+// builds a deployment from it and a replica process its one replica.
 package main
 
 import (
@@ -34,7 +37,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"math/rand"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
@@ -46,7 +48,7 @@ import (
 	"syscall"
 	"time"
 
-	"sharper"
+	"sharper/internal/consensus"
 	"sharper/internal/core"
 	"sharper/internal/crypto"
 	"sharper/internal/ledger"
@@ -59,115 +61,167 @@ import (
 	"sharper/internal/workload"
 )
 
+// options holds what sharperd's flags say besides the deployment's
+// configuration: the workload a local run or a driver issues, the genesis
+// accounts every replica seeds, and where diagnostics go.
+type options struct {
+	Clients  int
+	CrossPct int
+	Duration time.Duration
+	ShowDAG  bool
+	Accounts int
+	Balance  int64
+
+	// DriverIndex keeps the client IDs of several driver processes disjoint;
+	// ConnectTimeout is how long a driver waits for the replicas to come up.
+	DriverIndex    int
+	ConnectTimeout time.Duration
+	// TraceDir is where a failed wire audit dumps every replica's protocol
+	// trace ring (one trace-node-<id>.log per replica).
+	TraceDir string
+
+	// MetricsAddr serves a replica's Prometheus-text /metrics on its own
+	// listener; MetricsOnPprof also registers the endpoint on the
+	// process-wide pprof mux.
+	MetricsAddr    string
+	MetricsOnPprof bool
+}
+
+// invocation is one parsed sharperd command line: the deployment's
+// configuration, the run options, and which mode to run.
+type invocation struct {
+	cfg  core.Config
+	opts options
+
+	topoPath, listen, host, secret, shape, pprof string
+	topoInit, drive                              bool
+	node, basePort                               int
+}
+
+// parseFlags turns a sharperd command line into the one core.Config every
+// mode builds from, plus everything that is not configuration.
+func parseFlags(args []string) (*invocation, error) {
+	fs := flag.NewFlagSet("sharperd", flag.ContinueOnError)
+	inv := &invocation{}
+	c, o := &inv.cfg, &inv.opts
+	model := fs.String("model", "crash", "failure model: crash or byzantine")
+	fs.IntVar(&c.Clusters, "clusters", 4, "number of clusters (= shards)")
+	fs.IntVar(&c.F, "f", 1, "per-cluster fault bound")
+	fs.Int64Var(&c.Seed, "seed", 1, "random seed; every process of a deployment derives its keys from it")
+	fs.IntVar(&c.BatchSize, "batch", 1, "max transactions per block (1 = the paper's single-tx blocks)")
+	transportKind := fs.String("transport", "sim", "single-process fabric: sim or tcp")
+	fs.StringVar(&c.DataDir, "data", "", "durable storage base directory (each replica uses DIR/node-<id>); a killed replica restarted with the same -data recovers in place")
+	syncPolicy := fs.String("sync", "group", "WAL fsync policy: none, group, or always")
+	fs.DurationVar(&c.LockTimeout, "lock-timeout", 0, "cross-shard lock expiry, the §3.2 'pre-determined time' (0 = default 3s); must dominate worst-case commit delivery in your environment")
+	fs.BoolVar(&c.Slash, "slash", false, "arm the equivocation-detecting auditor on every replica; the driver and local modes print an offender report from the collected fraud proofs")
+	fs.BoolVar(&c.Ed25519, "ed25519", false, "byzantine model: use ed25519 signatures instead of HMAC, making -slash fraud proofs verifiable by third parties holding only public keys")
+	fs.StringVar(&inv.shape, "shape", "", "link shaping: 'multiregion' (the paper's cross-datacenter WAN) or a spec like 'delay 30ms bw 200Mbps loss 0.001' applied to every link; in topology modes it overrides the file's link directives, with -topology-init it is written into the file")
+	fs.IntVar(&c.VerifyWindow, "verify-window", 0, "signature batch-verification window per node (1 = strictly per signature; 0 = the built-in default)")
+	fs.IntVar(&c.TraceSample, "trace-sample", 0, "lifecycle-tracer 1-in-N sampling (0 = built-in default, 1 = trace everything)")
+	fs.BoolVar(&c.Trace, "trace", false, "record every replica's protocol events into its trace ring; a replica prints its ring when it stops, and a driver's failed audit dumps them all")
+
+	fs.IntVar(&o.CrossPct, "cross", 10, "percent cross-shard transactions")
+	fs.IntVar(&o.Clients, "clients", 16, "closed-loop clients")
+	fs.DurationVar(&o.Duration, "duration", 5*time.Second, "run length")
+	fs.BoolVar(&o.ShowDAG, "dag", false, "print the ledger DAG at the end")
+	fs.IntVar(&o.Accounts, "accounts", 1024, "accounts seeded per shard at genesis")
+	fs.Int64Var(&o.Balance, "balance", 1<<40, "initial balance of each seeded account")
+
+	fs.StringVar(&inv.topoPath, "topology", "", "topology file: run as one process of a multi-process deployment")
+	fs.BoolVar(&inv.topoInit, "topology-init", false, "write a fresh topology file (with -clusters, -f, -model) and exit")
+	fs.StringVar(&inv.listen, "listen", "", "replica mode: run the node whose topology address is this")
+	fs.IntVar(&inv.node, "node", -1, "replica mode: run this node id (alternative to -listen)")
+	fs.BoolVar(&inv.drive, "drive", false, "driver mode: issue workload against a running multi-process deployment")
+	fs.StringVar(&inv.host, "host", "127.0.0.1", "host for -topology-init addresses")
+	fs.IntVar(&inv.basePort, "base-port", 7100, "first port for -topology-init addresses")
+	fs.StringVar(&inv.secret, "secret", "sharper-demo", "wire secret for -topology-init")
+	fs.IntVar(&o.DriverIndex, "driver-index", 0, "unique index of this driver process (keeps client IDs disjoint)")
+	fs.DurationVar(&o.ConnectTimeout, "connect-timeout", 15*time.Second, "driver mode: how long to wait for replicas to come up")
+	fs.StringVar(&inv.pprof, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) so perf work starts from profiles")
+	fs.StringVar(&o.MetricsAddr, "metrics", "", "replica mode: serve Prometheus-text /metrics on this address; with -pprof the endpoint is also registered on the pprof mux")
+	fs.StringVar(&o.TraceDir, "trace-dir", "", "driver mode: directory to dump every replica's protocol trace ring into when the wire audit finds divergence; the replicas must run with -trace (default: the topology file's directory)")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+
+	var err error
+	if c.Model, err = parseModel(*model); err != nil {
+		return nil, err
+	}
+	if c.Sync, err = storage.ParseSyncPolicy(*syncPolicy); err != nil {
+		return nil, err
+	}
+	if c.Shaping, err = parseShaping(inv.shape); err != nil {
+		return nil, err
+	}
+	switch *transportKind {
+	case "sim":
+		c.Transport = core.TransportSim
+	case "tcp":
+		c.Transport = core.TransportTCP
+	default:
+		return nil, fmt.Errorf("unknown transport %q", *transportKind)
+	}
+	o.MetricsOnPprof = inv.pprof != ""
+	if o.TraceDir == "" {
+		o.TraceDir = filepath.Dir(inv.topoPath)
+	}
+	return inv, nil
+}
+
+// topologyConfig is the configuration a topology mode runs: the flags' one,
+// on the file's cluster plan, with the file's link shaping unless -shape
+// overrides it.
+func topologyConfig(cfg core.Config, tf *TopologyFile) core.Config {
+	cfg.Topology, cfg.Model = tf.Topo, tf.Model
+	if cfg.Shaping == nil {
+		cfg.Shaping = tf.Shaping
+	}
+	return cfg
+}
+
 func main() {
-	model := flag.String("model", "crash", "failure model: crash or byzantine")
-	clusters := flag.Int("clusters", 4, "number of clusters (= shards)")
-	f := flag.Int("f", 1, "per-cluster fault bound")
-	cross := flag.Int("cross", 10, "percent cross-shard transactions")
-	clients := flag.Int("clients", 16, "closed-loop clients")
-	duration := flag.Duration("duration", 5*time.Second, "run length")
-	seed := flag.Int64("seed", 1, "random seed")
-	batch := flag.Int("batch", 1, "max transactions per block (1 = the paper's single-tx blocks)")
-	showDAG := flag.Bool("dag", false, "print the ledger DAG at the end")
-	transportKind := flag.String("transport", "sim", "single-process fabric: sim or tcp")
-	accounts := flag.Int("accounts", 1024, "accounts seeded per shard at genesis")
-	balance := flag.Int64("balance", 1<<40, "initial balance of each seeded account")
-	dataDir := flag.String("data", "", "durable storage base directory (each replica uses DIR/node-<id>); a killed replica restarted with the same -data recovers in place")
-	syncPolicy := flag.String("sync", "group", "WAL fsync policy: none, group, or always")
-	lockTimeout := flag.Duration("lock-timeout", 0, "cross-shard lock expiry, the §3.2 'pre-determined time' (0 = default 3s); must dominate worst-case commit delivery in your environment")
-	slash := flag.Bool("slash", false, "arm the equivocation-detecting auditor on every replica; the driver and local modes print an offender report from the collected fraud proofs")
-	ed25519 := flag.Bool("ed25519", false, "byzantine model: use ed25519 signatures instead of HMAC, making -slash fraud proofs verifiable by third parties holding only public keys")
-	shapeSpec := flag.String("shape", "", "link shaping: 'multiregion' (the paper's cross-datacenter WAN) or a spec like 'delay 30ms bw 200Mbps loss 0.001' applied to every link; in topology modes it overrides the file's link directives, with -topology-init it is written into the file")
-	verifyWindow := flag.Int("verify-window", 0, "signature batch-verification window per node (1 = strictly per signature; 0 = SHARPER_VERIFY_WINDOW or the built-in default)")
-
-	topoPath := flag.String("topology", "", "topology file: run as one process of a multi-process deployment")
-	topoInit := flag.Bool("topology-init", false, "write a fresh topology file (with -clusters, -f, -model) and exit")
-	listen := flag.String("listen", "", "replica mode: run the node whose topology address is this")
-	nodeID := flag.Int("node", -1, "replica mode: run this node id (alternative to -listen)")
-	drive := flag.Bool("drive", false, "driver mode: issue workload against a running multi-process deployment")
-	host := flag.String("host", "127.0.0.1", "host for -topology-init addresses")
-	basePort := flag.Int("base-port", 7100, "first port for -topology-init addresses")
-	secret := flag.String("secret", "sharper-demo", "wire secret for -topology-init")
-	driverIdx := flag.Int("driver-index", 0, "unique index of this driver process (keeps client IDs disjoint)")
-	connectTimeout := flag.Duration("connect-timeout", 15*time.Second, "driver mode: how long to wait for replicas to come up")
-	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) so perf work starts from profiles")
-	metricsAddr := flag.String("metrics", "", "replica mode: serve Prometheus-text /metrics on this address; with -pprof the endpoint is also registered on the pprof mux")
-	traceSample := flag.Int("trace-sample", 0, "replica mode: lifecycle-tracer 1-in-N sampling (0 = built-in default, 1 = trace everything)")
-	traceDir := flag.String("trace-dir", "", "driver mode: directory to dump every replica's SHARPER_TRACE ring into when the wire audit finds divergence (default: the topology file's directory)")
-	flag.Parse()
-
-	if *pprofAddr != "" {
+	inv, err := parseFlags(os.Args[1:])
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	if inv.pprof != "" {
 		go func() {
-			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
+			if err := http.ListenAndServe(inv.pprof, nil); err != nil {
 				fmt.Fprintf(os.Stderr, "sharperd: pprof server: %v"+"\n", err)
 			}
 		}()
 	}
+	cfg := inv.cfg
 
-	fm, err := parseModel(*model)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	sync, err := storage.ParseSyncPolicy(*syncPolicy)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	shaping, err := parseShaping(*shapeSpec)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-
-	if *topoInit {
-		if *topoPath == "" {
+	switch {
+	case inv.topoInit:
+		if inv.topoPath == "" {
 			fmt.Fprintln(os.Stderr, "-topology-init needs -topology FILE")
 			os.Exit(2)
 		}
-		if err := WriteTopologyFile(*topoPath, *host, *basePort, *clusters, *f, fm, *secret, *shapeSpec); err != nil {
+		if err := WriteTopologyFile(inv.topoPath, inv.host, inv.basePort, cfg.Clusters, cfg.F, cfg.Model, inv.secret, inv.shape); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("wrote %s: %d %s clusters, f=%d\n", *topoPath, *clusters, fm, *f)
-		return
-	}
-
-	if *topoPath != "" {
-		tf, err := ParseTopologyFile(*topoPath)
-		if err != nil {
-			log.Fatal(err)
+		fmt.Printf("wrote %s: %d %s clusters, f=%d\n", inv.topoPath, cfg.Clusters, cfg.Model, cfg.F)
+	case inv.topoPath == "":
+		err = runLocal(cfg, inv.opts, os.Stdout)
+	default:
+		tf, perr := ParseTopologyFile(inv.topoPath)
+		if perr != nil {
+			log.Fatal(perr)
 		}
-		if shaping != nil {
-			tf.Shaping = shaping // -shape overrides the file's link directives
-		}
+		cfg = topologyConfig(cfg, tf)
 		switch {
-		case *drive:
-			td := *traceDir
-			if td == "" {
-				td = filepath.Dir(*topoPath)
-			}
-			err = runDriver(tf, driverOptions{
-				Clients:        *clients,
-				CrossPct:       *cross,
-				Duration:       *duration,
-				Seed:           *seed,
-				Accounts:       *accounts,
-				DriverIndex:    *driverIdx,
-				ConnectTimeout: *connectTimeout,
-				ShowDAG:        *showDAG,
-				TraceDir:       td,
-				Slash:          *slash,
-				Ed25519:        *ed25519,
-			}, os.Stdout)
-			if err != nil {
-				log.Fatal(err)
-			}
-		case *listen != "" || *nodeID >= 0:
-			self := types.NodeID(*nodeID)
-			if *listen != "" {
-				id, ok := tf.NodeByListenAddr(*listen)
+		case inv.drive:
+			err = runDriver(tf, cfg, inv.opts, os.Stdout)
+		case inv.listen != "" || inv.node >= 0:
+			self := types.NodeID(inv.node)
+			if inv.listen != "" {
+				id, ok := tf.NodeByListenAddr(inv.listen)
 				if !ok {
-					log.Fatalf("no node in %s listens on %s", *topoPath, *listen)
+					log.Fatalf("no node in %s listens on %s", inv.topoPath, inv.listen)
 				}
 				self = id
 			}
@@ -178,43 +232,14 @@ func main() {
 				<-sig
 				close(stop)
 			}()
-			if err := runReplica(tf, self, replicaOptions{
-				Seed:           *seed,
-				Batch:          *batch,
-				Accounts:       *accounts,
-				Balance:        *balance,
-				DataDir:        *dataDir,
-				Sync:           sync,
-				LockTimeout:    *lockTimeout,
-				Slash:          *slash,
-				Ed25519:        *ed25519,
-				VerifyWindow:   *verifyWindow,
-				MetricsAddr:    *metricsAddr,
-				MetricsOnPprof: *pprofAddr != "",
-				TraceSample:    *traceSample,
-			}, stop, os.Stdout); err != nil {
-				log.Fatal(err)
-			}
+			err = runReplica(tf, self, cfg, inv.opts, stop, os.Stdout)
 		default:
 			log.Fatal("with -topology, pass -listen ADDR / -node N (replica) or -drive (driver)")
 		}
-		return
 	}
-
-	if shaping != nil && *shapeSpec != "multiregion" {
-		// The single-process facade exposes the preset only; arbitrary link
-		// matrices belong in a topology file.
-		fmt.Fprintln(os.Stderr, "single-process mode supports -shape multiregion only (use -topology for custom link shapes)")
-		os.Exit(2)
+	if err != nil {
+		log.Fatal(err)
 	}
-	runLocal(fm, localOptions{
-		Clusters: *clusters, F: *f, CrossPct: *cross, Clients: *clients,
-		Duration: *duration, Seed: *seed, Batch: *batch, ShowDAG: *showDAG,
-		Accounts: *accounts, Balance: *balance, TCP: *transportKind == "tcp",
-		DataDir: *dataDir, Sync: sync,
-		Slash: *slash, Ed25519: *ed25519,
-		Multiregion: *shapeSpec == "multiregion", VerifyWindow: *verifyWindow,
-	})
 }
 
 // parseShaping turns the -shape flag into a shaping matrix: empty means no
@@ -234,180 +259,41 @@ func parseShaping(spec string) (*transport.Shaping, error) {
 	return &transport.Shaping{Default: s, Intra: s, Client: s}, nil
 }
 
-func parseModel(s string) (sharper.FailureModel, error) {
+func parseModel(s string) (types.FailureModel, error) {
 	switch s {
 	case "crash":
-		return sharper.CrashOnly, nil
+		return types.CrashOnly, nil
 	case "byzantine", "byz":
-		return sharper.Byzantine, nil
+		return types.Byzantine, nil
 	default:
-		return sharper.CrashOnly, fmt.Errorf("unknown model %q", s)
+		return types.CrashOnly, fmt.Errorf("unknown model %q", s)
 	}
 }
 
-// ---------------------------------------------------------------- replica --
+// -------------------------------------------------------------- workload --
 
-type replicaOptions struct {
-	Seed     int64
-	Batch    int
-	Accounts int
-	Balance  int64
-	// DataDir is the deployment's storage base directory; this replica
-	// persists under DataDir/node-<id> and recovers from it on restart.
-	DataDir string
-	Sync    storage.SyncPolicy
-	// LockTimeout is the cross-shard lock expiry (0 = default).
-	LockTimeout time.Duration
-	// Slash arms the equivocation-detecting auditor; Ed25519 switches the
-	// Byzantine authenticator to real signatures so its fraud proofs are
-	// third-party verifiable.
-	Slash   bool
-	Ed25519 bool
-	// VerifyWindow is the signature batch-verification window (0 = env or
-	// default, 1 = strictly per signature).
-	VerifyWindow int
-	// MetricsAddr serves Prometheus-text /metrics on its own listener;
-	// MetricsOnPprof additionally registers the endpoint on the process-wide
-	// pprof mux. TraceSample tunes the lifecycle tracer (0 = default).
-	MetricsAddr    string
-	MetricsOnPprof bool
-	TraceSample    int
+// totals is what one closed-loop run committed.
+type totals struct {
+	committed, cross, failed, shed int64
+	elapsed                        time.Duration
 }
 
-// runReplica hosts one node of a multi-process deployment: a TCP fabric
-// listening on the node's topology address, the replica runtime on top, and
-// genesis state for its own shard. It returns when stop closes.
-func runReplica(tf *TopologyFile, self types.NodeID, opts replicaOptions, stop <-chan struct{}, out io.Writer) error {
-	addr, ok := tf.Addrs[self]
-	if !ok {
-		return fmt.Errorf("node %s is not in the topology", self)
-	}
-	fcfg := tcpnet.Config{
-		Self:       self,
-		ListenAddr: addr,
-		Peers:      tf.Addrs,
-		Secret:     crypto.WireKey(tf.Secret),
-	}
-	// Every process shapes its own outbound links, so the deployment as a
-	// whole emulates the WAN the topology file describes.
-	if tune := core.ShapeTune(tf.Shaping, opts.Seed, tf.Topo.ClusterOf); tune != nil {
-		tune(&fcfg)
-	}
-	fab, err := tcpnet.New(fcfg)
-	if err != nil {
-		return err
-	}
-	defer fab.Close()
-
-	pcfg := core.ProcessConfig{
-		Topo:         tf.Topo,
-		Self:         self,
-		Fabric:       fab,
-		Seed:         opts.Seed,
-		BatchSize:    opts.Batch,
-		Sync:         opts.Sync,
-		LockTimeout:  opts.LockTimeout,
-		Slash:        opts.Slash,
-		Ed25519:      opts.Ed25519,
-		VerifyWindow: opts.VerifyWindow,
-		TraceSample:  opts.TraceSample,
-	}
-	if opts.DataDir != "" {
-		pcfg.DataDir = core.NodeDataDir(opts.DataDir, self)
-	}
-	node, err := core.NewProcessNode(pcfg)
-	if err != nil {
-		return err
-	}
-	shards := state.ShardMap{NumShards: len(tf.Topo.Clusters)}
-	for k := 0; k < opts.Accounts; k++ {
-		node.Store().Credit(shards.AccountInShard(node.Cluster(), uint64(k)), opts.Balance)
-	}
-	node.Start()
-	defer node.Stop()
-	serveReplicaMetrics(node, fab, opts, out)
-	if n := node.RecoveredBlocks(); n > 0 {
-		fmt.Fprintf(out, "sharperd: replica %s recovered %d blocks from %s\n", self, n, pcfg.DataDir)
-	}
-	fmt.Fprintf(out, "sharperd: replica %s (cluster %s) listening on %s\n", self, node.Cluster(), fab.Addr())
-	<-stop
-	// Stop before reading the scheduler counters: Counters is a quiesced
-	// read (the deferred Stop above is idempotent).
-	node.Stop()
-	s := node.Counters()
-	fmt.Fprintf(out, "sharperd: replica %s stopping (committed %d, chain %d blocks, %d anomalies; sched leads=%d parks=%d withdraws=%d expiries=%d avoided=%d)\n",
-		self, node.Committed(), node.View().Len(), node.Anomalies(),
-		s.LeadsInFlight, s.Parks, s.Withdraws, s.LockExpiries, s.DefersAvoided)
-	if os.Getenv("SHARPERD_DEBUG") != "" {
-		for _, line := range node.DebugTrace() {
-			fmt.Fprintf(out, "sharperd: trace %s: %s\n", self, line)
-		}
-	}
-	return nil
+func (t totals) String() string {
+	return fmt.Sprintf("total: %d transactions (%.0f tx/s), %d cross-shard, %d failed, %d shed",
+		t.committed, float64(t.committed)/t.elapsed.Seconds(), t.cross, t.failed, t.shed)
 }
 
-// ----------------------------------------------------------------- driver --
-
-type driverOptions struct {
-	Clients        int
-	CrossPct       int
-	Duration       time.Duration
-	Seed           int64
-	Accounts       int
-	DriverIndex    int
-	ConnectTimeout time.Duration
-	ShowDAG        bool
-	// TraceDir is where a failed wire audit dumps every replica's
-	// SHARPER_TRACE ring (one trace-node-<id>.log per replica).
-	TraceDir string
-	// Slash makes the driver fetch every replica's fraud-proof evidence
-	// after the audit and print the offender report; Ed25519 tells it which
-	// authenticator the replicas derive from the seed, so it can rebuild the
-	// matching verifier offline.
-	Slash   bool
-	Ed25519 bool
-}
-
-// runDriver attaches to a running multi-process deployment over a dial-only
-// fabric, issues the workload, then audits the deployment's DAG by fetching
-// every cluster's chain through the sync protocol.
-func runDriver(tf *TopologyFile, opts driverOptions, out io.Writer) error {
-	fcfg := tcpnet.Config{
-		Peers:  tf.Addrs,
-		Secret: crypto.WireKey(tf.Secret),
-	}
-	// The driver's dial-only fabric gets the topology's client link shape, so
-	// request/reply latency matches the emulated WAN too.
-	if tune := core.ShapeTune(tf.Shaping, opts.Seed, tf.Topo.ClusterOf); tune != nil {
-		tune(&fcfg)
-	}
-	fab, err := tcpnet.New(fcfg)
-	if err != nil {
-		return err
-	}
-	defer fab.Close()
-
-	shards := state.ShardMap{NumShards: len(tf.Topo.Clusters)}
-	// Client IDs are partitioned by driver index so several driver processes
-	// can share one deployment without colliding.
-	clientBase := types.ClientIDBase + types.NodeID(opts.DriverIndex)*100_000
-	cls := make([]*core.Client, opts.Clients)
-	for i := range cls {
-		cls[i] = core.NewClientAt(fab, tf.Topo, shards, clientBase+types.NodeID(i)+1)
-	}
-	fmt.Fprintf(out, "sharperd: driver connecting to %d replicas…\n", len(tf.Addrs))
-	if err := fab.ConnectAll(opts.ConnectTimeout); err != nil {
-		return fmt.Errorf("deployment not up: %w", err)
-	}
-
+// drive runs one closed-loop issuer per client for the options' duration,
+// each on its own split of one workload generator, printing throughput once
+// a second. Local runs and drivers both issue their load here.
+func drive(cls []*core.Client, shards state.ShardMap, seed int64, opts options, out io.Writer) totals {
 	gen := workload.New(workload.Config{
 		Shards:           shards,
 		AccountsPerShard: opts.Accounts,
 		CrossShardPct:    opts.CrossPct,
 		ShardsPerCross:   2,
-		Seed:             opts.Seed,
+		Seed:             seed,
 	})
-
 	var committed, crossDone, failed, shed atomic.Int64
 	var stop atomic.Bool
 	var wg sync.WaitGroup
@@ -418,19 +304,17 @@ func runDriver(tf *TopologyFile, opts driverOptions, out io.Writer) error {
 			g := gen.Split(k)
 			for !stop.Load() {
 				tx := c.MakeTx(g.Next())
-				ok, _, err := c.Submit(tx)
-				if errors.Is(err, core.ErrOverloaded) || errors.Is(err, core.ErrExpired) {
+				_, _, err := c.Submit(tx)
+				switch {
+				case errors.Is(err, core.ErrOverloaded) || errors.Is(err, core.ErrExpired):
 					shed.Add(1)
-					continue
-				}
-				if err != nil {
+				case err != nil:
 					failed.Add(1)
-					continue
-				}
-				_ = ok
-				committed.Add(1)
-				if tx.IsCrossShard() {
-					crossDone.Add(1)
+				default:
+					committed.Add(1)
+					if tx.IsCrossShard() {
+						crossDone.Add(1)
+					}
 				}
 			}
 		}(i, c)
@@ -453,167 +337,73 @@ loop:
 	ticker.Stop()
 	stop.Store(true)
 	wg.Wait()
-
-	n := committed.Load()
-	fmt.Fprintf(out, "total: %d transactions (%.0f tx/s), %d cross-shard, %d failed, %d shed\n",
-		n, float64(n)/time.Since(start).Seconds(), crossDone.Load(), failed.Load(), shed.Load())
-
-	// Replicas keep converging (cross-shard decisions propagate to
-	// non-initiator replicas asynchronously, chain sync fills gaps), so
-	// retry the audit until the fetched views agree or the deadline passes.
-	var dag *ledger.DAG
-	var auditErr error
-	auditDeadline := time.Now().Add(15 * time.Second)
-	for attempt := 0; ; attempt++ {
-		dag, auditErr = fetchDAG(fab, tf, clientBase+99_000+types.NodeID(attempt))
-		if auditErr == nil {
-			if auditErr = dag.Verify(); auditErr == nil {
-				auditErr = dag.VerifyPairwiseOrder()
-			}
-		}
-		if auditErr == nil {
-			break
-		}
-		if time.Now().After(auditDeadline) {
-			// A divergent deployment's protocol history lives in the
-			// replicas' SHARPER_TRACE rings; pull them all while the
-			// processes are still up — they are the only evidence.
-			dumpTraces(fab, tf, opts.TraceDir, clientBase+98_000, out)
-			return fmt.Errorf("ledger audit FAILED: %w", auditErr)
-		}
-		time.Sleep(300 * time.Millisecond)
-	}
-	fmt.Fprintln(out, "ledger audit: all views consistent, cross-shard order agrees")
-	if err := auditState(fab, tf, clientBase+94_000, out); err != nil {
-		return fmt.Errorf("state audit FAILED: %w", err)
-	}
-	printSchedStats(fab, tf, clientBase+97_000, out)
-	printMetrics(fab, tf, clientBase+95_000, out)
-	if opts.Slash {
-		printEvidence(fab, tf, opts.Seed, opts.Ed25519, clientBase+96_000, out)
-	}
-	if opts.ShowDAG {
-		fmt.Fprint(out, dag.RenderASCII())
-	}
-	return nil
+	return totals{committed.Load(), crossDone.Load(), failed.Load(), shed.Load(), time.Since(start)}
 }
 
-// auditState fetches every replica's deterministic store fingerprint
-// (MsgStateRequest) and asserts that, cluster by cluster, every replica
-// reports the same applied height and hash — the wire proof that
-// conflict-partitioned parallel apply produced exactly the state serial
-// execution would have. Replicas may briefly lag (executor drain, chain
-// sync), so disagreement retries until the deadline.
-func auditState(fab *tcpnet.Net, tf *TopologyFile, auditID types.NodeID, out io.Writer) error {
-	inbox := fab.Register(auditID)
-	deadline := time.Now().Add(10 * time.Second)
-	var lastErr error
-	for {
-		got := make(map[types.NodeID]*types.StateDigest)
-		for id := range tf.Addrs {
-			fab.Send(id, &types.Envelope{Type: types.MsgStateRequest, From: auditID})
-		}
-		timeout := time.After(3 * time.Second)
-	collect:
-		for len(got) < len(tf.Addrs) {
-			select {
-			case env := <-inbox:
-				if env.Type != types.MsgStateResponse {
-					continue
-				}
-				d, err := types.DecodeStateDigest(env.Payload)
-				if err != nil {
-					continue
-				}
-				if _, known := tf.Addrs[d.Node]; !known {
-					continue
-				}
-				got[d.Node] = d
-			case <-timeout:
-				break collect
-			}
-		}
-		lastErr = stateConsensus(tf, got)
-		if lastErr == nil {
-			fmt.Fprintln(out, "state audit: store fingerprints agree on every cluster")
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return lastErr
-		}
-		time.Sleep(300 * time.Millisecond)
-	}
-}
-
-// stateConsensus checks per-cluster agreement of fetched state digests.
-func stateConsensus(tf *TopologyFile, got map[types.NodeID]*types.StateDigest) error {
-	byCluster := make(map[types.ClusterID][]*types.StateDigest)
-	for id := range tf.Addrs {
-		d, ok := got[id]
-		if !ok {
-			return fmt.Errorf("replica %v did not answer the state audit", id)
-		}
-		c, ok := tf.Topo.ClusterOf(id)
-		if !ok {
-			continue
-		}
-		byCluster[c] = append(byCluster[c], d)
-	}
-	for c, ds := range byCluster {
-		first := ds[0]
-		for _, d := range ds[1:] {
-			if d.Height != first.Height {
-				return fmt.Errorf("cluster %v: applied heights differ (%v at %d, %v at %d)",
-					c, first.Node, first.Height, d.Node, d.Height)
-			}
-			if d.Hash != first.Hash {
-				return fmt.Errorf("cluster %v: fingerprint mismatch at height %d between %v and %v",
-					c, first.Height, first.Node, d.Node)
-			}
-		}
-	}
-	return nil
-}
-
-// printSchedStats fetches every replica's cross-shard scheduler counters
-// over the wire (MsgStatsRequest) and prints the deployment-wide aggregate —
-// the audit's view into leads pipelining, conflict-table occupancy, and
-// deferral precision.
-func printSchedStats(fab *tcpnet.Net, tf *TopologyFile, statsID types.NodeID, out io.Writer) {
-	inbox := fab.Register(statsID)
-	for id := range tf.Addrs {
-		fab.Send(id, &types.Envelope{Type: types.MsgStatsRequest, From: statsID})
-	}
-	var agg types.SchedStats
-	got := make(map[types.NodeID]bool)
-	deadline := time.After(3 * time.Second)
-	for len(got) < len(tf.Addrs) {
-		select {
-		case env := <-inbox:
-			if env.Type != types.MsgStatsResponse {
-				continue
-			}
-			s, err := types.DecodeSchedStats(env.Payload)
-			if err != nil || got[s.Node] {
-				continue
-			}
-			if _, known := tf.Addrs[s.Node]; !known {
-				continue
-			}
-			got[s.Node] = true
-			agg.Add(s)
-		case <-deadline:
-			fmt.Fprintf(out, "sharperd: scheduler stats: %d/%d replicas answered\n", len(got), len(tf.Addrs))
-			if len(got) == 0 {
-				return
-			}
-			goto done
-		}
-	}
-done:
+// printSched prints the deployment-wide aggregate of the cross-shard
+// scheduler counters.
+func printSched(s types.SchedStats, out io.Writer) {
 	fmt.Fprintf(out, "scheduler: leads=%d (hw %d) table=%d grants=%d parks=%d withdraws=%d expiries=%d defers=%d avoided=%d selfwaits=%d\n",
-		agg.LeadsInFlight, agg.LeadHighWater, agg.TableSize, agg.Grants, agg.Parks,
-		agg.Withdraws, agg.LockExpiries, agg.Defers, agg.DefersAvoided, agg.SelfVoteWaits)
+		s.LeadsInFlight, s.LeadHighWater, s.TableSize, s.Grants, s.Parks,
+		s.Withdraws, s.LockExpiries, s.Defers, s.DefersAvoided, s.SelfVoteWaits)
+}
+
+// ---------------------------------------------------------------- replica --
+
+// runReplica hosts replica self of a multi-process deployment: a TCP fabric
+// listening on the node's topology address, the replica runtime on top, and
+// genesis state for its own shard. It returns when stop closes.
+func runReplica(tf *TopologyFile, self types.NodeID, cfg core.Config, opts options, stop <-chan struct{}, out io.Writer) error {
+	addr, ok := tf.Addrs[self]
+	if !ok {
+		return fmt.Errorf("node %s is not in the topology", self)
+	}
+	fcfg := tcpnet.Config{
+		Self:       self,
+		ListenAddr: addr,
+		Peers:      tf.Addrs,
+		Secret:     crypto.WireKey(tf.Secret),
+	}
+	// Every process shapes its own outbound links, so the deployment as a
+	// whole emulates the WAN the topology file describes.
+	if tune := core.ShapeTune(cfg.Shaping, cfg.Seed, tf.Topo.ClusterOf); tune != nil {
+		tune(&fcfg)
+	}
+	fab, err := tcpnet.New(fcfg)
+	if err != nil {
+		return err
+	}
+	defer fab.Close()
+
+	node, err := core.NewProcessNode(cfg, self, fab)
+	if err != nil {
+		return err
+	}
+	shards := state.ShardMap{NumShards: len(tf.Topo.Clusters)}
+	for k := 0; k < opts.Accounts; k++ {
+		node.Store().Credit(shards.AccountInShard(node.Cluster(), uint64(k)), opts.Balance)
+	}
+	node.Start()
+	defer node.Stop()
+	serveReplicaMetrics(node, fab, opts, out)
+	if n := node.RecoveredBlocks(); n > 0 {
+		fmt.Fprintf(out, "sharperd: replica %s recovered %d blocks from %s\n", self, n, core.NodeDataDir(cfg.DataDir, self))
+	}
+	fmt.Fprintf(out, "sharperd: replica %s (cluster %s) listening on %s\n", self, node.Cluster(), fab.Addr())
+	<-stop
+	// Stop before reading the scheduler counters: Counters is a quiesced
+	// read (the deferred Stop above is idempotent).
+	node.Stop()
+	s := node.Counters()
+	fmt.Fprintf(out, "sharperd: replica %s stopping (committed %d, chain %d blocks, %d anomalies; sched leads=%d parks=%d withdraws=%d expiries=%d avoided=%d)\n",
+		self, node.Committed(), node.View().Len(), node.Anomalies(),
+		s.LeadsInFlight, s.Parks, s.Withdraws, s.LockExpiries, s.DefersAvoided)
+	if cfg.Trace {
+		for _, line := range node.DebugTrace() {
+			fmt.Fprintf(out, "sharperd: trace %s: %s\n", self, line)
+		}
+	}
+	return nil
 }
 
 // metricsOnPprofOnce guards the process-wide pprof-mux registration: tests
@@ -625,7 +415,7 @@ var metricsOnPprofOnce sync.Once
 // per-peer link counters, which live outside the registry) in Prometheus
 // text form: on a dedicated listener when -metrics is set, and on the pprof
 // mux when -pprof is up.
-func serveReplicaMetrics(node *core.Node, fab *tcpnet.Net, opts replicaOptions, out io.Writer) {
+func serveReplicaMetrics(node *core.Node, fab *tcpnet.Net, opts options, out io.Writer) {
 	if opts.MetricsAddr == "" && !opts.MetricsOnPprof {
 		return
 	}
@@ -677,42 +467,212 @@ func writeLinkMetrics(w io.Writer, fab *tcpnet.Net) {
 	}
 }
 
+// ----------------------------------------------------------------- driver --
+
+// runDriver attaches to a running multi-process deployment over a dial-only
+// fabric, issues the workload, then audits the deployment's DAG by fetching
+// every cluster's chain through the sync protocol.
+func runDriver(tf *TopologyFile, cfg core.Config, opts options, out io.Writer) error {
+	fcfg := tcpnet.Config{
+		Peers:  tf.Addrs,
+		Secret: crypto.WireKey(tf.Secret),
+	}
+	// The driver's dial-only fabric gets the topology's client link shape, so
+	// request/reply latency matches the emulated WAN too.
+	if tune := core.ShapeTune(cfg.Shaping, cfg.Seed, tf.Topo.ClusterOf); tune != nil {
+		tune(&fcfg)
+	}
+	fab, err := tcpnet.New(fcfg)
+	if err != nil {
+		return err
+	}
+	defer fab.Close()
+
+	shards := state.ShardMap{NumShards: len(tf.Topo.Clusters)}
+	// Client IDs are partitioned by driver index so several driver processes
+	// can share one deployment without colliding.
+	clientBase := types.ClientIDBase + types.NodeID(opts.DriverIndex)*100_000
+	cls := make([]*core.Client, opts.Clients)
+	for i := range cls {
+		cls[i] = core.NewClientAt(fab, tf.Topo, shards, clientBase+types.NodeID(i)+1)
+	}
+	fmt.Fprintf(out, "sharperd: driver connecting to %d replicas…\n", len(tf.Addrs))
+	if err := fab.ConnectAll(opts.ConnectTimeout); err != nil {
+		return fmt.Errorf("deployment not up: %w", err)
+	}
+	fmt.Fprintln(out, drive(cls, shards, cfg.Seed, opts, out))
+
+	// Replicas keep converging (cross-shard decisions propagate to
+	// non-initiator replicas asynchronously, chain sync fills gaps), so
+	// retry the audit until the fetched views agree or the deadline passes.
+	var dag *ledger.DAG
+	var auditErr error
+	auditDeadline := time.Now().Add(15 * time.Second)
+	for attempt := 0; ; attempt++ {
+		dag, auditErr = fetchDAG(fab, tf, clientBase+99_000+types.NodeID(attempt))
+		if auditErr == nil {
+			auditErr = dag.Audit()
+		}
+		if auditErr == nil {
+			break
+		}
+		if time.Now().After(auditDeadline) {
+			// A divergent deployment's protocol history lives in the
+			// replicas' trace rings; pull them all while the processes are
+			// still up — they are the only evidence.
+			dumpTraces(fab, tf, opts.TraceDir, clientBase+98_000, out)
+			return fmt.Errorf("ledger audit FAILED: %w", auditErr)
+		}
+		time.Sleep(300 * time.Millisecond)
+	}
+	fmt.Fprintln(out, "ledger audit: all views consistent, cross-shard order agrees")
+	if err := auditState(fab, tf, clientBase+94_000, out); err != nil {
+		return fmt.Errorf("state audit FAILED: %w", err)
+	}
+	printSchedStats(fab, tf, clientBase+97_000, out)
+	printMetrics(fab, tf, clientBase+95_000, out)
+	if cfg.Slash {
+		if err := printEvidence(fab, tf, cfg, clientBase+96_000, out); err != nil {
+			return err
+		}
+	}
+	if opts.ShowDAG {
+		fmt.Fprint(out, dag.RenderASCII())
+	}
+	return nil
+}
+
+// query sends one request of type req to every replica and collects the
+// decoded answers of type resp by the replica each names, until every
+// replica has answered or three seconds pass. Answers naming a node outside
+// the topology are dropped, so a lying replica cannot clobber another's
+// entry or satisfy the completion count.
+func query[T any](fab *tcpnet.Net, tf *TopologyFile, from types.NodeID, req, resp types.MsgType,
+	decode func([]byte) (T, error), nodeOf func(T) types.NodeID) map[types.NodeID]T {
+	inbox := fab.Register(from)
+	for id := range tf.Addrs {
+		fab.Send(id, &types.Envelope{Type: req, From: from})
+	}
+	got := make(map[types.NodeID]T, len(tf.Addrs))
+	deadline := time.After(3 * time.Second)
+	for len(got) < len(tf.Addrs) {
+		select {
+		case env := <-inbox:
+			if env.Type != resp {
+				continue
+			}
+			v, err := decode(env.Payload)
+			if err != nil {
+				continue
+			}
+			id := nodeOf(v)
+			if _, known := tf.Addrs[id]; !known {
+				continue
+			}
+			if _, dup := got[id]; !dup {
+				got[id] = v
+			}
+		case <-deadline:
+			return got
+		}
+	}
+	return got
+}
+
+// answered reports a query that not every replica answered, and whether any
+// did.
+func answered[T any](got map[types.NodeID]T, tf *TopologyFile, what string, out io.Writer) bool {
+	if len(got) < len(tf.Addrs) {
+		fmt.Fprintf(out, "sharperd: %s: %d/%d replicas answered\n", what, len(got), len(tf.Addrs))
+	}
+	return len(got) > 0
+}
+
+// auditState fetches every replica's deterministic store fingerprint
+// (MsgStateRequest) and asserts that, cluster by cluster, every replica
+// reports the same applied height and hash — the wire proof that
+// conflict-partitioned parallel apply produced exactly the state serial
+// execution would have. Replicas may briefly lag (executor drain, chain
+// sync), so disagreement retries until the deadline, each attempt on a
+// fresh endpoint so that no answer to an earlier attempt is counted.
+func auditState(fab *tcpnet.Net, tf *TopologyFile, auditID types.NodeID, out io.Writer) error {
+	deadline := time.Now().Add(10 * time.Second)
+	for attempt := types.NodeID(0); ; attempt++ {
+		got := query(fab, tf, auditID+attempt, types.MsgStateRequest, types.MsgStateResponse,
+			types.DecodeStateDigest, func(d *types.StateDigest) types.NodeID { return d.Node })
+		err := stateConsensus(tf, got)
+		if err == nil {
+			fmt.Fprintln(out, "state audit: store fingerprints agree on every cluster")
+			return nil
+		}
+		if time.Now().After(deadline) {
+			return err
+		}
+		time.Sleep(300 * time.Millisecond)
+	}
+}
+
+// stateConsensus checks per-cluster agreement of fetched state digests.
+func stateConsensus(tf *TopologyFile, got map[types.NodeID]*types.StateDigest) error {
+	byCluster := make(map[types.ClusterID][]*types.StateDigest)
+	for id := range tf.Addrs {
+		d, ok := got[id]
+		if !ok {
+			return fmt.Errorf("replica %v did not answer the state audit", id)
+		}
+		c, ok := tf.Topo.ClusterOf(id)
+		if !ok {
+			continue
+		}
+		byCluster[c] = append(byCluster[c], d)
+	}
+	for c, ds := range byCluster {
+		first := ds[0]
+		for _, d := range ds[1:] {
+			if d.Height != first.Height {
+				return fmt.Errorf("cluster %v: applied heights differ (%v at %d, %v at %d)",
+					c, first.Node, first.Height, d.Node, d.Height)
+			}
+			if d.Hash != first.Hash {
+				return fmt.Errorf("cluster %v: fingerprint mismatch at height %d between %v and %v",
+					c, first.Height, first.Node, d.Node)
+			}
+		}
+	}
+	return nil
+}
+
+// printSchedStats fetches every replica's cross-shard scheduler counters
+// over the wire (MsgStatsRequest) and prints the deployment-wide aggregate —
+// the audit's view into leads pipelining, conflict-table occupancy, and
+// deferral precision.
+func printSchedStats(fab *tcpnet.Net, tf *TopologyFile, statsID types.NodeID, out io.Writer) {
+	got := query(fab, tf, statsID, types.MsgStatsRequest, types.MsgStatsResponse,
+		types.DecodeSchedStats, func(s *types.SchedStats) types.NodeID { return s.Node })
+	if !answered(got, tf, "scheduler stats", out) {
+		return
+	}
+	var agg types.SchedStats
+	for _, s := range got {
+		agg.Add(s)
+	}
+	printSched(agg, out)
+}
+
 // printMetrics fetches every replica's registry snapshot over the wire
 // (MsgMetricsRequest), merges the fleet, and prints the commit-latency
 // breakdown plus headline counters — the audit-time roll-up companion to
 // printSchedStats.
 func printMetrics(fab *tcpnet.Net, tf *TopologyFile, metricsID types.NodeID, out io.Writer) {
-	inbox := fab.Register(metricsID)
-	for id := range tf.Addrs {
-		fab.Send(id, &types.Envelope{Type: types.MsgMetricsRequest, From: metricsID})
+	got := query(fab, tf, metricsID, types.MsgMetricsRequest, types.MsgMetricsResponse,
+		types.DecodeMetricsDump, func(d *types.MetricsDump) types.NodeID { return d.Node })
+	if !answered(got, tf, "metrics", out) {
+		return
 	}
 	var snaps [][]obs.Metric
-	got := make(map[types.NodeID]bool)
-	deadline := time.After(3 * time.Second)
-	for len(got) < len(tf.Addrs) {
-		select {
-		case env := <-inbox:
-			if env.Type != types.MsgMetricsResponse {
-				continue
-			}
-			d, err := types.DecodeMetricsDump(env.Payload)
-			if err != nil || got[d.Node] {
-				continue
-			}
-			if _, known := tf.Addrs[d.Node]; !known {
-				continue
-			}
-			got[d.Node] = true
-			snaps = append(snaps, obs.MetricsFromWire(d.Metrics))
-		case <-deadline:
-			fmt.Fprintf(out, "sharperd: metrics: %d/%d replicas answered\n", len(got), len(tf.Addrs))
-			if len(got) == 0 {
-				return
-			}
-			goto merge
-		}
+	for _, d := range got {
+		snaps = append(snaps, obs.MetricsFromWire(d.Metrics))
 	}
-merge:
 	merged := obs.Merge(snaps...)
 	byName := make(map[string]*obs.Metric, len(merged))
 	for i := range merged {
@@ -740,58 +700,36 @@ merge:
 
 // printEvidence fetches every replica's accumulated fraud proofs over the
 // wire (MsgEvidenceRequest), deduplicates them, re-verifies each one against
-// an authenticator rebuilt offline from the shared seed (exactly as every
-// replica derives it — the driver never sees a private channel the proofs
-// depend on), and prints the offender report. A proof that fails offline
-// verification is counted separately: the replicas should never have
-// admitted it.
-func printEvidence(fab *tcpnet.Net, tf *TopologyFile, seed int64, ed25519 bool, evID types.NodeID, out io.Writer) {
-	var verifier types.SigVerifier = crypto.NoopSigner{}
-	if tf.Topo.AnyByzantine() {
-		var auth crypto.Authenticator = crypto.NewMACKeyring()
-		if ed25519 {
-			auth = crypto.NewKeyring()
-		}
-		rng := rand.New(rand.NewSource(seed + 1))
-		for _, id := range tf.Topo.AllNodes() {
-			if err := auth.Generate(id, rng); err != nil {
-				fmt.Fprintf(out, "sharperd: evidence: rebuilding keyring: %v\n", err)
-				return
-			}
-		}
-		verifier = auth
+// the keys every replica derives from the shared configuration (the driver
+// never sees a private channel the proofs depend on), and prints the
+// offender report.
+func printEvidence(fab *tcpnet.Net, tf *TopologyFile, cfg core.Config, evID types.NodeID, out io.Writer) error {
+	keys, err := core.DeriveKeys(cfg)
+	if err != nil {
+		return fmt.Errorf("evidence: rebuilding keys: %w", err)
 	}
-
-	inbox := fab.Register(evID)
-	for id := range tf.Addrs {
-		fab.Send(id, &types.Envelope{Type: types.MsgEvidenceRequest, From: evID})
-	}
+	got := query(fab, tf, evID, types.MsgEvidenceRequest, types.MsgEvidenceResponse,
+		types.DecodeEvidenceDump, func(d *types.EvidenceDump) types.NodeID { return d.Node })
+	answered(got, tf, "evidence", out)
 	proofs := make(map[string]*types.FraudProof)
-	got := make(map[types.NodeID]bool)
-	deadline := time.After(3 * time.Second)
-	for len(got) < len(tf.Addrs) {
-		select {
-		case env := <-inbox:
-			if env.Type != types.MsgEvidenceResponse {
-				continue
-			}
-			dump, err := types.DecodeEvidenceDump(env.Payload)
-			if err != nil || got[dump.Node] {
-				continue
-			}
-			if _, known := tf.Addrs[dump.Node]; !known {
-				continue
-			}
-			got[dump.Node] = true
-			for _, p := range dump.Proofs {
-				proofs[p.Key()] = p
-			}
-		case <-deadline:
-			fmt.Fprintf(out, "sharperd: evidence: %d/%d replicas answered\n", len(got), len(tf.Addrs))
-			goto report
+	for _, dump := range got {
+		for _, p := range dump.Proofs {
+			proofs[p.Key()] = p
 		}
 	}
-report:
+	printOffenders(proofs, keys, tf.Topo, out)
+	return nil
+}
+
+// printOffenders re-verifies fraud proofs offline against the deployment's
+// keys and prints, per offender, how many proofs of each kind it earned. A
+// proof that fails offline verification is counted separately: the replicas
+// should never have admitted it.
+func printOffenders(proofs map[string]*types.FraudProof, keys crypto.Provider, topo *consensus.Topology, out io.Writer) {
+	var verifier types.SigVerifier = crypto.NoopSigner{}
+	if topo.AnyByzantine() {
+		verifier = keys
+	}
 	if len(proofs) == 0 {
 		fmt.Fprintln(out, "slasher: no fraud proofs collected — no equivocation observed")
 		return
@@ -811,7 +749,7 @@ report:
 	}
 	fmt.Fprintf(out, "slasher: %d distinct fraud proofs, %d offenders, %d failed offline verification\n",
 		len(proofs)-invalid, len(perOffender), invalid)
-	for _, id := range tf.Topo.AllNodes() {
+	for _, id := range topo.AllNodes() {
 		kinds, guilty := perOffender[id]
 		if !guilty {
 			continue
@@ -826,61 +764,31 @@ report:
 	}
 }
 
-// dumpTraces asks every replica for its SHARPER_TRACE protocol-event ring
-// and writes one trace-node-<id>.log per replica into dir, giving a
-// divergence hunt the cross-process evidence the ROADMAP's open fork item
-// needs. Replicas running without SHARPER_TRACE answer with empty rings,
-// which are noted but not written.
+// dumpTraces asks every replica for its protocol-event ring and writes one
+// trace-node-<id>.log per replica into dir, giving a divergence hunt the
+// cross-process evidence it needs. Replicas running without -trace answer
+// with empty rings, which are noted but not written. (A Byzantine replica
+// can still claim a peer's ID — rings are diagnostic leads, not
+// authenticated evidence.)
 func dumpTraces(fab *tcpnet.Net, tf *TopologyFile, dir string, dumpID types.NodeID, out io.Writer) {
-	inbox := fab.Register(dumpID)
-	for id := range tf.Addrs {
-		fab.Send(id, &types.Envelope{Type: types.MsgTraceRequest, From: dumpID})
-	}
-	got := make(map[types.NodeID]bool)
-	deadline := time.After(3 * time.Second)
+	got := query(fab, tf, dumpID, types.MsgTraceRequest, types.MsgTraceResponse,
+		types.DecodeTraceDump, func(d *types.TraceDump) types.NodeID { return d.Node })
+	answered(got, tf, "trace dump", out)
 	empty := 0
-	for len(got) < len(tf.Addrs) {
-		select {
-		case env := <-inbox:
-			if env.Type != types.MsgTraceResponse {
-				continue
-			}
-			dump, err := types.DecodeTraceDump(env.Payload)
-			if err != nil || got[dump.Node] {
-				continue
-			}
-			// The dump runs precisely when the audit found divergence, i.e.
-			// possibly with a lying replica around: only accept names from
-			// the topology so a forged Node cannot clobber another replica's
-			// evidence file or satisfy the completion count. (A Byzantine
-			// replica can still claim a peer's ID — rings are diagnostic
-			// leads, not authenticated evidence.)
-			if _, known := tf.Addrs[dump.Node]; !known {
-				continue
-			}
-			got[dump.Node] = true
-			if len(dump.Lines) == 0 {
-				empty++
-				continue
-			}
-			path := filepath.Join(dir, fmt.Sprintf("trace-node-%d.log", uint32(dump.Node)))
-			var buf []byte
-			for _, l := range dump.Lines {
-				buf = append(buf, l...)
-				buf = append(buf, '\n')
-			}
-			if werr := os.WriteFile(path, buf, 0o644); werr != nil {
-				fmt.Fprintf(out, "sharperd: trace dump %s: %v\n", path, werr)
-				continue
-			}
-			fmt.Fprintf(out, "sharperd: wrote %s (%d events)\n", path, len(dump.Lines))
-		case <-deadline:
-			fmt.Fprintf(out, "sharperd: trace dump: %d/%d replicas answered\n", len(got), len(tf.Addrs))
-			return
+	for id, dump := range got {
+		if len(dump.Lines) == 0 {
+			empty++
+			continue
 		}
+		path := filepath.Join(dir, fmt.Sprintf("trace-node-%d.log", uint32(id)))
+		if err := os.WriteFile(path, []byte(strings.Join(dump.Lines, "\n")+"\n"), 0o644); err != nil {
+			fmt.Fprintf(out, "sharperd: trace dump %s: %v\n", path, err)
+			continue
+		}
+		fmt.Fprintf(out, "sharperd: wrote %s (%d events)\n", path, len(dump.Lines))
 	}
 	if empty > 0 {
-		fmt.Fprintf(out, "sharperd: trace dump: %d replicas had empty rings (start them with SHARPER_TRACE=1 to record)\n", empty)
+		fmt.Fprintf(out, "sharperd: trace dump: %d replicas had empty rings (start them with -trace to record)\n", empty)
 	}
 }
 
@@ -903,150 +811,58 @@ func fetchDAG(fab *tcpnet.Net, tf *TopologyFile, auditID types.NodeID) (*ledger.
 
 // ------------------------------------------------------- single process ----
 
-type localOptions struct {
-	Clusters, F, CrossPct, Clients int
-	Duration                       time.Duration
-	Seed                           int64
-	Batch                          int
-	ShowDAG                        bool
-	Accounts                       int
-	Balance                        int64
-	TCP                            bool
-	DataDir                        string
-	Sync                           storage.SyncPolicy
-	Slash                          bool
-	Ed25519                        bool
-	Multiregion                    bool
-	VerifyWindow                   int
-}
-
-// runLocal is the original single-process mode: a full deployment in one
-// process, on the simulated fabric or (with -transport tcp) on real
-// loopback sockets.
-func runLocal(fm sharper.FailureModel, opts localOptions) {
-	tr := sharper.TransportSim
-	trName := "simulated fabric"
-	if opts.TCP {
-		tr = sharper.TransportTCP
-		trName = "loopback TCP sockets"
-	}
-	net, err := sharper.New(sharper.Options{
-		Model:            fm,
-		Clusters:         opts.Clusters,
-		F:                opts.F,
-		Seed:             opts.Seed,
-		BatchSize:        opts.Batch,
-		Transport:        tr,
-		AccountsPerShard: opts.Accounts,
-		InitialBalance:   opts.Balance,
-		DataDir:          opts.DataDir,
-		Sync:             opts.Sync,
-		Slash:            opts.Slash,
-		Ed25519:          opts.Ed25519,
-		Multiregion:      opts.Multiregion,
-		VerifyWindow:     opts.VerifyWindow,
-	})
+// runLocal is the single-process mode: a full deployment of cfg in one
+// process, on the simulated fabric or (with -transport tcp) on real loopback
+// sockets, driven, stopped and audited.
+func runLocal(cfg core.Config, opts options, out io.Writer) error {
+	d, err := core.NewDeployment(cfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	defer net.Close()
+	defer d.Stop()
+	d.SeedAccounts(opts.Accounts, opts.Balance)
+	d.Start()
 
-	if opts.Multiregion {
-		trName += ", multiregion WAN shaping"
+	fabric := "simulated fabric"
+	if cfg.Transport == core.TransportTCP {
+		fabric = "loopback TCP sockets"
 	}
-	size := fm.ClusterSize(opts.F)
-	fmt.Printf("sharperd: %s model, %d clusters × %d nodes (%d total) over %s, %d%% cross-shard, %d clients, batch≤%d\n",
-		fm, opts.Clusters, size, opts.Clusters*size, trName, opts.CrossPct, opts.Clients, opts.Batch)
-
-	gen := workload.New(workload.Config{
-		Shards:           state.ShardMap{NumShards: opts.Clusters},
-		AccountsPerShard: opts.Accounts,
-		CrossShardPct:    opts.CrossPct,
-		ShardsPerCross:   2,
-		Seed:             opts.Seed,
-	})
-
-	var committed, crossDone, shed atomic.Int64
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	for i := 0; i < opts.Clients; i++ {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			g := gen.Split(k)
-			c := net.NewClient()
-			for !stop.Load() {
-				ops := g.Next()
-				res, err := c.Submit(toOps(ops))
-				if errors.Is(err, sharper.ErrOverloaded) || errors.Is(err, sharper.ErrExpired) {
-					shed.Add(1)
-					continue
-				}
-				if err != nil {
-					continue
-				}
-				committed.Add(1)
-				if res.CrossShard {
-					crossDone.Add(1)
-				}
-			}
-		}(i)
+	if cfg.Shaping != nil {
+		fabric += ", shaped links"
 	}
+	nodes := len(d.Topo.AllNodes())
+	fmt.Fprintf(out, "sharperd: %s model, %d clusters, %d nodes over %s, %d%% cross-shard, %d clients, batch≤%d\n",
+		cfg.Model, len(d.Topo.Clusters), nodes, fabric, opts.CrossPct, opts.Clients, cfg.BatchSize)
 
-	start := time.Now()
-	ticker := time.NewTicker(time.Second)
-	deadline := time.After(opts.Duration)
-loop:
-	for {
-		select {
-		case <-ticker.C:
-			n := committed.Load()
-			fmt.Printf("  t=%4.1fs committed=%6d (%.0f tx/s, %d cross-shard)\n",
-				time.Since(start).Seconds(), n, float64(n)/time.Since(start).Seconds(), crossDone.Load())
-		case <-deadline:
-			break loop
-		}
+	cls := make([]*core.Client, opts.Clients)
+	for i := range cls {
+		cls[i] = d.NewClient()
 	}
-	ticker.Stop()
-	stop.Store(true)
-	wg.Wait()
+	t := drive(cls, d.Shards, cfg.Seed, opts, out)
 	time.Sleep(200 * time.Millisecond) // quiesce
-
-	n := committed.Load()
-	fmt.Printf("total: %d transactions (%.0f tx/s), %d cross-shard, %d shed\n",
-		n, float64(n)/time.Since(start).Seconds(), crossDone.Load(), shed.Load())
+	fmt.Fprintln(out, t)
 	// Stop the deployment before reading counters and auditing: scheduler
-	// counters are a quiesced read, and Close is idempotent under the
+	// counters are a quiesced read, and Stop is idempotent under the
 	// deferred call above.
-	net.Close()
-	s := net.SchedStats()
-	fmt.Printf("scheduler: leads=%d (hw %d) table=%d grants=%d parks=%d withdraws=%d expiries=%d defers=%d avoided=%d selfwaits=%d\n",
-		s.LeadsInFlight, s.LeadHighWater, s.TableSize, s.Grants, s.Parks,
-		s.Withdraws, s.LockExpiries, s.Defers, s.DefersAvoided, s.SelfVoteWaits)
-	if err := net.Verify(); err != nil {
-		log.Fatalf("ledger audit FAILED: %v", err)
+	d.Stop()
+	printSched(d.SchedStats(), out)
+	dag := d.DAG()
+	if err := dag.Audit(); err != nil {
+		return fmt.Errorf("ledger audit FAILED: %w", err)
 	}
-	fmt.Println("ledger audit: all views consistent, cross-shard order agrees")
-	if opts.Slash {
-		proofs := net.FraudProofs()
-		if len(proofs) == 0 {
-			fmt.Println("slasher: no fraud proofs — no equivocation observed")
-		} else {
-			// A fault-free local run should never reach here; proofs mean a
-			// replica equivocated (or the auditor has a bug worth a report).
-			fmt.Printf("slasher: %d fraud proofs collected:\n", len(proofs))
-			for _, p := range proofs {
-				fmt.Printf("  %s\n", p)
-			}
+	fmt.Fprintln(out, "ledger audit: all views consistent, cross-shard order agrees")
+	if cfg.Slash {
+		// A fault-free local run should never report an offender; proofs
+		// mean a replica equivocated (or the auditor has a bug worth a
+		// report).
+		proofs := make(map[string]*types.FraudProof)
+		for _, p := range d.FraudProofs() {
+			proofs[p.Key()] = p
 		}
+		printOffenders(proofs, d.Keyring, d.Topo, out)
 	}
 	if opts.ShowDAG {
-		fmt.Print(net.DAG().RenderASCII())
+		fmt.Fprint(out, dag.RenderASCII())
 	}
-}
-
-func toOps(in []types.Op) []sharper.Op {
-	out := make([]sharper.Op, len(in))
-	copy(out, in)
-	return out
+	return nil
 }

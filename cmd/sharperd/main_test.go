@@ -20,56 +20,99 @@ import (
 	"sharper/internal/core"
 	"sharper/internal/crypto"
 	"sharper/internal/ledger"
+	"sharper/internal/matrix"
+	"sharper/internal/storage"
 	"sharper/internal/transport"
 	"sharper/internal/transport/tcpnet"
 	"sharper/internal/types"
 )
 
-// TestMain doubles as the replica entry point for the multi-process test:
-// the test re-execs its own binary with SHARPERD_TEST_ROLE=replica, which
-// runs one real sharperd replica process until killed — the same code path
-// as `sharperd -topology FILE -node N`.
+// TestMain doubles as the replica entry point for the multi-process tests:
+// they re-exec the test binary with SHARPERD_TEST_ROLE=replica and sharperd's
+// own replica flags, which runs one real replica process until killed — the
+// same code path as `sharperd -topology FILE -node N`.
 func TestMain(m *testing.M) {
 	if os.Getenv("SHARPERD_TEST_ROLE") == "replica" {
-		tf, err := ParseTopologyFile(os.Getenv("SHARPERD_TEST_TOPO"))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		id, err := strconv.Atoi(os.Getenv("SHARPERD_TEST_NODE"))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		// Runs until the parent kills it; SIGTERM triggers a clean shutdown
-		// (which dumps the protocol trace when SHARPERD_DEBUG is set).
-		stop := make(chan struct{})
-		go func() {
-			sig := make(chan os.Signal, 1)
-			signal.Notify(sig, syscall.SIGTERM)
-			<-sig
-			close(stop)
-		}()
-		// CI oversubscription (multiple heavy test packages sharing the CPU
-		// with 12 replica processes) can stall commit delivery for seconds;
-		// the §3.2 lock expiry must dominate it or late cross-shard commits
-		// become unappendable (see DESIGN.md, "Durable storage").
-		lockTimeout, _ := time.ParseDuration(os.Getenv("SHARPERD_TEST_LOCK"))
-		if err := runReplica(tf, types.NodeID(id), replicaOptions{
-			Seed: 1, Batch: 1, Accounts: 256, Balance: 1 << 30,
-			DataDir:     os.Getenv("SHARPERD_TEST_DATA"), // "" = in-memory
-			LockTimeout: lockTimeout,
-			// Trace every transaction so the driver's metrics roll-up has
-			// stage latencies to report; one process also serves /metrics.
-			TraceSample: 1,
-			MetricsAddr: os.Getenv("SHARPERD_TEST_METRICS"),
-		}, stop, os.Stdout); err != nil {
+		if err := replicaMain(os.Args[1:]); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 		os.Exit(0)
 	}
 	os.Exit(m.Run())
+}
+
+// replicaMain runs one replica process from its command line until SIGTERM,
+// which triggers a clean shutdown (and, with -trace, prints the ring).
+func replicaMain(args []string) error {
+	inv, err := parseFlags(args)
+	if err != nil {
+		return err
+	}
+	tf, err := ParseTopologyFile(inv.topoPath)
+	if err != nil {
+		return err
+	}
+	stop := make(chan struct{})
+	go func() {
+		sig := make(chan os.Signal, 1)
+		signal.Notify(sig, syscall.SIGTERM)
+		<-sig
+		close(stop)
+	}()
+	// A replica's storage is whatever its -data flag says.
+	cfg := inv.cfg
+	matrix.Apply(nil, &cfg.BatchSize, &cfg.VerifyWindow, &cfg.Trace, nil, nil)
+	return runReplica(tf, types.NodeID(inv.node), topologyConfig(cfg, tf), inv.opts, stop, os.Stdout)
+}
+
+// matrixConfig is cfg under CI's configuration matrix (internal/matrix):
+// every knob the test leaves zero takes the matrix job's value.
+func matrixConfig(tb testing.TB, cfg core.Config) core.Config {
+	matrix.Apply(tb, &cfg.BatchSize, &cfg.VerifyWindow, &cfg.Trace, &cfg.DataDir, &cfg.Sync)
+	return cfg
+}
+
+// spawnReplica starts replica id of the topology file as its own OS process,
+// writing its output to out, with extra appended to its flags.
+func spawnReplica(t *testing.T, topoPath string, id int, out io.Writer, extra ...string) *exec.Cmd {
+	t.Helper()
+	args := append([]string{
+		"-topology", topoPath, "-node", strconv.Itoa(id),
+		"-seed", "1", "-batch", "1", "-accounts", "256", "-balance", "1073741824",
+		// CI oversubscription (multiple heavy test packages sharing the CPU
+		// with 12 replica processes) can stall commit delivery for seconds;
+		// the §3.2 lock expiry must dominate it or late cross-shard commits
+		// become unappendable (see DESIGN.md, "Durable storage").
+		"-lock-timeout", "10s",
+		// Trace every transaction so the driver's metrics roll-up has stage
+		// latencies to report.
+		"-trace-sample", "1",
+	}, extra...)
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "SHARPERD_TEST_ROLE=replica")
+	cmd.Stdout, cmd.Stderr = out, out
+	if err := cmd.Start(); err != nil {
+		t.Fatalf("spawn replica %d: %v", id, err)
+	}
+	proc := cmd.Process
+	t.Cleanup(func() {
+		proc.Kill()
+		cmd.Wait()
+	})
+	return cmd
+}
+
+// driveTopology runs the client driver `sharperd -topology FILE -drive`
+// dispatches to against the replicas of tf for d.
+func driveTopology(tf *TopologyFile, d time.Duration, out io.Writer) error {
+	return runDriver(tf, topologyConfig(core.Config{Seed: 1}, tf), options{
+		Clients:        8,
+		CrossPct:       20,
+		Duration:       d,
+		Accounts:       256,
+		ConnectTimeout: 20 * time.Second,
+	}, out)
 }
 
 // freeAddrs reserves n distinct loopback ports by briefly listening on :0.
@@ -120,50 +163,24 @@ func TestMultiProcessDeployment(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// One OS process per replica.
-	var replicaLogs []*bytes.Buffer
+	// One OS process per replica, each recording its protocol trace; one
+	// also serves /metrics.
+	var replicaLogs []*syncBuffer
 	var replicaCmds []*exec.Cmd
 	for id := 0; id < total; id++ {
-		cmd := exec.Command(os.Args[0])
-		cmd.Env = append(os.Environ(),
-			"SHARPERD_TEST_ROLE=replica",
-			"SHARPERD_TEST_TOPO="+topoPath,
-			"SHARPERD_TEST_NODE="+strconv.Itoa(id),
-			"SHARPERD_TEST_LOCK=10s", // dominate oversubscribed commit delivery
-			"SHARPERD_DEBUG=1",
-			"SHARPER_TRACE=1",
-		)
+		extra := []string{"-trace"}
 		if id == 0 {
-			cmd.Env = append(cmd.Env, "SHARPERD_TEST_METRICS="+metricsAddr)
+			extra = append(extra, "-metrics", metricsAddr)
 		}
-		log := &bytes.Buffer{}
-		cmd.Stdout = log
-		cmd.Stderr = log
-		if err := cmd.Start(); err != nil {
-			t.Fatalf("spawn replica %d: %v", id, err)
-		}
+		log := &syncBuffer{}
 		replicaLogs = append(replicaLogs, log)
-		replicaCmds = append(replicaCmds, cmd)
-		proc := cmd.Process
-		t.Cleanup(func() {
-			proc.Kill()
-			cmd.Wait()
-		})
+		replicaCmds = append(replicaCmds, spawnReplica(t, topoPath, id, log, extra...))
 	}
 
-	// The driver runs in-process through the exact function `sharperd
-	// -topology ... -drive` dispatches to; its ConnectAll waits for the
-	// replica processes to come up.
+	// The driver runs in-process; its ConnectAll waits for the replica
+	// processes to come up.
 	var out bytes.Buffer
-	err = runDriver(tf, driverOptions{
-		Clients:        8,
-		CrossPct:       20,
-		Duration:       2 * time.Second,
-		Seed:           1,
-		Accounts:       256,
-		ConnectTimeout: 20 * time.Second,
-	}, &out)
-	if err != nil {
+	if err := driveTopology(tf, 2*time.Second, &out); err != nil {
 		t.Log(debugChainLengths(tf))
 		// Graceful shutdown dumps each replica's protocol trace.
 		for _, cmd := range replicaCmds {
@@ -256,27 +273,8 @@ func TestMultiProcessRestart(t *testing.T) {
 	logs := make(map[int]*syncBuffer)
 	cmds := make(map[int]*exec.Cmd)
 	spawn := func(id int) {
-		cmd := exec.Command(os.Args[0])
-		cmd.Env = append(os.Environ(),
-			"SHARPERD_TEST_ROLE=replica",
-			"SHARPERD_TEST_TOPO="+topoPath,
-			"SHARPERD_TEST_NODE="+strconv.Itoa(id),
-			"SHARPERD_TEST_DATA="+dataDir,
-			"SHARPERD_TEST_LOCK=10s", // dominate oversubscribed commit delivery
-		)
-		log := &syncBuffer{}
-		cmd.Stdout = log
-		cmd.Stderr = log
-		if err := cmd.Start(); err != nil {
-			t.Fatalf("spawn replica %d: %v", id, err)
-		}
-		logs[id] = log
-		cmds[id] = cmd
-		proc := cmd.Process
-		t.Cleanup(func() {
-			proc.Kill()
-			cmd.Wait()
-		})
+		logs[id] = &syncBuffer{}
+		cmds[id] = spawnReplica(t, topoPath, id, logs[id], "-data", dataDir)
 	}
 	for id := 0; id < total; id++ {
 		spawn(id)
@@ -291,16 +289,7 @@ func TestMultiProcessRestart(t *testing.T) {
 
 	driverDone := make(chan error, 1)
 	var out bytes.Buffer
-	go func() {
-		driverDone <- runDriver(tf, driverOptions{
-			Clients:        8,
-			CrossPct:       20,
-			Duration:       6 * time.Second,
-			Seed:           1,
-			Accounts:       256,
-			ConnectTimeout: 20 * time.Second,
-		}, &out)
-	}()
+	go func() { driverDone <- driveTopology(tf, 6*time.Second, &out) }()
 
 	time.Sleep(2500 * time.Millisecond) // let the workload commit real history
 	for _, id := range victims {
@@ -492,5 +481,78 @@ func TestTopologyFileRejectsLateFaultBound(t *testing.T) {
 	}
 	if _, err := ParseTopologyFile(path); err == nil {
 		t.Fatal("f directive after cluster lines accepted (earlier clusters would get the wrong quorums)")
+	}
+}
+
+// TestFlagsReachConfig parses one command line and requires every
+// configuration flag to land in the core.Config both the single-process mode
+// and a replica process build from — -lock-timeout was once dropped on the
+// single-process path.
+func TestFlagsReachConfig(t *testing.T) {
+	dir := t.TempDir()
+	topoPath := filepath.Join(dir, "topo.txt")
+	if err := WriteTopologyFile(topoPath, "127.0.0.1", 7500, 2, 1, types.CrashOnly, "s", ""); err != nil {
+		t.Fatal(err)
+	}
+	tf, err := ParseTopologyFile(topoPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inv, err := parseFlags([]string{"-lock-timeout", "7s", "-batch", "4", "-verify-window", "8", "-seed", "9",
+		"-sync", "always", "-data", dir, "-slash", "-ed25519", "-trace-sample", "2", "-trace"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	replica := topologyConfig(inv.cfg, tf)
+	if replica.Topology != tf.Topo {
+		t.Fatal("replica mode does not run the topology file's plan")
+	}
+	for mode, c := range map[string]core.Config{"local": inv.cfg, "replica": replica} {
+		for _, f := range []struct {
+			flag      string
+			got, want any
+		}{
+			{"-lock-timeout", c.LockTimeout, 7 * time.Second},
+			{"-batch", c.BatchSize, 4},
+			{"-verify-window", c.VerifyWindow, 8},
+			{"-seed", c.Seed, int64(9)},
+			{"-sync", c.Sync, storage.SyncAlways},
+			{"-data", c.DataDir, dir},
+			{"-slash", c.Slash, true},
+			{"-ed25519", c.Ed25519, true},
+			{"-trace-sample", c.TraceSample, 2},
+			{"-trace", c.Trace, true},
+		} {
+			if f.got != f.want {
+				t.Errorf("%s mode: %s gave %v, want %v", mode, f.flag, f.got, f.want)
+			}
+		}
+	}
+}
+
+// TestLocalMode runs the single-process mode end to end over both fabrics:
+// a short mixed workload, then the closing ledger audit.
+func TestLocalMode(t *testing.T) {
+	for _, tr := range []string{"sim", "tcp"} {
+		t.Run(tr, func(t *testing.T) {
+			inv, err := parseFlags([]string{"-transport", tr, "-clusters", "2", "-cross", "20",
+				"-clients", "4", "-duration", "1s", "-accounts", "64", "-slash"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var out bytes.Buffer
+			if err := runLocal(matrixConfig(t, inv.cfg), inv.opts, &out); err != nil {
+				t.Fatalf("%v\n%s", err, out.String())
+			}
+			got := out.String()
+			for _, want := range []string{"ledger audit: all views consistent", "slasher: no fraud proofs"} {
+				if !strings.Contains(got, want) {
+					t.Fatalf("output missing %q:\n%s", want, got)
+				}
+			}
+			if committed, _ := parseTotals(t, got); committed == 0 {
+				t.Fatalf("nothing committed:\n%s", got)
+			}
+		})
 	}
 }

@@ -10,14 +10,14 @@ import (
 // Example runs a minimal 3-cluster crash-fault-tolerant deployment and
 // commits one intra-shard and one cross-shard transfer.
 func Example() {
-	net, err := sharper.New(sharper.Options{
+	net, err := sharper.New(sharper.WithMatrix(nil, sharper.Options{
 		Model:            sharper.CrashOnly,
 		Clusters:         3,
 		F:                1,
 		AccountsPerShard: 4,
 		InitialBalance:   100,
 		Seed:             1,
-	})
+	}))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -351,9 +351,6 @@ func AblationPersistence(w io.Writer, o FigureOptions) []PersistenceResult {
 			cfg := core.Config{
 				Model: types.CrashOnly, Clusters: clusters, F: f,
 				Seed: o.Seed, BatchSize: bs,
-				// The in-memory row must stay in-memory even under the
-				// SHARPER_PERSIST suite override.
-				NoPersist: c.mem,
 			}
 			var dir string
 			if !c.mem {
@@ -461,8 +458,6 @@ func AblationHotpath(w io.Writer, o FigureOptions) []HotpathResult {
 			d, err := core.NewDeployment(core.Config{
 				Model: types.CrashOnly, Clusters: clusters, F: f, Seed: o.Seed,
 				BatchSize: bs, Transport: fabric.kind,
-				// The hot path under measurement is the wire, not the disk.
-				NoPersist: true,
 			})
 			if err != nil {
 				fmt.Fprintf(w, "# %s/batch-%d: deployment failed: %v\n", fabric.name, bs, err)
@@ -592,8 +587,6 @@ func AblationWAN(w io.Writer, o FigureOptions) []WanResult {
 				Seed:      o.Seed + int64(rep),
 				BatchSize: bs, Transport: core.TransportTCP,
 				Ed25519: c.ed25519, VerifyWindow: c.window,
-				// The path under measurement is the wire + the verify pool.
-				NoPersist: true,
 			}
 			if c.network == "multiregion" {
 				cfg.Shaping = transport.Multiregion()
@@ -791,8 +784,8 @@ func AblationLatency(w io.Writer, o FigureOptions) LatencyReport {
 
 	// Overhead A/B: batch-16 loopback throughput with the registry at its
 	// production default against NoMetrics, interleaved so machine drift hits
-	// both arms equally, medians compared. NoPersist keeps fsync jitter from
-	// burying the few-percent signal under measurement noise.
+	// both arms equally, medians compared. Both arms run in memory, so fsync
+	// jitter cannot bury the few-percent signal under measurement noise.
 	reps := 3
 	if o.Quick {
 		reps = 1
@@ -802,7 +795,7 @@ func AblationLatency(w io.Writer, o FigureOptions) LatencyReport {
 		d, err := core.NewDeployment(core.Config{
 			Model: types.CrashOnly, Clusters: clusters, F: f,
 			Seed: o.Seed + int64(rep), BatchSize: 16,
-			NoPersist: true, NoMetrics: noMetrics,
+			NoMetrics: noMetrics,
 		})
 		if err != nil {
 			return 0

@@ -84,7 +84,6 @@ func AblationSaturation(w io.Writer, o FigureOptions) []SaturationResult {
 			d, err := core.NewDeployment(core.Config{
 				Model: types.CrashOnly, Clusters: clusters, F: f,
 				Seed: o.Seed, BatchSize: bs, Transport: fabric.kind,
-				NoPersist: true,
 			})
 			if err != nil {
 				fmt.Fprintf(w, "# saturation %s/batch-%d: deployment failed: %v\n", fabric.name, bs, err)

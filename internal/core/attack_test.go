@@ -29,7 +29,7 @@ func newAttackDeployment(t *testing.T, cfg Config) (*Deployment, *adversary.Adve
 	adv := adversary.New(cfg.Topology)
 	cfg.WrapFabric = adv.Wrap
 	cfg.Slash = true
-	d, err := NewDeployment(cfg)
+	d, err := testDeployment(t, cfg)
 	if err != nil {
 		t.Fatalf("NewDeployment: %v", err)
 	}

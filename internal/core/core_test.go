@@ -5,12 +5,21 @@ import (
 	"testing"
 	"time"
 
+	"sharper/internal/matrix"
 	"sharper/internal/types"
 )
 
+// testDeployment is NewDeployment under CI's configuration matrix: every
+// knob the test leaves zero takes the matrix job's value (internal/matrix).
+// Tests build their deployments here unless they set the knob themselves.
+func testDeployment(tb testing.TB, cfg Config) (*Deployment, error) {
+	matrix.Apply(tb, &cfg.BatchSize, &cfg.VerifyWindow, &cfg.Trace, &cfg.DataDir, &cfg.Sync)
+	return NewDeployment(cfg)
+}
+
 func newTestDeployment(t *testing.T, model types.FailureModel, clusters int) *Deployment {
 	t.Helper()
-	d, err := NewDeployment(Config{
+	d, err := testDeployment(t, Config{
 		Model:    model,
 		Clusters: clusters,
 		F:        1,

@@ -88,7 +88,7 @@ type xengine struct {
 	// Diagnostics (read via Stats).
 	nPropose, nWithdraw, nGrant, nDecide, nLockExpire, nParks int
 
-	// ring is a bounded ring of slot-vote events (SHARPER_TRACE only), read
+	// ring is a bounded ring of slot-vote events (Config.Trace only), read
 	// next to the intra engine's ring when hunting intra/cross forks: the two
 	// rings together show every vote a node cast for one chain slot.
 	ring *obs.EventRing
@@ -217,7 +217,6 @@ func newXEngine(topo *consensus.Topology, cluster types.ClusterID, self types.No
 		insts:   make(map[types.Hash]*xinst),
 		leads:   make(map[types.Hash]*xinst),
 		decided: make(map[types.Hash]time.Time),
-		ring:    obs.NewTraceRing(),
 	}
 }
 

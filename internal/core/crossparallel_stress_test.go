@@ -16,7 +16,7 @@ import (
 // constantly — then audits that no two replicas of a cluster ever committed
 // different blocks at one height and that every cross-shard block reached
 // every involved cluster. On divergence it dumps every node's intra AND
-// cross trace rings (SHARPER_TRACE is enabled for the run; both rings carry
+// cross trace rings (Config.Trace is on for the run; both rings carry
 // wall-clock prefixes so they merge into one timeline), which is exactly the
 // evidence the ROADMAP's intra/cross fork hunt needs.
 func TestCrossParallelStress(t *testing.T) {
@@ -38,7 +38,6 @@ func TestCrossParallelStress(t *testing.T) {
 }
 
 func runCrossParallelStress(t *testing.T, tr TransportKind, sets workload.CrossSetMode, crossPct int) {
-	t.Setenv("SHARPER_TRACE", "1")
 	cfg := Config{
 		Model:     types.CrashOnly,
 		Clusters:  4,
@@ -46,12 +45,13 @@ func runCrossParallelStress(t *testing.T, tr TransportKind, sets workload.CrossS
 		Seed:      11,
 		Transport: tr,
 		BatchSize: 8,
+		Trace:     true,
 	}
 	if tr == TransportSim {
 		cfg.Network.DropProb = 0.005
 		cfg.Network.Seed = 11
 	}
-	d, err := NewDeployment(cfg)
+	d, err := testDeployment(t, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

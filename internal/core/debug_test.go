@@ -247,7 +247,7 @@ func TestCross100Diag(t *testing.T) {
 // TestCross100Sustained mirrors the bench harness conditions to find why
 // the sweep collapses while short bursts are healthy.
 func TestCross100Sustained(t *testing.T) {
-	d, err := NewDeployment(Config{Model: types.CrashOnly, Clusters: 4, F: 1, Seed: 42,
+	d, err := testDeployment(t, Config{Model: types.CrashOnly, Clusters: 4, F: 1, Seed: 42,
 		RetryTimeout: 50 * time.Millisecond, LockTimeout: 200 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)

@@ -245,7 +245,7 @@ func TestCrashRestartCatchUp(t *testing.T) {
 // independent initiators (the ablation configuration): slower, but safety
 // must hold.
 func TestDisableSuperPrimaryStillSafe(t *testing.T) {
-	d, err := NewDeployment(Config{
+	d, err := testDeployment(t, Config{
 		Model: types.CrashOnly, Clusters: 3, F: 1, Seed: 33, DisableSuperPrimary: true,
 	})
 	if err != nil {
@@ -304,7 +304,7 @@ func TestHeterogeneousTopology(t *testing.T) {
 	}
 	add(0, 2, 7) // f=2 cluster
 	add(1, 1, 4) // f=1 cluster
-	d, err := NewDeployment(Config{Model: types.Byzantine, Topology: topo, Seed: 12})
+	d, err := testDeployment(t, Config{Model: types.Byzantine, Topology: topo, Seed: 12})
 	if err != nil {
 		t.Fatal(err)
 	}

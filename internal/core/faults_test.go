@@ -16,7 +16,7 @@ import (
 // down arrive via chain sync), converge to the cluster head, and the
 // deployment-wide ledger audit must pass.
 func TestReplicaRestartRecoversFromStorage(t *testing.T) {
-	d, err := NewDeployment(Config{
+	d, err := testDeployment(t, Config{
 		Model: types.CrashOnly, Clusters: 2, F: 1, Seed: 77,
 		DataDir: t.TempDir(), CheckpointInterval: 8,
 	})
@@ -118,7 +118,7 @@ func TestReplicaRestartRecoversFromStorage(t *testing.T) {
 // iterations vary the timing enough to hit the cascade.
 func TestViewChangeEscalatesPastDeadPrimary(t *testing.T) {
 	for iter := 0; iter < 4; iter++ {
-		d, err := NewDeployment(Config{
+		d, err := testDeployment(t, Config{
 			Model: types.CrashOnly, Clusters: 2, F: 1,
 			Seed: int64(7 + iter), BatchSize: 16,
 		})
@@ -154,7 +154,7 @@ func TestViewChangeEscalatesPastDeadPrimary(t *testing.T) {
 // node must rejoin the new view (its recovered view position keeps it from
 // acking stale proposals) without wedging the cluster or the audit.
 func TestPrimaryRestartRecovers(t *testing.T) {
-	d, err := NewDeployment(Config{
+	d, err := testDeployment(t, Config{
 		Model: types.CrashOnly, Clusters: 2, F: 1, Seed: 78,
 		DataDir: t.TempDir(), IntraTimeout: 150 * time.Millisecond,
 	})
@@ -207,7 +207,7 @@ func TestPrimaryRestartRecovers(t *testing.T) {
 func TestSurvivesMessageDrops(t *testing.T) {
 	net := transport.DefaultConfig()
 	net.DropProb = 0.02
-	d, err := NewDeployment(Config{
+	d, err := testDeployment(t, Config{
 		Model: types.CrashOnly, Clusters: 3, F: 1, Seed: 21, Network: net,
 	})
 	if err != nil {
@@ -240,7 +240,7 @@ func TestSurvivesMessageDrops(t *testing.T) {
 // the cluster commits, then heals it: the chain-sync protocol must bring
 // the backup to the same head.
 func TestLaggingReplicaCatchesUp(t *testing.T) {
-	d, err := NewDeployment(Config{Model: types.CrashOnly, Clusters: 2, F: 1, Seed: 22})
+	d, err := testDeployment(t, Config{Model: types.CrashOnly, Clusters: 2, F: 1, Seed: 22})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -300,7 +300,7 @@ func (g *gateway) watchHandovers(now time.Time) {
 		case primary:
 			// The backups' timers police a primary; it only keeps the batch
 			// on watch for the day it is deposed.
-		case n.cfg.Model == types.Byzantine && !h.shared:
+		case n.cfg.ClusterModel == types.Byzantine && !h.shared:
 			// One replica's suspicion deposes no Byzantine primary — it only
 			// takes that replica out of the quorum. Give the batch to the
 			// peers first: their watches then run out together with this

@@ -173,7 +173,7 @@ func TestGatewaySubmitExpiredDistinctCode(t *testing.T) {
 		}
 	}
 	t.Run("sim", func(t *testing.T) {
-		d, err := NewDeployment(Config{
+		d, err := testDeployment(t, Config{
 			Model: types.CrashOnly, Clusters: 2, F: 1, Seed: 42,
 			Mempool: mempool.Config{TTL: ttl},
 		})
@@ -198,7 +198,7 @@ func TestGatewaySubmitExpiredDistinctCode(t *testing.T) {
 // ledger must stay consistent and anomaly-free once the storm passes.
 func TestGatewayOverloadShedsSafely(t *testing.T) {
 	const maxBytes = int64(1 << 10)
-	d, err := NewDeployment(Config{
+	d, err := testDeployment(t, Config{
 		Model: types.CrashOnly, Clusters: 2, F: 1, Seed: 42,
 		Mempool: mempool.Config{MaxBytes: maxBytes, MaxCount: 4},
 	})
@@ -350,7 +350,7 @@ func viewChanges(n *Node) uint64 {
 func TestGatewayPrimaryCrashCommitsWithoutRetransmission(t *testing.T) {
 	for _, model := range []types.FailureModel{types.CrashOnly, types.Byzantine} {
 		t.Run(model.String(), func(t *testing.T) {
-			d, err := NewDeployment(Config{
+			d, err := testDeployment(t, Config{
 				Model: model, Clusters: 2, F: 1, Seed: 31,
 				IntraTimeout: 200 * time.Millisecond,
 			})
@@ -402,7 +402,7 @@ func TestGatewayPrimaryCrashCommitsWithoutRetransmission(t *testing.T) {
 // primary and commit, each exactly once.
 func TestDeposedPrimaryHandsOverAccumulators(t *testing.T) {
 	const batch, inFlight = 4, 2
-	d, err := NewDeployment(Config{
+	d, err := testDeployment(t, Config{
 		Model: types.CrashOnly, Clusters: 2, F: 1, Seed: 32,
 		BatchSize: batch, MaxInFlight: inFlight, IntraTimeout: 200 * time.Millisecond,
 	})

@@ -10,10 +10,6 @@ import (
 	"time"
 
 	"sharper/internal/consensus"
-	"sharper/internal/crypto"
-	"sharper/internal/obs"
-	"sharper/internal/paxos"
-	"sharper/internal/pbft"
 	"sharper/internal/types"
 )
 
@@ -74,30 +70,6 @@ type chainStatus struct {
 	Seq     uint64
 	Head    types.Hash
 	Drained bool
-}
-
-// newIntraEngine builds the model-appropriate engine. reserved is the
-// conflict-table eligibility check both engines consult at their vote
-// boundary (a chain slot promised to a cross-shard vote takes no intra
-// vote), so the §3.2 one-vote-per-slot rule holds even on internal replay
-// paths that never cross the node's dispatch. eng (nil-safe) receives engine
-// health metrics; onPrepared, when non-nil, fires once per own proposal at
-// quorum (commit-quorum / prepared certificate) so the tracer can stamp it.
-func newIntraEngine(model types.FailureModel, topo *consensus.Topology, cluster types.ClusterID,
-	self types.NodeID, signer crypto.Signer, verifier crypto.Verifier,
-	timeout time.Duration, genesis types.Hash, persist consensus.Persister,
-	reserved func(seq uint64) bool, eng *obs.EngineMetrics, onPrepared func(seq uint64)) IntraEngine {
-	if model == types.Byzantine {
-		return pbft.New(pbft.Config{
-			Topology: topo, Cluster: cluster, Self: self,
-			Signer: signer, Verifier: verifier, Timeout: timeout, Persist: persist,
-			Reserved: reserved, Obs: eng, OnPrepared: onPrepared,
-		}, genesis)
-	}
-	return paxos.New(paxos.Config{
-		Topology: topo, Cluster: cluster, Self: self, Timeout: timeout, Persist: persist,
-		Reserved: reserved, Obs: eng, OnPrepared: onPrepared,
-	}, genesis)
 }
 
 // crossDecision is a committed cross-shard batch: the block parents are

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"os"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -10,8 +8,10 @@ import (
 	"sharper/internal/consensus"
 	"sharper/internal/crypto"
 	"sharper/internal/ledger"
-	"sharper/internal/mempool"
 	"sharper/internal/obs"
+	"sharper/internal/ordering"
+	"sharper/internal/paxos"
+	"sharper/internal/pbft"
 	"sharper/internal/slasher"
 	"sharper/internal/state"
 	"sharper/internal/storage"
@@ -19,51 +19,21 @@ import (
 	"sharper/internal/types"
 )
 
-// NodeConfig parametrizes one SharPer replica.
-type NodeConfig struct {
-	Model    types.FailureModel
-	Topology *consensus.Topology
-	Cluster  types.ClusterID
-	Self     types.NodeID
+// nodeConfig is one replica's identity inside a deployment: who it is, which
+// cluster it serves, and the fabric, keys, storage and registry it owns.
+// Every tunable is read through the embedded *Config: the one resolved
+// configuration, shared read-only by every replica a deployment builds.
+type nodeConfig struct {
+	Self    types.NodeID
+	Cluster types.ClusterID
+	// ClusterModel is the failure model of this node's cluster; hybrid
+	// topologies (§3.4) mix models, so it can differ from Config.Model.
+	ClusterModel types.FailureModel
 	// Net is the message fabric the node sends and receives through: the
 	// simulated network, or this node's own TCP fabric.
 	Net      transport.Fabric
-	Shards   state.ShardMap
 	Signer   crypto.Signer
 	Verifier crypto.Verifier
-
-	// IntraTimeout is the backup's suspicion timer before a view change.
-	IntraTimeout time.Duration
-	// LockTimeout bounds how long a node stays blocked on an in-flight
-	// cross-shard transaction (§3.2 "pre-determined time").
-	LockTimeout time.Duration
-	// RetryTimeout is the initiator's re-propose timer for conflicting
-	// cross-shard transactions.
-	RetryTimeout time.Duration
-	// TickInterval drives protocol timers.
-	TickInterval time.Duration
-	// SuperPrimary enables the §3.2 super-primary routing optimization.
-	SuperPrimary bool
-	// Seed feeds the node's jitter source.
-	Seed int64
-
-	// BatchSize caps the number of transactions bundled into one block (one
-	// consensus instance). 1 reproduces the paper's single-transaction
-	// blocks; larger values amortize the quorum message cost over the batch.
-	// Cross-shard batches are additionally capped at 64 (the validity
-	// bitmap width).
-	BatchSize int
-	// BatchTimeout bounds how long a partial batch may wait for more
-	// requests while earlier instances are still in flight. A batch never
-	// waits when the pipeline is empty.
-	BatchTimeout time.Duration
-	// MaxInFlight bounds the number of pipelined intra-shard consensus
-	// instances above the committed head. Requests arriving while the
-	// pipeline is full accumulate into the next batch instead of opening
-	// ever more instances. It also caps the initiator's pipelined
-	// cross-shard leads (the conflict table admits up to MaxInFlight
-	// compatible attempts at once).
-	MaxInFlight int
 
 	// Storage, when non-nil, is the replica's durability subsystem: the
 	// node logs committed blocks and acceptor state through it
@@ -73,27 +43,6 @@ type NodeConfig struct {
 	// owns the handle and closes it on Stop.
 	Storage *storage.Store
 
-	// Slash enables the equivocation-detecting auditor: every inbound
-	// consensus envelope is fed through a slasher index, detected fraud
-	// proofs are persisted (when Storage is set) and gossiped to cluster
-	// peers, and the node answers MsgEvidenceRequest with its accumulated
-	// evidence. Proofs are third-party verifiable only under the Ed25519
-	// keyring; the default MAC authenticator still detects and records, but
-	// the evidence convinces only parties holding the MAC keys.
-	Slash bool
-
-	// VerifyWindow is the verification pool's batching window: up to this
-	// many already-arrived envelopes are verified per batch (bisected to
-	// exact per-envelope verdicts on failure, see crypto.VerifyPool). 1
-	// verifies strictly per signature; 0 takes the SHARPER_VERIFY_WINDOW
-	// override, defaulting to crypto.DefaultVerifyWindow.
-	VerifyWindow int
-
-	// PipelineDepth bounds the commit pipeline's queued blocks: at this depth
-	// the node stops proposing (never receiving) until the executor drains.
-	// 0 takes the default (32).
-	PipelineDepth int
-
 	// Metrics, when non-nil, is this node's observability registry: the
 	// consensus engines, storage, verify pool, scheduler, and transaction
 	// tracer all register their series on it. Each node owns exactly one
@@ -101,96 +50,8 @@ type NodeConfig struct {
 	// double-counting. Nil disables all metric collection at a branch per
 	// update site.
 	Metrics *obs.Registry
-	// TraceSample is the lifecycle tracer's 1-in-N sampling rate: 1 traces
-	// every transaction, 0 takes obs.DefaultTraceSample. Only consulted when
-	// Metrics is set.
-	TraceSample int
 
-	// Mempool bounds the client-ingress gateway's transaction pool (byte and
-	// count caps over pending + in-flight transactions, TTL, committed dedup
-	// window). Zero fields take the mempool package defaults. The gateway is
-	// always on: replicas of deployments that never submit through it just
-	// keep an empty pool.
-	Mempool mempool.Config
-}
-
-func (c *NodeConfig) fillDefaults() {
-	if c.IntraTimeout <= 0 {
-		c.IntraTimeout = 500 * time.Millisecond
-	}
-	if c.LockTimeout <= 0 {
-		// Fallback only: locks are normally released by commit or an
-		// initiator abort; the unilateral expiry guards against a crashed
-		// initiator, so it can afford to be patient. It MUST be patient: a
-		// participant whose lock expires while the decided COMMIT is still
-		// in flight resumes intra-shard ordering, its chain moves past the
-		// head it voted, and the late commit can never append there — the
-		// §3.2 "pre-determined time" has to dominate worst-case commit
-		// delivery, including heavily loaded multi-process deployments.
-		c.LockTimeout = 3 * time.Second
-	}
-	if c.RetryTimeout <= 0 {
-		// With two-shard transactions under super-primary routing the
-		// waits-for graph across clusters is acyclic (locks are acquired
-		// lowest-cluster first), and a parked proposal is normally granted
-		// within a millisecond, so be patient before aborting an attempt.
-		// What does run into this timer is a split vote inside one cluster:
-		// its members promised one chain slot to different candidates
-		// (DESIGN.md "What a withdrawal is").
-		c.RetryTimeout = 250 * time.Millisecond
-	}
-	if c.TickInterval <= 0 {
-		c.TickInterval = 5 * time.Millisecond
-	}
-	if c.Signer == nil {
-		c.Signer = crypto.NoopSigner{}
-	}
-	if c.Verifier == nil {
-		c.Verifier = crypto.NoopSigner{}
-	}
-	if c.BatchSize <= 0 {
-		// SHARPER_BATCH lets CI and experiments re-run the whole suite at a
-		// different batch size without touching every call site.
-		c.BatchSize = envBatchSize()
-	}
-	if c.BatchSize > 64 {
-		c.BatchSize = 64 // validity-bitmap width caps cross-shard batches
-	}
-	if c.BatchTimeout <= 0 {
-		c.BatchTimeout = 2 * time.Millisecond
-	}
-	if c.MaxInFlight <= 0 {
-		c.MaxInFlight = 8
-	}
-	if c.VerifyWindow <= 0 {
-		c.VerifyWindow = envVerifyWindow()
-	}
-	if c.PipelineDepth <= 0 {
-		c.PipelineDepth = 32
-	}
-}
-
-// envBatchSize reads the SHARPER_BATCH override (default 1, the paper's
-// single-transaction blocks).
-func envBatchSize() int {
-	if v := os.Getenv("SHARPER_BATCH"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n > 0 {
-			return n
-		}
-	}
-	return 1
-}
-
-// envVerifyWindow reads the SHARPER_VERIFY_WINDOW override (default
-// crypto.DefaultVerifyWindow), so CI can re-run the whole suite with
-// batching disabled (1) or widened without touching call sites.
-func envVerifyWindow() int {
-	if v := os.Getenv("SHARPER_VERIFY_WINDOW"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n > 0 {
-			return n
-		}
-	}
-	return crypto.DefaultVerifyWindow
+	*Config
 }
 
 // The reply cache is the node's one window of executed transactions: it
@@ -207,7 +68,7 @@ const (
 // engine and the flattened cross-shard engine over its inbox, maintains its
 // cluster's ledger view and shard store, and answers clients.
 type Node struct {
-	cfg   NodeConfig
+	cfg   nodeConfig
 	inbox <-chan *types.Envelope
 	// vpool, under the Byzantine model, verifies inbound signatures on a
 	// bounded worker pool between the inbox and the event loop (arrival
@@ -279,7 +140,7 @@ type Node struct {
 	syncVotes  map[uint64]map[types.NodeID]types.Hash
 	syncBlocks map[uint64]map[types.Hash]*types.Block
 
-	// slash is the equivocation auditor (nil unless NodeConfig.Slash): it
+	// slash is the equivocation auditor (nil unless Config.Slash): it
 	// indexes every authenticated consensus envelope dispatch sees and
 	// mints fraud proofs from conflicting claims.
 	slash *slasher.Slasher
@@ -321,14 +182,13 @@ type Node struct {
 	pendingRecovery *storage.Recovered
 }
 
-// NewNode builds a replica; call Start to run it.
-func NewNode(cfg NodeConfig) *Node {
-	cfg.fillDefaults()
+// newNode builds a replica; call Start to run it.
+func newNode(cfg nodeConfig) *Node {
 	n := &Node{
 		cfg:          cfg,
 		inbox:        cfg.Net.Register(cfg.Self),
 		view:         ledger.NewView(cfg.Cluster),
-		store:        state.NewStore(cfg.Cluster, cfg.Shards),
+		store:        state.NewStore(cfg.Cluster, state.ShardMap{NumShards: len(cfg.Topology.Clusters)}),
 		replyCache:   consensus.NewReplyCache(replyCacheSize),
 		crossArrived: make(map[types.TxID]time.Time),
 		inFlight:     make(map[types.TxID]time.Time),
@@ -355,10 +215,6 @@ func NewNode(cfg NodeConfig) *Node {
 	if n.tracer != nil {
 		onPrepared = func(seq uint64) { n.tracer.StampSeq(seq, obs.StagePrepared, time.Now()) }
 	}
-	intraPrefix := "paxos"
-	if cfg.Model == types.Byzantine {
-		intraPrefix = "pbft"
-	}
 	// A nil *storage.Store must stay a nil Persister interface.
 	var persist consensus.Persister
 	if cfg.Storage != nil {
@@ -376,12 +232,28 @@ func NewNode(cfg NodeConfig) *Node {
 	// cross engine (slot votes, lead admission) and the node (slot-precise
 	// deferral of intra proposals).
 	n.table = consensus.NewConflictTable(cfg.Cluster)
-	n.intra = newIntraEngine(cfg.Model, cfg.Topology, cfg.Cluster, cfg.Self,
-		cfg.Signer, cfg.Verifier, cfg.IntraTimeout, genesis, persist,
-		n.table.ConflictsIntra, obs.NewEngineMetrics(n.reg, intraPrefix), onPrepared)
+	// reserved is the conflict-table eligibility check both ordering
+	// policies consult at their vote boundary (a chain slot promised to a
+	// cross-shard vote takes no intra vote), so the §3.2 one-vote-per-slot
+	// rule holds even on internal replay paths that never cross dispatch.
+	ocfg := ordering.Config{
+		Topology: cfg.Topology, Cluster: cfg.Cluster, Self: cfg.Self,
+		Signer: cfg.Signer, Verifier: cfg.Verifier, Timeout: cfg.IntraTimeout,
+		Persist: persist, Reserved: n.table.ConflictsIntra,
+		OnPrepared: onPrepared, Trace: cfg.Trace,
+	}
+	if cfg.ClusterModel == types.Byzantine {
+		ocfg.Obs = obs.NewEngineMetrics(n.reg, "pbft")
+		n.intra = pbft.New(ocfg, genesis)
+	} else {
+		ocfg.Obs = obs.NewEngineMetrics(n.reg, "paxos")
+		n.intra = paxos.New(ocfg, genesis)
+	}
 	n.cross = newXEngine(cfg.Topology, cfg.Cluster, cfg.Self, cfg.Signer, cfg.Verifier,
-		n.table, status, validate, cfg.LockTimeout, cfg.RetryTimeout, cfg.MaxInFlight, cfg.Seed)
+		n.table, status, validate, cfg.LockTimeout, cfg.RetryTimeout, cfg.MaxInFlight,
+		cfg.Seed+int64(cfg.Self)+2)
 	n.cross.tracer = n.tracer
+	n.cross.ring = obs.NewEventRing(0, cfg.Trace)
 	if cfg.Storage != nil {
 		n.recoverChain(cfg.Storage.Recovered())
 	}
@@ -922,7 +794,7 @@ func (n *Node) onSyncRequest(env *types.Envelope) {
 // adopt directly. Byzantine model: adopt a block only once f+1 distinct
 // peers sent an identical copy for that index (at least one is correct).
 func (n *Node) onSyncResponse(env *types.Envelope, now time.Time) {
-	if n.cfg.Model == types.Byzantine {
+	if n.cfg.ClusterModel == types.Byzantine {
 		if ok, known := env.Auth(); known {
 			if !ok {
 				return
@@ -938,12 +810,12 @@ func (n *Node) onSyncResponse(env *types.Envelope, now time.Time) {
 	for i, b := range resp.Blocks {
 		idx := resp.From + uint64(i)
 		if idx != uint64(n.view.Len()) {
-			if idx > uint64(n.view.Len()) && n.cfg.Model == types.Byzantine {
+			if idx > uint64(n.view.Len()) && n.cfg.ClusterModel == types.Byzantine {
 				n.recordSyncVote(idx, env.From, b)
 			}
 			continue
 		}
-		if n.cfg.Model == types.Byzantine {
+		if n.cfg.ClusterModel == types.Byzantine {
 			n.recordSyncVote(idx, env.From, b)
 			n.adoptVotedBlocks(now)
 		} else {
@@ -1166,7 +1038,7 @@ func (n *Node) Metrics() *obs.Registry { return n.reg }
 func (n *Node) Tracer() *obs.TxTracer { return n.tracer }
 
 // onTraceRequest answers a debug trace fetch with this node's protocol
-// event ring (empty unless SHARPER_TRACE is set — the engines only record
+// event ring (empty unless Config.Trace is set — the engines only record
 // events then). Divergence hunts across a multi-process deployment need the
 // rings of ALL processes, and this is the only way a driver can reach them.
 func (n *Node) onTraceRequest(env *types.Envelope) {
@@ -1180,7 +1052,7 @@ func (n *Node) onTraceRequest(env *types.Envelope) {
 // the optimization off, the node's own cluster initiates if involved
 // (falling back to min(P) when not).
 func (n *Node) initiatorCluster(set types.ClusterSet) types.ClusterID {
-	if n.cfg.SuperPrimary {
+	if !n.cfg.DisableSuperPrimary {
 		return set.Min()
 	}
 	if set.Contains(n.cfg.Cluster) {

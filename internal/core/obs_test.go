@@ -11,7 +11,7 @@ import (
 // traced, drives intra and cross traffic, and returns it quiesced.
 func traceDeployment(t *testing.T, model types.FailureModel) *Deployment {
 	t.Helper()
-	d, err := NewDeployment(Config{
+	d, err := testDeployment(t, Config{
 		Model:       model,
 		Clusters:    3,
 		F:           1,

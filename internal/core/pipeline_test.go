@@ -20,7 +20,7 @@ import (
 // rebuild the reply cache so a retransmission of a pre-crash transaction
 // is re-replied with its original verdict instead of re-ordered.
 func TestPipelineCrashRecoveryReplaysUnappliedSuffix(t *testing.T) {
-	d, err := NewDeployment(Config{
+	d, err := testDeployment(t, Config{
 		Model: types.CrashOnly, Clusters: 2, F: 1, Seed: 99,
 		DataDir: t.TempDir(), CheckpointInterval: 4,
 	})
@@ -141,7 +141,7 @@ func TestPipelineCrashRecoveryReplaysUnappliedSuffix(t *testing.T) {
 // locking itself.
 func TestPipelineFingerprintMatchesSerialReplay(t *testing.T) {
 	const perShard, balance = 64, 40
-	d, err := NewDeployment(Config{
+	d, err := testDeployment(t, Config{
 		Model: types.CrashOnly, Clusters: 2, F: 1, Seed: 7, BatchSize: 16,
 		DataDir: t.TempDir(), CheckpointInterval: 1 << 20,
 	})
@@ -225,7 +225,7 @@ func TestPipelineFingerprintMatchesSerialReplay(t *testing.T) {
 // deployment stays live (slowly) instead of deadlocking or dropping
 // blocks, and every block still applies exactly once.
 func TestPipelineBackpressureKeepsCommitting(t *testing.T) {
-	d, err := NewDeployment(Config{
+	d, err := testDeployment(t, Config{
 		Model: types.CrashOnly, Clusters: 2, F: 1, Seed: 21,
 		PipelineDepth: 1,
 	})

@@ -23,7 +23,7 @@ func tcpConfig(clusters int) Config {
 
 func startTCP(t *testing.T, cfg Config) *Deployment {
 	t.Helper()
-	d, err := NewDeployment(cfg)
+	d, err := testDeployment(t, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,11 +175,11 @@ func TestTCPByzantineDeployment(t *testing.T) {
 // TestBatchSizeValidated asserts the explicit error for batches beyond the
 // cross-shard validity-bitmap width (formerly a silent cap).
 func TestBatchSizeValidated(t *testing.T) {
-	_, err := NewDeployment(Config{Model: types.CrashOnly, Clusters: 2, F: 1, BatchSize: MaxBatchSize + 1})
+	_, err := testDeployment(t, Config{Model: types.CrashOnly, Clusters: 2, F: 1, BatchSize: MaxBatchSize + 1})
 	if err == nil {
 		t.Fatalf("BatchSize %d accepted", MaxBatchSize+1)
 	}
-	d, err := NewDeployment(Config{Model: types.CrashOnly, Clusters: 2, F: 1, BatchSize: MaxBatchSize})
+	d, err := testDeployment(t, Config{Model: types.CrashOnly, Clusters: 2, F: 1, BatchSize: MaxBatchSize})
 	if err != nil {
 		t.Fatalf("BatchSize %d rejected: %v", MaxBatchSize, err)
 	}

@@ -8,13 +8,18 @@ import (
 )
 
 // TestTraceRequestRespondsWithRing asserts the debug trace-fetch protocol a
-// divergence hunt relies on: a replica running with SHARPER_TRACE answers a
+// divergence hunt relies on: a replica running with Config.Trace answers a
 // MsgTraceRequest with its protocol-event ring, over the ordinary fabric,
 // so sharperd -drive can dump every process's ring when the wire audit
 // fails.
 func TestTraceRequestRespondsWithRing(t *testing.T) {
-	t.Setenv("SHARPER_TRACE", "1")
-	d := newTestDeployment(t, types.CrashOnly, 2)
+	d, err := testDeployment(t, Config{Model: types.CrashOnly, Clusters: 2, F: 1, Seed: 42, Trace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.SeedAccounts(64, 1_000_000)
+	d.Start()
+	t.Cleanup(d.Stop)
 
 	// Commit one transfer so the Paxos engines record events.
 	c := d.NewClient()
@@ -43,7 +48,7 @@ func TestTraceRequestRespondsWithRing(t *testing.T) {
 				t.Fatalf("trace dump names node %s, want %s", dump.Node, target)
 			}
 			if len(dump.Lines) == 0 {
-				t.Fatal("trace dump empty despite SHARPER_TRACE and committed traffic")
+				t.Fatal("trace dump empty despite Config.Trace and committed traffic")
 			}
 			return
 		case <-deadline:

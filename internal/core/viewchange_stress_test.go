@@ -52,7 +52,7 @@ func runViewChangeStress(t *testing.T, seed int64, tr TransportKind) {
 		cfg.Network.DropProb = 0.01
 		cfg.Network.Seed = seed
 	}
-	d, err := NewDeployment(cfg)
+	d, err := testDeployment(t, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -85,6 +85,15 @@ func (d *DAG) Verify() error {
 	return nil
 }
 
+// Audit is the whole-ledger audit a deployment runs once traffic stops:
+// Verify, then VerifyPairwiseOrder.
+func (d *DAG) Audit() error {
+	if err := d.Verify(); err != nil {
+		return err
+	}
+	return d.VerifyPairwiseOrder()
+}
+
 // VerifyPairwiseOrder checks that every pair of cross-shard transactions
 // sharing two or more common clusters commits in the same relative order in
 // each shared view. Together with per-view chains this implies the DAG is

@@ -1,7 +1,7 @@
 // Package obs is the repo's dependency-free observability layer: a
 // low-overhead metrics registry (atomic counters, gauges, fixed-bucket
 // latency histograms with quantile extraction), per-transaction lifecycle
-// tracing, and the structured event ring backing SHARPER_TRACE divergence
+// tracing, and the structured event ring backing Config.Trace divergence
 // dumps. Everything on the hot path is a single atomic op with zero
 // allocations (locked in by TestHotPathAllocs); aggregation, quantiles, and
 // text rendering only run at scrape/snapshot time.

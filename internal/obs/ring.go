@@ -2,7 +2,6 @@ package obs
 
 import (
 	"fmt"
-	"os"
 	"time"
 
 	"sharper/internal/types"
@@ -19,8 +18,8 @@ type Event struct {
 	Note   string
 }
 
-// Line renders the event in the historical SHARPER_TRACE dump shape:
-// truncated wall-clock millis, then kind/seq/digest/detail.
+// Line renders the event in the trace dump shape: truncated wall-clock
+// millis, then kind/seq/digest/detail.
 func (e *Event) Line() string {
 	d := "-"
 	if !e.Digest.IsZero() {
@@ -50,13 +49,6 @@ func NewEventRing(capacity int, enabled bool) *EventRing {
 		capacity = DefaultRingCapacity
 	}
 	return &EventRing{on: enabled, buf: make([]Event, capacity)}
-}
-
-// NewTraceRing builds the protocol-event ring of a consensus engine: default
-// capacity, recording only when the SHARPER_TRACE environment variable is
-// set at construction.
-func NewTraceRing() *EventRing {
-	return NewEventRing(0, os.Getenv("SHARPER_TRACE") != "")
 }
 
 // Enabled reports whether the ring records events.

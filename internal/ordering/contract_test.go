@@ -31,14 +31,14 @@ func TestProposalWithoutParentIsDropped(t *testing.T) {
 }
 
 // TestSharedTraceEventsUnderBothPolicies: what the core does it also
-// records, whichever policy votes — a SHARPER_TRACE dump of a Byzantine run
+// records, whichever policy votes — a trace dump of a Byzantine run
 // shows restores, chain syncs, reservation parks, view-change escalations
 // and recoveries under the same kinds as a crash run's.
 func TestSharedTraceEventsUnderBothPolicies(t *testing.T) {
-	t.Setenv("SHARPER_TRACE", "1")
 	for _, p := range []ordertest.Policy{ordertest.Crash(1), ordertest.Byz(1)} {
 		t.Run(p.Name, func(t *testing.T) {
 			h := ordertest.NewHarness(t, p, func(id types.NodeID, cfg *ordering.Config) {
+				cfg.Trace = true
 				if id == 1 {
 					cfg.Reserved = func(seq uint64) bool { return seq == 2 }
 				}

@@ -56,6 +56,8 @@ type Config struct {
 	// reaches its quorum — the crash policy's commit quorum, the Byzantine
 	// policy's prepared certificate (per-transaction lifecycle tracing).
 	OnPrepared func(seq uint64)
+	// Trace records protocol events into the engine's ring (DebugTrace).
+	Trace bool
 }
 
 // Engine is one node's ordering state for one cluster.
@@ -121,7 +123,7 @@ type Engine struct {
 	reserved func(seq uint64) bool
 
 	// ring is a bounded ring of structured protocol events for post-mortem
-	// debugging (see DebugTrace), recorded only when SHARPER_TRACE is set —
+	// debugging (see DebugTrace), recorded only when Config.Trace is set —
 	// the formatting is not free on the benchmark hot path. The wall-clock
 	// stamp on each event lets a divergence hunt merge this ring with the
 	// cross-shard engine's (and other processes') into one timeline.
@@ -201,14 +203,14 @@ func newEngine(cfg Config, genesis types.Hash, pol policy, defaultTimeout time.D
 		timeout:       cfg.Timeout,
 		persist:       cfg.Persist,
 		reserved:      cfg.Reserved,
-		ring:          obs.NewTraceRing(),
+		ring:          obs.NewEventRing(0, cfg.Trace),
 		metrics:       cfg.Obs,
 		onPrepared:    cfg.OnPrepared,
 	}
 }
 
 // DebugTrace returns the recent protocol events (oldest first), rendered in
-// the historical SHARPER_TRACE line format.
+// the trace dump line format.
 func (e *Engine) DebugTrace() []string { return e.ring.Lines() }
 
 // DebugEvents returns the recent protocol events in structured form.

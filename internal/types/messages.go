@@ -57,10 +57,10 @@ const (
 	MsgFastAccept
 	MsgFastCommit
 
-	// Debug traffic: fetch a replica's SHARPER_TRACE protocol-event ring
-	// for post-mortem divergence hunts (sharperd -drive dumps every
-	// process's ring when the wire audit fails). Empty unless the replica
-	// runs with SHARPER_TRACE set.
+	// Debug traffic: fetch a replica's protocol-event ring for post-mortem
+	// divergence hunts (sharperd -drive dumps every process's ring when the
+	// wire audit fails). Empty unless the replica runs with Config.Trace
+	// (sharperd -trace).
 	MsgTraceRequest
 	MsgTraceResponse
 
@@ -524,9 +524,9 @@ func DecodeSyncResponse(b []byte) (*SyncResponse, error) {
 	return s, nil
 }
 
-// TraceDump carries one replica's SHARPER_TRACE protocol-event ring (the
-// engines' bounded debug rings) to a requesting driver. Lines is empty when
-// the replica runs without SHARPER_TRACE.
+// TraceDump carries one replica's protocol-event ring (the engines' bounded
+// debug rings) to a requesting driver. Lines is empty when the replica runs
+// without Config.Trace (sharperd -trace).
 type TraceDump struct {
 	Node  NodeID
 	Lines []string

@@ -12,12 +12,12 @@ import (
 // than the 64-bit cross-shard validity bitmap used to be silently capped;
 // now they are an error at construction.
 func TestBatchSizeRejected(t *testing.T) {
-	_, err := sharper.New(sharper.Options{
+	_, err := sharper.New(sharper.WithMatrix(t, sharper.Options{
 		Model:     sharper.CrashOnly,
 		Clusters:  2,
 		F:         1,
 		BatchSize: sharper.MaxBatchSize + 1,
-	})
+	}))
 	if err == nil {
 		t.Fatalf("BatchSize %d accepted", sharper.MaxBatchSize+1)
 	}
@@ -25,12 +25,12 @@ func TestBatchSizeRejected(t *testing.T) {
 		t.Fatalf("error does not name the cap: %v", err)
 	}
 
-	net, err := sharper.New(sharper.Options{
+	net, err := sharper.New(sharper.WithMatrix(t, sharper.Options{
 		Model:     sharper.CrashOnly,
 		Clusters:  2,
 		F:         1,
 		BatchSize: sharper.MaxBatchSize,
-	})
+	}))
 	if err != nil {
 		t.Fatalf("BatchSize %d rejected: %v", sharper.MaxBatchSize, err)
 	}
@@ -40,13 +40,13 @@ func TestBatchSizeRejected(t *testing.T) {
 // TestTCPTransportOption runs the public API end to end over real loopback
 // sockets: same Options surface, real wire underneath.
 func TestTCPTransportOption(t *testing.T) {
-	net, err := sharper.New(sharper.Options{
+	net, err := sharper.New(sharper.WithMatrix(t, sharper.Options{
 		Model:     sharper.CrashOnly,
 		Clusters:  2,
 		F:         1,
 		Transport: sharper.TransportTCP,
 		Seed:      5,
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}

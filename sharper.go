@@ -170,17 +170,14 @@ type Options struct {
 	// VerifyWindow is each node's signature batch-verification window: up
 	// to this many queued envelopes are verified per batch, with bisection
 	// recovering exact per-envelope verdicts when a batch fails. 1 verifies
-	// strictly per signature; 0 takes the SHARPER_VERIFY_WINDOW override,
-	// defaulting to crypto.DefaultVerifyWindow.
+	// strictly per signature; 0 takes crypto.DefaultVerifyWindow.
 	VerifyWindow int
 	// DataDir enables durable storage: every replica keeps a write-ahead
 	// log and periodic checkpoints under DataDir/node-<id>, and a replica
 	// restarted over the same directory (RestartNode, or a new process for
 	// sharperd deployments) recovers its chain, balances, and consensus
 	// obligations from disk, then fetches only the delta via chain sync.
-	// Empty (the default) runs in-memory; setting SHARPER_PERSIST=1 in the
-	// environment turns persistence on for such deployments too (CI runs
-	// the whole suite that way).
+	// Empty (the default) runs in-memory.
 	DataDir string
 	// Sync is the write-ahead-log fsync policy (default SyncGroup).
 	Sync SyncPolicy
@@ -208,10 +205,6 @@ type Network struct {
 
 // New builds and starts a deployment.
 func New(opts Options) (*Network, error) {
-	if opts.BatchSize > MaxBatchSize {
-		return nil, fmt.Errorf("sharper: BatchSize %d exceeds MaxBatchSize %d (the cross-shard validity bitmap is %d bits wide)",
-			opts.BatchSize, MaxBatchSize, MaxBatchSize)
-	}
 	if opts.AccountsPerShard <= 0 {
 		opts.AccountsPerShard = 1024
 	}
@@ -299,13 +292,7 @@ func (n *Network) DAG() *ledger.DAG { return n.d.DAG() }
 // observability surface. Call it on a quiesced (or closed) network; a
 // running deployment is probed over the wire instead (MsgStatsRequest),
 // which each replica's event loop answers itself.
-func (n *Network) SchedStats() types.SchedStats {
-	var agg types.SchedStats
-	for _, node := range n.d.Nodes() {
-		agg.Add(node.Counters())
-	}
-	return agg
-}
+func (n *Network) SchedStats() types.SchedStats { return n.d.SchedStats() }
 
 // FraudProofs returns every distinct fraud proof the deployment's slashers
 // hold (empty unless Options.Slash; gossip deduplicated). Call it on a
@@ -315,13 +302,7 @@ func (n *Network) FraudProofs() []*types.FraudProof { return n.d.FraudProofs() }
 // Verify checks ledger consistency across all clusters: per-view hash
 // chains, cross-shard agreement, and pairwise commit order. Call it on a
 // quiesced network.
-func (n *Network) Verify() error {
-	dag := n.d.DAG()
-	if err := dag.Verify(); err != nil {
-		return err
-	}
-	return dag.VerifyPairwiseOrder()
-}
+func (n *Network) Verify() error { return n.d.DAG().Audit() }
 
 // CrashNode simulates the crash of one replica of the given cluster
 // (0 ≤ idx < cluster size). Consensus keeps making progress while at most f

@@ -29,14 +29,14 @@ func retryAttemptsFor(t *testing.T, perAttempt time.Duration) int {
 
 func newNet(t *testing.T, model FailureModel, clusters int) *Network {
 	t.Helper()
-	n, err := New(Options{
+	n, err := New(WithMatrix(t, Options{
 		Model:            model,
 		Clusters:         clusters,
 		F:                1,
 		AccountsPerShard: 32,
 		InitialBalance:   1000,
 		Seed:             7,
-	})
+	}))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -176,10 +176,10 @@ func TestPlanClusters(t *testing.T) {
 	if plan.NumClusters() != 5 {
 		t.Fatalf("plan has %d clusters, want 5", plan.NumClusters())
 	}
-	n, err := New(Options{
+	n, err := New(WithMatrix(t, Options{
 		Model: Byzantine, Plan: plan,
 		AccountsPerShard: 8, InitialBalance: 100, Seed: 3,
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,12 +227,12 @@ func TestHybridFailureModels(t *testing.T) {
 	if plan.NumClusters() != 3 {
 		t.Fatalf("plan has %d clusters, want 3", plan.NumClusters())
 	}
-	n, err := New(Options{
+	n, err := New(WithMatrix(t, Options{
 		Plan:             plan,
 		AccountsPerShard: 16,
 		InitialBalance:   1000,
 		Seed:             5,
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
