@@ -529,7 +529,6 @@ func runDriver(tf *TopologyFile, cfg core.Config, opts options, out io.Writer) e
 	if err := auditState(fab, tf, clientBase+94_000, out); err != nil {
 		return fmt.Errorf("state audit FAILED: %w", err)
 	}
-	printSchedStats(fab, tf, clientBase+97_000, out)
 	printMetrics(fab, tf, clientBase+95_000, out)
 	if cfg.Slash {
 		if err := printEvidence(fab, tf, cfg, clientBase+96_000, out); err != nil {
@@ -542,26 +541,30 @@ func runDriver(tf *TopologyFile, cfg core.Config, opts options, out io.Writer) e
 	return nil
 }
 
-// query sends one request of type req to every replica and collects the
-// decoded answers of type resp by the replica each names, until every
+// query sends one operator query of the given kind to every replica and
+// collects the decoded answers by the replica each names, until every
 // replica has answered or three seconds pass. Answers naming a node outside
 // the topology are dropped, so a lying replica cannot clobber another's
 // entry or satisfy the completion count.
-func query[T any](fab *tcpnet.Net, tf *TopologyFile, from types.NodeID, req, resp types.MsgType,
+func query[T any](fab *tcpnet.Net, tf *TopologyFile, from types.NodeID, kind types.QueryKind,
 	decode func([]byte) (T, error), nodeOf func(T) types.NodeID) map[types.NodeID]T {
 	inbox := fab.Register(from)
 	for id := range tf.Addrs {
-		fab.Send(id, &types.Envelope{Type: req, From: from})
+		fab.Send(id, &types.Envelope{Type: types.MsgQuery, From: from, Payload: []byte{byte(kind)}})
 	}
 	got := make(map[types.NodeID]T, len(tf.Addrs))
 	deadline := time.After(3 * time.Second)
 	for len(got) < len(tf.Addrs) {
 		select {
 		case env := <-inbox:
-			if env.Type != resp {
+			if env.Type != types.MsgQueryResponse {
 				continue
 			}
-			v, err := decode(env.Payload)
+			k, body, err := types.DecodeQueryResponse(env.Payload)
+			if err != nil || k != kind {
+				continue
+			}
+			v, err := decode(body)
 			if err != nil {
 				continue
 			}
@@ -589,7 +592,7 @@ func answered[T any](got map[types.NodeID]T, tf *TopologyFile, what string, out 
 }
 
 // auditState fetches every replica's deterministic store fingerprint
-// (MsgStateRequest) and asserts that, cluster by cluster, every replica
+// (QueryState) and asserts that, cluster by cluster, every replica
 // reports the same applied height and hash — the wire proof that
 // conflict-partitioned parallel apply produced exactly the state serial
 // execution would have. Replicas may briefly lag (executor drain, chain
@@ -598,7 +601,7 @@ func answered[T any](got map[types.NodeID]T, tf *TopologyFile, what string, out 
 func auditState(fab *tcpnet.Net, tf *TopologyFile, auditID types.NodeID, out io.Writer) error {
 	deadline := time.Now().Add(10 * time.Second)
 	for attempt := types.NodeID(0); ; attempt++ {
-		got := query(fab, tf, auditID+attempt, types.MsgStateRequest, types.MsgStateResponse,
+		got := query(fab, tf, auditID+attempt, types.QueryState,
 			types.DecodeStateDigest, func(d *types.StateDigest) types.NodeID { return d.Node })
 		err := stateConsensus(tf, got)
 		if err == nil {
@@ -642,29 +645,14 @@ func stateConsensus(tf *TopologyFile, got map[types.NodeID]*types.StateDigest) e
 	return nil
 }
 
-// printSchedStats fetches every replica's cross-shard scheduler counters
-// over the wire (MsgStatsRequest) and prints the deployment-wide aggregate —
-// the audit's view into leads pipelining, conflict-table occupancy, and
-// deferral precision.
-func printSchedStats(fab *tcpnet.Net, tf *TopologyFile, statsID types.NodeID, out io.Writer) {
-	got := query(fab, tf, statsID, types.MsgStatsRequest, types.MsgStatsResponse,
-		types.DecodeSchedStats, func(s *types.SchedStats) types.NodeID { return s.Node })
-	if !answered(got, tf, "scheduler stats", out) {
-		return
-	}
-	var agg types.SchedStats
-	for _, s := range got {
-		agg.Add(s)
-	}
-	printSched(agg, out)
-}
-
 // printMetrics fetches every replica's registry snapshot over the wire
-// (MsgMetricsRequest), merges the fleet, and prints the commit-latency
-// breakdown plus headline counters — the audit-time roll-up companion to
-// printSchedStats.
+// (QueryMetrics), merges the fleet, and prints the deployment-wide
+// scheduler aggregate, the commit-latency breakdown and headline counters.
+// The scheduler line reads the merged sched_* gauges: a replica refreshes
+// them from its scheduler counters before it answers, and obs.Merge sums
+// gauges the way SchedStats.Add does.
 func printMetrics(fab *tcpnet.Net, tf *TopologyFile, metricsID types.NodeID, out io.Writer) {
-	got := query(fab, tf, metricsID, types.MsgMetricsRequest, types.MsgMetricsResponse,
+	got := query(fab, tf, metricsID, types.QueryMetrics,
 		types.DecodeMetricsDump, func(d *types.MetricsDump) types.NodeID { return d.Node })
 	if !answered(got, tf, "metrics", out) {
 		return
@@ -684,6 +672,13 @@ func printMetrics(fab *tcpnet.Net, tf *TopologyFile, metricsID types.NodeID, out
 		}
 		return 0
 	}
+	printSched(types.SchedStats{
+		LeadsInFlight: val("sched_leads_in_flight"), LeadHighWater: val("sched_lead_high_water"),
+		TableSize: val("sched_table_size"), Grants: val("sched_grants"), Parks: val("sched_parks"),
+		Withdraws: val("sched_withdraws"), LockExpiries: val("sched_lock_expiries"),
+		Defers: val("sched_defers"), DefersAvoided: val("sched_defers_avoided"),
+		SelfVoteWaits: val("sched_self_vote_waits"),
+	}, out)
 	fmt.Fprintf(out, "metrics: committed=%d verify{windows=%d envelopes=%d bisects=%d} storage{wal=%dB ckpts=%d}\n",
 		val("committed_txs"), val("verify_windows"), val("verify_envelopes"),
 		val("verify_bisects"), val("storage_wal_bytes"), val("storage_checkpoints"))
@@ -699,7 +694,7 @@ func printMetrics(fab *tcpnet.Net, tf *TopologyFile, metricsID types.NodeID, out
 }
 
 // printEvidence fetches every replica's accumulated fraud proofs over the
-// wire (MsgEvidenceRequest), deduplicates them, re-verifies each one against
+// wire (QueryEvidence), deduplicates them, re-verifies each one against
 // the keys every replica derives from the shared configuration (the driver
 // never sees a private channel the proofs depend on), and prints the
 // offender report.
@@ -708,7 +703,7 @@ func printEvidence(fab *tcpnet.Net, tf *TopologyFile, cfg core.Config, evID type
 	if err != nil {
 		return fmt.Errorf("evidence: rebuilding keys: %w", err)
 	}
-	got := query(fab, tf, evID, types.MsgEvidenceRequest, types.MsgEvidenceResponse,
+	got := query(fab, tf, evID, types.QueryEvidence,
 		types.DecodeEvidenceDump, func(d *types.EvidenceDump) types.NodeID { return d.Node })
 	answered(got, tf, "evidence", out)
 	proofs := make(map[string]*types.FraudProof)
@@ -771,7 +766,7 @@ func printOffenders(proofs map[string]*types.FraudProof, keys crypto.Provider, t
 // can still claim a peer's ID — rings are diagnostic leads, not
 // authenticated evidence.)
 func dumpTraces(fab *tcpnet.Net, tf *TopologyFile, dir string, dumpID types.NodeID, out io.Writer) {
-	got := query(fab, tf, dumpID, types.MsgTraceRequest, types.MsgTraceResponse,
+	got := query(fab, tf, dumpID, types.QueryTrace,
 		types.DecodeTraceDump, func(d *types.TraceDump) types.NodeID { return d.Node })
 	answered(got, tf, "trace dump", out)
 	empty := 0

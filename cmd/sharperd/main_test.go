@@ -10,6 +10,7 @@ import (
 	"os/exec"
 	"os/signal"
 	"path/filepath"
+	"regexp"
 	"strconv"
 	"strings"
 	"sync"
@@ -219,6 +220,11 @@ func TestMultiProcessDeployment(t *testing.T) {
 		if !strings.Contains(got, "metrics: "+series+" commit latency") {
 			t.Fatalf("driver metrics roll-up missing %s latency line:\n%s", series, got)
 		}
+	}
+	// The scheduler line reads the same roll-up's sched_* gauges; a run with
+	// cross-shard commits has granted cross-shard votes.
+	if m := regexp.MustCompile(`scheduler: leads=\d+ .* grants=(\d+) `).FindStringSubmatch(got); m == nil || m[1] == "0" {
+		t.Fatalf("driver output missing a scheduler line with grants:\n%s", got)
 	}
 
 	// Replica 0 serves Prometheus text on its -metrics address; the replica

@@ -71,9 +71,11 @@ func (k Kind) String() string {
 type Rule struct {
 	Kind Kind
 	// Types restricts the rule to these message types. Empty means the
-	// kind's default: Equivocate/Tamper → pre-prepare, Replay → vote
-	// messages, Withhold → everything (bounded by Victims), Starve →
-	// cross-shard proposal/abort, VCSpam → triggered by any consensus send.
+	// kind's default: Equivocate/Tamper → a Byzantine cluster's proposals,
+	// Replay → votes, and a Byzantine cluster's commits (a crash primary's
+	// commit is its decision, not a vote), Withhold → everything (bounded by
+	// Victims), Starve → cross-shard proposal/abort, VCSpam → triggered by
+	// any ordering send.
 	Types []types.MsgType
 	// Victims restricts Tamper/Withhold to these recipients; empty = all.
 	Victims []types.NodeID
@@ -89,7 +91,11 @@ type rule struct {
 
 func (r *rule) exhausted() bool { return r.Limit > 0 && r.applied >= r.Limit }
 
-func (r *rule) matches(t types.MsgType) bool {
+// matches reports whether the rule applies to a message of type t sent by a
+// node of a Byzantine cluster (byz) or a crash one. The ordering kinds are
+// shared by every policy, so the defaults read the sender's model to keep
+// the scope each had when kinds named their protocol.
+func (r *rule) matches(t types.MsgType, byz bool) bool {
 	if r.exhausted() {
 		return false
 	}
@@ -103,9 +109,9 @@ func (r *rule) matches(t types.MsgType) bool {
 	}
 	switch r.Kind {
 	case Equivocate, Tamper:
-		return t == types.MsgPrePrepare
+		return byz && t == types.MsgPropose
 	case Replay:
-		return t == types.MsgPrepare || t == types.MsgCommit || t == types.MsgPaxosAccepted
+		return t == types.MsgVote || byz && t == types.MsgCommit
 	case Withhold:
 		return true
 	case Starve:
@@ -141,6 +147,7 @@ const maxEvents = 1 << 12
 type compromised struct {
 	signer  crypto.Signer
 	cluster types.ClusterID
+	byz     bool // the cluster runs the Byzantine model
 	rules   []*rule
 }
 
@@ -167,7 +174,7 @@ func New(topo *consensus.Topology) *Adversary {
 // safety assertions assume it, exactly like the paper's fault bound).
 func (a *Adversary) Compromise(id types.NodeID, signer crypto.Signer, rules ...Rule) {
 	cl, _ := a.topo.ClusterOf(id)
-	c := &compromised{signer: signer, cluster: cl}
+	c := &compromised{signer: signer, cluster: cl, byz: a.topo.ModelOf(cl) == types.Byzantine}
 	for i := range rules {
 		c.rules = append(c.rules, &rule{Rule: rules[i]})
 	}
@@ -284,7 +291,7 @@ type group struct {
 // to the second half plus the witness.
 func (a *Adversary) equivocateLocked(c *compromised, to []types.NodeID, env *types.Envelope) ([]group, bool) {
 	for _, r := range c.rules {
-		if r.Kind != Equivocate || !r.matches(env.Type) {
+		if r.Kind != Equivocate || !r.matches(env.Type, c.byz) {
 			continue
 		}
 		variant := a.conflictingVariant(c, env)
@@ -340,7 +347,7 @@ func (a *Adversary) starveLocked(c *compromised, to []types.NodeID, env *types.E
 		return nil, false
 	}
 	for _, r := range c.rules {
-		if r.Kind != Starve || !r.matches(env.Type) {
+		if r.Kind != Starve || !r.matches(env.Type, c.byz) {
 			continue
 		}
 		r.applied++
@@ -361,7 +368,7 @@ func (a *Adversary) starveLocked(c *compromised, to []types.NodeID, env *types.E
 // the envelopes to actually deliver (empty = withheld).
 func (a *Adversary) transformLocked(c *compromised, to types.NodeID, env *types.Envelope) []*types.Envelope {
 	for _, r := range c.rules {
-		if !r.matches(env.Type) {
+		if !r.matches(env.Type, c.byz) {
 			continue
 		}
 		switch r.Kind {
@@ -432,8 +439,7 @@ type spamPair struct {
 // sends while a VCSpam rule has budget.
 func (a *Adversary) maybeSpamLocked(c *compromised, trigger *types.Envelope) *spamPair {
 	switch trigger.Type {
-	case types.MsgPrePrepare, types.MsgPrepare, types.MsgCommit,
-		types.MsgPaxosAccept, types.MsgPaxosAccepted, types.MsgPaxosCommit:
+	case types.MsgPropose, types.MsgVote, types.MsgCommit:
 	default:
 		return nil
 	}

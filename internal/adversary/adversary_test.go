@@ -101,7 +101,7 @@ func TestEquivocateWitnessOverlap(t *testing.T) {
 	r.adv.Compromise(0, r.signer(t, 0), Rule{Kind: Equivocate})
 	txs := []*types.Transaction{tx(1), tx(2)}
 	m := &types.ConsensusMsg{View: 0, Seq: 1, Digest: types.BatchDigest(txs), Cluster: 0, Txs: txs}
-	r.fabs[0].Multicast([]types.NodeID{1, 2, 3}, r.signed(t, types.MsgPrePrepare, 0, m))
+	r.fabs[0].Multicast([]types.NodeID{1, 2, 3}, r.signed(t, types.MsgPropose, 0, m))
 
 	witness := r.drain(t, 2, 2, time.Second) // to[1] sits in both halves
 	d := make(map[types.Hash]bool)
@@ -137,14 +137,14 @@ func TestEquivocateWitnessOverlap(t *testing.T) {
 func TestWithholdAndReplay(t *testing.T) {
 	r := newRig(t)
 	r.adv.Compromise(1, r.signer(t, 1),
-		Rule{Kind: Withhold, Types: []types.MsgType{types.MsgPrepare}, Victims: []types.NodeID{3}},
+		Rule{Kind: Withhold, Types: []types.MsgType{types.MsgVote}, Victims: []types.NodeID{3}},
 		Rule{Kind: Replay, Types: []types.MsgType{types.MsgCommit}},
 	)
-	prep := r.signed(t, types.MsgPrepare, 1, &types.ConsensusMsg{View: 0, Seq: 1, Cluster: 0})
+	prep := r.signed(t, types.MsgVote, 1, &types.ConsensusMsg{View: 0, Seq: 1, Cluster: 0})
 	r.fabs[1].Multicast([]types.NodeID{0, 2, 3}, prep)
 	r.drain(t, 0, 1, time.Second)
 	r.drain(t, 2, 1, time.Second)
-	r.assertQuiet(t, 3) // victim starved of the prepare
+	r.assertQuiet(t, 3) // victim starved of the vote
 
 	com := r.signed(t, types.MsgCommit, 1, &types.ConsensusMsg{View: 0, Seq: 1, Cluster: 0})
 	r.fabs[1].Send(0, com)
@@ -154,7 +154,7 @@ func TestWithholdAndReplay(t *testing.T) {
 	}
 
 	// An honest node through the same wrapper is untouched.
-	r.fabs[2].Send(3, r.signed(t, types.MsgPrepare, 2, &types.ConsensusMsg{View: 0, Seq: 1, Cluster: 0}))
+	r.fabs[2].Send(3, r.signed(t, types.MsgVote, 2, &types.ConsensusMsg{View: 0, Seq: 1, Cluster: 0}))
 	r.drain(t, 3, 1, time.Second)
 }
 
@@ -198,10 +198,10 @@ func TestVCSpamEmitsConflictingPairs(t *testing.T) {
 	r := newRig(t)
 	r.adv.Compromise(3, r.signer(t, 3), Rule{Kind: VCSpam, Limit: 1})
 	for i := 0; i < 4; i++ { // cadence: one pair per 4 trigger sends
-		r.fabs[3].Send(0, r.signed(t, types.MsgPrepare, 3, &types.ConsensusMsg{View: 0, Seq: uint64(i), Cluster: 0}))
+		r.fabs[3].Send(0, r.signed(t, types.MsgVote, 3, &types.ConsensusMsg{View: 0, Seq: uint64(i), Cluster: 0}))
 	}
 	var spam []*types.Envelope
-	for _, env := range r.drain(t, 0, 6, time.Second) { // 4 prepares + 2 spam
+	for _, env := range r.drain(t, 0, 6, time.Second) { // 4 votes + 2 spam
 		if env.Type == types.MsgViewChange {
 			spam = append(spam, env)
 		}
@@ -235,7 +235,7 @@ func TestTamperKeepsSignatureValid(t *testing.T) {
 	r.adv.Compromise(0, r.signer(t, 0), Rule{Kind: Tamper, Victims: []types.NodeID{1}})
 	txs := []*types.Transaction{tx(1)}
 	m := &types.ConsensusMsg{View: 0, Seq: 1, Digest: types.BatchDigest(txs), Cluster: 0, Txs: txs}
-	r.fabs[0].Multicast([]types.NodeID{1, 2}, r.signed(t, types.MsgPrePrepare, 0, m))
+	r.fabs[0].Multicast([]types.NodeID{1, 2}, r.signed(t, types.MsgPropose, 0, m))
 
 	tampered := r.drain(t, 1, 1, time.Second)[0]
 	if !r.kr.Verify(tampered.From, tampered.Payload, tampered.Sig) {
@@ -251,5 +251,38 @@ func TestTamperKeepsSignatureValid(t *testing.T) {
 	clean := r.drain(t, 2, 1, time.Second)[0]
 	if dm2, _ := types.DecodeConsensusMsg(clean.Payload); dm2.Digest != m.Digest {
 		t.Fatal("non-victim received a tampered envelope")
+	}
+}
+
+// TestTamperSparesCrashClusterProposals: the ordering kinds no longer name
+// their protocol, so Tamper's default scope reads the sender's model. A
+// crash-cluster node's proposal passes untouched, as it did when the crash
+// policy spoke kinds of its own; a Byzantine-cluster node's is tampered.
+func TestTamperSparesCrashClusterProposals(t *testing.T) {
+	r := newRig(t)
+	cl := r.topo.Clusters[1]
+	cl.Model, cl.ModelSet = types.CrashOnly, true
+	r.topo.Clusters[1] = cl
+	r.adv.Compromise(4, r.signer(t, 4), Rule{Kind: Tamper})
+	r.adv.Compromise(0, r.signer(t, 0), Rule{Kind: Tamper})
+	txs := []*types.Transaction{tx(1)}
+	for _, c := range []struct {
+		from     types.NodeID
+		to       []types.NodeID
+		tampered bool
+	}{{4, []types.NodeID{5, 6, 7}, false}, {0, []types.NodeID{1, 2, 3}, true}} {
+		cluster, _ := r.topo.ClusterOf(c.from)
+		m := &types.ConsensusMsg{View: 0, Seq: 1, Digest: types.BatchDigest(txs), Cluster: cluster, Txs: txs}
+		env := r.signed(t, types.MsgPropose, c.from, m)
+		r.fabs[c.from].Multicast(c.to, env)
+		for _, id := range c.to {
+			got := r.drain(t, id, 1, time.Second)[0]
+			if changed := string(got.Payload) != string(env.Payload); changed != c.tampered {
+				t.Fatalf("proposal from node %d to %d: tampered=%v, want %v", c.from, id, changed, c.tampered)
+			}
+		}
+	}
+	if n := r.adv.Applied(4, Tamper); n != 0 {
+		t.Fatalf("tamper fired %d times on a crash-cluster sender", n)
 	}
 }

@@ -133,19 +133,19 @@ func (t *Topology) Primary(c types.ClusterID, view uint64) types.NodeID {
 	return m[int(view%uint64(len(m)))]
 }
 
-// IntraQuorum returns the number of matching votes intra-shard consensus
-// needs in cluster c: f+1 for crash (Paxos majority of 2f+1), 2f+1 for
-// Byzantine (PBFT quorum of 3f+1).
-func (t *Topology) IntraQuorum(c types.ClusterID) int {
-	return t.ModelOf(c).QuorumSize(t.Clusters[c].F)
-}
-
-// CrossQuorum returns the per-cluster quorum the flattened cross-shard
-// protocol needs from cluster c (same sizes as IntraQuorum; §3.2/§3.3).
-// In hybrid deployments each cluster contributes its model's quorum: f+1
-// from crash-only clusters, 2f+1 from Byzantine ones.
-func (t *Topology) CrossQuorum(c types.ClusterID) int {
-	return t.ModelOf(c).QuorumSize(t.Clusters[c].F)
+// Quorum returns the number of matching votes that decide in cluster c, for
+// intra-shard ordering and for the cluster's share of a flattened
+// cross-shard vote (§3.1–§3.3) alike: every member but f. At the minimal
+// sizes that is f+1 of 2f+1 (crash), 2f+1 of 3f+1 (Byzantine), and for the
+// §4 two-phase baselines 2f+1 of 3f+1 and 4f+1 of 5f+1. At any size two
+// quorums share n−2f members — at least one in a valid crash cluster, at
+// least f+1 in a valid Byzantine one — and f silent members cannot block
+// one. A larger cluster (the §3.4 planners absorb leftover nodes into a
+// group's last cluster) therefore needs a larger quorum, not the minimal
+// size's.
+func (t *Topology) Quorum(c types.ClusterID) int {
+	cl := t.Clusters[c]
+	return len(cl.Members) - cl.F
 }
 
 // InvolvedNodes returns every node of every involved cluster, the multicast

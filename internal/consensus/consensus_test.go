@@ -46,14 +46,40 @@ func TestPrimaryRotation(t *testing.T) {
 	}
 }
 
+// TestQuorumSizes pins Topology.Quorum = members − f: the minimal sizes of
+// both models, the two-phase baselines' groups, and clusters larger than
+// their model's minimum, which the §3.4 planners build from leftover nodes.
 func TestQuorumSizes(t *testing.T) {
-	crash := UniformTopology(types.CrashOnly, 1, 2) // 5-node cluster
-	if got := crash.IntraQuorum(0); got != 3 {
-		t.Fatalf("crash quorum %d, want 3", got)
+	sized := func(model types.FailureModel, n, f int) *Topology {
+		members := make([]types.NodeID, n)
+		for i := range members {
+			members[i] = types.NodeID(i)
+		}
+		return &Topology{Model: model, Clusters: map[types.ClusterID]Cluster{0: {F: f, Members: members}}}
 	}
-	byz := UniformTopology(types.Byzantine, 1, 2) // 7-node cluster
-	if got := byz.CrossQuorum(0); got != 5 {
-		t.Fatalf("byz quorum %d, want 5", got)
+	cases := []struct {
+		name string
+		topo *Topology
+		want int
+	}{
+		{"crash f=1, 3 members", UniformTopology(types.CrashOnly, 1, 1), 2},
+		{"crash f=2, 5 members", UniformTopology(types.CrashOnly, 1, 2), 3},
+		{"byzantine f=1, 4 members", UniformTopology(types.Byzantine, 1, 1), 3},
+		{"byzantine f=2, 7 members", UniformTopology(types.Byzantine, 1, 2), 5},
+		{"byzantine f=3, 10 members", UniformTopology(types.Byzantine, 1, 3), 7},
+		{"fast paxos f=1, 4 members", sized(types.CrashOnly, 4, 1), 3},
+		{"fab f=1, 6 members", sized(types.Byzantine, 6, 1), 5},
+		// The last cluster PlanClusters(Byzantine, {23 nodes, f=3}) builds:
+		// 7 votes (2f+1) would let two quorums share one node.
+		{"byzantine f=3, 13 members", sized(types.Byzantine, 13, 3), 10},
+		// A crash cluster one node over its minimum: 2 votes (f+1) would let
+		// two disjoint pairs decide.
+		{"crash f=1, 4 members", sized(types.CrashOnly, 4, 1), 3},
+	}
+	for _, c := range cases {
+		if got := c.topo.Quorum(0); got != c.want {
+			t.Errorf("%s: quorum %d, want %d", c.name, got, c.want)
+		}
 	}
 }
 

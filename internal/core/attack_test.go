@@ -145,7 +145,7 @@ func TestDoubleVotingBackupSlashed(t *testing.T) {
 	})
 	backup := d.Topo.Members(0)[2]
 	adv.Compromise(backup, signerOf(t, d, backup), adversary.Rule{
-		Kind: adversary.Equivocate, Types: []types.MsgType{types.MsgPrepare}, Limit: 2,
+		Kind: adversary.Equivocate, Types: []types.MsgType{types.MsgVote}, Limit: 2,
 	})
 
 	c := d.NewClient()
@@ -202,7 +202,7 @@ func TestWithholdingIsSafeAndUnslashed(t *testing.T) {
 	})
 	backup := d.Topo.Members(0)[1]
 	adv.Compromise(backup, signerOf(t, d, backup), adversary.Rule{
-		Kind: adversary.Withhold, Types: []types.MsgType{types.MsgPrepare, types.MsgCommit},
+		Kind: adversary.Withhold, Types: []types.MsgType{types.MsgVote, types.MsgCommit},
 	})
 
 	c := d.NewClient()
@@ -386,20 +386,54 @@ func TestLockStarvationRecovers(t *testing.T) {
 }
 
 // TestHonestRunYieldsNoProofs is the false-positive control: a fully honest
-// Byzantine deployment with duplicated deliveries, a primary crash, a real
-// view change, and a storage-backed restart. The slasher must stay silent on
-// every replica.
+// deployment with duplicated deliveries, a primary crash, a real view
+// change, and a storage-backed restart. The slasher must stay silent on
+// every replica. The hybrid case runs a crash cluster beside a Byzantine
+// one: the ordering kinds are shared, so the crash cluster's unsigned
+// traffic must meet no slasher at all.
 func TestHonestRunYieldsNoProofs(t *testing.T) {
-	net := transport.DefaultConfig()
-	net.DupProb = 0.05
-	d, _ := newAttackDeployment(t, Config{
-		Model: types.Byzantine, Clusters: 2, F: 1, Seed: 49, Ed25519: true,
-		Network: net, DataDir: t.TempDir(), IntraTimeout: 150 * time.Millisecond,
-	})
+	hybrid := &consensus.Topology{Model: types.CrashOnly, Clusters: map[types.ClusterID]consensus.Cluster{
+		0: {ID: 0, F: 1, Members: []types.NodeID{0, 1, 2}, Model: types.CrashOnly, ModelSet: true},
+		1: {ID: 1, F: 1, Members: []types.NodeID{3, 4, 5, 6}, Model: types.Byzantine, ModelSet: true},
+	}}
+	for _, c := range []struct {
+		name   string
+		cfg    Config
+		victim types.ClusterID // the cluster whose primary crashes and restarts
+	}{
+		{"byzantine", Config{Model: types.Byzantine, Clusters: 2, F: 1}, 0},
+		{"hybrid", Config{Model: types.CrashOnly, Topology: hybrid}, 1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			net := transport.DefaultConfig()
+			net.DupProb = 0.05
+			cfg := c.cfg
+			cfg.Seed, cfg.Ed25519, cfg.Network = 49, true, net
+			cfg.DataDir, cfg.IntraTimeout = t.TempDir(), 150*time.Millisecond
+			d, _ := newAttackDeployment(t, cfg)
+			honestRun(t, d, c.victim)
+			for _, n := range d.Nodes() {
+				if byz := d.Topo.ModelOf(n.Cluster()) == types.Byzantine; (n.slash != nil) != byz {
+					t.Fatalf("node %s (Byzantine cluster: %v) has a slasher: %v", n.ID(), byz, n.slash != nil)
+				}
+				if proofs := n.FraudProofs(); len(proofs) != 0 {
+					t.Fatalf("node %s holds %d fraud proofs after an honest run (first: %s against %s)",
+						n.ID(), len(proofs), proofs[0].Kind, proofs[0].Offender)
+				}
+			}
+		})
+	}
+}
 
+// honestRun drives intra-shard traffic on both clusters, cross-shard
+// traffic between them, and a crash and restart of the victim cluster's
+// primary, then waits for quiescence and audits the DAG.
+func honestRun(t *testing.T, d *Deployment, victim types.ClusterID) {
+	t.Helper()
 	c := d.NewClient()
 	c.Timeout = 3 * time.Second
 	runIntra(t, d, c, 6, 0)
+	runIntra(t, d, c, 2, 1)
 	if _, _, err := c.Transfer(crossOps(d, 0, 1)); err != nil {
 		t.Fatalf("cross transfer: %v", err)
 	}
@@ -420,30 +454,24 @@ func TestHonestRunYieldsNoProofs(t *testing.T) {
 				if (w+i)%2 == 0 {
 					wc.Transfer(crossOps(d, 0, 1))
 				} else {
-					wc.Transfer(intraOps(d, 0))
+					wc.Transfer(intraOps(d, types.ClusterID(w%2)))
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
 
-	primary := d.Topo.Members(0)[0]
+	primary := d.Topo.Members(victim)[0]
 	d.CrashNode(primary)
-	runIntra(t, d, c, 4, 0) // drives a real view change past the dead primary
+	runIntra(t, d, c, 4, victim) // drives a real view change past the dead primary
 	if _, err := d.RestartNode(primary); err != nil {
 		t.Fatal(err)
 	}
-	runIntra(t, d, c, 4, 0)
+	runIntra(t, d, c, 4, victim)
 
 	waitQuiesce(t, d)
 	if err := d.DAG().Verify(); err != nil {
 		t.Fatalf("DAG verify: %v", err)
-	}
-	for _, n := range d.Nodes() {
-		if proofs := n.FraudProofs(); len(proofs) != 0 {
-			t.Fatalf("node %s holds %d fraud proofs after an honest run (first: %s against %s)",
-				n.ID(), len(proofs), proofs[0].Kind, proofs[0].Offender)
-		}
 	}
 }
 

@@ -127,7 +127,7 @@ type Config struct {
 	// everything). Ignored under NoMetrics.
 	TraceSample int
 	// Trace records every consensus engine's protocol events into a bounded
-	// ring (Node.DebugTrace, MsgTraceRequest), the evidence a divergence hunt
+	// ring (Node.DebugTrace, a QueryTrace), the evidence a divergence hunt
 	// reads. Off by default: formatting the events is not free.
 	Trace bool
 
@@ -137,8 +137,9 @@ type Config struct {
 	// of deployments that never submit through it keep an empty pool.
 	Mempool mempool.Config
 
-	// Slash arms the equivocation-detecting auditor on every replica: nodes
-	// index inbound consensus envelopes, mint signed fraud proofs from
+	// Slash arms the equivocation-detecting auditor on every replica of a
+	// Byzantine cluster (a crash cluster's messages are unsigned and prove
+	// nothing): nodes index inbound consensus envelopes, mint signed fraud proofs from
 	// conflicting claims, gossip them cluster-wide, and persist them to the
 	// evidence log when storage is on. Proofs are third-party verifiable only
 	// under Ed25519. See internal/slasher.

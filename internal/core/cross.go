@@ -432,7 +432,7 @@ func (x *xengine) tally(inst *xinst, now time.Time) ([]consensus.Outbound, []cro
 		return nil, nil
 	}
 	key := consensus.VoteKey{View: inst.view, Digest: inst.digest}
-	if hashes, valid, ok := inst.accepts.QuorumAllPrev(inst.involved, key, x.topo.CrossQuorum); ok {
+	if hashes, valid, ok := inst.accepts.QuorumAllPrev(inst.involved, key, x.topo.Quorum); ok {
 		return x.pol.onQuorum(x, inst, hashes, valid, now)
 	}
 	// If some cluster's votes have split across chain heads so that no
@@ -446,7 +446,7 @@ func (x *xengine) tally(inst *xinst, now time.Time) ([]consensus.Outbound, []cro
 		return nil, nil
 	}
 	for _, c := range inst.involved {
-		if inst.accepts.MatchImpossible(c, key, x.topo.CrossQuorum(c), len(x.topo.Members(c))) {
+		if inst.accepts.MatchImpossible(c, key, x.topo.Quorum(c), len(x.topo.Members(c))) {
 			outs, decs := x.propose(inst, now)
 			lead.fastRetried = true
 			return outs, decs
@@ -1040,7 +1040,7 @@ func (byz) maybeDecide(x *xengine, inst *xinst, now time.Time) []crossDecision {
 		return nil
 	}
 	for key, kh := range inst.keyHashes {
-		if inst.commits.QuorumAll(inst.involved, key, x.topo.CrossQuorum) {
+		if inst.commits.QuorumAll(inst.involved, key, x.topo.Quorum) {
 			return x.decide(inst.digest, inst.txs, kh.hashes, kh.valid, now)
 		}
 	}

@@ -503,7 +503,7 @@ func TestDeferIntraSlotPrecision(t *testing.T) {
 		m := &types.ConsensusMsg{View: 0, Seq: seq, Cluster: 0,
 			PrevHashes: []types.Hash{ledger.GenesisHash()},
 			Txs:        []*types.Transaction{xtx(9, 0)}}
-		return &types.Envelope{Type: types.MsgPaxosAccept, From: 1, Payload: m.Encode(nil)}
+		return &types.Envelope{Type: types.MsgPropose, From: 1, Payload: m.Encode(nil)}
 	}
 	// Free table: nothing defers.
 	if deferIntra(table, mkEnv(5)) {

@@ -140,9 +140,9 @@ type Node struct {
 	syncVotes  map[uint64]map[types.NodeID]types.Hash
 	syncBlocks map[uint64]map[types.Hash]*types.Block
 
-	// slash is the equivocation auditor (nil unless Config.Slash): it
-	// indexes every authenticated consensus envelope dispatch sees and
-	// mints fraud proofs from conflicting claims.
+	// slash is the equivocation auditor (nil unless Config.Slash and the
+	// cluster is Byzantine): it indexes every authenticated consensus
+	// envelope dispatch sees and mints fraud proofs from conflicting claims.
 	slash *slasher.Slasher
 
 	committed atomic.Int64
@@ -232,7 +232,7 @@ func newNode(cfg nodeConfig) *Node {
 	// cross engine (slot votes, lead admission) and the node (slot-precise
 	// deferral of intra proposals).
 	n.table = consensus.NewConflictTable(cfg.Cluster)
-	// reserved is the conflict-table eligibility check both ordering
+	// reserved is the conflict-table eligibility check the ordering
 	// policies consult at their vote boundary (a chain slot promised to a
 	// cross-shard vote takes no intra vote), so the §3.2 one-vote-per-slot
 	// rule holds even on internal replay paths that never cross dispatch.
@@ -257,7 +257,9 @@ func newNode(cfg nodeConfig) *Node {
 	if cfg.Storage != nil {
 		n.recoverChain(cfg.Storage.Recovered())
 	}
-	if cfg.Slash {
+	// Only a Byzantine cluster's messages are signed claims a slasher can
+	// hold against their sender; a crash cluster's node audits nothing.
+	if cfg.Slash && cfg.ClusterModel == types.Byzantine {
 		n.slash = slasher.New(slasher.Config{Verifier: cfg.Verifier})
 		if cfg.Storage != nil {
 			n.reloadEvidence(cfg.Storage)
@@ -511,7 +513,7 @@ func (n *Node) send(outs []consensus.Outbound) {
 func (n *Node) dispatch(env *types.Envelope, now time.Time) {
 	if n.slash != nil {
 		switch env.Type {
-		case types.MsgPrePrepare, types.MsgPrepare, types.MsgCommit, types.MsgViewChange:
+		case types.MsgPropose, types.MsgVote, types.MsgCommit, types.MsgViewChange:
 			// Audit before engine processing: the slasher indexes the claim
 			// even when the engine would defer, drop, or reject the message.
 			// Observe is idempotent per envelope, so re-dispatch of deferred
@@ -523,8 +525,7 @@ func (n *Node) dispatch(env *types.Envelope, now time.Time) {
 	case types.MsgSubmit:
 		n.gw.onSubmit(env, now)
 
-	case types.MsgPaxosAccept, types.MsgPrePrepare,
-		types.MsgViewChange, types.MsgNewView:
+	case types.MsgPropose, types.MsgViewChange, types.MsgNewView:
 		// An intra-shard proposal that would bind the chain slot a held
 		// cross-shard vote has promised away is deferred until the vote
 		// resolves (commit, abort, or expiry — deferral is bounded).
@@ -548,8 +549,7 @@ func (n *Node) dispatch(env *types.Envelope, now time.Time) {
 		n.send(outs)
 		n.applyIntra(decs, now)
 
-	case types.MsgPaxosAccepted, types.MsgPaxosCommit,
-		types.MsgPrepare, types.MsgCommit:
+	case types.MsgVote, types.MsgCommit:
 		outs, decs := n.intra.Step(env, now)
 		n.send(outs)
 		n.applyIntra(decs, now)
@@ -565,23 +565,11 @@ func (n *Node) dispatch(env *types.Envelope, now time.Time) {
 	case types.MsgSyncResponse:
 		n.onSyncResponse(env, now)
 
-	case types.MsgTraceRequest:
-		n.onTraceRequest(env)
-
-	case types.MsgStatsRequest:
-		n.onStatsRequest(env)
-
-	case types.MsgMetricsRequest:
-		n.onMetricsRequest(env)
-
-	case types.MsgStateRequest:
-		n.onStateRequest(env)
+	case types.MsgQuery:
+		n.onQuery(env)
 
 	case types.MsgFraudProof:
 		n.onFraudProof(env)
-
-	case types.MsgEvidenceRequest:
-		n.onEvidenceRequest(env)
 
 	default:
 		// Baseline-only traffic (the ahl and replica packages' request/reply
@@ -633,18 +621,6 @@ func (n *Node) onFraudProof(env *types.Envelope) {
 			n.anomalies.Add(1)
 		}
 	}
-}
-
-// onEvidenceRequest answers an audit fetch with every proof this replica
-// holds, mirroring the stats-request pattern.
-func (n *Node) onEvidenceRequest(env *types.Envelope) {
-	dump := &types.EvidenceDump{Node: n.cfg.Self}
-	if n.slash != nil {
-		dump.Proofs = n.slash.Proofs()
-	}
-	n.cfg.Net.Send(env.From, &types.Envelope{
-		Type: types.MsgEvidenceResponse, From: n.cfg.Self, Payload: dump.Encode(nil),
-	})
 }
 
 // FraudProofs returns the proofs the node's slasher has accumulated (nil when
@@ -909,20 +885,12 @@ func deferIntra(table *consensus.ConflictTable, env *types.Envelope) bool {
 // Counters reports the node's cross-shard scheduler counters: protocol
 // events, leads in flight, conflict-table size, and deferral precision.
 // Like DebugTrace, read it only on a stopped or quiesced node — live
-// deployments fetch a consistent copy over the wire (MsgStatsRequest),
-// which the event loop answers itself.
+// deployments fetch them over the wire as the sched_* gauges of a metrics
+// query, which the event loop refreshes before it answers.
 func (n *Node) Counters() *types.SchedStats {
 	s := n.cross.Stats()
 	s.Node = n.cfg.Self
 	return &s
-}
-
-// onStatsRequest answers a scheduler-observability fetch (sharperd -drive
-// prints the deployment-wide aggregate after its audit).
-func (n *Node) onStatsRequest(env *types.Envelope) {
-	n.cfg.Net.Send(env.From, &types.Envelope{
-		Type: types.MsgStatsResponse, From: n.cfg.Self, Payload: n.Counters().Encode(nil),
-	})
 }
 
 // nodeGauges mirror the cross-shard scheduler's counters and the node's
@@ -994,31 +962,42 @@ func (n *Node) refreshGauges() {
 	g.applyLag.Set(uint64(n.view.Len()-1) - n.exec.AppliedSeq())
 }
 
-// onMetricsRequest answers a registry fetch with the node's full snapshot
-// (the fleet roll-up path: the driver merges every node's dump). Gauges are
-// refreshed first so the dump is current, not one tick stale.
-func (n *Node) onMetricsRequest(env *types.Envelope) {
-	n.refreshGauges()
-	dump := &types.MetricsDump{Node: n.cfg.Self, Metrics: obs.MetricsToWire(n.reg.Snapshot())}
-	n.cfg.Net.Send(env.From, &types.Envelope{
-		Type: types.MsgMetricsResponse, From: n.cfg.Self, Payload: dump.Encode(nil),
-	})
-}
-
-// onStateRequest answers a store-fingerprint audit fetch. The executor is
-// paused at a group boundary so the fingerprint is a consistent cut at an
-// exact chain height.
-func (n *Node) onStateRequest(env *types.Envelope) {
-	n.exec.Pause()
-	dump := n.StateDigest()
-	n.exec.Resume()
-	n.cfg.Net.Send(env.From, &types.Envelope{
-		Type: types.MsgStateResponse, From: n.cfg.Self, Payload: dump.Encode(nil),
-	})
+// onQuery answers an operator query (MsgQuery) with the dump its kind byte
+// asks for, prefixed by that byte. A malformed request or an unknown kind
+// gets no answer.
+//   - QueryMetrics: the full registry snapshot, gauges refreshed first so
+//     the dump is current, not one tick stale (the driver merges the fleet).
+//   - QueryState: the store fingerprint, with the executor paused at a group
+//     boundary so it is a consistent cut at an exact chain height.
+//   - QueryTrace: the protocol-event rings (empty unless Config.Trace is
+//     set); divergence hunts across processes can reach them no other way.
+//   - QueryEvidence: every fraud proof this replica holds.
+func (n *Node) onQuery(env *types.Envelope) {
+	if len(env.Payload) != 1 {
+		return
+	}
+	kind := types.QueryKind(env.Payload[0])
+	resp := []byte{byte(kind)}
+	switch kind {
+	case types.QueryMetrics:
+		n.refreshGauges()
+		resp = (&types.MetricsDump{Node: n.cfg.Self, Metrics: obs.MetricsToWire(n.reg.Snapshot())}).Encode(resp)
+	case types.QueryState:
+		n.exec.Pause()
+		resp = n.StateDigest().Encode(resp)
+		n.exec.Resume()
+	case types.QueryTrace:
+		resp = (&types.TraceDump{Node: n.cfg.Self, Lines: n.DebugTrace()}).Encode(resp)
+	case types.QueryEvidence:
+		resp = (&types.EvidenceDump{Node: n.cfg.Self, Proofs: n.FraudProofs()}).Encode(resp)
+	default:
+		return
+	}
+	n.cfg.Net.Send(env.From, &types.Envelope{Type: types.MsgQueryResponse, From: n.cfg.Self, Payload: resp})
 }
 
 // StateDigest returns the node's fingerprint at its current applied height
-// (the in-process mirror of MsgStateRequest). Safe on a stopped or quiesced
+// (the in-process mirror of a QueryState). Safe on a stopped or quiesced
 // node.
 func (n *Node) StateDigest() *types.StateDigest {
 	return &types.StateDigest{
@@ -1036,17 +1015,6 @@ func (n *Node) Metrics() *obs.Registry { return n.reg }
 // Tracer returns the node's lifecycle tracer (nil when observability is
 // off); tests and benchmarks read completed traces through it.
 func (n *Node) Tracer() *obs.TxTracer { return n.tracer }
-
-// onTraceRequest answers a debug trace fetch with this node's protocol
-// event ring (empty unless Config.Trace is set — the engines only record
-// events then). Divergence hunts across a multi-process deployment need the
-// rings of ALL processes, and this is the only way a driver can reach them.
-func (n *Node) onTraceRequest(env *types.Envelope) {
-	dump := &types.TraceDump{Node: n.cfg.Self, Lines: n.DebugTrace()}
-	n.cfg.Net.Send(env.From, &types.Envelope{
-		Type: types.MsgTraceResponse, From: n.cfg.Self, Payload: dump.Encode(nil),
-	})
-}
 
 // initiatorCluster applies the super-primary rule: min(P) initiates. With
 // the optimization off, the node's own cluster initiates if involved

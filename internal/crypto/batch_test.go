@@ -30,7 +30,7 @@ func makeSignedWindow(t *testing.T, auth Authenticator, n int, senders int) []*t
 	for i := range envs {
 		from := types.NodeID(1 + i%senders)
 		payload := binary.LittleEndian.AppendUint64(nil, uint64(i))
-		envs[i] = &types.Envelope{Type: types.MsgPrepare, From: from, Payload: payload, Sig: signers[from].Sign(payload)}
+		envs[i] = &types.Envelope{Type: types.MsgVote, From: from, Payload: payload, Sig: signers[from].Sign(payload)}
 	}
 	return envs
 }

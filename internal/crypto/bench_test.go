@@ -30,7 +30,7 @@ func benchEnvelopes(b *testing.B, auth Authenticator, n int) []*types.Envelope {
 		payload := make([]byte, 128)
 		rng.Read(payload)
 		envs[i] = &types.Envelope{
-			Type: types.MsgPrepare, From: types.NodeID(i%senders + 1),
+			Type: types.MsgVote, From: types.NodeID(i%senders + 1),
 			Payload: payload, Sig: signers[i%senders].Sign(payload),
 		}
 	}

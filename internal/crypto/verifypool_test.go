@@ -55,7 +55,7 @@ func TestVerifyPoolOrderAndVerdicts(t *testing.T) {
 		if i%11 == 0 {
 			sig, ok = nil, false // unsigned: not authenticated
 		}
-		env := &types.Envelope{Type: types.MsgPrepare, From: from, Payload: payload, Sig: sig}
+		env := &types.Envelope{Type: types.MsgVote, From: from, Payload: payload, Sig: sig}
 		sent = append(sent, env)
 		wantOK = append(wantOK, ok)
 		in <- env
@@ -116,13 +116,13 @@ func TestVerifyPoolMalformedSignatures(t *testing.T) {
 	var sent []*types.Envelope
 	var want []bool
 	for _, sig := range malformed {
-		env := &types.Envelope{Type: types.MsgPrepare, From: 1, Payload: payload, Sig: sig}
+		env := &types.Envelope{Type: types.MsgVote, From: 1, Payload: payload, Sig: sig}
 		sent = append(sent, env)
 		want = append(want, false)
 		in <- env
 	}
 	// A valid envelope after the junk: the pool must not have wedged.
-	env := &types.Envelope{Type: types.MsgPrepare, From: 1, Payload: payload, Sig: good}
+	env := &types.Envelope{Type: types.MsgVote, From: 1, Payload: payload, Sig: good}
 	sent = append(sent, env)
 	want = append(want, true)
 	in <- env
@@ -189,7 +189,7 @@ func TestVerifyPoolBadMACFloodDoesNotStarveHonest(t *testing.T) {
 				payload := binary.LittleEndian.AppendUint64(nil, uint64(i))
 				sig := signers[1].Sign(payload)
 				sig[len(sig)/2] ^= 0xff
-				env = &types.Envelope{Type: types.MsgPrepare, From: 1, Payload: payload, Sig: sig}
+				env = &types.Envelope{Type: types.MsgVote, From: 1, Payload: payload, Sig: sig}
 			}
 			expects <- expect{env, ok}
 			in <- env
@@ -296,7 +296,7 @@ func TestVerifyPoolOrderWhenLaterWindowsFinishFirst(t *testing.T) {
 	sent := make([]*types.Envelope, total)
 	for i := range sent {
 		cost := byte(2 * (windows - i/window)) // ms per envelope: 16 in the first window, 2 in the last
-		sent[i] = &types.Envelope{Type: types.MsgPrepare, From: 1, Payload: []byte{cost, byte(i)}, Sig: []byte{1}}
+		sent[i] = &types.Envelope{Type: types.MsgVote, From: 1, Payload: []byte{cost, byte(i)}, Sig: []byte{1}}
 		in <- sent[i]
 	}
 	// The inbox is full before the pool starts, so every turn takes a full

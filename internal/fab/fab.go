@@ -26,9 +26,7 @@ func New(total, f int, net transport.Config, seed int64) (*replica.Deployment, e
 		Factory: func(topo *consensus.Topology, self types.NodeID,
 			signer crypto.Signer, verifier crypto.Verifier) replica.Engine {
 			return fastquorum.New(fastquorum.Config{
-				Topology: topo, Cluster: 0, Self: self,
-				Quorum: 4*f + 1,
-				Sign:   true, Signer: signer, Verifier: verifier,
+				Topology: topo, Cluster: 0, Self: self, Signer: signer, Verifier: verifier,
 			}, ledger.GenesisHash())
 		},
 	})

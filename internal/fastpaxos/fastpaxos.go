@@ -26,7 +26,6 @@ func New(total, f int, net transport.Config, seed int64) (*replica.Deployment, e
 			signer crypto.Signer, verifier crypto.Verifier) replica.Engine {
 			return fastquorum.New(fastquorum.Config{
 				Topology: topo, Cluster: 0, Self: self,
-				Quorum: 2*f + 1,
 			}, ledger.GenesisHash())
 		},
 	})

@@ -1,165 +1,21 @@
-package fastquorum
+package fastquorum_test
 
 import (
 	"testing"
-	"time"
 
-	"sharper/internal/consensus"
-	"sharper/internal/ledger"
-	"sharper/internal/types"
+	"sharper/internal/ordertest"
 )
 
-type harness struct {
-	t       *testing.T
-	topo    *consensus.Topology
-	engines map[types.NodeID]*Engine
-	queue   []routed
-	decided map[types.NodeID][]consensus.Decision
-	drop    func(to types.NodeID) bool
-	now     time.Time
-}
-
-type routed struct {
-	to  types.NodeID
-	env *types.Envelope
-}
-
-// newHarness builds a Fast Paxos-like group: size nodes, quorum q.
-func newHarness(t *testing.T, size, f, q int) *harness {
-	members := make([]types.NodeID, size)
-	for i := range members {
-		members[i] = types.NodeID(i)
-	}
-	topo := &consensus.Topology{
-		Model: types.CrashOnly,
-		Clusters: map[types.ClusterID]consensus.Cluster{
-			0: {ID: 0, F: f, Members: members},
-		},
-	}
-	h := &harness{
-		t:       t,
-		topo:    topo,
-		engines: make(map[types.NodeID]*Engine),
-		decided: make(map[types.NodeID][]consensus.Decision),
-		now:     time.Unix(0, 0),
-	}
-	for _, id := range members {
-		h.engines[id] = New(Config{
-			Topology: topo, Cluster: 0, Self: id, Quorum: q,
-			Timeout: 100 * time.Millisecond,
-		}, ledger.GenesisHash())
-	}
-	return h
-}
-
-func (h *harness) sendAll(outs []consensus.Outbound) {
-	for _, o := range outs {
-		for _, to := range o.To {
-			if h.drop != nil && h.drop(to) {
-				continue
-			}
-			h.queue = append(h.queue, routed{to: to, env: o.Env})
-		}
+// run runs one row of the ordering contract under both two-phase
+// baselines: Fast Paxos (4 crash-prone nodes) and FaB (6 Byzantine ones).
+func run(t *testing.T, row string) {
+	for _, p := range []ordertest.Policy{ordertest.FastCrash(1), ordertest.FastByz(1)} {
+		t.Run(p.Name, func(t *testing.T) { ordertest.RunRow(t, p, row) })
 	}
 }
 
-func (h *harness) pump() {
-	for len(h.queue) > 0 {
-		m := h.queue[0]
-		h.queue = h.queue[1:]
-		outs, decs := h.engines[m.to].Step(m.env, h.now)
-		h.sendAll(outs)
-		h.decided[m.to] = append(h.decided[m.to], decs...)
-	}
-}
-
-func tx(seq uint64) *types.Transaction {
-	return &types.Transaction{
-		ID:       types.TxID{Client: types.ClientIDBase + 1, Seq: seq},
-		Client:   types.ClientIDBase + 1,
-		Ops:      []types.Op{{From: 0, To: 1, Amount: 1}},
-		Involved: types.ClusterSet{0},
-	}
-}
-
-func TestTwoPhaseCommit(t *testing.T) {
-	h := newHarness(t, 4, 1, 3) // Fast Paxos: 3f+1 nodes, quorum 2f+1
-	outs, _ := h.engines[0].Propose([]*types.Transaction{tx(1)}, h.now)
-	h.sendAll(outs)
-	h.pump()
-	for id, decs := range h.decided {
-		if len(decs) != 1 {
-			t.Fatalf("node %s decided %d, want 1", id, len(decs))
-		}
-	}
-}
-
-func TestCommitWithFSilent(t *testing.T) {
-	h := newHarness(t, 4, 1, 3)
-	h.drop = func(to types.NodeID) bool { return to == 3 }
-	outs, _ := h.engines[0].Propose([]*types.Transaction{tx(1)}, h.now)
-	h.sendAll(outs)
-	h.pump()
-	for id, decs := range h.decided {
-		if id == 3 {
-			continue
-		}
-		if len(decs) != 1 {
-			t.Fatalf("node %s decided %d, want 1", id, len(decs))
-		}
-	}
-}
-
-func TestNoCommitBelowQuorum(t *testing.T) {
-	h := newHarness(t, 6, 1, 5) // FaB sizing: 5f+1, quorum 4f+1
-	// Two nodes silent: only 4 < 5 accepts can gather.
-	h.drop = func(to types.NodeID) bool { return to == 4 || to == 5 }
-	outs, _ := h.engines[0].Propose([]*types.Transaction{tx(1)}, h.now)
-	h.sendAll(outs)
-	h.pump()
-	for id, decs := range h.decided {
-		if len(decs) != 0 {
-			t.Fatalf("node %s decided with %d silent nodes beyond f", id, len(decs))
-		}
-	}
-}
-
-func TestSequentialDecisions(t *testing.T) {
-	h := newHarness(t, 4, 1, 3)
-	for i := uint64(1); i <= 5; i++ {
-		outs, _ := h.engines[0].Propose([]*types.Transaction{tx(i)}, h.now)
-		h.sendAll(outs)
-	}
-	h.pump()
-	for id, decs := range h.decided {
-		if len(decs) != 5 {
-			t.Fatalf("node %s decided %d, want 5", id, len(decs))
-		}
-		for i, d := range decs {
-			if d.Seq != uint64(i+1) {
-				t.Fatalf("node %s out of order at %d", id, i)
-			}
-		}
-	}
-}
-
-func TestViewChangeViaSuspicion(t *testing.T) {
-	h := newHarness(t, 4, 1, 3)
-	old := h.topo.Primary(0, 0)
-	h.drop = func(to types.NodeID) bool { return to == old }
-	for _, id := range h.topo.Members(0) {
-		if id == old {
-			continue
-		}
-		h.sendAll(h.engines[id].SuspectPrimary(h.now))
-	}
-	h.pump()
-	for id, e := range h.engines {
-		if id == old {
-			continue
-		}
-		if e.View() != 1 {
-			t.Fatalf("node %s in view %d, want 1", id, e.View())
-		}
-	}
-}
+func TestTwoPhaseCommit(t *testing.T)         { run(t, "normal case") }
+func TestCommitWithFSilent(t *testing.T)      { run(t, "f silent members") }
+func TestNoCommitBelowQuorum(t *testing.T)    { run(t, "no decision below quorum") }
+func TestSequentialDecisions(t *testing.T)    { run(t, "pipelined") }
+func TestViewChangeViaSuspicion(t *testing.T) { run(t, "suspect primary") }

@@ -6,8 +6,8 @@ package obs
 // handles, and nil handles ignore updates, so subsystems never gate their
 // instrumentation on a "metrics enabled" flag.
 
-// EngineMetrics instruments an intra-shard consensus engine (Paxos, PBFT,
-// or the fastquorum baseline).
+// EngineMetrics instruments the intra-shard ordering engine, under any of
+// its vote policies (crash, byz, or the fast one the §4 baselines run).
 type EngineMetrics struct {
 	ViewChanges    *Counter // view-change installations
 	StragglerDrops *Counter // messages dropped for lagging behind the commit frontier

@@ -3,7 +3,7 @@ package obs
 import "sharper/internal/types"
 
 // This file converts between registry snapshots and the wire-level
-// types.MetricVal encoding, so a node can answer MsgMetricsRequest and the
+// types.MetricVal encoding, so a node can answer a QueryMetrics and the
 // driver can re-assemble fleet snapshots for Merge. Histograms flatten to
 // [count, sum, bucket0..bucketN-1]; counters and gauges to a single value.
 

@@ -6,21 +6,19 @@ import (
 	"sharper/internal/types"
 )
 
-// byz is the policy of Fig. 3b over 3f+1 nodes of which f may lie: the
-// primary multicasts PRE-PREPARE, every node multicasts PREPARE, a node
-// holding 2f+1 matching prepares (its own among them) is prepared and
-// multicasts COMMIT, and 2f+1 matching commits decide. Every message is
-// signed (§2.1) and nothing a single node says is believed: a view change
-// is joined at f+1 votes (one of them is honest), a value is recovered only
-// with its prepared certificate, and the catch-up barrier is a commit level
-// f+1 nodes report (one of them is honest).
+// byz is the policy of Fig. 3b over nodes of which f may lie: the primary
+// multicasts its proposal (PBFT's PRE-PREPARE), every node multicasts a vote
+// (PREPARE), a node holding n−f matching votes (its own among them; 2f+1 of
+// 3f+1) is prepared and multicasts COMMIT, and n−f matching commits
+// decide. Every message is signed (§2.1) and nothing a single node says is
+// believed: a view change is joined at f+1 votes (one of them is honest), a
+// value is recovered only with its prepared certificate, and the catch-up
+// barrier is a commit level f+1 nodes report (one of them is honest).
 type byz struct {
 	signer crypto.Signer
 	verify crypto.Verifier
 }
 
-func (byz) proposal() types.MsgType      { return types.MsgPrePrepare }
-func (byz) quorum(f int) int             { return 2*f + 1 }
 func (byz) joinAt(f int) int             { return f + 1 }
 func (byz) barrierRank(f int) int        { return f }
 func (b byz) sign(payload []byte) []byte { return b.signer.Sign(payload) }
@@ -37,7 +35,7 @@ func (b byz) authentic(env *types.Envelope) bool {
 }
 
 // admits takes proposals of the current view only — a view is entered
-// through a NEW-VIEW backed by 2f+1 votes, never on a primary's say-so —
+// through a NEW-VIEW backed by n−f votes, never on a primary's say-so —
 // and re-derives the digest, which a malicious primary may have detached
 // from the batch (any tampered transaction changes it).
 func (byz) admits(view uint64, m *types.ConsensusMsg, body *types.Block) bool {
@@ -56,7 +54,7 @@ func votePayload(cluster types.ClusterID, view, seq uint64, digest, parent types
 }
 
 // heard returns the instance's vote tables, allocated on first use.
-func (byz) heard(inst *instance) *votes {
+func heard(inst *instance) *votes {
 	if inst.prepares == nil {
 		inst.prepares = make(map[types.NodeID]types.Hash)
 		inst.commits = make(map[types.NodeID]types.Hash)
@@ -65,24 +63,29 @@ func (byz) heard(inst *instance) *votes {
 	return &inst.votes
 }
 
-// vote multicasts this node's PREPARE — the primary's like everyone else's —
-// once per binding.
-func (b byz) vote(e *Engine, inst *instance, seq uint64, _ types.NodeID) []consensus.Outbound {
-	v := b.heard(inst)
-	var out []consensus.Outbound
-	if !v.voted {
-		v.voted = true
-		v.prepares[e.self] = inst.digest
-		o := e.multicast(types.MsgPrepare, votePayload(e.cluster, inst.view, seq, inst.digest, inst.parent))
-		v.sigs[e.self] = o.Env.Sig
-		out = append(out, o)
+// castVote multicasts this node's vote — the primary's like everyone
+// else's — once per binding, and records it with its signature.
+func castVote(e *Engine, inst *instance, seq uint64) []consensus.Outbound {
+	v := heard(inst)
+	if v.voted {
+		return nil
 	}
+	v.voted = true
+	v.prepares[e.self] = inst.digest
+	o := e.multicast(types.MsgVote, votePayload(e.cluster, inst.view, seq, inst.digest, inst.parent))
+	v.sigs[e.self] = o.Env.Sig
+	return []consensus.Outbound{o}
+}
+
+// vote multicasts this node's PREPARE and moves the instance on with it.
+func (b byz) vote(e *Engine, inst *instance, seq uint64, _ types.NodeID) []consensus.Outbound {
+	out := castVote(e, inst, seq)
 	return append(out, b.progress(e, inst, seq)...)
 }
 
 func (b byz) onVote(e *Engine, env *types.Envelope, m *types.ConsensusMsg) ([]consensus.Outbound, []consensus.Decision) {
 	switch {
-	case env.Type == types.MsgPrepare && m.View == e.view && m.View >= e.promised:
+	case env.Type == types.MsgVote && m.View == e.view && m.View >= e.promised:
 		// A prepare counts in its own view only.
 	case env.Type == types.MsgCommit && m.View >= e.promised:
 		// A commit certificate stands whichever view it formed in.
@@ -93,8 +96,8 @@ func (b byz) onVote(e *Engine, env *types.Envelope, m *types.ConsensusMsg) ([]co
 		return nil, nil
 	}
 	inst := e.instanceAt(m.Seq)
-	v := b.heard(inst)
-	if env.Type == types.MsgPrepare {
+	v := heard(inst)
+	if env.Type == types.MsgVote {
 		v.prepares[env.From] = m.Digest
 		v.sigs[env.From] = env.Sig
 	} else {
@@ -119,7 +122,7 @@ func (byz) progress(e *Engine, inst *instance, seq uint64) []consensus.Outbound 
 		return nil
 	}
 	var out []consensus.Outbound
-	// Prepared: 2f matching prepares from others + our own (§3.1) — our own
+	// Prepared: n−f matching prepares, our own among them (§3.1) — our own
 	// because it is the vote that was persisted before it left.
 	if inst.voted && !inst.sentCommit && countMatching(inst.prepares, inst.digest) >= e.quorum {
 		inst.sentCommit = true
@@ -134,7 +137,7 @@ func (byz) progress(e *Engine, inst *instance, seq uint64) []consensus.Outbound 
 	return out
 }
 
-// certify reports an instance only with its prepared certificate: 2f+1
+// certify reports an instance only with its prepared certificate: n−f
 // recorded prepare or commit votes matching the instance's digest, each with
 // its signature.
 func (byz) certify(e *Engine, inst *instance, p *types.PreparedInstance) bool {
@@ -151,10 +154,10 @@ func (byz) certify(e *Engine, inst *instance, p *types.PreparedInstance) bool {
 	return len(p.Proof) >= e.quorum
 }
 
-// recovers believes a reported value only if its certificate carries 2f+1
+// recovers believes a reported value only if its certificate carries n−f
 // distinct cluster members' valid signatures over the canonical vote
 // payload. One honest reporter then suffices (a commit anywhere implies f+1
-// honest certificate holders, and any 2f+1 view-change quorum intersects
+// honest certificate holders, and any n−f view-change quorum intersects
 // them) while no coalition of f liars can fabricate a binding.
 func (b byz) recovers(e *Engine, p *types.PreparedInstance) bool {
 	payload := votePayload(e.cluster, p.View, p.Seq, p.Digest, p.Parent)

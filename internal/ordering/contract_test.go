@@ -15,7 +15,7 @@ import (
 func TestContract(t *testing.T) {
 	for _, p := range ordertest.Policies {
 		for _, row := range ordertest.Contract {
-			t.Run(p.Name+"/"+row.Name, func(t *testing.T) { row.Run(t, p) })
+			t.Run(p.Name+"/"+row.Name, func(t *testing.T) { ordertest.RunRow(t, p, row.Name) })
 		}
 	}
 }

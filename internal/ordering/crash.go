@@ -5,16 +5,14 @@ import (
 	"sharper/internal/types"
 )
 
-// crash is the policy of Fig. 3a over 2f+1 nodes that fail only by stopping:
-// the primary multicasts ACCEPT, each backup answers ACCEPTED to the primary
-// alone, and the primary, on f+1 matching acceptances counting its own,
-// decides and multicasts COMMIT. Nodes never lie, so nothing is signed, one
-// view-change vote is reason enough to join, and every reported value is
-// believed.
+// crash is the policy of Fig. 3a over nodes that fail only by stopping: the
+// primary multicasts its proposal (Paxos's ACCEPT), each backup answers with
+// a vote (ACCEPTED) to the primary alone, and the primary, on n−f matching
+// votes counting its own (f+1 of 2f+1), decides and multicasts COMMIT.
+// Nodes never lie, so nothing is signed, one view-change vote is reason
+// enough to join, and every reported value is believed.
 type crash struct{}
 
-func (crash) proposal() types.MsgType                        { return types.MsgPaxosAccept }
-func (crash) quorum(f int) int                               { return f + 1 }
 func (crash) joinAt(int) int                                 { return 1 }
 func (crash) barrierRank(int) int                            { return 0 }
 func (crash) sign([]byte) []byte                             { return nil }
@@ -27,7 +25,7 @@ func (crash) recovers(*Engine, *types.PreparedInstance) bool { return true }
 func (crash) admits(view uint64, m *types.ConsensusMsg, _ *types.Block) bool { return m.View >= view }
 
 // certify reports every bound instance: an honest node's word that it
-// accepted a value is proof enough, and any value that reached f+1
+// accepted a value is proof enough, and any value that reached n−f
 // acceptances was accepted by a member of every view-change quorum.
 func (crash) certify(*Engine, *instance, *types.PreparedInstance) bool { return true }
 
@@ -39,15 +37,15 @@ func (crash) vote(e *Engine, inst *instance, seq uint64, proposer types.NodeID) 
 	reply := &types.ConsensusMsg{View: inst.view, Seq: seq, Digest: inst.digest, Cluster: e.cluster}
 	return []consensus.Outbound{{
 		To:  []types.NodeID{proposer},
-		Env: &types.Envelope{Type: types.MsgPaxosAccepted, From: e.self, Payload: reply.Encode(nil)},
+		Env: &types.Envelope{Type: types.MsgVote, From: e.self, Payload: reply.Encode(nil)},
 	}}
 }
 
 func (c crash) onVote(e *Engine, env *types.Envelope, m *types.ConsensusMsg) ([]consensus.Outbound, []consensus.Decision) {
 	switch env.Type {
-	case types.MsgPaxosAccepted:
+	case types.MsgVote:
 		return c.onAccepted(e, env.From, m)
-	case types.MsgPaxosCommit:
+	case types.MsgCommit:
 		return nil, c.onCommit(e, env.From, m)
 	}
 	return nil, nil
@@ -76,7 +74,7 @@ func (crash) onAccepted(e *Engine, from types.NodeID, m *types.ConsensusMsg) ([]
 	e.ring.Recordf("commit-quorum", m.Seq, inst.digest, "v=%d acc=%d", inst.view, len(inst.accepted))
 	e.reachedQuorum(m.Seq, inst)
 	cm := &types.ConsensusMsg{View: inst.view, Seq: m.Seq, Digest: inst.digest, Cluster: e.cluster}
-	return []consensus.Outbound{e.multicast(types.MsgPaxosCommit, cm.Encode(nil))}, e.advance()
+	return []consensus.Outbound{e.multicast(types.MsgCommit, cm.Encode(nil))}, e.advance()
 }
 
 func (crash) onCommit(e *Engine, from types.NodeID, m *types.ConsensusMsg) []consensus.Decision {

@@ -11,18 +11,16 @@ import (
 // FuzzOrderingStep steps one arbitrary payload, under every message type an
 // intra-shard engine can be handed, into nodes that hold an undecided
 // proposal at slot 1 — as that view's primary would send it and as a backup
-// would, each payload under both policies, correctly signed where the policy
+// would, each payload under every policy, correctly signed where the cluster
 // signs (the bytes are hostile, the sender is who it says). The engine must
 // not panic, and one node's word must not decide a slot: the clusters are
-// sized so that a quorum needs three members, and the target has heard at
-// most itself. The one message that legitimately decides alone is the crash
-// policy's COMMIT from the primary, which *is* the primary's report of a
-// quorum — and then only the value the target already holds.
+// sized so that a quorum needs at least three members, and the target has
+// heard at most itself. The one message that legitimately decides alone is
+// the crash policy's COMMIT from the primary, which *is* the primary's
+// report of a quorum — and then only the value the target already holds.
 func FuzzOrderingStep(f *testing.F) {
 	kinds := []types.MsgType{
-		types.MsgPaxosAccept, types.MsgPaxosAccepted, types.MsgPaxosCommit,
-		types.MsgPrePrepare, types.MsgPrepare, types.MsgCommit,
-		types.MsgViewChange, types.MsgNewView,
+		types.MsgPropose, types.MsgVote, types.MsgCommit, types.MsgViewChange, types.MsgNewView,
 	}
 	good := ordertest.ProposalMsg(0, 2, ledger.GenesisHash(), ordertest.Tx(2))
 	noParent := *good
@@ -33,8 +31,16 @@ func FuzzOrderingStep(f *testing.F) {
 		Seq: 1, Digest: vote.Digest, Txs: []*types.Transaction{ordertest.Tx(1)},
 		Proof: []types.VoteProof{{Node: 1, Sig: []byte{1}}},
 	}}}
+	nextView := *good
+	nextView.View = 1
+	otherVote := *vote
+	otherVote.Digest = types.HashBytes([]byte("other"))
+	lateVote := *vote
+	lateVote.View = 1
+	payloads := [][]byte{noParent.Encode(nil), good.Encode(nil), vote.Encode(nil), vc.Encode(nil), nil,
+		nextView.Encode(nil), otherVote.Encode(nil), lateVote.Encode(nil)}
 	for kind := range kinds {
-		for _, payload := range [][]byte{noParent.Encode(nil), good.Encode(nil), vote.Encode(nil), vc.Encode(nil), nil} {
+		for _, payload := range payloads {
 			f.Add(uint8(kind), true, payload)
 			f.Add(uint8(kind), false, payload)
 		}
@@ -42,12 +48,12 @@ func FuzzOrderingStep(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, kind uint8, fromPrimary bool, payload []byte) {
 		msgType := kinds[int(kind)%len(kinds)]
-		for _, p := range []ordertest.Policy{ordertest.Crash(2), ordertest.Byz(1)} {
+		for _, p := range []ordertest.Policy{ordertest.Crash(2), ordertest.Byz(1), ordertest.FastCrash(1), ordertest.FastByz(1)} {
 			h := ordertest.NewHarness(t, p, nil)
 			primary, backup := h.Members()[0], h.Members()[1]
 			h.Launch(primary, ordertest.Tx(1))
 			for _, env := range h.Held(backup) {
-				if env.Type == p.Proposal {
+				if env.Type == types.MsgPropose {
 					h.Deliver(backup, env) // the backup has voted; nobody has heard it
 				}
 			}
@@ -65,7 +71,7 @@ func FuzzOrderingStep(f *testing.F) {
 				if len(decs) == 0 {
 					continue
 				}
-				if !(p.Model == types.CrashOnly && fromPrimary && msgType == types.MsgPaxosCommit) {
+				if !(p.Model == types.CrashOnly && !p.Fast && fromPrimary && msgType == types.MsgCommit) {
 					t.Fatalf("%s: one %v from node %s decided %d slots at node %s", p.Name, msgType, sender, len(decs), to)
 				}
 				if len(decs) != 1 || decs[0].Seq != 1 || decs[0].Block.Txs[0].ID.Seq != 1 {

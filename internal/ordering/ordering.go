@@ -1,12 +1,15 @@
 // Package ordering is the intra-shard consensus engine of §3.1: a
 // primary-led protocol that binds batches of transactions to the slots of
 // one cluster's chain. SharPer makes the protocol pluggable and describes the
-// Byzantine one (Fig. 3b) as the crash one (Fig. 3a) with a larger quorum,
-// one more phase and signed messages. The code says the same: one Engine
-// owns the slot log, the proposal chain, parking, recovery, persistence and
-// the view change, and an unexported vote policy (crash or byz, chosen by
-// the constructor) supplies what differs — how a proposal is voted on, how
-// many votes decide, and what a view change may believe.
+// Byzantine one (Fig. 3b) as the crash one (Fig. 3a) with one more phase and
+// signed messages; the §4 baselines Fast Paxos and FaB drop a phase and
+// decide on a larger quorum. The code says the same: one Engine owns the
+// slot log, the proposal chain, parking, recovery, persistence and the view
+// change, and an unexported vote policy (crash, byz or fast, chosen by the
+// constructor) supplies what differs — how a proposal is voted on and what a
+// view change may believe. Every policy speaks one message family
+// (MsgPropose, MsgVote, MsgCommit) and decides on one quorum, the
+// topology's n−f (consensus.Topology.Quorum).
 //
 // The engine is a pure state machine: callers feed it envelopes and timer
 // ticks; it returns outbound messages and ordered decisions. It never
@@ -32,9 +35,9 @@ type Config struct {
 	// Timeout before a backup suspects the primary for an in-flight
 	// proposal and votes to change view.
 	Timeout time.Duration
-	// Signer and Verifier authenticate Byzantine-policy messages (§2.1);
-	// nil means no signatures. The crash policy sends unsigned messages and
-	// ignores both.
+	// Signer and Verifier authenticate the messages of a Byzantine cluster
+	// (§2.1); nil means no signatures. A crash cluster's messages are
+	// unsigned and ignore both.
 	Signer   crypto.Signer
 	Verifier crypto.Verifier
 	// Persist, when non-nil, is the stable-storage hook for acceptor state
@@ -54,7 +57,8 @@ type Config struct {
 	Obs *obs.EngineMetrics
 	// OnPrepared, when non-nil, fires when a proposal this primary launched
 	// reaches its quorum — the crash policy's commit quorum, the Byzantine
-	// policy's prepared certificate (per-transaction lifecycle tracing).
+	// policy's prepared certificate, the fast policy's deciding votes
+	// (per-transaction lifecycle tracing).
 	OnPrepared func(seq uint64)
 	// Trace records protocol events into the engine's ring (DebugTrace).
 	Trace bool
@@ -68,7 +72,7 @@ type Engine struct {
 	peers   []types.NodeID // the cluster's members minus self; shared by every multicast, never written
 
 	pol    policy
-	quorum int // matching votes that decide a slot, and view-change votes that install a view
+	quorum int // matching votes that decide a slot, and view-change votes that install a view (n−f)
 	joinAt int // view-change votes for one view that make this node vote for it too
 
 	view uint64
@@ -166,13 +170,30 @@ func NewCrash(cfg Config, genesis types.Hash) *Engine {
 // NewByzantine creates an engine running the Byzantine policy (Fig. 3b) at
 // view 0 with the genesis head.
 func NewByzantine(cfg Config, genesis types.Hash) *Engine {
-	if cfg.Signer == nil {
-		cfg.Signer = crypto.NoopSigner{}
+	return newEngine(cfg, genesis, signing(cfg), time.Second)
+}
+
+// NewFast creates an engine running the two-phase policy of the §4
+// baselines at view 0 with the genesis head: Fast Paxos over a crash
+// cluster, FaB over a Byzantine one, whose messages are signed.
+func NewFast(cfg Config, genesis types.Hash) *Engine {
+	if cfg.Topology.ModelOf(cfg.Cluster) == types.Byzantine {
+		return newEngine(cfg, genesis, fast{signing(cfg)}, 500*time.Millisecond)
 	}
-	if cfg.Verifier == nil {
-		cfg.Verifier = crypto.NoopSigner{}
+	return newEngine(cfg, genesis, fast{crash{}}, 500*time.Millisecond)
+}
+
+// signing is the Byzantine policy over the configured keys; nil keys mean
+// no signatures.
+func signing(cfg Config) byz {
+	b := byz{signer: cfg.Signer, verify: cfg.Verifier}
+	if b.signer == nil {
+		b.signer = crypto.NoopSigner{}
 	}
-	return newEngine(cfg, genesis, byz{signer: cfg.Signer, verify: cfg.Verifier}, time.Second)
+	if b.verify == nil {
+		b.verify = crypto.NoopSigner{}
+	}
+	return b
 }
 
 func newEngine(cfg Config, genesis types.Hash, pol policy, defaultTimeout time.Duration) *Engine {
@@ -193,7 +214,7 @@ func newEngine(cfg Config, genesis types.Hash, pol policy, defaultTimeout time.D
 		self:          cfg.Self,
 		peers:         peers,
 		pol:           pol,
-		quorum:        pol.quorum(f),
+		quorum:        cfg.Topology.Quorum(cfg.Cluster),
 		joinAt:        pol.joinAt(f),
 		proposedHead:  genesis,
 		committedHead: genesis,
@@ -442,7 +463,7 @@ func (e *Engine) Propose(txs []*types.Transaction, now time.Time) ([]consensus.O
 		View: e.view, Seq: seq, Digest: digest, Cluster: e.cluster,
 		PrevHashes: block.Parents, Txs: txs,
 	}
-	out := []consensus.Outbound{e.multicast(e.pol.proposal(), msg.Encode(nil))}
+	out := []consensus.Outbound{e.multicast(types.MsgPropose, msg.Encode(nil))}
 	out = append(out, e.pol.vote(e, inst, seq, e.self)...)
 	e.metrics.InstGauge().Set(uint64(len(e.instances)))
 	return out, seq
@@ -461,7 +482,7 @@ func (e *Engine) step(env *types.Envelope, now time.Time) ([]consensus.Outbound,
 		return nil, nil
 	}
 	switch env.Type {
-	case e.pol.proposal():
+	case types.MsgPropose:
 		return e.onProposal(env, now)
 	case types.MsgViewChange:
 		return e.onViewChange(env, now)

@@ -5,18 +5,14 @@ import (
 	"sharper/internal/types"
 )
 
-// policy is everything that differs between the crash protocol (Fig. 3a)
-// and the Byzantine one (Fig. 3b). The Engine owns the slot log and calls
-// the policy at the points where the paper's two figures part ways; a policy
-// keeps no state of its own beyond its keys — what it hears for a slot lives
-// in that instance's votes.
+// policy is everything that differs between the crash protocol (Fig. 3a),
+// the Byzantine one (Fig. 3b) and the two-phase baselines of §4. The Engine
+// owns the slot log and calls the policy at the points where the protocols
+// part ways; a policy keeps no state of its own beyond its keys — what it
+// hears for a slot lives in that instance's votes. Every policy speaks the
+// same message family (MsgPropose, MsgVote, MsgCommit) and decides on the
+// same quorum, the topology's n−f.
 type policy interface {
-	// proposal is the message type that carries the primary's proposal.
-	proposal() types.MsgType
-	// quorum is the number of matching votes that decides a slot, and of
-	// view-change votes that installs a view, in a cluster tolerating f
-	// faults.
-	quorum(f int) int
 	// joinAt is the number of view-change votes for one view after which a
 	// node that has not suspected the primary itself votes for it too.
 	joinAt(f int) int
@@ -35,8 +31,8 @@ type policy interface {
 	// by proposer, possibly this node) and returns the messages carrying it,
 	// together with anything the vote completes.
 	vote(e *Engine, inst *instance, seq uint64, proposer types.NodeID) []consensus.Outbound
-	// onVote consumes a decoded message of one of the policy's vote phases
-	// (and ignores any other type).
+	// onVote consumes a decoded MsgVote or MsgCommit (and ignores a kind the
+	// policy does not use).
 	onVote(e *Engine, env *types.Envelope, m *types.ConsensusMsg) ([]consensus.Outbound, []consensus.Decision)
 	// certify reports whether this node may report inst to a view change as
 	// a value the deposed view owes the chain, adding to p whatever proof
@@ -51,7 +47,8 @@ type policy interface {
 // reset as a whole when a slot is re-bound in a new view.
 type votes struct {
 	// voted: this node's own vote for the binding has been sent (byz: the
-	// PREPARE; the crash policy re-acknowledges every delivery instead).
+	// PREPARE; fast: the deciding vote; the crash policy re-acknowledges
+	// every delivery instead).
 	voted bool
 	// sentCommit: this node has sent the slot's COMMIT (crash: the primary's
 	// decision; byz: this node's commit vote).
@@ -63,7 +60,8 @@ type votes struct {
 	// byz: the digest each node voted for in each phase, and each node's
 	// signature over its vote payload (prepare and commit votes share one
 	// canonical encoding), so a view change can carry a verifiable prepared
-	// certificate instead of an unproven claim.
+	// certificate instead of an unproven claim. fast: prepares holds the
+	// votes that decide, and sigs their signatures.
 	prepares map[types.NodeID]types.Hash
 	commits  map[types.NodeID]types.Hash
 	sigs     map[types.NodeID][]byte

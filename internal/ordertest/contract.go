@@ -17,37 +17,53 @@ import (
 type Row struct {
 	Name string
 	Run  func(t *testing.T, p Policy)
+	// For, when set, limits the row to the policies it describes: a row that
+	// drives the commit phase by name does not apply to the fast policy,
+	// which has none.
+	For func(Policy) bool
 }
 
 // Contract is the behaviour the ordering engine owes its callers whichever
-// policy votes. Rows build their own cluster; a row that needs a phase by
-// name takes it from the Policy.
+// policy votes. Rows build their own cluster.
 var Contract = []Row{
-	{"normal case", normalCase},
-	{"batched", batched},
-	{"pipelined", pipelined},
-	{"f silent members", silentMembers},
-	{"view change carries a prepared value over", viewChangeCarriesValue},
-	{"suspect primary", suspectPrimary},
-	{"sync chain head orphans the dead pipeline", syncOrphans},
-	{"sync chain head relinks what still chains", syncRelinks},
-	{"stale sync chain head is a no-op", staleSync},
-	{"stale proposal", staleProposal},
-	{"non-primary proposal", nonPrimaryProposal},
-	{"proposal without parent", proposalWithoutParent},
-	{"out of order parks and recovers", outOfOrder},
-	{"commit before proposal", commitBeforeProposal},
-	{"restore re-occupies its slots", restoreOccupiesSlots},
-	{"reserved slot parks until released", reservedSlotParks},
-	{"straggler does not resurrect a delivered slot", stragglerDropped},
-	{"unpersistable acceptance withholds the vote", unpersistableWithholdsVote},
+	{"normal case", normalCase, nil},
+	{"batched", batched, nil},
+	{"pipelined", pipelined, nil},
+	{"f silent members", silentMembers, nil},
+	{"no decision below quorum", belowQuorum, nil},
+	{"view change carries a prepared value over", viewChangeCarriesValue, withCommit},
+	{"suspect primary", suspectPrimary, nil},
+	{"sync chain head orphans the dead pipeline", syncOrphans, nil},
+	{"sync chain head relinks what still chains", syncRelinks, withCommit},
+	{"stale sync chain head is a no-op", staleSync, nil},
+	{"stale proposal", staleProposal, nil},
+	{"non-primary proposal", nonPrimaryProposal, nil},
+	{"proposal without parent", proposalWithoutParent, nil},
+	{"out of order parks and recovers", outOfOrder, nil},
+	{"commit before proposal", commitBeforeProposal, withCommit},
+	{"restore re-occupies its slots", restoreOccupiesSlots, nil},
+	{"reserved slot parks until released", reservedSlotParks, nil},
+	{"straggler does not resurrect a delivered slot", stragglerDropped, nil},
+	{"unpersistable acceptance withholds the vote", unpersistableWithholdsVote, nil},
+	{"oversize crash cluster keeps agreement across a partition", oversizeAgreement, unsignedF1},
 }
 
-// RunRow runs one row of the contract by name.
+func withCommit(p Policy) bool { return !p.Fast }
+
+// unsignedF1 holds for the unsigned policies at f=1, where a partition
+// splits a one-member-larger cluster into two halves neither of which holds
+// a quorum, and recovery believes every reported value.
+func unsignedF1(p Policy) bool { return p.Model == types.CrashOnly && p.F == 1 }
+
+// RunRow runs one row of the contract by name, skipping it for a policy it
+// does not apply to.
 func RunRow(t *testing.T, p Policy, name string) {
 	t.Helper()
 	for _, r := range Contract {
 		if r.Name == name {
+			if r.For != nil && !r.For(p) {
+				t.Skipf("row %q does not apply to %s", name, p.Name)
+			}
 			r.Run(t, p)
 			return
 		}
@@ -132,6 +148,23 @@ func silentMembers(t *testing.T, p Policy) {
 	wantDecided(t, h, h.Live(silent...), 1)
 }
 
+// belowQuorum: with f+1 members silent, the rest hold one vote too few and
+// nobody decides.
+func belowQuorum(t *testing.T, p Policy) {
+	h := NewHarness(t, p, nil)
+	silent := h.Members()[len(h.Members())-p.F-1:]
+	h.Drop = func(to types.NodeID, _ *types.Envelope) bool {
+		for _, s := range silent {
+			if to == s {
+				return true
+			}
+		}
+		return false
+	}
+	h.Propose(Tx(1))
+	wantDecided(t, h, h.Members())
+}
+
 // viewChangeCarriesValue: the primary fails with a proposal voted for but
 // not committed anywhere. The backups' timers depose it, the new primary
 // recovers the value from the view-change votes, re-binds it to the same
@@ -143,7 +176,7 @@ func viewChangeCarriesValue(t *testing.T, p Policy) {
 	// The old primary hears nothing any more, and no commit-phase message
 	// gets through: under either policy tx 2 ends up voted for at every
 	// backup, decided at none.
-	h.Drop = func(to types.NodeID, env *types.Envelope) bool { return to == old || env.Type == p.Commit }
+	h.Drop = func(to types.NodeID, env *types.Envelope) bool { return to == old || env.Type == types.MsgCommit }
 	h.Launch(old, Tx(2))
 	h.Pump()
 	live := h.Live(old)
@@ -231,7 +264,7 @@ func syncOrphans(t *testing.T, p Policy) {
 // and must survive — the cluster may have counted it.
 func syncRelinks(t *testing.T, p Policy) {
 	h := NewHarness(t, p, nil)
-	h.Drop = func(_ types.NodeID, env *types.Envelope) bool { return env.Type == p.Commit }
+	h.Drop = func(_ types.NodeID, env *types.Envelope) bool { return env.Type == types.MsgCommit }
 	primary := h.Members()[0]
 	h.Launch(primary, Tx(1))
 	h.Launch(primary, Tx(2))
@@ -272,7 +305,7 @@ func staleProposal(t *testing.T, p Policy) {
 	h := NewHarness(t, p, nil)
 	backup := h.Members()[1]
 	m := ProposalMsg(0, 1, types.HashBytes([]byte("bogus")), Tx(9))
-	outs, decs := h.Deliver(backup, h.Envelope(p.Proposal, h.Members()[0], m))
+	outs, decs := h.Deliver(backup, h.Envelope(types.MsgPropose, h.Members()[0], m))
 	if len(outs) != 0 || len(decs) != 0 {
 		t.Fatal("backup voted for a proposal that does not extend its chain")
 	}
@@ -281,7 +314,7 @@ func staleProposal(t *testing.T, p Policy) {
 func nonPrimaryProposal(t *testing.T, p Policy) {
 	h := NewHarness(t, p, nil)
 	m := ProposalMsg(0, 1, ledger.GenesisHash(), Tx(9))
-	outs, _ := h.Deliver(h.Members()[1], h.Envelope(p.Proposal, h.Members()[2], m))
+	outs, _ := h.Deliver(h.Members()[1], h.Envelope(types.MsgPropose, h.Members()[2], m))
 	if len(outs) != 0 {
 		t.Fatal("proposal from a non-primary was answered")
 	}
@@ -295,7 +328,7 @@ func proposalWithoutParent(t *testing.T, p Policy) {
 	for _, parents := range [][]types.Hash{nil, {ledger.GenesisHash(), ledger.GenesisHash()}} {
 		m := ProposalMsg(0, 1, ledger.GenesisHash(), Tx(1))
 		m.PrevHashes = parents
-		outs, decs := h.Deliver(h.Members()[1], h.Envelope(p.Proposal, h.Members()[0], m))
+		outs, decs := h.Deliver(h.Members()[1], h.Envelope(types.MsgPropose, h.Members()[0], m))
 		if len(outs) != 0 || len(decs) != 0 {
 			t.Fatalf("proposal with %d parents was answered", len(parents))
 		}
@@ -313,7 +346,7 @@ func outOfOrder(t *testing.T, p Policy) {
 	// The backup sees proposal 2 before proposal 1.
 	var first, second *types.Envelope
 	for _, env := range held {
-		if env.Type != p.Proposal {
+		if env.Type != types.MsgPropose {
 			continue
 		}
 		if first == nil {
@@ -330,7 +363,7 @@ func outOfOrder(t *testing.T, p Policy) {
 		t.Fatalf("backup proposedSeq %d, want 2 (parked proposal replayed)", seq)
 	}
 	for _, env := range held {
-		if env.Type != p.Proposal {
+		if env.Type != types.MsgPropose {
 			h.Deliver(backup, env)
 		}
 	}
@@ -355,7 +388,7 @@ func commitBeforeProposal(t *testing.T, p Policy) {
 	wantDecided(t, h, h.Live(backup), 1)
 	h.Drop = nil
 	for _, env := range held {
-		if env.Type == p.Commit {
+		if env.Type == types.MsgCommit {
 			h.Deliver(backup, env)
 		}
 	}
@@ -370,7 +403,7 @@ func commitBeforeProposal(t *testing.T, p Policy) {
 		t.Fatalf("HasUncommitted allocates %.0f times per call over a bodyless instance", n)
 	}
 	for _, env := range held {
-		if env.Type == p.Proposal {
+		if env.Type == types.MsgPropose {
 			if _, decs := h.Deliver(backup, env); len(decs) != 1 {
 				t.Fatalf("the body's arrival surfaced %d decisions, want 1", len(decs))
 			}
@@ -419,7 +452,7 @@ func reservedSlotParks(t *testing.T, p Policy) {
 	})
 	h.Propose(Tx(1))
 	wantDecided(t, h, h.Live(backup), 1)
-	if n := h.Sent[backup][p.Vote] + h.Sent[backup][p.Commit]; n != 0 {
+	if n := h.Sent[backup][types.MsgVote] + h.Sent[backup][types.MsgCommit]; n != 0 {
 		t.Fatalf("backup sent %d votes at a reserved slot", n)
 	}
 	if len(h.Decided[backup]) != 0 {
@@ -435,8 +468,14 @@ func reservedSlotParks(t *testing.T, p Policy) {
 }
 
 // stragglerDropped: votes that arrive after their slot was delivered are
-// counted and dropped; they must not re-create the slot's instance.
+// counted and dropped; they must not re-create the slot's instance. The
+// late messages are those of the deciding phase: commits, or the fast
+// policy's votes.
 func stragglerDropped(t *testing.T, p Policy) {
+	deciding := types.MsgCommit
+	if p.Fast {
+		deciding = types.MsgVote
+	}
 	backup := types.NodeID(1)
 	metrics := obs.NewEngineMetrics(obs.NewRegistry(), "eng")
 	h := NewHarness(t, p, func(id types.NodeID, cfg *ordering.Config) {
@@ -446,7 +485,7 @@ func stragglerDropped(t *testing.T, p Policy) {
 	})
 	var late []*types.Envelope
 	h.Drop = func(to types.NodeID, env *types.Envelope) bool {
-		if to == backup && env.Type == p.Commit {
+		if to == backup && env.Type == deciding {
 			late = append(late, env)
 		}
 		return false
@@ -467,6 +506,52 @@ func stragglerDropped(t *testing.T, p Policy) {
 	}
 	if n := metrics.Instances.Load(); n != 0 {
 		t.Fatalf("%d live instances after the stragglers, want 0", n)
+	}
+}
+
+// oversizeAgreement: a cluster one member over its policy's minimum (a
+// 4-member crash cluster at f=1, quorum 3) is partitioned into two pairs.
+// The primary and one backup accept a value at slot 1; the other two, cut
+// off from both, suspect the primary, and the next view's primary — one of
+// them — offers a second value. Neither pair holds a quorum, so neither
+// decides; once the partition heals the view change recovers the first
+// value and every node decides slot 1 the same way. With the minimal size's
+// quorum (f+1 = 2) each pair decided its own value.
+func oversizeAgreement(t *testing.T, p Policy) {
+	p.Nodes++
+	h := NewHarness(t, p, nil)
+	members := h.Members()
+	primary, next := members[0], h.Topo.Primary(0, 1)
+	partner := members[2] // a backup that does not lead the next view
+	if partner == next {
+		t.Fatal("the partner leads the next view")
+	}
+	side := func(id types.NodeID) bool { return id == primary || id == partner }
+	h.Drop = func(to types.NodeID, env *types.Envelope) bool { return side(to) != side(env.From) }
+	h.Launch(primary, Tx(1))
+	h.Pump()
+	for _, id := range h.Live(primary, partner) {
+		h.Send(id, h.Engines[id].SuspectPrimary(h.Now))
+	}
+	h.Pump()
+	h.Launch(next, Tx(2))
+	h.Pump()
+
+	h.Drop = nil
+	for i := 0; i < 20; i++ {
+		h.Tick(100 * time.Millisecond)
+	}
+	var first *types.Transaction
+	for _, id := range members {
+		decs := h.Decided[id]
+		if len(decs) == 0 || decs[0].Seq != 1 {
+			t.Fatalf("node %s did not decide slot 1 after the partition healed", id)
+		}
+		if tx := decs[0].Block.Txs[0]; first == nil {
+			first = tx
+		} else if tx.ID != first.ID {
+			t.Fatalf("slot 1 decided as tx %d at one node and tx %d at node %s", first.ID.Seq, tx.ID.Seq, id)
+		}
 	}
 }
 
@@ -500,7 +585,7 @@ func unpersistableWithholdsVote(t *testing.T, p Policy) {
 	h.Launch(primary, Tx(1))
 	var proposal *types.Envelope
 	for _, env := range h.Held(backup) {
-		if env.Type == p.Proposal {
+		if env.Type == types.MsgPropose {
 			proposal = env
 		}
 	}

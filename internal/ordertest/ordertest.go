@@ -1,10 +1,10 @@
 // Package ordertest is the test support of the intra-shard ordering engine:
 // a deterministic in-memory cluster harness parameterised by vote policy, and
 // the contract every policy must keep (contract.go). It is a package rather
-// than a _test file because three test packages share it — internal/ordering
-// runs the whole contract over every policy, and internal/paxos and
-// internal/pbft keep the tests specific to their policy beside its
-// constructor.
+// than a _test file because four test packages share it — internal/ordering
+// runs the whole contract over every policy, and internal/paxos,
+// internal/pbft and internal/fastquorum keep the tests specific to their
+// policy beside its constructor.
 package ordertest
 
 import (
@@ -15,6 +15,7 @@ import (
 
 	"sharper/internal/consensus"
 	"sharper/internal/crypto"
+	"sharper/internal/fastquorum"
 	"sharper/internal/ledger"
 	"sharper/internal/ordering"
 	"sharper/internal/paxos"
@@ -22,33 +23,44 @@ import (
 	"sharper/internal/types"
 )
 
-// Policy names one vote policy at one fault bound: the constructor that
-// picks it and the message types of its three phases, for tests that build
-// or filter messages by hand.
+// Policy names one vote policy at one fault bound and cluster size: the
+// constructor that picks it, and the cluster it runs on. Every policy speaks
+// the same message family (types.MsgPropose, MsgVote, MsgCommit).
 type Policy struct {
-	Name     string
-	Model    types.FailureModel
-	F        int
-	Proposal types.MsgType // primary → all
-	Vote     types.MsgType // the phase between proposal and commit
-	Commit   types.MsgType
+	Name  string
+	Model types.FailureModel
+	F     int
+	Nodes int // cluster members; the quorum is Nodes−F
+	// Fast picks the two-phase policy (fastquorum.New), which has no commit
+	// phase; otherwise the model's own (paxos.New or pbft.New).
+	Fast bool
 }
 
 // Crash is the crash policy (paxos.New) over 2f+1 nodes.
 func Crash(f int) Policy {
-	return Policy{Name: fmt.Sprintf("crash-f%d", f), Model: types.CrashOnly, F: f,
-		Proposal: types.MsgPaxosAccept, Vote: types.MsgPaxosAccepted, Commit: types.MsgPaxosCommit}
+	return Policy{Name: fmt.Sprintf("crash-f%d", f), Model: types.CrashOnly, F: f, Nodes: 2*f + 1}
 }
 
 // Byz is the Byzantine policy (pbft.New) over 3f+1 nodes with ed25519
 // signatures.
 func Byz(f int) Policy {
-	return Policy{Name: fmt.Sprintf("byz-f%d", f), Model: types.Byzantine, F: f,
-		Proposal: types.MsgPrePrepare, Vote: types.MsgPrepare, Commit: types.MsgCommit}
+	return Policy{Name: fmt.Sprintf("byz-f%d", f), Model: types.Byzantine, F: f, Nodes: 3*f + 1}
+}
+
+// FastCrash is the two-phase policy over 3f+1 crash-prone nodes (Fast
+// Paxos).
+func FastCrash(f int) Policy {
+	return Policy{Name: fmt.Sprintf("fast-crash-f%d", f), Model: types.CrashOnly, F: f, Nodes: 3*f + 1, Fast: true}
+}
+
+// FastByz is the two-phase policy over 5f+1 Byzantine nodes with ed25519
+// signatures (FaB).
+func FastByz(f int) Policy {
+	return Policy{Name: fmt.Sprintf("fast-byz-f%d", f), Model: types.Byzantine, F: f, Nodes: 5*f + 1, Fast: true}
 }
 
 // Policies is the set the contract runs over.
-var Policies = []Policy{Crash(1), Crash(2), Byz(1)}
+var Policies = []Policy{Crash(1), Crash(2), Byz(1), FastCrash(1), FastByz(1)}
 
 // Harness drives one cluster of engines deterministically: outbound messages
 // are queued and delivered in FIFO order, with optional drops.
@@ -81,10 +93,16 @@ type routed struct {
 // engine is built (persistence and reservation hooks).
 func NewHarness(t *testing.T, p Policy, tune func(id types.NodeID, cfg *ordering.Config)) *Harness {
 	t.Helper()
+	members := make([]types.NodeID, p.Nodes)
+	for i := range members {
+		members[i] = types.NodeID(i)
+	}
 	h := &Harness{
-		T:       t,
-		Policy:  p,
-		Topo:    consensus.UniformTopology(p.Model, 1, p.F),
+		T:      t,
+		Policy: p,
+		Topo: &consensus.Topology{Model: p.Model, Clusters: map[types.ClusterID]consensus.Cluster{
+			0: {F: p.F, Members: members},
+		}},
 		Engines: make(map[types.NodeID]*ordering.Engine),
 		Decided: make(map[types.NodeID][]consensus.Decision),
 		Sent:    make(map[types.NodeID]map[types.MsgType]int),
@@ -112,15 +130,21 @@ func (h *Harness) NewEngine(id types.NodeID) *ordering.Engine {
 	if h.tune != nil {
 		h.tune(id, &cfg)
 	}
-	if h.Model == types.CrashOnly {
+	if h.Model == types.Byzantine {
+		signer, err := h.keys.SignerFor(id)
+		if err != nil {
+			h.T.Fatal(err)
+		}
+		cfg.Signer, cfg.Verifier = signer, h.keys
+	}
+	switch {
+	case h.Fast:
+		return fastquorum.New(cfg, ledger.GenesisHash())
+	case h.Model == types.CrashOnly:
 		return paxos.New(cfg, ledger.GenesisHash())
+	default:
+		return pbft.New(cfg, ledger.GenesisHash())
 	}
-	signer, err := h.keys.SignerFor(id)
-	if err != nil {
-		h.T.Fatal(err)
-	}
-	cfg.Signer, cfg.Verifier = signer, h.keys
-	return pbft.New(cfg, ledger.GenesisHash())
 }
 
 // Members returns the cluster's nodes; Members()[0] leads view 0.
@@ -226,12 +250,12 @@ func (h *Harness) Propose(txs ...*types.Transaction) {
 }
 
 // Envelope builds a protocol message as the given node would send it:
-// encoded, and signed with the node's key under the Byzantine policy.
+// encoded, and signed with the node's key in a Byzantine cluster.
 func (h *Harness) Envelope(t types.MsgType, from types.NodeID, m *types.ConsensusMsg) *types.Envelope {
 	return h.Sign(&types.Envelope{Type: t, From: from, Payload: m.Encode(nil)})
 }
 
-// Sign signs an envelope's payload as its sender (Byzantine policy only).
+// Sign signs an envelope's payload as its sender (Byzantine clusters only).
 func (h *Harness) Sign(env *types.Envelope) *types.Envelope {
 	if h.Model == types.Byzantine {
 		signer, err := h.keys.SignerFor(env.From)

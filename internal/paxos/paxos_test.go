@@ -8,7 +8,7 @@ import (
 	"sharper/internal/types"
 )
 
-// The behaviour this constructor's engine shares with pbft.New's is the
+// The behaviour this constructor's engine shares with the other policies is the
 // contract in internal/ordertest, which internal/ordering runs over every
 // policy. The one-line tests below run single rows of it against paxos.New
 // under the names the recorded test lists know them by.
@@ -35,13 +35,13 @@ func TestCommitBeforeAcceptBuffered(t *testing.T) { row(t, "commit before propos
 // TestDuplicateAcceptedNotDoubleCounted: the primary counts acceptors, not
 // ACCEPTED messages — one backup's vote delivered three times is one vote.
 func TestDuplicateAcceptedNotDoubleCounted(t *testing.T) {
-	h := ordertest.NewHarness(t, ordertest.Crash(2), nil) // 5 nodes, quorum f+1 = 3
+	h := ordertest.NewHarness(t, ordertest.Crash(2), nil) // 5 nodes, quorum n−f = 3
 	primary := h.Members()[0]
 	h.Engines[primary].Propose([]*types.Transaction{ordertest.Tx(1)}, h.Now)
 	m := &types.ConsensusMsg{View: 0, Seq: 1, Digest: types.BatchDigest([]*types.Transaction{ordertest.Tx(1)}), Cluster: 0}
 	commits := func(outs []consensus.Outbound) bool {
 		for _, o := range outs {
-			if o.Env.Type == types.MsgPaxosCommit {
+			if o.Env.Type == types.MsgCommit {
 				return true
 			}
 		}
@@ -49,12 +49,12 @@ func TestDuplicateAcceptedNotDoubleCounted(t *testing.T) {
 	}
 	// primary + 1 distinct backup = 2 < 3, however often that backup is heard.
 	for i := 0; i < 3; i++ {
-		if outs, _ := h.Deliver(primary, h.Envelope(types.MsgPaxosAccepted, h.Members()[1], m)); commits(outs) {
+		if outs, _ := h.Deliver(primary, h.Envelope(types.MsgVote, h.Members()[1], m)); commits(outs) {
 			t.Fatal("duplicate accepted votes reached quorum")
 		}
 	}
 	// A second distinct backup completes the quorum.
-	if outs, _ := h.Deliver(primary, h.Envelope(types.MsgPaxosAccepted, h.Members()[2], m)); !commits(outs) {
+	if outs, _ := h.Deliver(primary, h.Envelope(types.MsgVote, h.Members()[2], m)); !commits(outs) {
 		t.Fatal("quorum of distinct votes did not commit")
 	}
 }

@@ -8,7 +8,7 @@ import (
 	"sharper/internal/types"
 )
 
-// The behaviour this constructor's engine shares with paxos.New's is the
+// The behaviour this constructor's engine shares with the other policies is the
 // contract in internal/ordertest, which internal/ordering runs over every
 // policy. The one-line tests below run single rows of it against pbft.New
 // under the names the recorded test lists know them by.
@@ -26,7 +26,7 @@ func TestSyncChainHeadOrphans(t *testing.T) { row(t, "sync chain head orphans th
 // proposal is the PRE-PREPARE the view-0 primary would sign for a batch at
 // slot 1 on the genesis head.
 func proposal(h *ordertest.Harness, m *types.ConsensusMsg) *types.Envelope {
-	return h.Envelope(types.MsgPrePrepare, h.Members()[0], m)
+	return h.Envelope(types.MsgPropose, h.Members()[0], m)
 }
 
 func TestForgedMessageRejected(t *testing.T) {

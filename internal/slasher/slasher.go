@@ -9,11 +9,11 @@
 // and the honest-run false-positive rate is zero:
 //
 //   - Slot claims: within one (view, seq, cluster, parent), every
-//     pre-prepare, prepare and commit a node emits binds the same digest.
+//     proposal, vote and commit a node emits binds the same digest.
 //     The engines guarantee this (one vote per instance, first-wins digest
 //     binding, re-signed identically across crash-recovery), so indexing the
 //     three message classes under one key also catches a primary whose
-//     tampered pre-prepare contradicts its own vote. The parent is part of
+//     tampered proposal contradicts its own vote. The parent is part of
 //     the key because it is part of an honest node's claim: a slot superseded
 //     by a cross-shard SyncChainHead is legitimately re-proposed and re-voted
 //     with a different digest — under a different parent. Votes carry the
@@ -28,7 +28,9 @@
 // slashed, because an honest participant legitimately re-grants the same
 // (view, digest) with a different chain head after a lock expiry or an
 // initiator withdrawal; and byte-identical rebroadcasts are always benign
-// (the rules require differing content).
+// (the rules require differing content). A slasher audits a Byzantine
+// cluster's messages only: a crash cluster's are unsigned, prove nothing,
+// and share the ordering kinds, so the node runtime builds no slasher there.
 package slasher
 
 import (
@@ -51,8 +53,8 @@ type Config struct {
 	MaxProofs int
 }
 
-// voteKey identifies one slot claim. The message class (pre-prepare /
-// prepare / commit) is intentionally absent: an honest node binds one digest
+// voteKey identifies one slot claim. The message class (proposal / vote /
+// commit) is intentionally absent: an honest node binds one digest
 // per slot across all three. The parent IS present: re-binding a slot under
 // a new parent after a cross-shard chain sync is honest behavior.
 type voteKey struct {
@@ -130,7 +132,7 @@ func (s *Slasher) authentic(env *types.Envelope) bool {
 // proofs deduplicate on their locus.
 func (s *Slasher) Observe(env *types.Envelope) []*types.FraudProof {
 	switch env.Type {
-	case types.MsgPrePrepare, types.MsgPrepare, types.MsgCommit:
+	case types.MsgPropose, types.MsgVote, types.MsgCommit:
 		m, err := types.DecodeConsensusMsg(env.Payload)
 		if err != nil {
 			return nil
@@ -180,7 +182,7 @@ func (s *Slasher) observeSlot(env *types.Envelope, m *types.ConsensusMsg) []*typ
 		return nil // consistent claim (or byte-identical replay): benign
 	}
 	kind := types.FraudDoubleVote
-	if prev.env.Type == types.MsgPrePrepare || env.Type == types.MsgPrePrepare {
+	if prev.env.Type == types.MsgPropose || env.Type == types.MsgPropose {
 		kind = types.FraudDoubleProposal
 	}
 	p := &types.FraudProof{

@@ -67,8 +67,8 @@ func TestDoubleProposalDetected(t *testing.T) {
 	s := New(Config{Verifier: kr})
 	d1 := types.HashBytes([]byte("batch-a"))
 	d2 := types.HashBytes([]byte("batch-b"))
-	e1 := signedConsensus(t, kr, types.MsgPrePrepare, 1, &types.ConsensusMsg{View: 0, Seq: 3, Digest: d1, Cluster: 0})
-	e2 := signedConsensus(t, kr, types.MsgPrePrepare, 1, &types.ConsensusMsg{View: 0, Seq: 3, Digest: d2, Cluster: 0})
+	e1 := signedConsensus(t, kr, types.MsgPropose, 1, &types.ConsensusMsg{View: 0, Seq: 3, Digest: d1, Cluster: 0})
+	e2 := signedConsensus(t, kr, types.MsgPropose, 1, &types.ConsensusMsg{View: 0, Seq: 3, Digest: d2, Cluster: 0})
 
 	if got := s.Observe(e1); len(got) != 0 {
 		t.Fatalf("first proposal produced %d proofs", len(got))
@@ -95,15 +95,15 @@ func TestDoubleProposalDetected(t *testing.T) {
 	}
 }
 
-// TestCrossClassConflictDetected: a primary whose tampered pre-prepare
-// contradicts its own later vote is caught even though no two pre-prepares
+// TestCrossClassConflictDetected: a primary whose tampered proposal
+// contradicts its own later vote is caught even though no two proposals
 // conflict — the slot index collapses message classes.
 func TestCrossClassConflictDetected(t *testing.T) {
 	kr := testKeyring(t, 2)
 	s := New(Config{Verifier: kr})
 	d1 := types.HashBytes([]byte("x"))
 	d2 := types.HashBytes([]byte("y"))
-	s.Observe(signedConsensus(t, kr, types.MsgPrePrepare, 2, &types.ConsensusMsg{View: 1, Seq: 7, Digest: d1, Cluster: 1}))
+	s.Observe(signedConsensus(t, kr, types.MsgPropose, 2, &types.ConsensusMsg{View: 1, Seq: 7, Digest: d1, Cluster: 1}))
 	got := s.Observe(signedConsensus(t, kr, types.MsgCommit, 2, &types.ConsensusMsg{View: 1, Seq: 7, Digest: d2, Cluster: 1}))
 	if len(got) != 1 || got[0].Kind != types.FraudDoubleProposal {
 		t.Fatalf("cross-class conflict not detected: %v", got)
@@ -114,7 +114,7 @@ func TestCrossClassConflictDetected(t *testing.T) {
 
 	// Two conflicting plain votes are a double-vote, not a double-proposal.
 	s2 := New(Config{Verifier: kr})
-	s2.Observe(signedConsensus(t, kr, types.MsgPrepare, 2, &types.ConsensusMsg{View: 1, Seq: 8, Digest: d1, Cluster: 1}))
+	s2.Observe(signedConsensus(t, kr, types.MsgVote, 2, &types.ConsensusMsg{View: 1, Seq: 8, Digest: d1, Cluster: 1}))
 	got = s2.Observe(signedConsensus(t, kr, types.MsgCommit, 2, &types.ConsensusMsg{View: 1, Seq: 8, Digest: d2, Cluster: 1}))
 	if len(got) != 1 || got[0].Kind != types.FraudDoubleVote {
 		t.Fatalf("double vote not detected: %v", got)
@@ -133,7 +133,7 @@ func TestBenignStreamsProduceNothing(t *testing.T) {
 	d := types.HashBytes([]byte("honest"))
 	for seq := uint64(1); seq <= 5; seq++ {
 		for _, n := range []types.NodeID{1, 2, 3} {
-			env := signedConsensus(t, kr, types.MsgPrepare, n, &types.ConsensusMsg{View: 0, Seq: seq, Digest: d, Cluster: 0})
+			env := signedConsensus(t, kr, types.MsgVote, n, &types.ConsensusMsg{View: 0, Seq: seq, Digest: d, Cluster: 0})
 			for i := 0; i < 3; i++ { // replays included
 				if got := s.Observe(env); len(got) != 0 {
 					t.Fatalf("benign envelope produced a proof: %v", got[0])
@@ -169,9 +169,9 @@ func TestHonestRebindNotSlashed(t *testing.T) {
 	p2 := types.HashBytes([]byte("cross-shard-block"))
 	d1 := types.HashBytes([]byte("batch-a"))
 	d2 := types.HashBytes([]byte("batch-b"))
-	e1 := signedConsensus(t, kr, types.MsgPrePrepare, 1,
+	e1 := signedConsensus(t, kr, types.MsgPropose, 1,
 		&types.ConsensusMsg{View: 0, Seq: 3, Digest: d1, PrevHashes: []types.Hash{p1}})
-	e2 := signedConsensus(t, kr, types.MsgPrePrepare, 1,
+	e2 := signedConsensus(t, kr, types.MsgPropose, 1,
 		&types.ConsensusMsg{View: 0, Seq: 3, Digest: d2, PrevHashes: []types.Hash{p2}})
 	s.Observe(e1)
 	if got := s.Observe(e2); len(got) != 0 {
@@ -184,13 +184,13 @@ func TestHonestRebindNotSlashed(t *testing.T) {
 		t.Fatal("proof built from two honest re-bind envelopes verified")
 	}
 	// A vote that names no parent at all is not indexable evidence either.
-	bare := signedConsensus(t, kr, types.MsgPrepare, 1,
+	bare := signedConsensus(t, kr, types.MsgVote, 1,
 		&types.ConsensusMsg{View: 0, Seq: 9, Digest: d1, PrevHashes: []types.Hash{{}}})
 	bare2 := &types.ConsensusMsg{View: 0, Seq: 9, Digest: d2}
 	payload := bare2.Encode(nil)
 	signer, _ := kr.SignerFor(1)
 	s.Observe(bare)
-	if got := s.Observe(&types.Envelope{Type: types.MsgPrepare, From: 1,
+	if got := s.Observe(&types.Envelope{Type: types.MsgVote, From: 1,
 		Payload: payload, Sig: signer.Sign(payload)}); len(got) != 0 {
 		t.Fatal("parentless vote was indexed as conflicting")
 	}
@@ -225,7 +225,7 @@ func TestForgedEnvelopeNotIndexed(t *testing.T) {
 	s := New(Config{Verifier: kr})
 	d1 := types.HashBytes([]byte("a"))
 	d2 := types.HashBytes([]byte("b"))
-	forged := &types.Envelope{Type: types.MsgPrePrepare, From: 1,
+	forged := &types.Envelope{Type: types.MsgPropose, From: 1,
 		Payload: (&types.ConsensusMsg{View: 0, Seq: 1, Digest: d1}).Encode(nil),
 		Sig:     []byte("not a signature")}
 	if got := s.Observe(forged); len(got) != 0 {
@@ -233,7 +233,7 @@ func TestForgedEnvelopeNotIndexed(t *testing.T) {
 	}
 	// The honest (signed) message for the same slot with a different digest
 	// must not conflict with the ignored forgery.
-	if got := s.Observe(signedConsensus(t, kr, types.MsgPrePrepare, 1, &types.ConsensusMsg{View: 0, Seq: 1, Digest: d2})); len(got) != 0 {
+	if got := s.Observe(signedConsensus(t, kr, types.MsgPropose, 1, &types.ConsensusMsg{View: 0, Seq: 1, Digest: d2})); len(got) != 0 {
 		t.Fatal("forgery was indexed and framed an honest node")
 	}
 }
@@ -242,7 +242,7 @@ func TestProofDedupAndGossip(t *testing.T) {
 	kr := testKeyring(t, 1, 2)
 	s := New(Config{Verifier: kr})
 	mk := func(d string) *types.Envelope {
-		return signedConsensus(t, kr, types.MsgPrePrepare, 1, &types.ConsensusMsg{View: 0, Seq: 3, Digest: types.HashBytes([]byte(d))})
+		return signedConsensus(t, kr, types.MsgPropose, 1, &types.ConsensusMsg{View: 0, Seq: 3, Digest: types.HashBytes([]byte(d))})
 	}
 	s.Observe(mk("a"))
 	first := s.Observe(mk("b"))
@@ -287,7 +287,7 @@ func TestIndexBounded(t *testing.T) {
 	s := New(Config{Verifier: kr, MaxEntries: 4})
 	d := types.HashBytes([]byte("d"))
 	for seq := uint64(0); seq < 100; seq++ {
-		s.Observe(signedConsensus(t, kr, types.MsgPrepare, 1, &types.ConsensusMsg{View: 0, Seq: seq, Digest: d}))
+		s.Observe(signedConsensus(t, kr, types.MsgVote, 1, &types.ConsensusMsg{View: 0, Seq: seq, Digest: d}))
 	}
 	s.mu.Lock()
 	n := len(s.votes)

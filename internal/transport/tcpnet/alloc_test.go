@@ -23,7 +23,7 @@ func TestAppendFrameAllocs(t *testing.T) {
 	defer n.Close()
 
 	env := &types.Envelope{
-		Type:    types.MsgPrepare,
+		Type:    types.MsgVote,
 		From:    3,
 		Payload: make([]byte, 256),
 		Sig:     make([]byte, 32),

@@ -33,7 +33,7 @@ func assertAllocs(t *testing.T, what string, max, got float64) {
 
 func TestEnvelopeEncodeAllocs(t *testing.T) {
 	m := &ConsensusMsg{View: 3, Seq: 9, Cluster: 1, PrevHashes: []Hash{{1}}, Txs: allocBatch(16)}
-	env := &Envelope{Type: MsgPrePrepare, From: 2, Payload: m.Encode(nil), Sig: make([]byte, 32)}
+	env := &Envelope{Type: MsgPropose, From: 2, Payload: m.Encode(nil), Sig: make([]byte, 32)}
 	buf := make([]byte, 0, 4096)
 	n := testing.AllocsPerRun(200, func() { buf = env.Encode(buf[:0]) })
 	assertAllocs(t, "Envelope.Encode into a reused buffer", 0, n)
@@ -41,7 +41,7 @@ func TestEnvelopeEncodeAllocs(t *testing.T) {
 
 func TestEnvelopeDecodeAllocs(t *testing.T) {
 	m := &ConsensusMsg{View: 3, Seq: 9, Cluster: 1, PrevHashes: []Hash{{1}}, Txs: allocBatch(16)}
-	enc := (&Envelope{Type: MsgPrePrepare, From: 2, Payload: m.Encode(nil), Sig: make([]byte, 32)}).Encode(nil)
+	enc := (&Envelope{Type: MsgPropose, From: 2, Payload: m.Encode(nil), Sig: make([]byte, 32)}).Encode(nil)
 	n := testing.AllocsPerRun(200, func() {
 		if _, _, err := DecodeEnvelope(enc); err != nil {
 			t.Fatal(err)

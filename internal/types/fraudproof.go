@@ -13,11 +13,11 @@ type FraudKind uint8
 const (
 	// FraudDoubleProposal: a primary asserted two different digests for one
 	// (view, seq, parent) slot binding — either two conflicting
-	// pre-prepares, or a pre-prepare whose digest contradicts the primary's
+	// proposals, or a proposal whose digest contradicts the primary's
 	// own vote. The parent must match across both envelopes: a slot
 	// re-bound under a new parent (cross-shard chain sync) is honest.
 	FraudDoubleProposal FraudKind = iota + 1
-	// FraudDoubleVote: a node cast prepare/commit votes for two different
+	// FraudDoubleVote: a node cast vote/commit messages for two different
 	// digests at one (view, seq, parent) slot binding.
 	FraudDoubleVote
 	// FraudConflictingViewChange: a node claimed two different chain heads
@@ -137,7 +137,7 @@ func DecodeFraudProof(b []byte) (*FraudProof, error) {
 	return p, nil
 }
 
-func isVote(t MsgType) bool { return t == MsgPrepare || t == MsgCommit }
+func isVote(t MsgType) bool { return t == MsgVote || t == MsgCommit }
 
 // Verify checks that the proof is self-consistent and damning: both
 // envelopes carry the offender's valid signature and together assert a
@@ -162,11 +162,11 @@ func (p *FraudProof) Verify(v SigVerifier) error {
 	switch p.Kind {
 	case FraudDoubleProposal, FraudDoubleVote:
 		if p.Kind == FraudDoubleProposal {
-			if p.First.Type != MsgPrePrepare && p.Second.Type != MsgPrePrepare {
-				return fmt.Errorf("double-proposal proof without a pre-prepare")
+			if p.First.Type != MsgPropose && p.Second.Type != MsgPropose {
+				return fmt.Errorf("double-proposal proof without a proposal")
 			}
 			for i, env := range [...]*Envelope{p.First, p.Second} {
-				if env.Type != MsgPrePrepare && !isVote(env.Type) {
+				if env.Type != MsgPropose && !isVote(env.Type) {
 					return fmt.Errorf("envelope %d type %s is not a proposal or vote", i+1, env.Type)
 				}
 			}
@@ -230,8 +230,7 @@ func (p *FraudProof) Verify(v SigVerifier) error {
 }
 
 // EvidenceDump carries one replica's accumulated fraud proofs to a
-// requesting driver, answering MsgEvidenceRequest the way TraceDump answers
-// MsgTraceRequest.
+// requesting driver, answering a QueryEvidence.
 type EvidenceDump struct {
 	Node   NodeID
 	Proofs []*FraudProof

@@ -159,12 +159,12 @@ func FuzzDecodeSubmit(f *testing.F) {
 	})
 }
 
-func FuzzDecodeSchedStats(f *testing.F) {
+func FuzzDecodeStateDigest(f *testing.F) {
 	f.Add([]byte{})
-	f.Add((&SchedStats{Node: 3, Proposes: 7, Grants: 2, LeadsInFlight: 4, DefersAvoided: 11}).Encode(nil))
-	f.Add((&SchedStats{Node: ClientIDBase, LockExpiries: 1, SelfVoteWaits: 9}).Encode(nil))
+	f.Add((&StateDigest{Node: 3, Height: 7, Applied: 41, Hash: HashBytes([]byte("state"))}).Encode(nil))
+	f.Add((&StateDigest{Node: ClientIDBase}).Encode(nil))
 	f.Fuzz(func(t *testing.T, b []byte) {
-		s, err := DecodeSchedStats(b)
+		s, err := DecodeStateDigest(b)
 		if err != nil {
 			return
 		}
@@ -175,10 +175,54 @@ func FuzzDecodeSchedStats(f *testing.F) {
 	})
 }
 
+// FuzzDecodeQueryResponse splits a query response into its kind and body,
+// and decodes the body as that kind's dump: whatever decodes must re-encode
+// to the same bytes behind the same kind byte.
+func FuzzDecodeQueryResponse(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0})
+	f.Add([]byte{byte(QueryEvidence) + 1})
+	f.Add((&MetricsDump{Node: 2, Metrics: []MetricVal{{Name: "committed_txs", Values: []uint64{4}}}}).Encode([]byte{byte(QueryMetrics)}))
+	f.Add((&StateDigest{Node: 3, Height: 7}).Encode([]byte{byte(QueryState)}))
+	f.Add((&TraceDump{Node: 1, Lines: []string{"propose v=0 seq=1"}}).Encode([]byte{byte(QueryTrace)}))
+	f.Add((&EvidenceDump{Node: 4, Proofs: []*FraudProof{fuzzFraudProof()}}).Encode([]byte{byte(QueryEvidence)}))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		kind, body, err := DecodeQueryResponse(b)
+		if err != nil {
+			return
+		}
+		prefix := []byte{byte(kind)}
+		var enc []byte
+		switch kind {
+		case QueryMetrics:
+			if d, err := DecodeMetricsDump(body); err == nil {
+				enc = d.Encode(prefix)
+			}
+		case QueryState:
+			if d, err := DecodeStateDigest(body); err == nil {
+				enc = d.Encode(prefix)
+			}
+		case QueryTrace:
+			if d, err := DecodeTraceDump(body); err == nil {
+				enc = d.Encode(prefix)
+			}
+		case QueryEvidence:
+			if d, err := DecodeEvidenceDump(body); err == nil {
+				enc = d.Encode(prefix)
+			}
+		default:
+			t.Fatalf("decoded unknown query kind %d", kind)
+		}
+		if enc != nil && !bytes.Equal(enc, b[:len(enc)]) {
+			t.Fatalf("%d: re-encode mismatch for %x", kind, b[:len(enc)])
+		}
+	})
+}
+
 func fuzzFraudProof() *FraudProof {
 	mk := func(d string) *Envelope {
 		m := &ConsensusMsg{View: 2, Seq: 5, Digest: HashBytes([]byte(d)), Cluster: 1}
-		return &Envelope{Type: MsgPrePrepare, From: 9, Payload: m.Encode(nil), Sig: []byte{1, 2, 3, 4}}
+		return &Envelope{Type: MsgPropose, From: 9, Payload: m.Encode(nil), Sig: []byte{1, 2, 3, 4}}
 	}
 	return &FraudProof{
 		Offender: 9, Cluster: 1, Kind: FraudDoubleProposal, View: 2, Seq: 5,

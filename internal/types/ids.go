@@ -150,13 +150,3 @@ func (m FailureModel) ClusterSize(f int) int {
 	}
 	return 2*f + 1
 }
-
-// QuorumSize returns the per-cluster agreement quorum used by the flattened
-// cross-shard protocol: f+1 for crash (Algorithm 1), 2f+1 for Byzantine
-// (Algorithm 2).
-func (m FailureModel) QuorumSize(f int) int {
-	if m == Byzantine {
-		return 2*f + 1
-	}
-	return f + 1
-}

@@ -18,15 +18,12 @@ const (
 	MsgRequest // client → primary: ordered transaction request
 	MsgReply   // replica → client: execution result
 
-	// Intra-shard Paxos (§3.1, Fig. 3a).
-	MsgPaxosAccept   // primary → cluster
-	MsgPaxosAccepted // node → primary
-	MsgPaxosCommit   // primary → cluster
-
-	// Intra-shard PBFT (§3.1, Fig. 3b).
-	MsgPrePrepare // primary → cluster
-	MsgPrepare    // node → cluster
-	MsgCommit     // node → cluster
+	// Intra-shard ordering (§3.1, Fig. 3a/3b, and the §4 two-phase
+	// baselines). Every vote policy speaks the same three kinds; the
+	// cluster's failure model, not the kind, says which protocol sent them.
+	MsgPropose // primary → cluster: Paxos accept, PBFT pre-prepare
+	MsgVote    // node → primary (crash) or → cluster: accepted, prepare
+	MsgCommit  // primary (crash) or node (byz) → cluster; unused by fast
 
 	// Flattened cross-shard consensus (§3.2 Alg. 1, §3.3 Alg. 2).
 	MsgXPropose // initiator primary → all nodes of involved clusters
@@ -38,7 +35,7 @@ const (
 	MsgSyncRequest  // node → cluster peer: send me blocks from index N
 	MsgSyncResponse // peer → node: requested blocks
 
-	// View change (both intra engines; §3.2/§3.3 liveness).
+	// View change (every vote policy; §3.2/§3.3 liveness).
 	MsgViewChange
 	MsgNewView
 
@@ -52,71 +49,32 @@ const (
 	// Active/passive replication baseline.
 	MsgAPRStateUpdate // active replica → passive replicas
 
-	// Fast Paxos / FaB baselines (two-phase protocols).
-	MsgFastPropose
-	MsgFastAccept
-	MsgFastCommit
-
-	// Debug traffic: fetch a replica's protocol-event ring for post-mortem
-	// divergence hunts (sharperd -drive dumps every process's ring when the
-	// wire audit fails). Empty unless the replica runs with Config.Trace
-	// (sharperd -trace).
-	MsgTraceRequest
-	MsgTraceResponse
-
-	// Scheduler observability: fetch a replica's cross-shard scheduling
-	// counters (leads in flight, conflict-table size, defers avoided,
-	// park/withdraw counts). A sharperd -drive audit prints the
-	// deployment-wide aggregate after every run.
-	MsgStatsRequest
-	MsgStatsResponse
-
-	// Slashing: a FraudProof gossiped between replicas on detection, and the
-	// driver-side evidence fetch mirroring the trace/stats request pattern.
-	// Appended after the stats pair to keep existing wire values stable.
+	// Slashing: a FraudProof gossiped between replicas on detection.
 	MsgFraudProof
-	MsgEvidenceRequest
-	MsgEvidenceResponse
 
-	// Metrics: fetch a replica's full obs registry snapshot (counters,
-	// gauges, per-stage latency histograms) so a sharperd -drive audit can
-	// print a fleet-wide roll-up. Appended after the evidence pair to keep
-	// existing wire values stable.
-	MsgMetricsRequest
-	MsgMetricsResponse
-
-	// State audit: fetch a replica's deterministic store fingerprint (hash
-	// over sorted balances at a stated applied height) so the wire audit can
-	// assert every replica of a cluster — whatever interleaving its parallel
-	// apply took — holds byte-identical state. Appended after the metrics
-	// pair to keep existing wire values stable.
-	MsgStateRequest
-	MsgStateResponse
+	// Operator queries: a driver asks a replica for one dump (QueryKind)
+	// and the replica answers with the kind byte followed by the dump.
+	MsgQuery
+	MsgQueryResponse
 
 	// Client ingress: a transaction batch submitted to a gateway replica for
 	// mempool admission (client → gateway, or gateway → primary propagation
-	// batch), and the gateway's per-transaction outcome reply. Appended after
-	// the state pair to keep existing wire values stable.
+	// batch), and the gateway's per-transaction outcome reply.
 	MsgSubmit
 	MsgSubmitReply
 )
 
 var msgNames = map[MsgType]string{
 	MsgRequest: "request", MsgReply: "reply",
-	MsgPaxosAccept: "paxos-accept", MsgPaxosAccepted: "paxos-accepted", MsgPaxosCommit: "paxos-commit",
-	MsgPrePrepare: "pre-prepare", MsgPrepare: "prepare", MsgCommit: "commit",
+	MsgPropose: "propose", MsgVote: "vote", MsgCommit: "commit",
 	MsgXPropose: "x-propose", MsgXAccept: "x-accept", MsgXCommit: "x-commit", MsgXAbort: "x-abort",
 	MsgSyncRequest: "sync-req", MsgSyncResponse: "sync-resp",
 	MsgViewChange: "view-change", MsgNewView: "new-view",
 	MsgAHLPrepare: "ahl-prepare", MsgAHLVote: "ahl-vote", MsgAHLDecision: "ahl-decision",
 	MsgAHLAck: "ahl-ack", MsgAHLRCInternal: "ahl-rc",
 	MsgAPRStateUpdate: "apr-update",
-	MsgFastPropose:    "fast-propose", MsgFastAccept: "fast-accept", MsgFastCommit: "fast-commit",
-	MsgTraceRequest: "trace-req", MsgTraceResponse: "trace-resp",
-	MsgStatsRequest: "stats-req", MsgStatsResponse: "stats-resp",
-	MsgFraudProof: "fraud-proof", MsgEvidenceRequest: "evidence-req", MsgEvidenceResponse: "evidence-resp",
-	MsgMetricsRequest: "metrics-req", MsgMetricsResponse: "metrics-resp",
-	MsgStateRequest: "state-req", MsgStateResponse: "state-resp",
+	MsgFraudProof:     "fraud-proof",
+	MsgQuery:          "query", MsgQueryResponse: "query-resp",
 	MsgSubmit: "submit", MsgSubmitReply: "submit-reply",
 }
 
@@ -524,6 +482,33 @@ func DecodeSyncResponse(b []byte) (*SyncResponse, error) {
 	return s, nil
 }
 
+// QueryKind selects the dump an operator query (MsgQuery) asks a replica
+// for. The request payload is the kind byte alone; the response payload is
+// the kind byte followed by the dump's encoding. A replica does not answer
+// a kind it does not know.
+type QueryKind uint8
+
+// Operator query kinds.
+const (
+	QueryMetrics  QueryKind = iota + 1 // MetricsDump: the full obs registry
+	QueryState                         // StateDigest: the store fingerprint
+	QueryTrace                         // TraceDump: the protocol-event rings
+	QueryEvidence                      // EvidenceDump: the slasher's proofs
+)
+
+// DecodeQueryResponse splits a MsgQueryResponse payload into its kind and
+// the dump encoding that follows it.
+func DecodeQueryResponse(b []byte) (QueryKind, []byte, error) {
+	if len(b) == 0 {
+		return 0, nil, fmt.Errorf("types: empty query response")
+	}
+	k := QueryKind(b[0])
+	if k < QueryMetrics || k > QueryEvidence {
+		return 0, nil, fmt.Errorf("types: unknown query kind %d", k)
+	}
+	return k, b[1:], nil
+}
+
 // TraceDump carries one replica's protocol-event ring (the engines' bounded
 // debug rings) to a requesting driver. Lines is empty when the replica runs
 // without Config.Trace (sharperd -trace).
@@ -570,10 +555,11 @@ func DecodeTraceDump(b []byte) (*TraceDump, error) {
 	return t, nil
 }
 
-// SchedStats is one replica's cross-shard scheduler counters, answered to a
-// MsgStatsRequest. The conflict-aware scheduler's behaviour is otherwise
-// invisible from outside a process: these are how benchmarks and the
-// sharperd -drive audit see leads pipelining and deferral precision working.
+// SchedStats is one replica's cross-shard scheduler counters. The
+// conflict-aware scheduler's behaviour is otherwise invisible from outside a
+// process: these are how benchmarks and the sharperd audits see leads
+// pipelining and deferral precision working. Over the wire they travel as
+// the sched_* gauges of a QueryMetrics dump.
 type SchedStats struct {
 	Node NodeID
 	// Flattened-protocol event counts.
@@ -609,42 +595,8 @@ func (s *SchedStats) Add(other *SchedStats) {
 	s.SelfVoteWaits += other.SelfVoteWaits
 }
 
-// schedStatsSize is the fixed wire size of a SchedStats.
-const schedStatsSize = 4 + 12*8
-
-// Encode appends the canonical encoding.
-func (s *SchedStats) Encode(dst []byte) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(s.Node))
-	for _, v := range [...]uint64{
-		s.Proposes, s.Withdraws, s.Grants, s.Decides, s.LockExpiries, s.Parks,
-		s.LeadsInFlight, s.LeadHighWater, s.TableSize, s.Defers, s.DefersAvoided,
-		s.SelfVoteWaits,
-	} {
-		dst = binary.LittleEndian.AppendUint64(dst, v)
-	}
-	return dst
-}
-
-// DecodeSchedStats parses a SchedStats.
-func DecodeSchedStats(b []byte) (*SchedStats, error) {
-	if len(b) < schedStatsSize {
-		return nil, fmt.Errorf("types: short sched stats: %d bytes", len(b))
-	}
-	s := &SchedStats{Node: NodeID(binary.LittleEndian.Uint32(b))}
-	off := 4
-	for _, p := range [...]*uint64{
-		&s.Proposes, &s.Withdraws, &s.Grants, &s.Decides, &s.LockExpiries, &s.Parks,
-		&s.LeadsInFlight, &s.LeadHighWater, &s.TableSize, &s.Defers, &s.DefersAvoided,
-		&s.SelfVoteWaits,
-	} {
-		*p = binary.LittleEndian.Uint64(b[off:])
-		off += 8
-	}
-	return s, nil
-}
-
 // StateDigest is one replica's deterministic store fingerprint, answered to
-// a MsgStateRequest: the chain height the store reflects, the number of
+// a QueryState: the chain height the store reflects, the number of
 // transactions applied, and the hash over sorted balances. Replicas of a
 // cluster reporting the same Height must report the same Hash — the wire
 // audit's proof that conflict-partitioned parallel apply produced the same
@@ -692,7 +644,7 @@ type MetricVal struct {
 }
 
 // MetricsDump carries one replica's full metrics-registry snapshot, answered
-// to a MsgMetricsRequest (the registry cousin of TraceDump and SchedStats).
+// to a QueryMetrics (the registry cousin of TraceDump).
 type MetricsDump struct {
 	Node    NodeID
 	Metrics []MetricVal

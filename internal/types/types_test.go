@@ -260,24 +260,23 @@ func TestPeekConsensusSeqMatchesDecode(t *testing.T) {
 	}
 }
 
-func TestSchedStatsRoundTrip(t *testing.T) {
+// TestSchedStatsAdd: the deployment-wide aggregate sums every counter.
+func TestSchedStatsAdd(t *testing.T) {
 	s := &SchedStats{
 		Node: 7, Proposes: 1, Withdraws: 2, Grants: 3, Decides: 4,
 		LockExpiries: 5, Parks: 6, LeadsInFlight: 7, LeadHighWater: 8,
 		TableSize: 9, Defers: 10, DefersAvoided: 11, SelfVoteWaits: 12,
 	}
-	got, err := DecodeSchedStats(s.Encode(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(s, got) {
-		t.Fatalf("sched stats round trip mismatch: %+v vs %+v", s, got)
-	}
 	var sum SchedStats
 	sum.Add(s)
 	sum.Add(s)
-	if sum.Parks != 12 || sum.DefersAvoided != 22 {
-		t.Fatalf("aggregate mismatch: %+v", sum)
+	want := SchedStats{
+		Proposes: 2, Withdraws: 4, Grants: 6, Decides: 8,
+		LockExpiries: 10, Parks: 12, LeadsInFlight: 14, LeadHighWater: 16,
+		TableSize: 18, Defers: 20, DefersAvoided: 22, SelfVoteWaits: 24,
+	}
+	if sum != want {
+		t.Fatalf("aggregate %+v, want %+v", sum, want)
 	}
 }
 
@@ -338,20 +337,17 @@ func TestClusterSet(t *testing.T) {
 
 func TestFailureModelSizes(t *testing.T) {
 	cases := []struct {
-		model           FailureModel
-		f, size, quorum int
+		model   FailureModel
+		f, size int
 	}{
-		{CrashOnly, 1, 3, 2},
-		{CrashOnly, 2, 5, 3},
-		{Byzantine, 1, 4, 3},
-		{Byzantine, 3, 10, 7},
+		{CrashOnly, 1, 3},
+		{CrashOnly, 2, 5},
+		{Byzantine, 1, 4},
+		{Byzantine, 3, 10},
 	}
 	for _, c := range cases {
 		if got := c.model.ClusterSize(c.f); got != c.size {
 			t.Errorf("%s f=%d: size %d, want %d", c.model, c.f, got, c.size)
-		}
-		if got := c.model.QuorumSize(c.f); got != c.quorum {
-			t.Errorf("%s f=%d: quorum %d, want %d", c.model, c.f, got, c.quorum)
 		}
 	}
 }

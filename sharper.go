@@ -290,8 +290,9 @@ func (n *Network) DAG() *ledger.DAG { return n.d.DAG() }
 // cross-shard scheduler counters (leads in flight, conflict-table size,
 // parks, withdraws, deferral precision) — the conflict-aware scheduler's
 // observability surface. Call it on a quiesced (or closed) network; a
-// running deployment is probed over the wire instead (MsgStatsRequest),
-// which each replica's event loop answers itself.
+// running deployment is probed over the wire instead (a metrics query,
+// whose sched_* gauges each replica's event loop refreshes before it
+// answers).
 func (n *Network) SchedStats() types.SchedStats { return n.d.SchedStats() }
 
 // FraudProofs returns every distinct fraud proof the deployment's slashers
