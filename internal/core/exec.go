@@ -310,7 +310,7 @@ func (e *executor) applyBlock(t *commitTask) []replyOut {
 	outs := make([]replyOut, 0, len(txs))
 	jobs := e.jobs[:0]
 	for i, tx := range txs {
-		if r, done := n.replyCache.Get(tx.ID); done {
+		if r, done := n.window.Get(tx.ID); done {
 			// Ordered twice (a retransmission raced a slow commit): the
 			// first execution won; re-reply only.
 			outs = append(outs, replyOut{tx: tx, r: r, resend: true})
@@ -348,7 +348,7 @@ func (e *executor) applyBlock(t *commitTask) []replyOut {
 		n.committed.Add(1)
 		n.committedCtr.Inc()
 		r := &types.Reply{TxID: j.tx.ID, Replica: n.cfg.Self, Committed: j.ok}
-		n.replyCache.Put(j.tx.ID, r)
+		n.window.Put(j.tx.ID, r)
 		outs = append(outs, replyOut{tx: j.tx, r: r})
 	}
 	e.jobs = jobs[:0]

@@ -207,7 +207,7 @@ func TestByzantineForgedCommitRejected(t *testing.T) {
 	}
 	time.Sleep(200 * time.Millisecond)
 	for _, n := range d.Nodes() {
-		if n.View().Contains(fake.ID) {
+		if n.window.Contains(fake.ID) {
 			t.Fatalf("node %s appended a block decided by one forged commit", n.ID())
 		}
 	}

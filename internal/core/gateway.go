@@ -104,11 +104,12 @@ func (g *gateway) onSubmit(env *types.Envelope, now time.Time) {
 			}
 			continue
 		}
-		// Already executed: a client is answered from the cached verdict, and
-		// a peer's propagated copy is dropped as a duplicate. The pool forgets
-		// a transaction once it commits, so this is the only check that does.
+		// Already executed: a client is answered from the window's verdict.
+		// Already on the chain: a peer's propagated copy is dropped as a
+		// duplicate. The pool forgets a transaction once it commits, so this
+		// is the only check that does.
 		if direct {
-			if r, ok := n.replyCache.Get(tx.ID); ok {
+			if r, ok := n.window.Get(tx.ID); ok {
 				code := types.SubmitCommitted
 				if !r.Committed {
 					code = types.SubmitRejected
@@ -116,7 +117,7 @@ func (g *gateway) onSubmit(env *types.Envelope, now time.Time) {
 				g.sendReply(env.From, tx.ID, code)
 				continue
 			}
-		} else if n.replyCache.Contains(tx.ID) {
+		} else if n.window.Contains(tx.ID) {
 			if g.metrics != nil {
 				g.metrics.Deduped.Inc()
 			}
@@ -274,7 +275,7 @@ func (g *gateway) watchHandovers(now time.Time) {
 		g.handed = g.handed[1:]
 		open := h.txs[:0]
 		for _, tx := range h.txs {
-			if !n.view.Contains(tx.ID) {
+			if !n.window.Contains(tx.ID) {
 				open = append(open, tx)
 			}
 		}
@@ -410,13 +411,13 @@ func propagationBatch(batchSize int) int {
 // Skipped transactions stay in the pool's in-flight set; the commit
 // observation (or the TTL sweep) releases them.
 func (n *Node) ingestFromPool(tx *types.Transaction, now time.Time) {
-	if r, ok := n.replyCache.Get(tx.ID); ok {
+	if r, ok := n.window.Get(tx.ID); ok {
 		// Already executed (e.g. a peer gateway's copy won the race): settle
 		// immediately so the origin gets its verdict.
 		n.gw.observeCommit(tx, r)
 		return
 	}
-	if n.queued[tx.ID] || n.view.Contains(tx.ID) {
+	if n.queued[tx.ID] || n.window.Contains(tx.ID) {
 		return
 	}
 	if t, ok := n.inFlight[tx.ID]; ok && now.Sub(t) < n.cfg.IntraTimeout {

@@ -54,15 +54,8 @@ type nodeConfig struct {
 	*Config
 }
 
-// The reply cache is the node's one window of executed transactions: it
-// answers client retransmissions at any gateway and screens peers'
-// propagated copies of what already committed. replyCacheSize bounds it and
-// replyCacheWindow ages it; entries older than any client's retry window are
-// safe to evict.
-const (
-	replyCacheSize   = 1 << 17
-	replyCacheWindow = 30 * time.Second
-)
+// maxFailedVerdicts bounds the rejected-verdict FIFO checkpoints carry.
+const maxFailedVerdicts = 1 << 17
 
 // Node is one SharPer replica: it runs the cluster's intra-shard consensus
 // engine and the flattened cross-shard engine over its inbox, maintains its
@@ -119,7 +112,14 @@ type Node struct {
 	// self-vote at launch; intra proposing yields to it (cross priority).
 	crossWantsDrain bool
 
-	replyCache *consensus.ReplyCache
+	// window is the node's one committed-transaction window: every
+	// transaction on the chain from the moment its block is appended
+	// (pending) and its verdict once executed (committed or rejected). It
+	// screens ingest, relaunches and re-delivered decisions, keeps execution
+	// idempotent, and answers client retransmissions at any gateway. Entries
+	// leave by age only, at the mempool's admission TTL: past it no copy of
+	// the transaction can be admitted again (consensus.ReplyCache).
+	window *consensus.ReplyCache
 	// gw is the client-ingress gateway (gateway.go): the mempool behind
 	// MsgSubmit and the commit-observation reply path.
 	gw *gateway
@@ -154,9 +154,9 @@ type Node struct {
 
 	// failedTx records ordered-but-rejected transactions (overdrafts,
 	// cross-shard validity vetoes) so checkpoints can carry the verdicts:
-	// a recovered reply cache must answer retransmissions of an old failed
-	// transaction with Committed=false, not a guess. Bounded FIFO at the
-	// reply cache's size — verdicts older than any client's retry window
+	// a recovered window must answer retransmissions of an old failed
+	// transaction with Committed=false, not a guess. Bounded FIFO at
+	// maxFailedVerdicts — verdicts older than any client's retry window
 	// can never be consulted, so both the map and the checkpoint section
 	// stay O(recent failures), not O(history).
 	failedTx   map[types.TxID]bool
@@ -189,7 +189,7 @@ func newNode(cfg nodeConfig) *Node {
 		inbox:        cfg.Net.Register(cfg.Self),
 		view:         ledger.NewView(cfg.Cluster),
 		store:        state.NewStore(cfg.Cluster, state.ShardMap{NumShards: len(cfg.Topology.Clusters)}),
-		replyCache:   consensus.NewReplyCache(replyCacheSize),
+		window:       consensus.NewCommitWindow(),
 		crossArrived: make(map[types.TxID]time.Time),
 		inFlight:     make(map[types.TxID]time.Time),
 		queued:       make(map[types.TxID]bool),
@@ -294,7 +294,7 @@ func (n *Node) recoverChain(rec *storage.Recovered) {
 	}
 	now := time.Now()
 	for _, b := range rec.Blocks {
-		if err := n.view.Append(b); err != nil {
+		if err := n.appendBlock(b); err != nil {
 			// A recovered block that does not extend the chain means the
 			// files were damaged in a way the CRC frames could not see
 			// (e.g. mixed directories). Keep the valid prefix.
@@ -343,11 +343,10 @@ func (n *Node) finishRecovery() {
 		idx := uint64(i + 1)
 		for j, tx := range b.Txs {
 			if idx <= rec.SnapshotSeq {
-				// The snapshot already reflects this block; only the reply
-				// cache entry is rebuilt, so an ancient retransmission is
-				// re-replied (with its original verdict) instead of
-				// re-ordered and re-applied.
-				n.replyCache.Put(tx.ID, &types.Reply{
+				// The snapshot already reflects this block; only the window
+				// entry is settled, so a retransmission is re-replied (with
+				// its original verdict) instead of re-ordered and re-applied.
+				n.window.Put(tx.ID, &types.Reply{
 					TxID: tx.ID, Replica: n.cfg.Self, Committed: !rec.FailedTxs[tx.ID],
 				})
 				n.committed.Add(1)
@@ -364,7 +363,7 @@ func (n *Node) finishRecovery() {
 // logged validity verdict plus deterministic local validation over the
 // chain prefix reproduce the original effects without sending replies.
 func (n *Node) recoverExecute(tx *types.Transaction, valid bool) {
-	if n.replyCache.Contains(tx.ID) {
+	if _, settled := n.window.Get(tx.ID); settled {
 		return // ordered twice; the first execution won
 	}
 	ok := valid && n.store.Apply(tx) == nil
@@ -372,7 +371,7 @@ func (n *Node) recoverExecute(tx *types.Transaction, valid bool) {
 		n.recordFailed(tx.ID)
 	}
 	n.committed.Add(1)
-	n.replyCache.Put(tx.ID, &types.Reply{TxID: tx.ID, Replica: n.cfg.Self, Committed: ok})
+	n.window.Put(tx.ID, &types.Reply{TxID: tx.ID, Replica: n.cfg.Self, Committed: ok})
 }
 
 // recordFailed adds a rejected verdict to the bounded FIFO.
@@ -382,7 +381,7 @@ func (n *Node) recordFailed(id types.TxID) {
 	}
 	n.failedTx[id] = true
 	n.failedList = append(n.failedList, id)
-	if len(n.failedList) > replyCacheSize {
+	if len(n.failedList) > maxFailedVerdicts {
 		delete(n.failedTx, n.failedList[0])
 		n.failedList = n.failedList[1:]
 	}
@@ -647,11 +646,11 @@ func (n *Node) tick(now time.Time) {
 	n.maybeLaunch(now)
 	n.maybeSync(now)
 	if n.tickCount%64 == 0 {
-		// Expiry cadence for the ingest plane: pool TTL sweeps, and reply
-		// cache entries past the committed window (client retries arrive
-		// well inside it).
+		// Expiry cadence for the ingest plane: pool TTL sweeps, and window
+		// entries past the admission TTL, which no copy of their
+		// transaction can pass again.
 		n.gw.sweep(now)
-		n.replyCache.Sweep(now.Add(-replyCacheWindow))
+		n.window.Sweep(now.Add(-n.gw.pool.Config().TTL))
 	}
 	if n.cfg.Storage != nil {
 		// Fsync cadence is the store's own business (SyncGroup runs a
@@ -694,11 +693,20 @@ func (n *Node) maybeCheckpoint() {
 	}
 }
 
+// appendBlock appends a decided block to the view and notes its
+// transactions in the window as pending. Every chain append goes through it.
+func (n *Node) appendBlock(b *types.Block) error {
+	if err := n.view.Append(b); err != nil {
+		return err
+	}
+	n.window.Note(b.Txs)
+	return nil
+}
+
 // handOff moves a block just appended to the DAG into the commit pipeline:
 // the executor applies it, group-commits it to the chain log, and answers the
 // gateway's clients. The loop's retransmission-dedup map is cleared now —
-// ingestFromPool's view.Contains check covers the window until the reply
-// cache entry exists.
+// the window's pending entries screen the transactions from here on.
 func (n *Node) handOff(b *types.Block, valid uint64, traceSeq uint64, digest types.Hash) {
 	for _, tx := range b.Txs {
 		delete(n.inFlight, tx.ID)
@@ -845,7 +853,7 @@ func (n *Node) adoptVotedBlocks(now time.Time) {
 // adoptBlock appends a synced block if it extends the chain, executing it
 // and advancing the intra engine.
 func (n *Node) adoptBlock(b *types.Block, now time.Time) bool {
-	if err := n.view.Append(b); err != nil {
+	if err := n.appendBlock(b); err != nil {
 		return false
 	}
 	n.lastAppend = now
@@ -1207,7 +1215,7 @@ func (n *Node) launchCross(now time.Time) {
 func (n *Node) dropCommitted(batch []*types.Transaction) []*types.Transaction {
 	kept := batch[:0]
 	for _, tx := range batch {
-		if !n.view.Contains(tx.ID) {
+		if !n.window.Contains(tx.ID) {
 			kept = append(kept, tx)
 		}
 	}
@@ -1324,7 +1332,7 @@ scan:
 // transaction of each decided batch, and replies to clients.
 func (n *Node) applyIntra(decs []consensus.Decision, now time.Time) {
 	for _, d := range decs {
-		if err := n.view.Append(d.Block); err != nil {
+		if err := n.appendBlock(d.Block); err != nil {
 			n.anomalies.Add(1)
 			continue
 		}
@@ -1366,7 +1374,7 @@ func (n *Node) applyCrossOne(d crossDecision, now time.Time) {
 	// alone) must still append — duplicates across blocks are tolerated by
 	// the ledger and execution is idempotent, while skipping would silently
 	// drop the globally-decided fresh transactions in the batch.
-	if n.view.ContainsAll(d.Txs) {
+	if n.onChain(d.Txs) {
 		return
 	}
 	if d.Hashes[slot] != n.view.Head() {
@@ -1375,7 +1383,7 @@ func (n *Node) applyCrossOne(d crossDecision, now time.Time) {
 		return
 	}
 	block := &types.Block{Txs: d.Txs, Parents: d.Hashes}
-	if err := n.view.Append(block); err != nil {
+	if err := n.appendBlock(block); err != nil {
 		n.anomalies.Add(1)
 		return
 	}
@@ -1392,12 +1400,22 @@ func (n *Node) applyCrossOne(d crossDecision, now time.Time) {
 	n.afterChainAdvance(now)
 }
 
+// onChain reports whether every transaction of a batch is in the window.
+func (n *Node) onChain(txs []*types.Transaction) bool {
+	for _, tx := range txs {
+		if !n.window.Contains(tx.ID) {
+			return false
+		}
+	}
+	return true
+}
+
 // requeueOrphans re-accumulates this primary's transactions whose pipeline
 // slots were taken by an externally decided block; they ride in the next
 // batch.
 func (n *Node) requeueOrphans(orphans []*types.Transaction) {
 	for _, tx := range orphans {
-		if !n.view.Contains(tx.ID) && !n.queued[tx.ID] {
+		if !n.window.Contains(tx.ID) && !n.queued[tx.ID] {
 			if len(n.pendingIntra) == 0 {
 				n.intraSince = n.lastAppend
 			}

@@ -53,29 +53,27 @@ func (d *DAG) Verify() error {
 	}
 	// Cross-shard agreement: same tx ⇒ same block hash everywhere it appears
 	// (a batched cross-shard block commits identically on every involved
-	// cluster, so every transaction of the batch maps to the same hash).
+	// cluster, so every transaction of the batch maps to the same hash), and
+	// every involved cluster we hold a view for has the block. A
+	// transaction's blocks all carry its own involved set, so a cross-shard
+	// transaction only ever sits in a cross-shard block: indexing those is
+	// indexing everything the check can find.
+	chains := d.crossChains()
 	seen := make(map[types.TxID]types.Hash)
-	for _, v := range d.views {
-		for _, b := range v.CrossShardBlocks() {
+	for _, ch := range chains {
+		for _, b := range ch.blocks {
 			h := b.Hash()
 			for _, tx := range b.Txs {
 				if prev, ok := seen[tx.ID]; ok && prev != h {
 					return fmt.Errorf("ledger: cross-shard tx %s committed with diverging content", tx.ID)
 				}
 				seen[tx.ID] = h
-			}
-		}
-	}
-	// Every involved cluster we hold a view for must have the block.
-	for _, v := range d.views {
-		for _, b := range v.CrossShardBlocks() {
-			for _, tx := range b.Txs {
 				for _, c := range tx.Involved {
-					ov, ok := d.views[c]
+					other, ok := chains[c]
 					if !ok {
 						continue // partial union: tolerated
 					}
-					if !ov.Contains(tx.ID) {
+					if _, ok := other.pos[tx.ID]; !ok {
 						return fmt.Errorf("ledger: cross-shard tx %s missing from involved cluster %s", tx.ID, c)
 					}
 				}
@@ -83,6 +81,31 @@ func (d *DAG) Verify() error {
 		}
 	}
 	return nil
+}
+
+// crossChain is one view's cross-shard blocks in commit order, decoded once
+// for an audit, with each transaction's position: the ordinal of the last
+// cross-shard block holding it. Ordinals order blocks exactly as chain
+// indices do.
+type crossChain struct {
+	blocks []*types.Block
+	pos    map[types.TxID]int
+}
+
+// crossChains indexes every view's cross-shard transactions. The audit builds
+// this itself: the view keeps no per-transaction index.
+func (d *DAG) crossChains() map[types.ClusterID]*crossChain {
+	out := make(map[types.ClusterID]*crossChain, len(d.views))
+	for c, v := range d.views {
+		ch := &crossChain{blocks: v.CrossShardBlocks(), pos: make(map[types.TxID]int)}
+		for k, b := range ch.blocks {
+			for _, tx := range b.Txs {
+				ch.pos[tx.ID] = k
+			}
+		}
+		out[c] = ch
+	}
+	return out
 }
 
 // Audit is the whole-ledger audit a deployment runs once traffic stops:
@@ -98,58 +121,53 @@ func (d *DAG) Audit() error {
 // sharing two or more common clusters commits in the same relative order in
 // each shared view. Together with per-view chains this implies the DAG is
 // acyclic.
+//
+// It runs in one pass per cluster pair (a, b): walking a's cross-shard
+// blocks in commit order, the positions in b of the transactions both hold
+// must never fall below the highest position in b of a transaction a placed
+// strictly earlier. Transactions of one block share a position, so
+// same-block pairs are ordered by neither view; a pair one view batches
+// together and the other splits is a content divergence, which Verify
+// reports.
 func (d *DAG) VerifyPairwiseOrder() error {
-	// position[txID][cluster] = index in that cluster's view
-	position := make(map[types.TxID]map[types.ClusterID]int)
-	for c, v := range d.views {
-		for i, b := range v.Blocks() {
-			if i == 0 || !b.IsCrossShard() {
+	chains := d.crossChains()
+	clusters := d.Clusters()
+	for i, a := range clusters {
+		for _, b := range clusters[i+1:] {
+			if err := pairOrder(chains[a], chains[b], b); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// pairOrder is VerifyPairwiseOrder for one cluster pair: ca's chain walked
+// against cb's positions, cb being cluster b's chain.
+func pairOrder(ca, cb *crossChain, b types.ClusterID) error {
+	floor, floorTx := -1, types.TxID{} // highest b-position of a strictly earlier block
+	for k, blk := range ca.blocks {
+		if !blk.Involved().Contains(b) {
+			continue
+		}
+		top, topTx := floor, floorTx
+		for _, tx := range blk.Txs {
+			if ca.pos[tx.ID] != k {
+				continue // a later block of a holds it again; its position is there
+			}
+			j, ok := cb.pos[tx.ID]
+			if !ok {
 				continue
 			}
-			for _, tx := range b.Txs {
-				m, ok := position[tx.ID]
-				if !ok {
-					m = make(map[types.ClusterID]int)
-					position[tx.ID] = m
-				}
-				m[c] = i
+			if j < floor {
+				return fmt.Errorf("ledger: txs %s and %s commit in conflicting orders on overlapping clusters",
+					floorTx, tx.ID)
+			}
+			if j > top {
+				top, topTx = j, tx.ID
 			}
 		}
-	}
-	ids := make([]types.TxID, 0, len(position))
-	for id := range position {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool {
-		if ids[i].Client != ids[j].Client {
-			return ids[i].Client < ids[j].Client
-		}
-		return ids[i].Seq < ids[j].Seq
-	})
-	for i := 0; i < len(ids); i++ {
-		for j := i + 1; j < len(ids); j++ {
-			a, b := position[ids[i]], position[ids[j]]
-			order := 0 // 0 unknown, 1 a<b, -1 a>b
-			for c, pa := range a {
-				pb, ok := b[c]
-				if !ok {
-					continue
-				}
-				var o int
-				if pa < pb {
-					o = 1
-				} else {
-					o = -1
-				}
-				if order == 0 {
-					order = o
-				} else if order != o {
-					return fmt.Errorf("ledger: txs %s and %s commit in conflicting orders on overlapping clusters",
-						ids[i], ids[j])
-				}
-				_ = c
-			}
-		}
+		floor, floorTx = top, topTx
 	}
 	return nil
 }

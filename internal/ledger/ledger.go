@@ -36,24 +36,92 @@ func GenesisHash() types.Hash { return GenesisBlock().Hash() }
 // View is one cluster's portion of the ledger: a totally ordered,
 // hash-chained sequence of the blocks that access the cluster's shard.
 // It is safe for concurrent use.
+//
+// The view holds bytes, not objects. Each appended block is stored as its
+// canonical encoding (exactly Block.Encode) in append-only slabs, and its
+// hash is the SHA-256 of those same bytes, which is what Block.Hash computes.
+// Nothing the view keeps holds a pointer except the slab list itself, so the
+// collector never walks the chain's history. Blocks are decoded only on the
+// read paths that need objects: Block, Blocks, CrossShardBlocks and Verify
+// (chain-sync serving and the DAG audit go through them). The commit path
+// never reads a block back; the question "did this transaction commit?" is
+// the node's committed-transaction window, not the chain's.
 type View struct {
 	cluster types.ClusterID
 
 	mu     sync.RWMutex
-	blocks []*types.Block          // index 0 is genesis
-	hashes []types.Hash            // hashes[i] == blocks[i].Hash()
-	byTx   map[types.TxID]struct{} // committed transaction IDs (dedup)
+	slabs  [][]byte     // append-only, each at full length; never rewritten or moved
+	fill   int          // bytes of the last slab in use
+	locs   []blockLoc   // locs[i] locates block i's encoding; index 0 is genesis
+	hashes []types.Hash // hashes[i] == SHA-256 of block i's stored encoding
 }
+
+// blockLoc is where one block's encoding lives in the slabs.
+type blockLoc struct {
+	slab, off, n uint32
+	cross        bool // the block spans clusters (CrossShardBlocks decodes only these)
+}
+
+// Slab sizing: a view's first slab is small, because every replica of a test
+// deployment builds one; each next slab doubles up to maxSlab. A block larger
+// than that gets a slab of its own.
+const (
+	minSlab = 512
+	maxSlab = 64 << 10
+)
 
 // NewView creates a view for cluster, containing only the genesis block.
 func NewView(cluster types.ClusterID) *View {
-	g := GenesisBlock()
-	return &View{
-		cluster: cluster,
-		blocks:  []*types.Block{g},
-		hashes:  []types.Hash{g.Hash()},
-		byTx:    map[types.TxID]struct{}{},
+	v := &View{cluster: cluster, slabs: [][]byte{make([]byte, minSlab)}}
+	v.store(GenesisBlock())
+	return v
+}
+
+// store appends b's canonical encoding to the slabs and records its location
+// and hash. The encoding is written straight into the free tail of the last
+// slab; when it does not fit, Encode's own growth has already produced it
+// elsewhere, and it is copied into a fresh slab. Only bytes past every
+// published location are written, so readers holding a snapshot never race
+// an append. Caller holds mu (or owns the view).
+func (v *View) store(b *types.Block) {
+	last := len(v.slabs) - 1
+	cur := v.slabs[last]
+	off := v.fill
+	enc := b.Encode(cur[off:off])
+	if len(enc) > len(cur)-off {
+		next := make([]byte, max(min(2*len(cur), maxSlab), len(enc)))
+		copy(next, enc)
+		v.slabs = append(v.slabs, next)
+		last, off = last+1, 0
+		enc = next[:len(enc)]
 	}
+	v.fill = off + len(enc)
+	v.locs = append(v.locs, blockLoc{slab: uint32(last), off: uint32(off), n: uint32(len(enc)), cross: b.IsCrossShard()})
+	v.hashes = append(v.hashes, types.HashBytes(enc))
+}
+
+// encoding returns the stored bytes at l, read through a snapshot.
+func encoding(slabs [][]byte, l blockLoc) []byte {
+	return slabs[l.slab][l.off : l.off+l.n : l.off+l.n]
+}
+
+// snapshot returns the slab list, locations and hashes of the chain as it is
+// now. Appends only ever write past what a snapshot covers, so the caller
+// decodes from it without holding the lock.
+func (v *View) snapshot() ([][]byte, []blockLoc, []types.Hash) {
+	v.mu.RLock()
+	defer v.mu.RUnlock()
+	return v.slabs, v.locs, v.hashes
+}
+
+// decodeStored decodes one stored encoding. The view wrote those bytes with
+// Block.Encode, so a failure means memory was corrupted under it.
+func decodeStored(enc []byte, i int) *types.Block {
+	b, used, err := types.DecodeBlock(enc)
+	if err != nil || used != len(enc) {
+		panic(fmt.Sprintf("ledger: stored block %d does not decode: %v", i, err))
+	}
+	return b
 }
 
 // Cluster returns the cluster this view belongs to.
@@ -75,52 +143,30 @@ func (v *View) Head() types.Hash {
 func (v *View) HeadInfo() (uint64, types.Hash) {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
-	return uint64(len(v.blocks) - 1), v.hashes[len(v.hashes)-1]
-}
-
-// ContainsAll reports whether every transaction of the batch is already
-// committed in the view — the dedup test for re-delivered cross-shard
-// decisions (a partially contained batch must still append; see the
-// runtime's apply path).
-func (v *View) ContainsAll(txs []*types.Transaction) bool {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	for _, tx := range txs {
-		if _, ok := v.byTx[tx.ID]; !ok {
-			return false
-		}
-	}
-	return true
+	return uint64(len(v.locs) - 1), v.hashes[len(v.hashes)-1]
 }
 
 // Len returns the number of blocks including genesis.
 func (v *View) Len() int {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
-	return len(v.blocks)
+	return len(v.locs)
 }
 
-// Contains reports whether the transaction is already committed in the view.
-func (v *View) Contains(id types.TxID) bool {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	_, ok := v.byTx[id]
-	return ok
-}
-
-// Block returns the i-th block (0 = genesis).
+// Block returns a decoded copy of the i-th block (0 = genesis).
 func (v *View) Block(i int) *types.Block {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	return v.blocks[i]
+	slabs, locs, _ := v.snapshot()
+	return decodeStored(encoding(slabs, locs[i]), i)
 }
 
-// Blocks returns a snapshot of the chain.
+// Blocks returns decoded copies of the whole chain, genesis first. Each
+// copy's Hash equals the hash the view chained it with.
 func (v *View) Blocks() []*types.Block {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	out := make([]*types.Block, len(v.blocks))
-	copy(out, v.blocks)
+	slabs, locs, _ := v.snapshot()
+	out := make([]*types.Block, len(locs))
+	for i, l := range locs {
+		out[i] = decodeStored(encoding(slabs, l), i)
+	}
 	return out
 }
 
@@ -197,53 +243,49 @@ func (v *View) Append(b *types.Block) error {
 		return fmt.Errorf("ledger: block %s parent %s does not extend head %s of %s",
 			blockLabel(b), b.Parents[slot], head, v.cluster)
 	}
-	v.blocks = append(v.blocks, b)
-	v.hashes = append(v.hashes, b.Hash())
-	for _, tx := range b.Txs {
-		v.byTx[tx.ID] = struct{}{}
-	}
+	v.store(b)
 	return nil
 }
 
-// Verify walks the chain and checks every hash link. It returns the first
-// violation found, or nil if the view is internally consistent.
+// Verify walks the chain and checks every stored encoding against the hash
+// it was chained with, and every hash link. It returns the first violation
+// found, or nil if the view is internally consistent.
 func (v *View) Verify() error {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	for i := 1; i < len(v.blocks); i++ {
-		b := v.blocks[i]
+	slabs, locs, hashes := v.snapshot()
+	for i, l := range locs {
+		enc := encoding(slabs, l)
+		if types.HashBytes(enc) != hashes[i] {
+			return fmt.Errorf("ledger: block %d stored hash mismatch", i)
+		}
+		if i == 0 {
+			continue
+		}
+		b, used, err := types.DecodeBlock(enc)
+		if err != nil || used != len(enc) {
+			return fmt.Errorf("ledger: block %d does not decode: %v", i, err)
+		}
 		if err := validateBatch(b); err != nil {
 			return fmt.Errorf("ledger: block %d: %w", i, err)
 		}
-		slot := 0
-		found := false
-		for j, c := range b.Involved() {
-			if c == v.cluster {
-				slot, found = j, true
-				break
-			}
+		slot, err := v.parentSlot(b)
+		if err != nil {
+			return fmt.Errorf("ledger: block %d: %w", i, err)
 		}
-		if !found {
-			return fmt.Errorf("ledger: block %d (%s) does not involve %s", i, blockLabel(b), v.cluster)
-		}
-		if slot >= len(b.Parents) || b.Parents[slot] != v.hashes[i-1] {
+		if slot >= len(b.Parents) || b.Parents[slot] != hashes[i-1] {
 			return fmt.Errorf("ledger: block %d (%s) breaks the hash chain of %s", i, blockLabel(b), v.cluster)
-		}
-		if v.hashes[i] != b.Hash() {
-			return fmt.Errorf("ledger: block %d (%s) stored hash mismatch", i, blockLabel(b))
 		}
 	}
 	return nil
 }
 
-// CrossShardBlocks returns the cross-shard blocks in commit order.
+// CrossShardBlocks returns decoded copies of the cross-shard blocks in commit
+// order; intra-shard blocks are skipped without being decoded.
 func (v *View) CrossShardBlocks() []*types.Block {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
+	slabs, locs, _ := v.snapshot()
 	var out []*types.Block
-	for _, b := range v.blocks[1:] {
-		if b.IsCrossShard() {
-			out = append(out, b)
+	for i, l := range locs {
+		if l.cross {
+			out = append(out, decodeStored(encoding(slabs, l), i))
 		}
 	}
 	return out

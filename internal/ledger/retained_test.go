@@ -7,21 +7,26 @@ package ledger
 
 import (
 	"runtime"
+	"runtime/metrics"
 	"testing"
 
 	"sharper/internal/types"
 )
 
 // TestViewRetainedBytesPerTx bounds what a view keeps per committed
-// transaction once the commit path is done with it: the decoded block and
-// its transactions, the chain's hash and the dedup entry — and nothing else.
-// It decodes a chain of wire blocks, derives every digest the commit path
-// derives (batch digest, block hash, each transaction digest), appends them,
-// and reads the heap after a forced collection. A digest that left a copy of
-// its encoding on the value, or an index nothing reads, shows up here.
+// transaction once the commit path is done with it: the block's canonical
+// encoding, its location and the chain's hash — and nothing else. It decodes
+// a chain of wire blocks, derives every digest the commit path derives (batch
+// digest, block hash, each transaction digest), appends them, and reads the
+// heap after a forced collection. A view that kept the decoded objects, a
+// digest that left a copy of its encoding on the value, or an index nothing
+// reads shows up in the retained bound. The scannable bound is what the
+// collector has to walk on every cycle: the chain's history must hold no
+// pointers, so it stays out of the mark phase however long the chain grows.
 func TestViewRetainedBytesPerTx(t *testing.T) {
 	const blocks, perBlock = 4096, 4
-	const maxPerTx = 300 // bytes
+	const maxPerTx = 100   // bytes retained
+	const maxScanPerTx = 8 // scannable bytes
 
 	wire := make([][]byte, blocks)
 	parent := GenesisHash()
@@ -45,6 +50,7 @@ func TestViewRetainedBytesPerTx(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
+	scanBefore := scannableHeap()
 	for _, enc := range wire {
 		b, _, err := types.DecodeBlock(enc)
 		if err != nil {
@@ -61,12 +67,28 @@ func TestViewRetainedBytesPerTx(t *testing.T) {
 	}
 	runtime.GC()
 	runtime.ReadMemStats(&after)
+	scanAfter := scannableHeap()
 	runtime.KeepAlive(wire)
 	runtime.KeepAlive(v)
 
 	perTx := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / (blocks * perBlock)
-	t.Logf("view retains %.0f B per committed transaction", perTx)
+	scanPerTx := float64(int64(scanAfter)-int64(scanBefore)) / (blocks * perBlock)
+	t.Logf("view retains %.1f B per committed transaction, %.2f B of it scannable", perTx, scanPerTx)
 	if perTx > maxPerTx {
-		t.Fatalf("view retains %.0f B per committed transaction, want ≤ %d", perTx, maxPerTx)
+		t.Fatalf("view retains %.1f B per committed transaction, want ≤ %d", perTx, maxPerTx)
 	}
+	if scanPerTx > maxScanPerTx {
+		t.Fatalf("view holds %.2f scannable B per committed transaction, want ≤ %d", scanPerTx, maxScanPerTx)
+	}
+}
+
+// scannableHeap reads the heap bytes the collector would scan, as of the
+// last collection.
+func scannableHeap() uint64 {
+	s := []metrics.Sample{{Name: "/gc/scan/heap:bytes"}}
+	metrics.Read(s)
+	if s[0].Value.Kind() != metrics.KindUint64 {
+		panic("runtime/metrics: /gc/scan/heap:bytes unsupported")
+	}
+	return s[0].Value.Uint64()
 }

@@ -192,6 +192,29 @@ func TestEventRingWraps(t *testing.T) {
 	nilRing.Record("x", 1, types.ZeroHash, "") // must not panic
 }
 
+// TestEventRingDisabledHoldsNothing: a ring built with tracing off holds no
+// buffer, and recording into it or reading it back does nothing — including
+// the modulo over the buffer length an empty buffer would divide by zero in.
+func TestEventRingDisabledHoldsNothing(t *testing.T) {
+	for _, capacity := range []int{0, 4, DefaultRingCapacity} {
+		r := NewEventRing(capacity, false)
+		if r.buf != nil || r.Enabled() {
+			t.Fatalf("disabled ring of capacity %d holds a %d-slot buffer", capacity, len(r.buf))
+		}
+		r.Record("x", 1, types.ZeroHash, "dropped")
+		r.Recordf("x", 2, types.ZeroHash, "n=%d", 2)
+		if evs := r.Events(); evs != nil {
+			t.Fatalf("disabled ring returned events %v", evs)
+		}
+		if lines := r.Lines(); lines != nil {
+			t.Fatalf("disabled ring returned lines %v", lines)
+		}
+		if r.total != 0 || r.next != 0 {
+			t.Fatalf("disabled ring counted records: total %d next %d", r.total, r.next)
+		}
+	}
+}
+
 func TestTxTracerLifecycle(t *testing.T) {
 	reg := NewRegistry()
 	tr := NewTxTracer(reg, 1, 4)

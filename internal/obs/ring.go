@@ -31,10 +31,11 @@ func (e *Event) Line() string {
 // EventRing is a fixed-capacity circular buffer of Events. Unlike the old
 // string ring (`trace = trace[1:]` re-copied 2048 entries on every record),
 // recording into a full ring overwrites the oldest slot in O(1). A nil or
-// disabled ring records nothing and never formats its arguments.
+// disabled ring records nothing, never formats its arguments and holds no
+// buffer: every replica builds two rings whether tracing is on or not, and
+// 2,048 empty slots of strings are memory the collector scans for nothing.
 type EventRing struct {
-	on    bool
-	buf   []Event
+	buf   []Event // nil when the ring is disabled
 	next  int
 	total int
 }
@@ -43,16 +44,20 @@ type EventRing struct {
 const DefaultRingCapacity = 2048
 
 // NewEventRing builds a ring holding the last `capacity` events (≤0 picks
-// DefaultRingCapacity). A disabled ring costs one branch per Record call.
+// DefaultRingCapacity). A disabled ring costs one branch per Record call and
+// allocates nothing beyond itself.
 func NewEventRing(capacity int, enabled bool) *EventRing {
+	if !enabled {
+		return &EventRing{}
+	}
 	if capacity <= 0 {
 		capacity = DefaultRingCapacity
 	}
-	return &EventRing{on: enabled, buf: make([]Event, capacity)}
+	return &EventRing{buf: make([]Event, capacity)}
 }
 
 // Enabled reports whether the ring records events.
-func (r *EventRing) Enabled() bool { return r != nil && r.on }
+func (r *EventRing) Enabled() bool { return r != nil && len(r.buf) > 0 }
 
 // Record appends an event with a fixed note.
 func (r *EventRing) Record(kind string, seq uint64, digest types.Hash, note string) {
@@ -76,7 +81,7 @@ func (r *EventRing) Recordf(kind string, seq uint64, digest types.Hash, format s
 
 // Events returns the recorded events, oldest first.
 func (r *EventRing) Events() []Event {
-	if r == nil {
+	if !r.Enabled() {
 		return nil
 	}
 	n := r.total
