@@ -7,69 +7,35 @@ import (
 	"sharper/internal/types"
 )
 
-// ReplyCache maps transaction IDs to the verdicts executed for them. It comes
-// in two shapes:
+// ReplyCache maps transaction IDs to the verdicts executed for them, bounded
+// to a count and evicting first-in first-out. The baseline replicas use it to
+// answer retransmissions and keep execution idempotent. (A SharPer replica
+// keeps its verdicts in a CommitWindow, which has no count bound.)
 //
-//   - NewReplyCache: bounded to a count, evicting first-in first-out. The
-//     baseline replicas use it this way, to answer retransmissions and keep
-//     execution idempotent.
-//   - NewCommitWindow: a SharPer replica's one committed-transaction window.
-//     It has no count bound. Entries leave only by age, through Sweep.
-//
-// A window entry is in one of three states. It is pending from the moment
-// its block is appended to the chain (Note) until the block executes. It is
-// committed or rejected once the first execution settles it (Put). Contains
-// answers "is this transaction on the chain?" and counts pending entries; Get
-// answers "what was the verdict?" and returns settled entries only, so a
-// block's own notes never make its first execution look like a repeat. A
-// note never resets a settled entry.
-//
-// Each entry is stamped with max(insertion time, the client's timestamp). A
-// window swept at the mempool's admission TTL is exact: once an entry is
-// older than the TTL, so is every copy of its transaction, and the pool
-// answers each of them Expired before anything could order it again. No
-// count bound may evict earlier, or a retransmission inside the TTL would be
-// ordered a second time.
-//
-// It is safe for concurrent use: the commit pipeline's executor settles
-// entries off the node event loop while the loop notes and consults them.
+// It is safe for concurrent use.
 type ReplyCache struct {
 	mu      sync.Mutex
-	cap     int // count bound; 0 for a window, which has none
+	cap     int // count bound
 	entries map[types.TxID]replyEntry
 	// order lists entries by insertion, oldest from head on, so age expiry
-	// consumes a prefix. late holds the rare entries stamped with a client
-	// timestamp ahead of their insertion: their expiry does not follow
-	// insertion order, and queued in order they would hold the sweep up.
+	// and count eviction both consume a prefix.
 	order []types.TxID
 	head  int
-	late  []types.TxID
 }
 
-// replyState is where a transaction stands in the cache.
-type replyState uint8
-
-const (
-	statePending   replyState = iota // on the chain, not yet executed
-	stateCommitted                   // executed and applied
-	stateRejected                    // executed and refused (overdraft, veto)
-)
-
 // replyEntry is a cached verdict, minus the TxID it is filed under, and its
-// expiry stamp. It is held by value and has no pointer in it, nor has the
+// insertion stamp. It is held by value and has no pointer in it, nor has the
 // key, so the collector never scans the map and the cache keeps no Reply
-// object alive. With every replica of a simulated deployment in one heap the
-// caches hold several hundred thousand entries between them; as maps of
-// pointers they were a tenth of what each collection cycle had to mark.
+// object alive.
 type replyEntry struct {
-	replica types.NodeID
-	state   replyState
-	result  int64
-	at      int64 // max(insertion, client timestamp), Unix nanoseconds
+	replica   types.NodeID
+	committed bool
+	result    int64
+	at        int64 // insertion, Unix nanoseconds
 }
 
 func (e replyEntry) reply(id types.TxID) *types.Reply {
-	return &types.Reply{TxID: id, Replica: e.replica, Committed: e.state == stateCommitted, Result: e.result}
+	return &types.Reply{TxID: id, Replica: e.replica, Committed: e.committed, Result: e.result}
 }
 
 // NewReplyCache creates a cache bounded to capacity entries (minimum 1).
@@ -82,24 +48,18 @@ func NewReplyCache(capacity int) *ReplyCache {
 	return &ReplyCache{cap: capacity, entries: make(map[types.TxID]replyEntry)}
 }
 
-// NewCommitWindow creates a replica's committed-transaction window: a cache
-// with no count bound, which the owner sweeps at the admission TTL.
-func NewCommitWindow() *ReplyCache {
-	return &ReplyCache{entries: make(map[types.TxID]replyEntry)}
-}
-
-// Get returns the settled verdict for id, if there is one.
+// Get returns the cached reply for id, if there is one.
 func (c *ReplyCache) Get(id types.TxID) (*types.Reply, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.entries[id]
-	if !ok || e.state == statePending {
+	if !ok {
 		return nil, false
 	}
 	return e.reply(id), true
 }
 
-// Contains reports whether id has an entry, pending or settled.
+// Contains reports whether id has an entry.
 func (c *ReplyCache) Contains(id types.TxID) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -107,60 +67,37 @@ func (c *ReplyCache) Contains(id types.TxID) bool {
 	return ok
 }
 
-// Note records the transactions of a block just appended to the chain as
-// pending. A transaction that already has an entry keeps it as it is.
-func (c *ReplyCache) Note(txs []*types.Transaction) {
+// Put caches a copy of the reply (r.TxID is taken to be id). Re-putting an
+// entry refreshes its value but not its position or stamp.
+func (c *ReplyCache) Put(id types.TxID, r *types.Reply) {
 	now := time.Now().UnixNano()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, tx := range txs {
-		if _, ok := c.entries[tx.ID]; ok {
-			continue
-		}
-		c.insert(tx.ID, replyEntry{state: statePending, at: max(now, tx.Timestamp)}, now)
+	e, ok := c.entries[id]
+	if !ok {
+		c.evict()
+		c.order = append(c.order, id)
+		e.at = now
 	}
+	e.replica, e.committed, e.result = r.Replica, r.Committed, r.Result
+	c.entries[id] = e
 }
 
-// Put settles id with a copy of the reply (r.TxID is taken to be id). A
-// pending entry keeps its stamp and position; re-putting a settled entry
-// refreshes its value but not its position or stamp.
-func (c *ReplyCache) Put(id types.TxID, r *types.Reply) {
-	state := stateRejected
-	if r.Committed {
-		state = stateCommitted
-	}
-	now := time.Now().UnixNano()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.entries[id]; ok {
-		e.replica, e.state, e.result = r.Replica, state, r.Result
-		c.entries[id] = e
+// evict drops the oldest entry when the cache is full. Caller holds mu.
+func (c *ReplyCache) evict() {
+	if len(c.entries) < c.cap {
 		return
 	}
-	c.insert(id, replyEntry{replica: r.Replica, state: state, result: r.Result, at: now}, now)
-}
-
-// insert files a new entry inserted at now, first evicting the oldest one
-// when a count bound is full. Caller holds mu.
-func (c *ReplyCache) insert(id types.TxID, e replyEntry, now int64) {
-	if c.cap > 0 && len(c.entries) >= c.cap {
-		for c.head < len(c.order) {
-			victim := c.order[c.head]
-			c.order[c.head] = types.TxID{}
-			c.head++
-			if _, ok := c.entries[victim]; ok {
-				delete(c.entries, victim)
-				break
-			}
+	for c.head < len(c.order) {
+		victim := c.order[c.head]
+		c.order[c.head] = types.TxID{}
+		c.head++
+		if _, ok := c.entries[victim]; ok {
+			delete(c.entries, victim)
+			break
 		}
-		c.compact()
 	}
-	c.entries[id] = e
-	if e.at > now {
-		c.late = append(c.late, id)
-	} else {
-		c.order = append(c.order, id)
-	}
+	c.compact()
 }
 
 // compact drops the consumed prefix of order once it is at least half the
@@ -174,8 +111,7 @@ func (c *ReplyCache) compact() {
 
 // Sweep removes every entry stamped before cutoff and returns how many were
 // dropped. The order slice is FIFO by insertion time, so expiry consumes a
-// prefix; evicted holes (zero TxIDs) are skipped. The late entries are
-// checked one by one.
+// prefix; evicted holes (zero TxIDs) are skipped.
 func (c *ReplyCache) Sweep(cutoff time.Time) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -196,21 +132,10 @@ func (c *ReplyCache) Sweep(cutoff time.Time) int {
 		c.head++
 	}
 	c.compact()
-	kept := c.late[:0]
-	for _, id := range c.late {
-		if e, ok := c.entries[id]; ok && e.at < before {
-			delete(c.entries, id)
-			dropped++
-		} else if ok {
-			kept = append(kept, id)
-		}
-	}
-	clear(c.late[len(kept):])
-	c.late = kept
 	return dropped
 }
 
-// Len returns the number of entries, pending and settled.
+// Len returns the number of entries.
 func (c *ReplyCache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()

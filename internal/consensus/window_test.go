@@ -28,15 +28,15 @@ func TestCommitWindowStates(t *testing.T) {
 	if _, ok := w.Get(a.ID); ok {
 		t.Fatal("pending entry returned a verdict")
 	}
-	w.Put(a.ID, &types.Reply{TxID: a.ID, Replica: 3, Committed: true, Result: 7})
-	w.Put(b.ID, &types.Reply{TxID: b.ID, Replica: 3, Committed: false})
+	w.Put(a.ID, true)
+	w.Put(b.ID, false)
 	// The same transaction appended again (ordered twice) is noted again.
 	w.Note([]*types.Transaction{a, b})
-	if r, ok := w.Get(a.ID); !ok || !r.Committed || r.Result != 7 || r.Replica != 3 {
-		t.Fatalf("note reset a committed entry: %+v, %v", r, ok)
+	if committed, ok := w.Get(a.ID); !ok || !committed {
+		t.Fatalf("note reset a committed entry: committed %v, settled %v", committed, ok)
 	}
-	if r, ok := w.Get(b.ID); !ok || r.Committed {
-		t.Fatalf("rejected entry reads back as %+v, %v", r, ok)
+	if committed, ok := w.Get(b.ID); !ok || committed {
+		t.Fatalf("rejected entry reads back as committed %v, settled %v", committed, ok)
 	}
 	if w.Len() != 2 {
 		t.Fatalf("len %d, want 2", w.Len())
@@ -57,7 +57,7 @@ func TestCommitWindowHasNoCountBound(t *testing.T) {
 		if len(batch) == cap(batch) || seq == n {
 			w.Note(batch)
 			for _, tx := range batch {
-				w.Put(tx.ID, &types.Reply{TxID: tx.ID, Committed: true})
+				w.Put(tx.ID, true)
 			}
 			batch = batch[:0]
 		}
@@ -68,7 +68,7 @@ func TestCommitWindowHasNoCountBound(t *testing.T) {
 	if w.Len() != n {
 		t.Fatalf("window holds %d entries, want %d", w.Len(), n)
 	}
-	if r, ok := w.Get(windowTx(1, now).ID); !ok || !r.Committed {
+	if committed, ok := w.Get(windowTx(1, now).ID); !ok || !committed {
 		t.Fatal("the first transaction's verdict was evicted inside the TTL")
 	}
 	// Past the TTL, everything goes.
@@ -96,4 +96,61 @@ func TestCommitWindowStampsFutureTimestamps(t *testing.T) {
 	if dropped := w.Sweep(now.Add(time.Hour + time.Second)); dropped != 1 || w.Len() != 0 {
 		t.Fatalf("sweep past the future stamp dropped %d, left %d", dropped, w.Len())
 	}
+}
+
+// BenchmarkCommitWindowSteadyState runs on a window holding about 100k
+// entries, as a replica's does under load. "round" is one block's round trip:
+// the block's 16 transactions are noted, looked up at ingest, settled and
+// read back by the executor, and the oldest block is swept out. "rejected" is
+// what a checkpoint pays while one of those entries is a live rejection:
+// Rejected walks every record, under the window's lock and with the
+// executor paused.
+func BenchmarkCommitWindowSteadyState(b *testing.B) {
+	const live, perBlock = 100_000, 16
+	w := NewCommitWindow()
+	block := make([]*types.Transaction, perBlock)
+	for j := range block {
+		block[j] = windowTx(0, time.Now())
+	}
+	// noted[k] is read just after block k was noted: sweeping at it drops
+	// that block and everything older.
+	noted := make([]time.Time, live/perBlock)
+	seq, k := uint64(0), 0
+	round := func() {
+		for _, tx := range block {
+			seq++
+			tx.ID.Seq = seq
+		}
+		w.Note(block)
+		noted[k] = time.Now()
+		k = (k + 1) % len(noted)
+		for _, tx := range block {
+			w.Contains(tx.ID)
+			w.Put(tx.ID, true)
+			w.Get(tx.ID)
+		}
+	}
+	for range noted {
+		round()
+	}
+	b.Run("round", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			w.Sweep(noted[k])
+			round()
+		}
+	})
+	b.Run("rejected", func(b *testing.B) {
+		w.Put(block[0].ID, false)
+		dst := w.Rejected(nil)
+		if len(dst) != 1 {
+			b.Fatalf("Rejected returned %d entries, want 1", len(dst))
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			dst = w.Rejected(dst[:0])
+		}
+		b.ReportMetric(float64(w.Len()), "entries")
+	})
 }

@@ -42,9 +42,9 @@ type commitTask struct {
 
 // replyOut is one verdict owed to the gateway after the durable group append.
 type replyOut struct {
-	tx     *types.Transaction
-	r      *types.Reply
-	resend bool // ordered twice: the verdict is the first execution's
+	tx        *types.Transaction
+	committed bool
+	resend    bool // ordered twice: the verdict is the first execution's
 }
 
 // applyJob is one transaction's slot in a block's wave schedule.
@@ -310,10 +310,10 @@ func (e *executor) applyBlock(t *commitTask) []replyOut {
 	outs := make([]replyOut, 0, len(txs))
 	jobs := e.jobs[:0]
 	for i, tx := range txs {
-		if r, done := n.window.Get(tx.ID); done {
+		if committed, done := n.window.Get(tx.ID); done {
 			// Ordered twice (a retransmission raced a slow commit): the
 			// first execution won; re-reply only.
-			outs = append(outs, replyOut{tx: tx, r: r, resend: true})
+			outs = append(outs, replyOut{tx: tx, committed: committed, resend: true})
 			continue
 		}
 		if t.valid&(1<<uint(i)) == 0 {
@@ -338,18 +338,10 @@ func (e *executor) applyBlock(t *commitTask) []replyOut {
 	}
 	for k := range jobs {
 		j := &jobs[k]
-		if !j.ok && n.cfg.Storage != nil {
-			// Remember rejected verdicts for checkpoints, so a restarted
-			// replica re-answers retransmissions honestly. Only the executor
-			// goroutine calls recordFailed while the node runs; the loop reads
-			// the list at checkpoints under Pause.
-			n.recordFailed(j.tx.ID)
-		}
 		n.committed.Add(1)
 		n.committedCtr.Inc()
-		r := &types.Reply{TxID: j.tx.ID, Replica: n.cfg.Self, Committed: j.ok}
-		n.window.Put(j.tx.ID, r)
-		outs = append(outs, replyOut{tx: j.tx, r: r})
+		n.window.Put(j.tx.ID, j.ok)
+		outs = append(outs, replyOut{tx: j.tx, committed: j.ok})
 	}
 	e.jobs = jobs[:0]
 	return outs
@@ -420,6 +412,6 @@ func (e *executor) sendReplies(outs []replyOut) {
 		if !o.resend && n.tracer != nil {
 			n.tracer.Finish(o.tx.ID, ts)
 		}
-		n.gw.observeCommit(o.tx, o.r)
+		n.gw.observeCommit(o.tx, o.committed)
 	}
 }

@@ -109,9 +109,9 @@ func (g *gateway) onSubmit(env *types.Envelope, now time.Time) {
 		// duplicate. The pool forgets a transaction once it commits, so this
 		// is the only check that does.
 		if direct {
-			if r, ok := n.window.Get(tx.ID); ok {
+			if committed, ok := n.window.Get(tx.ID); ok {
 				code := types.SubmitCommitted
-				if !r.Committed {
+				if !committed {
 					code = types.SubmitRejected
 				}
 				g.sendReply(env.From, tx.ID, code)
@@ -192,14 +192,14 @@ func (g *gateway) sendReply(to types.NodeID, id types.TxID, code types.SubmitCod
 // pipeline's reply stage (after the durable group append) on the executor
 // goroutine, and on the loop for a drained transaction that turns out to be
 // executed already.
-func (g *gateway) observeCommit(tx *types.Transaction, r *types.Reply) {
+func (g *gateway) observeCommit(tx *types.Transaction, committed bool) {
 	g.pool.MarkCommitted(tx.Digest(), time.Now())
 	origin, ok := g.takeOrigin(tx.ID)
 	if !ok {
 		return
 	}
 	code := types.SubmitCommitted
-	if !r.Committed {
+	if !committed {
 		code = types.SubmitRejected
 	}
 	g.sendReply(origin, tx.ID, code)
@@ -411,10 +411,10 @@ func propagationBatch(batchSize int) int {
 // Skipped transactions stay in the pool's in-flight set; the commit
 // observation (or the TTL sweep) releases them.
 func (n *Node) ingestFromPool(tx *types.Transaction, now time.Time) {
-	if r, ok := n.window.Get(tx.ID); ok {
+	if committed, ok := n.window.Get(tx.ID); ok {
 		// Already executed (e.g. a peer gateway's copy won the race): settle
 		// immediately so the origin gets its verdict.
-		n.gw.observeCommit(tx, r)
+		n.gw.observeCommit(tx, committed)
 		return
 	}
 	if n.queued[tx.ID] || n.window.Contains(tx.ID) {

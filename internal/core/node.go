@@ -54,9 +54,6 @@ type nodeConfig struct {
 	*Config
 }
 
-// maxFailedVerdicts bounds the rejected-verdict FIFO checkpoints carry.
-const maxFailedVerdicts = 1 << 17
-
 // Node is one SharPer replica: it runs the cluster's intra-shard consensus
 // engine and the flattened cross-shard engine over its inbox, maintains its
 // cluster's ledger view and shard store, and answers clients.
@@ -118,8 +115,9 @@ type Node struct {
 	// screens ingest, relaunches and re-delivered decisions, keeps execution
 	// idempotent, and answers client retransmissions at any gateway. Entries
 	// leave by age only, at the mempool's admission TTL: past it no copy of
-	// the transaction can be admitted again (consensus.ReplyCache).
-	window *consensus.ReplyCache
+	// the transaction can be admitted again (consensus.CommitWindow). Its
+	// rejected entries are what checkpoints carry.
+	window *consensus.CommitWindow
 	// gw is the client-ingress gateway (gateway.go): the mempool behind
 	// MsgSubmit and the commit-observation reply path.
 	gw *gateway
@@ -152,16 +150,6 @@ type Node struct {
 	doneCh    chan struct{}
 	stopOnce  sync.Once
 
-	// failedTx records ordered-but-rejected transactions (overdrafts,
-	// cross-shard validity vetoes) so checkpoints can carry the verdicts:
-	// a recovered window must answer retransmissions of an old failed
-	// transaction with Committed=false, not a guess. Bounded FIFO at
-	// maxFailedVerdicts — verdicts older than any client's retry window
-	// can never be consulted, so both the map and the checkpoint section
-	// stay O(recent failures), not O(history).
-	failedTx   map[types.TxID]bool
-	failedList []types.TxID
-
 	// reg is the node's metrics registry (nil when observability is off);
 	// tracer samples per-transaction lifecycle stamps into it. gauges mirror
 	// scheduler and queue depths into the registry, refreshed on the event
@@ -193,7 +181,6 @@ func newNode(cfg nodeConfig) *Node {
 		crossArrived: make(map[types.TxID]time.Time),
 		inFlight:     make(map[types.TxID]time.Time),
 		queued:       make(map[types.TxID]bool),
-		failedTx:     make(map[types.TxID]bool),
 		lastAppend:   time.Now(),
 		syncVotes:    make(map[uint64]map[types.NodeID]types.Hash),
 		syncBlocks:   make(map[uint64]map[types.Hash]*types.Block),
@@ -317,10 +304,10 @@ func (n *Node) recoverChain(rec *storage.Recovered) {
 // when the node was built (0 for a fresh node).
 func (n *Node) RecoveredBlocks() int { return n.recoveredBlocks }
 
-// finishRecovery reconstructs the shard store and reply cache. It runs at
-// Start, after genesis seeding: a checkpoint snapshot replaces the seeded
-// balances wholesale (it already contains them), while log-replayed blocks
-// re-execute over the store deterministically.
+// finishRecovery reconstructs the shard store and the committed-transaction
+// window. It runs at Start, after genesis seeding: a checkpoint snapshot
+// replaces the seeded balances wholesale (it already contains them), while
+// log-replayed blocks re-execute over the store deterministically.
 func (n *Node) finishRecovery() {
 	rec := n.pendingRecovery
 	if rec == nil {
@@ -331,11 +318,14 @@ func (n *Node) finishRecovery() {
 		n.store.Restore(rec.Balances, rec.Applied)
 	}
 	// The checkpoint's failed-transaction list restores the true verdicts
-	// for blocks the snapshot already covers (and seeds the next
-	// checkpoint's list).
-	for id := range rec.FailedTxs {
-		n.recordFailed(id)
-	}
+	// for blocks the snapshot already covers. It lists the rejected entries
+	// the window held at the checkpoint, which include every rejection whose
+	// client timestamp is still inside the admission TTL now; an older
+	// transaction's entry may have been swept before the checkpoint, so its
+	// verdict is unknown and stays unsettled. Its window entry (pending,
+	// from appendBlock) still screens it from ordering, and a client
+	// retransmission fails admission as Expired, as after a sweep.
+	expired := time.Now().UnixNano() - n.gw.pool.Config().TTL.Nanoseconds()
 	for i, b := range rec.Blocks {
 		if i >= n.recoveredBlocks {
 			break // past the valid prefix recoverChain kept
@@ -346,9 +336,9 @@ func (n *Node) finishRecovery() {
 				// The snapshot already reflects this block; only the window
 				// entry is settled, so a retransmission is re-replied (with
 				// its original verdict) instead of re-ordered and re-applied.
-				n.window.Put(tx.ID, &types.Reply{
-					TxID: tx.ID, Replica: n.cfg.Self, Committed: !rec.FailedTxs[tx.ID],
-				})
+				if tx.Timestamp >= expired {
+					n.window.Put(tx.ID, !rec.FailedTxs[tx.ID])
+				}
 				n.committed.Add(1)
 				continue
 			}
@@ -367,24 +357,8 @@ func (n *Node) recoverExecute(tx *types.Transaction, valid bool) {
 		return // ordered twice; the first execution won
 	}
 	ok := valid && n.store.Apply(tx) == nil
-	if !ok {
-		n.recordFailed(tx.ID)
-	}
 	n.committed.Add(1)
-	n.window.Put(tx.ID, &types.Reply{TxID: tx.ID, Replica: n.cfg.Self, Committed: ok})
-}
-
-// recordFailed adds a rejected verdict to the bounded FIFO.
-func (n *Node) recordFailed(id types.TxID) {
-	if n.failedTx[id] {
-		return
-	}
-	n.failedTx[id] = true
-	n.failedList = append(n.failedList, id)
-	if len(n.failedList) > maxFailedVerdicts {
-		delete(n.failedTx, n.failedList[0])
-		n.failedList = n.failedList[1:]
-	}
+	n.window.Put(tx.ID, ok)
 }
 
 // ID returns the node's identity.
@@ -685,7 +659,10 @@ func (n *Node) maybeCheckpoint() {
 	defer n.exec.Resume()
 	height := n.exec.DurableSeq()
 	view, promised, insts := n.intra.DurableState()
-	if err := st.Checkpoint(height, n.store.Snapshot(), n.store.Applied(), n.failedList,
+	// The window's rejected entries include every rejected verdict admission
+	// can still ask for (finishRecovery settles nothing older); with the
+	// executor paused they all sit at or below height.
+	if err := st.Checkpoint(height, n.store.Snapshot(), n.store.Applied(), n.window.Rejected(nil),
 		view, promised, insts); err != nil {
 		// Disk trouble degrades durability, not consensus; the next tick
 		// retries.
@@ -914,6 +891,7 @@ type nodeGauges struct {
 	pendingIntra, pendingCross, deferredIn *obs.Gauge
 	inboxDepth                             *obs.Gauge
 	pipelineDepth, applyLag                *obs.Gauge
+	windowEntries                          *obs.Gauge
 }
 
 func newNodeGauges(r *obs.Registry) *nodeGauges {
@@ -936,6 +914,7 @@ func newNodeGauges(r *obs.Registry) *nodeGauges {
 		inboxDepth:    r.Gauge("net_inbox_depth"),
 		pipelineDepth: r.Gauge("pipeline_depth"),
 		applyLag:      r.Gauge("apply_lag"),
+		windowEntries: r.Gauge("window_entries"),
 	}
 }
 
@@ -968,6 +947,9 @@ func (n *Node) refreshGauges() {
 	// apply_lag is committed seq − applied seq: how far the store trails the
 	// DAG head.
 	g.applyLag.Set(uint64(n.view.Len()-1) - n.exec.AppliedSeq())
+	// window_entries times the window's bytes per entry explains its share
+	// of the heap.
+	g.windowEntries.Set(uint64(n.window.Len()))
 }
 
 // onQuery answers an operator query (MsgQuery) with the dump its kind byte

@@ -134,7 +134,7 @@ func TestFleetMetricsSnapshot(t *testing.T) {
 			t.Errorf("histogram %s missing or empty (ok=%v count=%d)", name, ok, h.Count)
 		}
 	}
-	for _, name := range []string{"sched_grants", "sched_decides"} {
+	for _, name := range []string{"sched_grants", "sched_decides", "window_entries"} {
 		if byName[name].Value == 0 {
 			t.Errorf("gauge %s is zero", name)
 		}

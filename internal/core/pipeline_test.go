@@ -87,9 +87,9 @@ func TestPipelineCrashRecoveryReplaysUnappliedSuffix(t *testing.T) {
 	// The reply cache must hold the pre-crash verdict immediately after
 	// recovery — before any catch-up traffic — or a retransmission would be
 	// re-proposed and double-ordered.
-	if r, ok := n2.window.Get(overdraft.ID); !ok {
+	if committed, ok := n2.window.Get(overdraft.ID); !ok {
 		t.Fatal("restarted replica lost the overdraft's reply-cache entry")
-	} else if r.Committed {
+	} else if committed {
 		t.Fatal("restarted replica reconstructed the overdraft as committed")
 	}
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -69,11 +70,11 @@ func TestWindowOrderedTwiceExecutesOnce(t *testing.T) {
 		tasks = append(tasks, commitTask{seq: uint64(n.view.Len() - 1), block: b, valid: ^uint64(0)})
 	}
 	first := n.exec.applyBlock(&tasks[0])
-	if len(first) != 1 || first[0].resend || !first[0].r.Committed {
+	if len(first) != 1 || first[0].resend || !first[0].committed {
 		t.Fatalf("first execution: %+v", first)
 	}
 	second := n.exec.applyBlock(&tasks[1])
-	if len(second) != 1 || !second[0].resend || !second[0].r.Committed {
+	if len(second) != 1 || !second[0].resend || !second[0].committed {
 		t.Fatalf("second occurrence was not a re-reply: %+v", second)
 	}
 	if got := n.Committed(); got != 1 {
@@ -101,7 +102,7 @@ func TestWindowAnswersRetransmissionPastOldCountBound(t *testing.T) {
 	// The load that followed: 1<<17 + 1 later commits at this replica.
 	for seq := uint64(1); seq <= 1<<17+1; seq++ {
 		id := types.TxID{Client: types.ClientIDBase + 1<<19, Seq: seq}
-		gwNode.window.Put(id, &types.Reply{TxID: id, Replica: gwNode.ID(), Committed: true})
+		gwNode.window.Put(id, true)
 	}
 	before, blocks := d.TotalCommitted(), gwNode.View().Len()
 	submitTo(c, gwNode.ID(), tx)
@@ -153,5 +154,140 @@ func TestWindowForgetsOnlyWhatAdmissionRejects(t *testing.T) {
 	waitQuiesce(t, d)
 	if after := d.TotalCommitted(); after != before {
 		t.Fatalf("forgotten transaction was ordered again (%d → %d commits)", before, after)
+	}
+}
+
+// TestWindowRejectedVerdictsSurviveRestart: a checkpoint carries every
+// rejected verdict still inside the admission TTL, however many there are. A
+// durable replica rejects an overdraft, then more than 1<<17 further
+// transactions (the count the rejected-verdict list checkpoints carried was
+// once capped at, first in first out), checkpoints and restarts. A
+// retransmission of the first overdraft is still answered rejected — not
+// committed, which is what a restarted replica assumes of every transaction
+// its snapshot covers that the checkpoint does not list.
+func TestWindowRejectedVerdictsSurviveRestart(t *testing.T) {
+	d, err := testDeployment(t, Config{
+		Model: types.CrashOnly, Clusters: 2, F: 1, Seed: 11,
+		DataDir: t.TempDir(), CheckpointInterval: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.SeedAccounts(32, 1_000_000)
+	d.Start()
+	t.Cleanup(d.Stop)
+
+	c := d.NewClient()
+	victim := d.Topo.Members(0)[2]
+	overdraft := c.MakeTx([]types.Op{{
+		From:   d.Shards.AccountInShard(0, 0),
+		To:     d.Shards.AccountInShard(0, 1),
+		Amount: 5_000_000, // seeded balance is 1M
+	}})
+	if ok, _, err := c.Submit(overdraft); err != nil || ok {
+		t.Fatalf("overdraft: ok=%v err=%v, want rejected", ok, err)
+	}
+	waitQuiesce(t, d)
+	vn := d.Node(victim)
+	waitFor(t, "the victim to settle the overdraft", func() bool {
+		_, settled := vn.window.Get(overdraft.ID)
+		return settled
+	})
+	// The rejections that followed, as the executor settles them.
+	for seq := uint64(1); seq <= 1<<17+1; seq++ {
+		vn.window.Put(types.TxID{Client: types.ClientIDBase + 1<<19, Seq: seq}, false)
+	}
+	// A checkpoint cut after all of them, covering the overdraft's block.
+	awaitFreshCheckpoint(t, d, c, victim)
+	waitQuiesce(t, d)
+	d.CrashNode(victim)
+	if _, err := d.RestartNode(victim); err != nil {
+		t.Fatal(err)
+	}
+	submitTo(c, victim, overdraft)
+	if code, from := awaitVerdict(t, c, overdraft.ID, 5*time.Second); code != types.SubmitRejected {
+		t.Fatalf("retransmitted overdraft after restart: got %s from %s, want rejected", code, from)
+	}
+}
+
+// TestWindowExpiredRejectionAfterRestart: a rejected transaction whose
+// window entry was swept before the checkpoint is not on the checkpoint's
+// rejected list. A restarted replica must not read its absence as
+// committed: a retransmission is answered Expired, as it is before the
+// restart once the window has forgotten the transaction.
+func TestWindowExpiredRejectionAfterRestart(t *testing.T) {
+	const ttl = 300 * time.Millisecond
+	d, err := testDeployment(t, Config{
+		Model: types.CrashOnly, Clusters: 2, F: 1, Seed: 12,
+		DataDir: t.TempDir(), CheckpointInterval: 4,
+		Mempool: mempool.Config{TTL: ttl},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.SeedAccounts(32, 1_000_000)
+	d.Start()
+	t.Cleanup(d.Stop)
+
+	c := d.NewClient()
+	victim := d.Topo.Members(0)[2]
+	overdraft := c.MakeTx([]types.Op{{
+		From:   d.Shards.AccountInShard(0, 0),
+		To:     d.Shards.AccountInShard(0, 1),
+		Amount: 5_000_000, // seeded balance is 1M
+	}})
+	if ok, _, err := c.Submit(overdraft); err != nil || ok {
+		t.Fatalf("overdraft: ok=%v err=%v, want rejected", ok, err)
+	}
+	vn := d.Node(victim)
+	waitFor(t, "the victim to settle the overdraft", func() bool {
+		_, settled := vn.window.Get(overdraft.ID)
+		return settled
+	})
+	waitFor(t, "the victim's window to forget the overdraft", func() bool { return !vn.window.Contains(overdraft.ID) })
+	// A checkpoint cut after the sweep, covering the overdraft's block.
+	awaitFreshCheckpoint(t, d, c, victim)
+	waitQuiesce(t, d)
+	d.CrashNode(victim)
+	if _, err := d.RestartNode(victim); err != nil {
+		t.Fatal(err)
+	}
+	submitTo(c, victim, overdraft)
+	if code, from := awaitVerdict(t, c, overdraft.ID, 5*time.Second); code != types.SubmitExpired {
+		t.Fatalf("retransmitted expired overdraft after restart: got %s from %s, want expired", code, from)
+	}
+}
+
+// awaitFreshCheckpoint commits transfers in cluster 0 until node id writes a
+// checkpoint it had not written when called. A node attempts at most one
+// checkpoint a second, so this can take that long.
+func awaitFreshCheckpoint(t *testing.T, d *Deployment, c *Client, id types.NodeID) {
+	t.Helper()
+	ckptGlob := filepath.Join(NodeDataDir(d.DataDir(), id), "checkpoint-*.ckpt")
+	before, err := filepath.Glob(ckptGlob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := make(map[string]bool, len(before))
+	for _, f := range before {
+		seen[f] = true
+	}
+	fresh := func() bool {
+		after, _ := filepath.Glob(ckptGlob)
+		for _, f := range after {
+			if !seen[f] {
+				return true
+			}
+		}
+		return false
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for !fresh() {
+		if time.Now().After(deadline) {
+			t.Fatal("no checkpoint written within 10s of commits")
+		}
+		if _, _, err := c.Transfer(intraOps(d, 0)); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

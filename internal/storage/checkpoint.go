@@ -28,9 +28,12 @@ import (
 //
 // The failed list carries the transactions at or below the checkpoint
 // height that were ordered but rejected (overdrafts, cross-shard validity
-// vetoes): recovery rebuilds the reply cache from it, so a client
-// retransmitting an old failed transaction is re-answered Committed=false
-// instead of a guess.
+// vetoes) and still held by the replica's committed-transaction window,
+// which holds at least every one inside the admission TTL. Recovery rebuilds
+// the window from it for the transactions still inside the TTL at restart,
+// so a client retransmitting a failed transaction is re-answered
+// Committed=false instead of a guess; an older one fails admission as
+// Expired.
 
 const (
 	ckptPrefix = "checkpoint-"

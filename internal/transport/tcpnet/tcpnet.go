@@ -805,12 +805,13 @@ func (n *Net) drainConn(ch <-chan outFrame, wc *wireConn, carry []byte, sh *link
 // adoptConn registers a new connection: tracked for shutdown, read loop
 // started. inbound marks accepted (vs dialed) connections, which are the
 // only ones the idle timer reaps. Returns nil (closing c) if the fabric is
-// already closed.
+// already closed. The return-route queue and its writer start only when a
+// route is first learned through the connection (learnRoute), and the
+// write buffer only at the first write: a replica's inbound connection from
+// another replica never writes, and holds neither.
 func (n *Net) adoptConn(c net.Conn, inbound bool) *wireConn {
 	wc := &wireConn{
 		c:            c,
-		w:            bufio.NewWriterSize(c, sockBufSize),
-		out:          make(chan outFrame, n.cfg.QueueSize),
 		inbound:      inbound,
 		seq:          n.connSeq.Add(1),
 		writeTimeout: n.cfg.WriteTimeout,
@@ -823,9 +824,8 @@ func (n *Net) adoptConn(c net.Conn, inbound bool) *wireConn {
 	}
 	n.conns[wc] = struct{}{}
 	n.mu.Unlock()
-	n.wg.Add(2)
+	n.wg.Add(1)
 	go n.readLoop(wc)
-	go n.writeLoop(wc)
 	return wc
 }
 
@@ -945,7 +945,9 @@ func (n *Net) readLoop(wc *wireConn) {
 }
 
 // learnRoute records (or refreshes) the connection a dynamic sender is
-// reachable over. Static peers never route this way.
+// reachable over. Static peers never route this way. The first route through
+// a connection starts its return-route queue and writer, before the route is
+// published, so every Send that finds the route finds the queue.
 func (n *Net) learnRoute(from types.NodeID, wc *wireConn) {
 	if _, static := n.cfg.Peers[from]; static {
 		return
@@ -953,6 +955,11 @@ func (n *Net) learnRoute(from types.NodeID, wc *wireConn) {
 	n.mu.Lock()
 	if !n.closed {
 		if _, local := n.inboxes[from]; !local {
+			if wc.out == nil {
+				wc.out = make(chan outFrame, n.cfg.QueueSize)
+				n.wg.Add(1)
+				go n.writeLoop(wc)
+			}
 			n.routes[from] = wc
 		}
 	}
@@ -964,10 +971,10 @@ func (n *Net) learnRoute(from types.NodeID, wc *wireConn) {
 // queue for return-route traffic.
 type wireConn struct {
 	c            net.Conn
-	w            *bufio.Writer
-	out          chan outFrame
-	inbound      bool  // accepted (true) vs dialed; only accepted conns idle out
-	seq          int64 // fabric-unique, salts this connection's loss generator
+	w            *bufio.Writer // made at the first write, under wmu
+	out          chan outFrame // made with the first return route, under Net.mu
+	inbound      bool          // accepted (true) vs dialed; only accepted conns idle out
+	seq          int64         // fabric-unique, salts this connection's loss generator
 	writeTimeout time.Duration
 
 	wmu       sync.Mutex
@@ -983,6 +990,9 @@ func (wc *wireConn) write(batch []byte) error {
 	defer wc.wmu.Unlock()
 	if wc.writeTimeout > 0 {
 		wc.c.SetWriteDeadline(time.Now().Add(wc.writeTimeout))
+	}
+	if wc.w == nil {
+		wc.w = bufio.NewWriterSize(wc.c, sockBufSize)
 	}
 	if _, err := wc.w.Write(batch); err != nil {
 		return err

@@ -95,6 +95,64 @@ func TestClientReturnRoute(t *testing.T) {
 	}
 }
 
+// TestTCPReturnQueueOnlyWhereRouted: a connection gets a return-route queue
+// and its writer only when a dynamic sender's route is learned through it.
+// With two replicas and a client all connected, the replicas' connections to
+// each other hold no queue — and the inbound ones no write buffer either —
+// while the client's connection to the replica that replies holds both, and
+// the reply arrives.
+func TestTCPReturnQueueOnlyWhereRouted(t *testing.T) {
+	fabs, clientFab, err := Loopback([]types.NodeID{0, 1}, testSecret, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		fabs[0].Close()
+		fabs[1].Close()
+		clientFab.Close()
+	})
+	replicaInbox := fabs[0].Register(0)
+	fabs[1].Register(1)
+	clientID := types.ClientIDBase + 3
+	clientInbox := clientFab.Register(clientID)
+	for _, f := range []*Net{fabs[0], fabs[1], clientFab} {
+		if err := f.ConnectAll(5 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	clientFab.Send(0, &types.Envelope{Type: types.MsgRequest, From: clientID})
+	if env := waitEnvelope(t, replicaInbox, 5*time.Second); env.From != clientID {
+		t.Fatalf("request from %s", env.From)
+	}
+	fabs[0].Send(clientID, &types.Envelope{Type: types.MsgReply, From: 0})
+	if env := waitEnvelope(t, clientInbox, 5*time.Second); env.Type != types.MsgReply {
+		t.Fatalf("reply: %+v", env)
+	}
+
+	for id, f := range fabs {
+		f.mu.RLock()
+		routed := make(map[*wireConn]bool)
+		for _, wc := range f.routes {
+			routed[wc] = true
+		}
+		if id == 0 && len(routed) == 0 {
+			t.Error("replica 0 learned no route to the client")
+		}
+		for wc := range f.conns {
+			if routed[wc] != (wc.out != nil) {
+				t.Errorf("replica %d: connection (inbound %v, routed %v) has return queue %v",
+					id, wc.inbound, routed[wc], wc.out != nil)
+			}
+			wc.wmu.Lock()
+			if wc.inbound && !routed[wc] && wc.w != nil {
+				t.Errorf("replica %d: inbound connection that never wrote holds a write buffer", id)
+			}
+			wc.wmu.Unlock()
+		}
+		f.mu.RUnlock()
+	}
+}
+
 // TestForgedFrameRejected sends a well-formed frame with a bad HMAC tag and
 // a garbage blob, directly over a raw TCP connection: neither may reach the
 // inbox, and authentic traffic afterwards still flows.
