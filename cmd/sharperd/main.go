@@ -48,7 +48,6 @@ import (
 	"syscall"
 	"time"
 
-	"sharper/internal/consensus"
 	"sharper/internal/core"
 	"sharper/internal/crypto"
 	"sharper/internal/ledger"
@@ -113,8 +112,7 @@ func parseFlags(args []string) (*invocation, error) {
 	fs.StringVar(&c.DataDir, "data", "", "durable storage base directory (each replica uses DIR/node-<id>); a killed replica restarted with the same -data recovers in place")
 	syncPolicy := fs.String("sync", "group", "WAL fsync policy: none, group, or always")
 	fs.DurationVar(&c.LockTimeout, "lock-timeout", 0, "cross-shard lock expiry, the §3.2 'pre-determined time' (0 = default 3s); must dominate worst-case commit delivery in your environment")
-	fs.BoolVar(&c.Slash, "slash", false, "arm the equivocation-detecting auditor on every replica; the driver and local modes print an offender report from the collected fraud proofs")
-	fs.BoolVar(&c.Ed25519, "ed25519", false, "byzantine model: use ed25519 signatures instead of HMAC, making -slash fraud proofs verifiable by third parties holding only public keys")
+	fs.BoolVar(&c.Ed25519, "ed25519", false, "byzantine model: use ed25519 signatures instead of HMAC, verifiable by third parties holding only public keys")
 	fs.StringVar(&inv.shape, "shape", "", "link shaping: 'multiregion' (the paper's cross-datacenter WAN) or a spec like 'delay 30ms bw 200Mbps loss 0.001' applied to every link; in topology modes it overrides the file's link directives, with -topology-init it is written into the file")
 	fs.IntVar(&c.VerifyWindow, "verify-window", 0, "signature batch-verification window per node (1 = strictly per signature; 0 = the built-in default)")
 	fs.IntVar(&c.TraceSample, "trace-sample", 0, "lifecycle-tracer 1-in-N sampling (0 = built-in default, 1 = trace everything)")
@@ -530,11 +528,6 @@ func runDriver(tf *TopologyFile, cfg core.Config, opts options, out io.Writer) e
 		return fmt.Errorf("state audit FAILED: %w", err)
 	}
 	printMetrics(fab, tf, clientBase+95_000, out)
-	if cfg.Slash {
-		if err := printEvidence(fab, tf, cfg, clientBase+96_000, out); err != nil {
-			return err
-		}
-	}
 	if opts.ShowDAG {
 		fmt.Fprint(out, dag.RenderASCII())
 	}
@@ -693,72 +686,6 @@ func printMetrics(fab *tcpnet.Net, tf *TopologyFile, metricsID types.NodeID, out
 	}
 }
 
-// printEvidence fetches every replica's accumulated fraud proofs over the
-// wire (QueryEvidence), deduplicates them, re-verifies each one against
-// the keys every replica derives from the shared configuration (the driver
-// never sees a private channel the proofs depend on), and prints the
-// offender report.
-func printEvidence(fab *tcpnet.Net, tf *TopologyFile, cfg core.Config, evID types.NodeID, out io.Writer) error {
-	keys, err := core.DeriveKeys(cfg)
-	if err != nil {
-		return fmt.Errorf("evidence: rebuilding keys: %w", err)
-	}
-	got := query(fab, tf, evID, types.QueryEvidence,
-		types.DecodeEvidenceDump, func(d *types.EvidenceDump) types.NodeID { return d.Node })
-	answered(got, tf, "evidence", out)
-	proofs := make(map[string]*types.FraudProof)
-	for _, dump := range got {
-		for _, p := range dump.Proofs {
-			proofs[p.Key()] = p
-		}
-	}
-	printOffenders(proofs, keys, tf.Topo, out)
-	return nil
-}
-
-// printOffenders re-verifies fraud proofs offline against the deployment's
-// keys and prints, per offender, how many proofs of each kind it earned. A
-// proof that fails offline verification is counted separately: the replicas
-// should never have admitted it.
-func printOffenders(proofs map[string]*types.FraudProof, keys crypto.Provider, topo *consensus.Topology, out io.Writer) {
-	var verifier types.SigVerifier = crypto.NoopSigner{}
-	if topo.AnyByzantine() {
-		verifier = keys
-	}
-	if len(proofs) == 0 {
-		fmt.Fprintln(out, "slasher: no fraud proofs collected — no equivocation observed")
-		return
-	}
-	perOffender := make(map[types.NodeID]map[types.FraudKind]int)
-	invalid := 0
-	for _, p := range proofs {
-		if err := p.Verify(verifier); err != nil {
-			invalid++
-			fmt.Fprintf(out, "slasher: REJECTED %s: %v\n", p, err)
-			continue
-		}
-		if perOffender[p.Offender] == nil {
-			perOffender[p.Offender] = make(map[types.FraudKind]int)
-		}
-		perOffender[p.Offender][p.Kind]++
-	}
-	fmt.Fprintf(out, "slasher: %d distinct fraud proofs, %d offenders, %d failed offline verification\n",
-		len(proofs)-invalid, len(perOffender), invalid)
-	for _, id := range topo.AllNodes() {
-		kinds, guilty := perOffender[id]
-		if !guilty {
-			continue
-		}
-		fmt.Fprintf(out, "slasher: offender %s:", id)
-		for _, k := range [...]types.FraudKind{types.FraudDoubleProposal, types.FraudDoubleVote, types.FraudConflictingViewChange} {
-			if n := kinds[k]; n > 0 {
-				fmt.Fprintf(out, " %s=%d", k, n)
-			}
-		}
-		fmt.Fprintln(out)
-	}
-}
-
 // dumpTraces asks every replica for its protocol-event ring and writes one
 // trace-node-<id>.log per replica into dir, giving a divergence hunt the
 // cross-process evidence it needs. Replicas running without -trace answer
@@ -846,16 +773,6 @@ func runLocal(cfg core.Config, opts options, out io.Writer) error {
 		return fmt.Errorf("ledger audit FAILED: %w", err)
 	}
 	fmt.Fprintln(out, "ledger audit: all views consistent, cross-shard order agrees")
-	if cfg.Slash {
-		// A fault-free local run should never report an offender; proofs
-		// mean a replica equivocated (or the auditor has a bug worth a
-		// report).
-		proofs := make(map[string]*types.FraudProof)
-		for _, p := range d.FraudProofs() {
-			proofs[p.Key()] = p
-		}
-		printOffenders(proofs, d.Keyring, d.Topo, out)
-	}
 	if opts.ShowDAG {
 		fmt.Fprint(out, dag.RenderASCII())
 	}

@@ -505,7 +505,7 @@ func TestFlagsReachConfig(t *testing.T) {
 		t.Fatal(err)
 	}
 	inv, err := parseFlags([]string{"-lock-timeout", "7s", "-batch", "4", "-verify-window", "8", "-seed", "9",
-		"-sync", "always", "-data", dir, "-slash", "-ed25519", "-trace-sample", "2", "-trace"})
+		"-sync", "always", "-data", dir, "-ed25519", "-trace-sample", "2", "-trace"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -524,7 +524,6 @@ func TestFlagsReachConfig(t *testing.T) {
 			{"-seed", c.Seed, int64(9)},
 			{"-sync", c.Sync, storage.SyncAlways},
 			{"-data", c.DataDir, dir},
-			{"-slash", c.Slash, true},
 			{"-ed25519", c.Ed25519, true},
 			{"-trace-sample", c.TraceSample, 2},
 			{"-trace", c.Trace, true},
@@ -542,7 +541,7 @@ func TestLocalMode(t *testing.T) {
 	for _, tr := range []string{"sim", "tcp"} {
 		t.Run(tr, func(t *testing.T) {
 			inv, err := parseFlags([]string{"-transport", tr, "-clusters", "2", "-cross", "20",
-				"-clients", "4", "-duration", "1s", "-accounts", "64", "-slash"})
+				"-clients", "4", "-duration", "1s", "-accounts", "64"})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -551,10 +550,8 @@ func TestLocalMode(t *testing.T) {
 				t.Fatalf("%v\n%s", err, out.String())
 			}
 			got := out.String()
-			for _, want := range []string{"ledger audit: all views consistent", "slasher: no fraud proofs"} {
-				if !strings.Contains(got, want) {
-					t.Fatalf("output missing %q:\n%s", want, got)
-				}
+			if want := "ledger audit: all views consistent"; !strings.Contains(got, want) {
+				t.Fatalf("output missing %q:\n%s", want, got)
 			}
 			if committed, _ := parseTotals(t, got); committed == 0 {
 				t.Fatalf("nothing committed:\n%s", got)

@@ -33,8 +33,8 @@ type Kind int
 const (
 	// Equivocate splits every matching multicast into two conflicting
 	// variants sent to overlapping recipient halves. The overlap node — any
-	// two quorums intersect — is the witness whose slasher holds both
-	// signed envelopes.
+	// two quorums intersect — receives both signed envelopes, so the
+	// equivocation oracle (slasher.Witness) indexing its inbox can prove it.
 	Equivocate Kind = iota + 1
 	// Tamper corrupts the digest field for the victim set and re-signs, so
 	// the envelope passes authentication and fails the digest check.

@@ -193,7 +193,7 @@ func TestStarveScopesToForeignClusters(t *testing.T) {
 
 // TestVCSpamEmitsConflictingPairs: the spam pair carries two different chain
 // heads for one height under valid signatures — exactly what the slasher's
-// view-change detector slashes.
+// view-change detector proves.
 func TestVCSpamEmitsConflictingPairs(t *testing.T) {
 	r := newRig(t)
 	r.adv.Compromise(3, r.signer(t, 3), Rule{Kind: VCSpam, Limit: 1})

@@ -8,27 +8,35 @@ import (
 	"sharper/internal/adversary"
 	"sharper/internal/consensus"
 	"sharper/internal/crypto"
+	"sharper/internal/slasher"
 	"sharper/internal/transport"
 	"sharper/internal/types"
 )
 
 // The attack matrix: every cell compromises at most f nodes per cluster
 // through the adversary fabric decorator and asserts (a) safety — the DAG
-// audit passes and honest replicas never diverge — and (b) detection — each
-// equivocation variant yields a fraud proof naming exactly the compromised
-// node, while non-equivocating behaviour (withholding, replay, crashes,
-// duplication) yields none.
+// audit passes and honest replicas never diverge — and (b) detection — the
+// equivocation oracle (slasher.Witness, reading every replica's inbox)
+// proves each equivocation variant against exactly the compromised node,
+// while non-equivocating behaviour (withholding, replay, crashes,
+// duplication) yields no proof.
 
-// newAttackDeployment builds a slashing-enabled deployment with the attack
-// injector wrapped around every replica's fabric.
-func newAttackDeployment(t *testing.T, cfg Config) (*Deployment, *adversary.Adversary) {
+// newAttackDeployment builds a deployment with the attack injector and the
+// equivocation oracle wrapped around every replica's fabric.
+func newAttackDeployment(t *testing.T, cfg Config) (*Deployment, *adversary.Adversary, *slasher.Witness) {
 	t.Helper()
 	if cfg.Topology == nil {
 		cfg.Topology = consensus.UniformTopology(cfg.Model, cfg.Clusters, cfg.F)
 	}
 	adv := adversary.New(cfg.Topology)
-	cfg.WrapFabric = adv.Wrap
-	cfg.Slash = true
+	// Every receiver verifies with the deployment keyring, built inside
+	// NewDeployment; the witness asks for it on the first claim it indexes.
+	var d *Deployment
+	w := slasher.NewWitness(cfg.Topology, func(types.NodeID) slasher.SigVerifier { return d.Keyring })
+	t.Cleanup(w.Close)
+	cfg.WrapFabric = func(id types.NodeID, fab transport.Fabric) transport.Fabric {
+		return w.Wrap(id, adv.Wrap(id, fab))
+	}
 	d, err := testDeployment(t, cfg)
 	if err != nil {
 		t.Fatalf("NewDeployment: %v", err)
@@ -36,7 +44,7 @@ func newAttackDeployment(t *testing.T, cfg Config) (*Deployment, *adversary.Adve
 	d.SeedAccounts(64, 1_000_000)
 	d.Start()
 	t.Cleanup(d.Stop)
-	return d, adv
+	return d, adv, w
 }
 
 // signerOf hands the adversary a compromised node's own signer — under the
@@ -56,7 +64,7 @@ func signerOf(t *testing.T, d *Deployment, id types.NodeID) crypto.Signer {
 // pubOnlyVerifier rebuilds a verification-only keyring holding nothing but
 // the deployment's public keys — the position of an external auditor judging
 // fraud proofs offline.
-func pubOnlyVerifier(t *testing.T, d *Deployment) types.SigVerifier {
+func pubOnlyVerifier(t *testing.T, d *Deployment) slasher.SigVerifier {
 	t.Helper()
 	kr, ok := d.Keyring.(*crypto.Keyring)
 	if !ok {
@@ -75,8 +83,8 @@ func pubOnlyVerifier(t *testing.T, d *Deployment) types.SigVerifier {
 
 // assertProofsName checks that every gathered proof names the one compromised
 // node (zero false positives) and, when an auditor is given, that each proof
-// round-trips the wire and convinces a public-keys-only verifier.
-func assertProofsName(t *testing.T, proofs []*types.FraudProof, offender types.NodeID, auditor types.SigVerifier) {
+// convinces a public-keys-only verifier.
+func assertProofsName(t *testing.T, proofs []*slasher.FraudProof, offender types.NodeID, auditor slasher.SigVerifier) {
 	t.Helper()
 	if len(proofs) == 0 {
 		t.Fatalf("no fraud proofs; expected evidence against %s", offender)
@@ -88,11 +96,7 @@ func assertProofsName(t *testing.T, proofs []*types.FraudProof, offender types.N
 		if auditor == nil {
 			continue
 		}
-		rt, err := types.DecodeFraudProof(p.Encode(nil))
-		if err != nil {
-			t.Fatalf("proof wire round-trip: %v", err)
-		}
-		if err := rt.Verify(auditor); err != nil {
+		if err := p.Verify(auditor); err != nil {
 			t.Fatalf("offline verification of %s proof against %s: %v", p.Kind, p.Offender, err)
 		}
 	}
@@ -113,10 +117,11 @@ func runIntra(t *testing.T, d *Deployment, c *Client, n int, cluster types.Clust
 
 // TestEquivocatingPrimarySlashed: the view-0 primary splits conflicting
 // pre-prepares across overlapping halves. The honest quorum must keep
-// committing one history, and the witness's slasher must mint a proof that an
-// external auditor can verify with public keys alone.
+// committing one history, and the oracle must prove it from the overlap
+// replica's inbox in a form an external auditor verifies with public keys
+// alone.
 func TestEquivocatingPrimarySlashed(t *testing.T) {
-	d, adv := newAttackDeployment(t, Config{
+	d, adv, w := newAttackDeployment(t, Config{
 		Model: types.Byzantine, Clusters: 2, F: 1, Seed: 42, Ed25519: true,
 		IntraTimeout: 200 * time.Millisecond,
 	})
@@ -133,14 +138,14 @@ func TestEquivocatingPrimarySlashed(t *testing.T) {
 	if err := d.DAG().Verify(); err != nil {
 		t.Fatalf("DAG verify under equivocation: %v", err)
 	}
-	assertProofsName(t, d.FraudProofs(), primary, pubOnlyVerifier(t, d))
+	assertProofsName(t, w.Proofs(), primary, pubOnlyVerifier(t, d))
 }
 
 // TestDoubleVotingBackupSlashed: a backup sends conflicting prepares for one
 // slot. Commits continue over the honest quorum and the witness produces a
 // double-vote proof.
 func TestDoubleVotingBackupSlashed(t *testing.T) {
-	d, adv := newAttackDeployment(t, Config{
+	d, adv, w := newAttackDeployment(t, Config{
 		Model: types.Byzantine, Clusters: 2, F: 1, Seed: 43, Ed25519: true,
 	})
 	backup := d.Topo.Members(0)[2]
@@ -154,11 +159,11 @@ func TestDoubleVotingBackupSlashed(t *testing.T) {
 	if err := d.DAG().Verify(); err != nil {
 		t.Fatalf("DAG verify under double voting: %v", err)
 	}
-	proofs := d.FraudProofs()
+	proofs := w.Proofs()
 	assertProofsName(t, proofs, backup, pubOnlyVerifier(t, d))
 	hasVote := false
 	for _, p := range proofs {
-		if p.Kind == types.FraudDoubleVote {
+		if p.Kind == slasher.FraudDoubleVote {
 			hasVote = true
 		}
 	}
@@ -168,11 +173,11 @@ func TestDoubleVotingBackupSlashed(t *testing.T) {
 }
 
 // TestTamperedPrePrepareSlashed: the primary corrupts the digest for one
-// victim and re-signs. The victim's engine rejects the proposal, and its
-// slasher pairs the tampered pre-prepare with the primary's own commit for
-// the same slot — a cross-class double proposal.
+// victim and re-signs. The victim's engine rejects the proposal, and the
+// oracle pairs the tampered pre-prepare in the victim's inbox with the
+// primary's own commit for the same slot — a cross-class double proposal.
 func TestTamperedPrePrepareSlashed(t *testing.T) {
-	d, adv := newAttackDeployment(t, Config{
+	d, adv, w := newAttackDeployment(t, Config{
 		Model: types.Byzantine, Clusters: 2, F: 1, Seed: 44, Ed25519: true,
 	})
 	primary := d.Topo.Members(0)[0]
@@ -190,14 +195,14 @@ func TestTamperedPrePrepareSlashed(t *testing.T) {
 	if err := d.DAG().Verify(); err != nil {
 		t.Fatalf("DAG verify under tampering: %v", err)
 	}
-	assertProofsName(t, d.FraudProofs(), primary, pubOnlyVerifier(t, d))
+	assertProofsName(t, w.Proofs(), primary, pubOnlyVerifier(t, d))
 }
 
 // TestWithholdingIsSafeAndUnslashed: a backup silently drops its votes to
 // everyone — indistinguishable from a crash, tolerated by the quorum, and
 // explicitly NOT slashable (silence is not signed equivocation).
 func TestWithholdingIsSafeAndUnslashed(t *testing.T) {
-	d, adv := newAttackDeployment(t, Config{
+	d, adv, w := newAttackDeployment(t, Config{
 		Model: types.Byzantine, Clusters: 2, F: 1, Seed: 45,
 	})
 	backup := d.Topo.Members(0)[1]
@@ -211,7 +216,7 @@ func TestWithholdingIsSafeAndUnslashed(t *testing.T) {
 	if err := d.DAG().Verify(); err != nil {
 		t.Fatalf("DAG verify under withholding: %v", err)
 	}
-	if proofs := d.FraudProofs(); len(proofs) != 0 {
+	if proofs := w.Proofs(); len(proofs) != 0 {
 		t.Fatalf("withholding produced %d fraud proofs; silence must not be slashable (first: %s)",
 			len(proofs), proofs[0].Kind)
 	}
@@ -221,7 +226,7 @@ func TestWithholdingIsSafeAndUnslashed(t *testing.T) {
 // pairs. The noise must not disturb commits (one node's suspicion is below
 // the f+1 join threshold) and each pair is provable equivocation.
 func TestVCSpamSlashed(t *testing.T) {
-	d, adv := newAttackDeployment(t, Config{
+	d, adv, w := newAttackDeployment(t, Config{
 		Model: types.Byzantine, Clusters: 2, F: 1, Seed: 46, Ed25519: true,
 	})
 	backup := d.Topo.Members(0)[3]
@@ -236,11 +241,11 @@ func TestVCSpamSlashed(t *testing.T) {
 	if err := d.DAG().Verify(); err != nil {
 		t.Fatalf("DAG verify under view-change spam: %v", err)
 	}
-	proofs := d.FraudProofs()
+	proofs := w.Proofs()
 	assertProofsName(t, proofs, backup, pubOnlyVerifier(t, d))
 	hasVC := false
 	for _, p := range proofs {
-		if p.Kind == types.FraudConflictingViewChange {
+		if p.Kind == slasher.FraudConflictingViewChange {
 			hasVC = true
 		}
 	}
@@ -265,7 +270,7 @@ func TestReplayedVotesNotDoubleCounted(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			d, adv := newAttackDeployment(t, Config{
+			d, adv, w := newAttackDeployment(t, Config{
 				Model: tc.model, Clusters: 2, F: tc.f, Seed: 47,
 			})
 			members := d.Topo.Members(0)
@@ -329,7 +334,7 @@ func TestReplayedVotesNotDoubleCounted(t *testing.T) {
 				}
 				time.Sleep(20 * time.Millisecond)
 			}
-			if proofs := d.FraudProofs(); len(proofs) != 0 {
+			if proofs := w.Proofs(); len(proofs) != 0 {
 				t.Fatalf("byte-identical replay produced %d fraud proofs; want none", len(proofs))
 			}
 		})
@@ -344,7 +349,7 @@ func TestReplayedVotesNotDoubleCounted(t *testing.T) {
 func TestLockStarvationRecovers(t *testing.T) {
 	for _, model := range []types.FailureModel{types.CrashOnly, types.Byzantine} {
 		t.Run(model.String(), func(t *testing.T) {
-			d, adv := newAttackDeployment(t, Config{
+			d, adv, _ := newAttackDeployment(t, Config{
 				Model: model, Clusters: 2, F: 1, Seed: 48,
 				LockTimeout:  150 * time.Millisecond,
 				RetryTimeout: 250 * time.Millisecond,
@@ -387,10 +392,10 @@ func TestLockStarvationRecovers(t *testing.T) {
 
 // TestHonestRunYieldsNoProofs is the false-positive control: a fully honest
 // deployment with duplicated deliveries, a primary crash, a real view
-// change, and a storage-backed restart. The slasher must stay silent on
-// every replica. The hybrid case runs a crash cluster beside a Byzantine
-// one: the ordering kinds are shared, so the crash cluster's unsigned
-// traffic must meet no slasher at all.
+// change, and a storage-backed restart. The oracle must prove nothing
+// against any replica. The hybrid case runs a crash cluster beside a
+// Byzantine one: the ordering kinds are shared, so the oracle must index no
+// claim of the crash cluster's unsigned traffic.
 func TestHonestRunYieldsNoProofs(t *testing.T) {
 	hybrid := &consensus.Topology{Model: types.CrashOnly, Clusters: map[types.ClusterID]consensus.Cluster{
 		0: {ID: 0, F: 1, Members: []types.NodeID{0, 1, 2}, Model: types.CrashOnly, ModelSet: true},
@@ -410,16 +415,17 @@ func TestHonestRunYieldsNoProofs(t *testing.T) {
 			cfg := c.cfg
 			cfg.Seed, cfg.Ed25519, cfg.Network = 49, true, net
 			cfg.DataDir, cfg.IntraTimeout = t.TempDir(), 150*time.Millisecond
-			d, _ := newAttackDeployment(t, cfg)
+			d, _, w := newAttackDeployment(t, cfg)
 			honestRun(t, d, c.victim)
-			for _, n := range d.Nodes() {
-				if byz := d.Topo.ModelOf(n.Cluster()) == types.Byzantine; (n.slash != nil) != byz {
-					t.Fatalf("node %s (Byzantine cluster: %v) has a slasher: %v", n.ID(), byz, n.slash != nil)
+			for _, cl := range d.Topo.ClusterIDs() {
+				byz := d.Topo.ModelOf(cl) == types.Byzantine
+				if n := w.Indexed(cl); (n > 0) != byz {
+					t.Fatalf("cluster %d (Byzantine: %v): the oracle indexed %d claims", cl, byz, n)
 				}
-				if proofs := n.FraudProofs(); len(proofs) != 0 {
-					t.Fatalf("node %s holds %d fraud proofs after an honest run (first: %s against %s)",
-						n.ID(), len(proofs), proofs[0].Kind, proofs[0].Offender)
-				}
+			}
+			if proofs := w.Proofs(); len(proofs) != 0 {
+				t.Fatalf("%d fraud proofs after an honest run (first: %s against %s)",
+					len(proofs), proofs[0].Kind, proofs[0].Offender)
 			}
 		})
 	}
@@ -441,7 +447,7 @@ func honestRun(t *testing.T, d *Deployment, victim types.ClusterID) {
 	// Concurrent intra + cross traffic drives cross-shard SyncChainHead slot
 	// re-binds: a primary honestly re-proposes a superseded slot with a new
 	// parent and a different digest, and honest backups re-vote it. The
-	// slasher must read that as a re-bind, not equivocation (votes carry
+	// oracle must read that as a re-bind, not equivocation (votes carry
 	// their parent precisely for this).
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -479,7 +485,7 @@ func honestRun(t *testing.T, d *Deployment, victim types.ClusterID) {
 // real sockets: the injector wraps each replica's TCP fabric, proving the
 // harness is transport-agnostic.
 func TestEquivocatingPrimarySlashedTCP(t *testing.T) {
-	d, adv := newAttackDeployment(t, Config{
+	d, adv, w := newAttackDeployment(t, Config{
 		Model: types.Byzantine, Clusters: 2, F: 1, Seed: 50, Ed25519: true,
 		Transport: TransportTCP, IntraTimeout: 300 * time.Millisecond,
 	})
@@ -496,7 +502,7 @@ func TestEquivocatingPrimarySlashedTCP(t *testing.T) {
 	if err := d.DAG().Verify(); err != nil {
 		t.Fatalf("DAG verify over TCP: %v", err)
 	}
-	assertProofsName(t, d.FraudProofs(), primary, pubOnlyVerifier(t, d))
+	assertProofsName(t, w.Proofs(), primary, pubOnlyVerifier(t, d))
 }
 
 // TestReplayedVotesNotDoubleCountedTCP is the socket-backed half of the
@@ -504,7 +510,7 @@ func TestEquivocatingPrimarySlashedTCP(t *testing.T) {
 // duplicated votes must not conjure a quorum. (No restart over TCP — that
 // needs a process restart; the sim variant covers recovery.)
 func TestReplayedVotesNotDoubleCountedTCP(t *testing.T) {
-	d, adv := newAttackDeployment(t, Config{
+	d, adv, _ := newAttackDeployment(t, Config{
 		Model: types.Byzantine, Clusters: 2, F: 1, Seed: 51, Transport: TransportTCP,
 	})
 	members := d.Topo.Members(0)

@@ -137,16 +137,10 @@ type Config struct {
 	// of deployments that never submit through it keep an empty pool.
 	Mempool mempool.Config
 
-	// Slash arms the equivocation-detecting auditor on every replica of a
-	// Byzantine cluster (a crash cluster's messages are unsigned and prove
-	// nothing): nodes index inbound consensus envelopes, mint signed fraud proofs from
-	// conflicting claims, gossip them cluster-wide, and persist them to the
-	// evidence log when storage is on. Proofs are third-party verifiable only
-	// under Ed25519. See internal/slasher.
-	Slash bool
 	// WrapFabric, when set, decorates each replica's fabric before the node
 	// registers on it — the seam the adversary harness uses to compromise
-	// nodes (internal/adversary). NewDeployment applies it under both
+	// nodes (internal/adversary) and the equivocation oracle uses to read
+	// their inboxes (internal/slasher). NewDeployment applies it under both
 	// transports, and a replica rebuilt by RestartNode keeps its wrapped
 	// fabric. Clients are not wrapped.
 	WrapFabric func(types.NodeID, transport.Fabric) transport.Fabric

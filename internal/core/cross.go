@@ -675,7 +675,7 @@ func (x *xengine) castSelfVotes(now time.Time) ([]consensus.Outbound, []crossDec
 // never left the node, so casting it again at the new head costs nothing;
 // under byz the next ACCEPT replaces it at every receiver (a second accept for
 // one (view, digest) at a new chain head is what an honest node also sends
-// after a lock expiry, and is not slashable). A node that has committed keeps
+// after a lock expiry, and is not equivocation). A node that has committed keeps
 // its vote.
 func (x *xengine) voidStaleSelfVote() {
 	d, held := x.table.Holder()

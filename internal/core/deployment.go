@@ -356,24 +356,6 @@ func (d *Deployment) SchedStats() types.SchedStats {
 	return agg
 }
 
-// FraudProofs gathers every distinct fraud proof held across all replicas
-// (deduplicated by locus key — gossip makes most proofs appear on every
-// honest member of a cluster). Only safe once the deployment has quiesced or
-// stopped, like Counters.
-func (d *Deployment) FraudProofs() []*types.FraudProof {
-	seen := make(map[string]bool)
-	var out []*types.FraudProof
-	for _, id := range d.Topo.AllNodes() {
-		for _, p := range d.nodes[id].FraudProofs() {
-			if !seen[p.Key()] {
-				seen[p.Key()] = true
-				out = append(out, p)
-			}
-		}
-	}
-	return out
-}
-
 // TotalCommitted sums committed transactions over one representative node
 // per cluster (each committed tx counts once per involved cluster).
 func (d *Deployment) TotalCommitted() int64 {

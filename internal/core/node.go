@@ -12,7 +12,6 @@ import (
 	"sharper/internal/ordering"
 	"sharper/internal/paxos"
 	"sharper/internal/pbft"
-	"sharper/internal/slasher"
 	"sharper/internal/state"
 	"sharper/internal/storage"
 	"sharper/internal/transport"
@@ -138,11 +137,6 @@ type Node struct {
 	syncVotes  map[uint64]map[types.NodeID]types.Hash
 	syncBlocks map[uint64]map[types.Hash]*types.Block
 
-	// slash is the equivocation auditor (nil unless Config.Slash and the
-	// cluster is Byzantine): it indexes every authenticated consensus
-	// envelope dispatch sees and mints fraud proofs from conflicting claims.
-	slash *slasher.Slasher
-
 	committed atomic.Int64
 	conflicts atomic.Int64 // cross-shard re-proposals observed
 	anomalies atomic.Int64 // ledger append failures (should stay 0)
@@ -244,31 +238,7 @@ func newNode(cfg nodeConfig) *Node {
 	if cfg.Storage != nil {
 		n.recoverChain(cfg.Storage.Recovered())
 	}
-	// Only a Byzantine cluster's messages are signed claims a slasher can
-	// hold against their sender; a crash cluster's node audits nothing.
-	if cfg.Slash && cfg.ClusterModel == types.Byzantine {
-		n.slash = slasher.New(slasher.Config{Verifier: cfg.Verifier})
-		if cfg.Storage != nil {
-			n.reloadEvidence(cfg.Storage)
-		}
-	}
 	return n
-}
-
-// reloadEvidence re-admits persisted fraud proofs into a fresh slasher so a
-// restarted replica keeps accusing. Records that fail to decode or verify
-// (damaged files, rotated keys) are skipped — the log keeps the raw bytes for
-// offline forensics either way.
-func (n *Node) reloadEvidence(st *storage.Store) {
-	recs, err := st.Evidence()
-	if err != nil {
-		return
-	}
-	for _, raw := range recs {
-		if p, err := types.DecodeFraudProof(raw); err == nil {
-			n.slash.AddProof(p)
-		}
-	}
 }
 
 // recoverChain rebuilds the ledger view and the intra engine from recovered
@@ -484,16 +454,6 @@ func (n *Node) send(outs []consensus.Outbound) {
 }
 
 func (n *Node) dispatch(env *types.Envelope, now time.Time) {
-	if n.slash != nil {
-		switch env.Type {
-		case types.MsgPropose, types.MsgVote, types.MsgCommit, types.MsgViewChange:
-			// Audit before engine processing: the slasher indexes the claim
-			// even when the engine would defer, drop, or reject the message.
-			// Observe is idempotent per envelope, so re-dispatch of deferred
-			// messages is harmless.
-			n.reportFraud(n.slash.Observe(env))
-		}
-	}
 	switch env.Type {
 	case types.MsgSubmit:
 		n.gw.onSubmit(env, now)
@@ -541,69 +501,11 @@ func (n *Node) dispatch(env *types.Envelope, now time.Time) {
 	case types.MsgQuery:
 		n.onQuery(env)
 
-	case types.MsgFraudProof:
-		n.onFraudProof(env)
-
 	default:
 		// Baseline-only traffic (the ahl and replica packages' request/reply
 		// pair) is not for us.
 	}
 	n.maybeLaunch(now)
-}
-
-// reportFraud persists and gossips freshly minted fraud proofs. Persistence
-// goes first: a proof that crosses the wire before it hits disk could be lost
-// to a crash on this node yet survive on peers, which is fine — but the
-// reverse (durable everywhere except the accuser) is the ordering audits
-// expect.
-func (n *Node) reportFraud(proofs []*types.FraudProof) {
-	if len(proofs) == 0 {
-		return
-	}
-	peers := othersOf(n.cfg.Topology.Members(n.cfg.Cluster), n.cfg.Self)
-	for _, p := range proofs {
-		raw := p.Encode(nil)
-		if n.cfg.Storage != nil {
-			if err := n.cfg.Storage.AppendEvidence(raw); err != nil {
-				n.anomalies.Add(1)
-			}
-		}
-		if len(peers) > 0 {
-			n.cfg.Net.Multicast(peers, &types.Envelope{
-				Type: types.MsgFraudProof, From: n.cfg.Self,
-				Payload: raw, Sig: n.cfg.Signer.Sign(raw),
-			})
-		}
-	}
-}
-
-// onFraudProof admits a gossiped proof. AddProof re-verifies the embedded
-// envelopes against the deployment's authenticator, so a lying gossiper
-// cannot plant evidence against an honest node; the carrying envelope's own
-// signature is irrelevant to admission.
-func (n *Node) onFraudProof(env *types.Envelope) {
-	if n.slash == nil {
-		return
-	}
-	p, err := types.DecodeFraudProof(env.Payload)
-	if err != nil {
-		return
-	}
-	if n.slash.AddProof(p) && n.cfg.Storage != nil {
-		if err := n.cfg.Storage.AppendEvidence(p.Encode(nil)); err != nil {
-			n.anomalies.Add(1)
-		}
-	}
-}
-
-// FraudProofs returns the proofs the node's slasher has accumulated (nil when
-// slashing is disabled). Only safe once the node has quiesced or stopped,
-// like Counters.
-func (n *Node) FraudProofs() []*types.FraudProof {
-	if n.slash == nil {
-		return nil
-	}
-	return n.slash.Proofs()
 }
 
 func (n *Node) tick(now time.Time) {
@@ -677,6 +579,11 @@ func (n *Node) appendBlock(b *types.Block) error {
 		return err
 	}
 	n.window.Note(b.Txs)
+	// Sync votes are held only at or above the head, so the index just
+	// filled, by consensus or by sync, is the one that goes stale.
+	idx := uint64(n.view.Len() - 1)
+	delete(n.syncVotes, idx)
+	delete(n.syncBlocks, idx)
 	return nil
 }
 
@@ -725,6 +632,11 @@ func (n *Node) maybeSync(now time.Time) {
 	})
 }
 
+// maxSyncBatch bounds the blocks one sync response carries. An honest
+// response therefore names no index at or beyond the receiver's head plus
+// maxSyncBatch, and a receiver records votes for none.
+const maxSyncBatch = 32
+
 // onSyncRequest answers with a bounded run of blocks the requester misses.
 func (n *Node) onSyncRequest(env *types.Envelope) {
 	req, err := types.DecodeSyncRequest(env.Payload)
@@ -735,8 +647,7 @@ func (n *Node) onSyncRequest(env *types.Envelope) {
 	if req.From >= have {
 		return
 	}
-	const maxBatch = 32
-	to := req.From + maxBatch
+	to := req.From + maxSyncBatch
 	if to > have {
 		to = have
 	}
@@ -769,18 +680,19 @@ func (n *Node) onSyncResponse(env *types.Envelope, now time.Time) {
 		return
 	}
 	for i, b := range resp.Blocks {
-		idx := resp.From + uint64(i)
-		if idx != uint64(n.view.Len()) {
-			if idx > uint64(n.view.Len()) && n.cfg.ClusterModel == types.Byzantine {
-				n.recordSyncVote(idx, env.From, b)
+		idx, head := resp.From+uint64(i), uint64(n.view.Len())
+		switch {
+		case n.cfg.ClusterModel != types.Byzantine:
+			if idx == head {
+				n.adoptBlock(b, now)
 			}
-			continue
-		}
-		if n.cfg.ClusterModel == types.Byzantine {
+		case idx >= head && idx < head+maxSyncBatch:
+			// Votes are kept only where an honest response can reach, so
+			// a lying peer cannot grow them by naming far indices.
 			n.recordSyncVote(idx, env.From, b)
-			n.adoptVotedBlocks(now)
-		} else {
-			n.adoptBlock(b, now)
+			if idx == head {
+				n.adoptVotedBlocks(now)
+			}
 		}
 	}
 	n.afterChainAdvance(now)
@@ -961,7 +873,6 @@ func (n *Node) refreshGauges() {
 //     boundary so it is a consistent cut at an exact chain height.
 //   - QueryTrace: the protocol-event rings (empty unless Config.Trace is
 //     set); divergence hunts across processes can reach them no other way.
-//   - QueryEvidence: every fraud proof this replica holds.
 func (n *Node) onQuery(env *types.Envelope) {
 	if len(env.Payload) != 1 {
 		return
@@ -978,8 +889,6 @@ func (n *Node) onQuery(env *types.Envelope) {
 		n.exec.Resume()
 	case types.QueryTrace:
 		resp = (&types.TraceDump{Node: n.cfg.Self, Lines: n.DebugTrace()}).Encode(resp)
-	case types.QueryEvidence:
-		resp = (&types.EvidenceDump{Node: n.cfg.Self, Proofs: n.FraudProofs()}).Encode(resp)
 	default:
 		return
 	}

@@ -78,13 +78,6 @@ func TestTraceRequestRespondsWithRing(t *testing.T) {
 			}
 			return d.Node, nil
 		}},
-		{types.QueryEvidence, func(b []byte) (types.NodeID, error) {
-			d, err := types.DecodeEvidenceDump(b)
-			if err != nil {
-				return 0, err
-			}
-			return d.Node, nil
-		}},
 	} {
 		env := ask([]byte{byte(c.kind)}, 5*time.Second)
 		if env == nil {
@@ -103,7 +96,7 @@ func TestTraceRequestRespondsWithRing(t *testing.T) {
 		}
 	}
 
-	for _, payload := range [][]byte{{byte(types.QueryEvidence) + 1}, {0}, nil, {byte(types.QueryTrace), 0}} {
+	for _, payload := range [][]byte{{byte(types.QueryTrace) + 1}, {0}, nil, {byte(types.QueryTrace), 0}} {
 		if env := ask(payload, 250*time.Millisecond); env != nil {
 			t.Fatalf("query %x was answered", payload)
 		}

@@ -35,7 +35,7 @@ func makeSignedWindow(t *testing.T, auth Authenticator, n int, senders int) []*t
 	return envs
 }
 
-// TestBisectPinsForgedSignature is the slashing-soundness property of windowed
+// TestBisectPinsForgedSignature is the fraud-proof soundness property of windowed
 // verification: for every possible position of a single forged signature in a
 // full window, bisection must mark exactly that envelope invalid and every
 // other envelope valid. Run for both keyring backends.

@@ -61,7 +61,7 @@ type Authenticator interface {
 // whole, and on false the caller bisects into sub-windows (ultimately single
 // items, where the aggregate answer is the verdict) to recover exact per-item
 // verdicts. VerifyPool
-// implements that bisection, which is what keeps slashing evidence sound:
+// implements that bisection, which is what keeps fraud proofs sound:
 // batching can never blur which envelope carried the forged signature.
 type BatchVerifier interface {
 	VerifyBatch(from []types.NodeID, payloads, sigs [][]byte) bool
@@ -117,7 +117,7 @@ func (k *Keyring) Generate(id types.NodeID, rng *rand.Rand) error {
 
 // AddPublicKey registers a verification-only key for id. A keyring built
 // solely from public keys can verify signatures and fraud proofs but cannot
-// sign — the position of an external auditor checking slashing evidence.
+// sign — the position of an external auditor checking a fraud proof.
 func (k *Keyring) AddPublicKey(id types.NodeID, pub ed25519.PublicKey) {
 	k.mu.Lock()
 	k.pub[id] = pub

@@ -45,7 +45,7 @@ const DefaultVerifyWindow = 16
 // an aggregate signature equation in a batched backend), a window of one
 // included. A window that fails the aggregate check is bisected, each half
 // re-verified, down to single envelopes, so every envelope still ends up with
-// its own exact verdict. That bisection is what keeps slashing evidence sound
+// its own exact verdict. That bisection is what keeps fraud proofs sound
 // — a forged signature in a batch of honest traffic is pinned to precisely
 // the envelope that carried it, and only that envelope is marked invalid. An
 // envelope with no signature at all (a client's submit) is unauthenticated by

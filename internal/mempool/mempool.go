@@ -41,8 +41,9 @@ type Config struct {
 	MaxBytes int64
 	// MaxCount caps the number of pending + in-flight transactions.
 	MaxCount int
-	// TTL is how old a client timestamp may be at admission, and how long a
-	// pending transaction may wait before the sweep expires it.
+	// TTL is how far a client timestamp may be from the admitting replica's
+	// clock, in either direction, and how long a pending transaction may wait
+	// before the sweep expires it.
 	TTL time.Duration
 }
 
@@ -112,12 +113,15 @@ func txSize(tx *types.Transaction) int64 {
 	return int64(len(tx.Encode(nil)))
 }
 
-// Admit offers tx to the pool and returns the admission verdict. Expired
-// wins over Duplicate and Overloaded so clients learn to refresh their
-// timestamp; Duplicate wins over Overloaded so re-submits of tracked work
-// never read as shed load.
+// Admit offers tx to the pool and returns the admission verdict. A
+// timestamp more than the TTL behind or ahead of now is Expired: an admitted
+// transaction stamps the commit window, and one far ahead would pin its
+// entry there until now catches up. Expired wins over Duplicate and
+// Overloaded so clients learn to refresh their timestamp; Duplicate wins
+// over Overloaded so re-submits of tracked work never read as shed load.
 func (p *Pool) Admit(tx *types.Transaction, now time.Time) Code {
-	if age := now.UnixNano() - tx.Timestamp; age > p.cfg.TTL.Nanoseconds() {
+	ttl := p.cfg.TTL.Nanoseconds()
+	if age := now.UnixNano() - tx.Timestamp; age > ttl || age < -ttl {
 		return Expired
 	}
 	d := tx.Digest()

@@ -121,6 +121,20 @@ func TestExpiry(t *testing.T) {
 	}
 }
 
+// TestFutureTimestampExpired: the TTL window is symmetric. A timestamp an
+// hour ahead would otherwise pin a commit-window entry for an hour plus the
+// TTL; it answers Expired, while one just inside the window is admitted.
+func TestFutureTimestampExpired(t *testing.T) {
+	now := time.Now()
+	p := New(Config{TTL: time.Second})
+	if c := p.Admit(mkTx(types.ClientIDBase, 1, now.Add(time.Hour)), now); c != Expired {
+		t.Fatalf("hour-ahead admit: got %d, want Expired", c)
+	}
+	if c := p.Admit(mkTx(types.ClientIDBase, 2, now.Add(500*time.Millisecond)), now); c != Admitted {
+		t.Fatalf("slightly-ahead admit: got %d, want Admitted", c)
+	}
+}
+
 func TestDrainFIFO(t *testing.T) {
 	now := time.Now()
 	p := New(Config{})

@@ -45,8 +45,9 @@ func (byz) admits(view uint64, m *types.ConsensusMsg, body *types.Block) bool {
 // votePayload is the one canonical encoding prepare and commit votes share.
 // It names the parent the vote extends: a slot re-bound after a cross-shard
 // SyncChainHead is legitimately re-voted with a different digest, and only
-// the parent distinguishes that from equivocation — both for the slasher
-// and for anyone verifying a vote offline.
+// the parent distinguishes that from equivocation — both for the test
+// suite's equivocation oracle (internal/slasher) and for anyone verifying a
+// vote offline.
 func votePayload(cluster types.ClusterID, view, seq uint64, digest, parent types.Hash) []byte {
 	m := &types.ConsensusMsg{View: view, Seq: seq, Digest: digest, Cluster: cluster,
 		PrevHashes: []types.Hash{parent}}

@@ -600,8 +600,9 @@ func (e *Engine) instanceAt(seq uint64) *instance {
 // delivered. Such a vote must not resurrect the slot's deleted instance:
 // the zombie would sit in e.instances forever — only SyncChainHead trims
 // below the head — and every Tick and HasUncommitted sweep would pay to skip
-// it. The slasher audited the envelope before dispatch, so no equivocation
-// evidence is lost.
+// it. Dropping it hides no equivocation: the test suite's oracle
+// (internal/slasher) reads envelopes at the fabric, before any engine sees
+// them.
 func (e *Engine) straggler(seq uint64) bool {
 	if seq > e.committedSeq {
 		return false

@@ -1,9 +1,10 @@
-package types
+package slasher
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
+
+	"sharper/internal/types"
 )
 
 // FraudKind classifies what the two envelopes bundled in a FraudProof prove
@@ -41,18 +42,17 @@ func (k FraudKind) String() string {
 }
 
 // SigVerifier is the slice of the crypto authenticator a fraud proof needs:
-// public-key verification only. Declared here (rather than importing
-// internal/crypto) so the wire package stays dependency-free; crypto.Keyring
-// and crypto.MACKeyring satisfy it as-is.
+// public-key verification only. crypto.Keyring and crypto.MACKeyring satisfy
+// it as-is.
 type SigVerifier interface {
-	Verify(from NodeID, payload, sig []byte) bool
+	Verify(from types.NodeID, payload, sig []byte) bool
 }
 
 // FraudProof bundles two conflicting signed envelopes from one node into a
 // self-contained, offline-verifiable accusation: any party holding the
 // cluster's public keys can check both signatures and the conflict without
 // trusting the accuser or replaying the run. The envelopes are embedded
-// whole (payload + signature) so the proof survives gossip and storage.
+// whole (payload + signature), so the proof needs nothing else.
 //
 // Third-party verifiability requires asymmetric signatures (the Ed25519
 // keyring). Under the default HMAC authenticator a proof still verifies for
@@ -60,13 +60,13 @@ type SigVerifier interface {
 // test driver — but is not evidence to an outsider, since any key holder
 // could have forged either envelope.
 type FraudProof struct {
-	Offender NodeID
-	Cluster  ClusterID
+	Offender types.NodeID
+	Cluster  types.ClusterID
 	Kind     FraudKind
 	View     uint64 // view of the conflicting pair (new-view for VC claims)
 	Seq      uint64 // slot of the conflict (chain height for VC claims)
-	First    *Envelope
-	Second   *Envelope
+	First    *types.Envelope
+	Second   *types.Envelope
 }
 
 // Key is a stable dedup identity: one proof per (offender, kind, locus).
@@ -79,65 +79,7 @@ func (p *FraudProof) String() string {
 		p.Kind, p.Offender, p.Cluster, p.View, p.Seq)
 }
 
-// maxFraudEnvelope bounds one embedded envelope; consensus envelopes are
-// small (votes) or batch-sized (proposals), so anything beyond this is a
-// hostile length prefix.
-const maxFraudEnvelope = 1 << 20
-
-// Encode appends the canonical encoding of p.
-func (p *FraudProof) Encode(dst []byte) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(p.Offender))
-	dst = binary.LittleEndian.AppendUint16(dst, uint16(p.Cluster))
-	dst = append(dst, byte(p.Kind))
-	dst = binary.LittleEndian.AppendUint64(dst, p.View)
-	dst = binary.LittleEndian.AppendUint64(dst, p.Seq)
-	for _, env := range [...]*Envelope{p.First, p.Second} {
-		enc := env.Encode(nil)
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(enc)))
-		dst = append(dst, enc...)
-	}
-	return dst
-}
-
-// DecodeFraudProof parses a FraudProof. The embedded envelopes alias b.
-func DecodeFraudProof(b []byte) (*FraudProof, error) {
-	const hdr = 4 + 2 + 1 + 8 + 8
-	if len(b) < hdr {
-		return nil, fmt.Errorf("types: short fraud proof: %d bytes", len(b))
-	}
-	p := &FraudProof{
-		Offender: NodeID(binary.LittleEndian.Uint32(b)),
-		Cluster:  ClusterID(binary.LittleEndian.Uint16(b[4:])),
-		Kind:     FraudKind(b[6]),
-		View:     binary.LittleEndian.Uint64(b[7:]),
-		Seq:      binary.LittleEndian.Uint64(b[15:]),
-	}
-	off := hdr
-	for _, slot := range [...]**Envelope{&p.First, &p.Second} {
-		if len(b) < off+4 {
-			return nil, fmt.Errorf("types: short fraud proof envelope header")
-		}
-		elen := int(binary.LittleEndian.Uint32(b[off:]))
-		off += 4
-		if elen > maxFraudEnvelope || elen > len(b)-off {
-			return nil, fmt.Errorf("types: fraud proof envelope overruns buffer")
-		}
-		env, used, err := DecodeEnvelope(b[off : off+elen])
-		if err != nil {
-			return nil, err
-		}
-		if used != elen {
-			// Trailing garbage inside the length-prefixed region would make
-			// the decoded proof re-encode differently — reject.
-			return nil, fmt.Errorf("types: fraud proof envelope length %d, consumed %d", elen, used)
-		}
-		*slot = env
-		off += elen
-	}
-	return p, nil
-}
-
-func isVote(t MsgType) bool { return t == MsgVote || t == MsgCommit }
+func isVote(t types.MsgType) bool { return t == types.MsgVote || t == types.MsgCommit }
 
 // Verify checks that the proof is self-consistent and damning: both
 // envelopes carry the offender's valid signature and together assert a
@@ -147,7 +89,7 @@ func (p *FraudProof) Verify(v SigVerifier) error {
 	if p.First == nil || p.Second == nil {
 		return fmt.Errorf("fraud proof missing envelope")
 	}
-	for i, env := range [...]*Envelope{p.First, p.Second} {
+	for i, env := range [...]*types.Envelope{p.First, p.Second} {
 		if env.From != p.Offender {
 			return fmt.Errorf("envelope %d is from node %d, not offender %d", i+1, env.From, p.Offender)
 		}
@@ -162,25 +104,25 @@ func (p *FraudProof) Verify(v SigVerifier) error {
 	switch p.Kind {
 	case FraudDoubleProposal, FraudDoubleVote:
 		if p.Kind == FraudDoubleProposal {
-			if p.First.Type != MsgPropose && p.Second.Type != MsgPropose {
+			if p.First.Type != types.MsgPropose && p.Second.Type != types.MsgPropose {
 				return fmt.Errorf("double-proposal proof without a proposal")
 			}
-			for i, env := range [...]*Envelope{p.First, p.Second} {
-				if env.Type != MsgPropose && !isVote(env.Type) {
+			for i, env := range [...]*types.Envelope{p.First, p.Second} {
+				if env.Type != types.MsgPropose && !isVote(env.Type) {
 					return fmt.Errorf("envelope %d type %s is not a proposal or vote", i+1, env.Type)
 				}
 			}
 		} else {
-			for i, env := range [...]*Envelope{p.First, p.Second} {
+			for i, env := range [...]*types.Envelope{p.First, p.Second} {
 				if !isVote(env.Type) {
 					return fmt.Errorf("envelope %d type %s is not a vote", i+1, env.Type)
 				}
 			}
 		}
-		var digests [2]Hash
-		var parents [2]Hash
-		for i, env := range [...]*Envelope{p.First, p.Second} {
-			m, err := DecodeConsensusMsg(env.Payload)
+		var digests [2]types.Hash
+		var parents [2]types.Hash
+		for i, env := range [...]*types.Envelope{p.First, p.Second} {
+			m, err := types.DecodeConsensusMsg(env.Payload)
 			if err != nil {
 				return fmt.Errorf("envelope %d: %w", i+1, err)
 			}
@@ -205,12 +147,12 @@ func (p *FraudProof) Verify(v SigVerifier) error {
 			return fmt.Errorf("envelopes agree on digest %x", digests[0][:4])
 		}
 	case FraudConflictingViewChange:
-		var heads [2]Hash
-		for i, env := range [...]*Envelope{p.First, p.Second} {
-			if env.Type != MsgViewChange {
+		var heads [2]types.Hash
+		for i, env := range [...]*types.Envelope{p.First, p.Second} {
+			if env.Type != types.MsgViewChange {
 				return fmt.Errorf("envelope %d type %s is not a view-change", i+1, env.Type)
 			}
-			vc, err := DecodeViewChange(env.Payload)
+			vc, err := types.DecodeViewChange(env.Payload)
 			if err != nil {
 				return fmt.Errorf("envelope %d: %w", i+1, err)
 			}
@@ -227,57 +169,4 @@ func (p *FraudProof) Verify(v SigVerifier) error {
 		return fmt.Errorf("unknown fraud kind %d", p.Kind)
 	}
 	return nil
-}
-
-// EvidenceDump carries one replica's accumulated fraud proofs to a
-// requesting driver, answering a QueryEvidence.
-type EvidenceDump struct {
-	Node   NodeID
-	Proofs []*FraudProof
-}
-
-// maxFraudProof bounds one encoded proof inside a dump (two envelopes plus
-// the fixed header).
-const maxFraudProof = 2*maxFraudEnvelope + 64
-
-// Encode appends the canonical encoding.
-func (d *EvidenceDump) Encode(dst []byte) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(d.Node))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(d.Proofs)))
-	for _, p := range d.Proofs {
-		enc := p.Encode(nil)
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(enc)))
-		dst = append(dst, enc...)
-	}
-	return dst
-}
-
-// DecodeEvidenceDump parses an EvidenceDump.
-func DecodeEvidenceDump(b []byte) (*EvidenceDump, error) {
-	if len(b) < 8 {
-		return nil, fmt.Errorf("types: short evidence dump")
-	}
-	d := &EvidenceDump{Node: NodeID(binary.LittleEndian.Uint32(b))}
-	n := int(binary.LittleEndian.Uint32(b[4:]))
-	off := 8
-	for i := 0; i < n; i++ {
-		if len(b) < off+4 {
-			return nil, fmt.Errorf("types: short evidence dump proof header")
-		}
-		l := int(binary.LittleEndian.Uint32(b[off:]))
-		off += 4
-		if l > maxFraudProof || l > len(b)-off {
-			return nil, fmt.Errorf("types: evidence dump proof overruns buffer")
-		}
-		p, err := DecodeFraudProof(b[off : off+l])
-		if err != nil {
-			return nil, err
-		}
-		if len(p.Encode(nil)) != l {
-			return nil, fmt.Errorf("types: evidence dump proof has trailing bytes")
-		}
-		d.Proofs = append(d.Proofs, p)
-		off += l
-	}
-	return d, nil
 }

@@ -1,8 +1,11 @@
-// Package slasher implements the equivocation-detecting auditor: it watches
-// the consensus message stream of a replica, indexes every signed claim a
+// Package slasher is the equivocation oracle of the test suite: it watches
+// the consensus messages replicas receive, indexes every signed claim a
 // node makes about a slot or its chain head, and when two claims conflict it
-// bundles the two envelopes into a types.FraudProof — a self-contained
+// bundles the two envelopes into a FraudProof — a self-contained
 // accusation verifiable offline by any party holding the public keys.
+// Nothing in the runtime imports it: a Witness tees each replica's inbox
+// through core.Config.WrapFabric, and the attack matrix asserts on what it
+// finds (DESIGN.md, "Adversary model & equivocation oracle").
 //
 // The detectors are deliberately scoped to claims an honest node can never
 // make twice with different content, so a proof is damning by construction
@@ -24,76 +27,57 @@
 //     survives restarts via the WAL, so one height has exactly one hash for
 //     an honest node — across any number of view changes.
 //
-// Non-goals (documented in DESIGN.md): cross-shard XAccept grants are NOT
-// slashed, because an honest participant legitimately re-grants the same
+// Non-goals (documented in DESIGN.md): cross-shard XAccept grants are not
+// indexed, because an honest participant legitimately re-grants the same
 // (view, digest) with a different chain head after a lock expiry or an
 // initiator withdrawal; and byte-identical rebroadcasts are always benign
-// (the rules require differing content). A slasher audits a Byzantine
-// cluster's messages only: a crash cluster's are unsigned, prove nothing,
-// and share the ordering kinds, so the node runtime builds no slasher there.
+// (the rules require differing content). Only a Byzantine cluster's
+// messages are indexed: a crash cluster's are unsigned, prove nothing,
+// and share the ordering kinds.
 package slasher
 
-import (
-	"sync"
-
-	"sharper/internal/types"
-)
+import "sharper/internal/types"
 
 // Config parameterizes a Slasher.
 type Config struct {
 	// Verifier checks envelope signatures before a claim is indexed, so a
-	// forged envelope cannot plant evidence against an honest node. May be
-	// nil when the fabric already authenticates (the slasher then trusts
-	// envelopes whose pool verdict is unknown).
-	Verifier types.SigVerifier
-	// MaxEntries bounds each claim index; oldest entries are evicted FIFO.
+	// forged envelope cannot plant evidence against an honest node.
+	Verifier SigVerifier
+	// MaxEntries bounds the claim index; oldest entries are evicted FIFO.
 	// Defaults to 16384.
 	MaxEntries int
-	// MaxProofs bounds retained fraud proofs. Defaults to 256.
-	MaxProofs int
 }
 
-// voteKey identifies one slot claim. The message class (proposal / vote /
-// commit) is intentionally absent: an honest node binds one digest
-// per slot across all three. The parent IS present: re-binding a slot under
-// a new parent after a cross-shard chain sync is honest behavior.
-type voteKey struct {
+// claimKey identifies one claim an honest node makes at most once. A slot
+// claim is keyed by (view, seq, parent); the message class (proposal / vote
+// / commit) is intentionally absent, since an honest node binds one digest
+// per slot across all three, while the parent is present, since re-binding
+// a slot under a new parent after a cross-shard chain sync is honest. A
+// chain-head claim (head set) is keyed by its height in seq.
+type claimKey struct {
 	node    types.NodeID
 	cluster types.ClusterID
+	head    bool
 	view    uint64
 	seq     uint64
 	parent  types.Hash
 }
 
-type voteRec struct {
-	digest types.Hash
-	env    *types.Envelope
-}
-
-// claimKey identifies one chain-head claim from view-change messages.
-type claimKey struct {
-	node    types.NodeID
-	cluster types.ClusterID
-	height  uint64
-}
-
+// claimRec is the first claim seen under a key: the digest bound to the
+// slot, or the claimed chain head, and the envelope that carried it.
 type claimRec struct {
-	head types.Hash
-	env  *types.Envelope
+	value types.Hash
+	env   *types.Envelope
 }
 
-// Slasher is one replica's evidence index. Observe is called from the node's
-// event loop; Proofs/Offenders may be read concurrently by audit tooling.
+// Slasher is one receiver's claim index. It is not safe for concurrent use;
+// a Witness serialises access to the ones it holds.
 type Slasher struct {
-	mu         sync.Mutex
-	cfg        Config
-	votes      map[voteKey]voteRec
-	voteOrder  []voteKey
-	claims     map[claimKey]claimRec
-	claimOrder []claimKey
-	proofs     []*types.FraudProof
-	proofIdx   map[string]bool
-	evicted    uint64
+	cfg      Config
+	claims   map[claimKey]claimRec
+	order    []claimKey
+	proofs   []*FraudProof
+	proofIdx map[string]bool
 }
 
 // New creates a Slasher.
@@ -101,12 +85,8 @@ func New(cfg Config) *Slasher {
 	if cfg.MaxEntries <= 0 {
 		cfg.MaxEntries = 1 << 14
 	}
-	if cfg.MaxProofs <= 0 {
-		cfg.MaxProofs = 256
-	}
 	return &Slasher{
 		cfg:      cfg,
-		votes:    make(map[voteKey]voteRec),
 		claims:   make(map[claimKey]claimRec),
 		proofIdx: make(map[string]bool),
 	}
@@ -119,150 +99,81 @@ func (s *Slasher) authentic(env *types.Envelope) bool {
 	if ok, known := env.Auth(); known {
 		return ok
 	}
-	if s.cfg.Verifier != nil {
-		return s.cfg.Verifier.Verify(env.From, env.Payload, env.Sig)
-	}
-	return true
+	return s.cfg.Verifier.Verify(env.From, env.Payload, env.Sig)
 }
 
 // Observe feeds one inbound envelope through the detectors and returns any
 // freshly minted fraud proofs (at most one today; a slice for future
-// detectors). Re-observing the same envelope — the node runtime re-dispatches
-// deferred messages — is harmless: identical claims never conflict, and
-// proofs deduplicate on their locus.
-func (s *Slasher) Observe(env *types.Envelope) []*types.FraudProof {
+// detectors). Re-observing the same envelope — a duplicating fabric delivers
+// it twice — is harmless: identical claims never conflict, and proofs
+// deduplicate on their locus.
+func (s *Slasher) Observe(env *types.Envelope) []*FraudProof {
 	switch env.Type {
 	case types.MsgPropose, types.MsgVote, types.MsgCommit:
 		m, err := types.DecodeConsensusMsg(env.Payload)
-		if err != nil {
+		if err != nil || len(m.PrevHashes) == 0 || !s.authentic(env) {
+			// A slot claim that names no parent is not self-contained
+			// evidence: it cannot be told apart from an honest re-vote after
+			// a chain re-bind, so it is never indexed (current engines
+			// always name one).
 			return nil
 		}
-		if !s.authentic(env) {
+		key := claimKey{node: env.From, cluster: m.Cluster, view: m.View, seq: m.Seq, parent: m.PrevHashes[0]}
+		prev := s.index(key, m.Digest, env)
+		if prev == nil {
 			return nil
 		}
-		return s.observeSlot(env, m)
+		kind := FraudDoubleVote
+		if prev.Type == types.MsgPropose || env.Type == types.MsgPropose {
+			kind = FraudDoubleProposal
+		}
+		return s.emit(&FraudProof{Offender: env.From, Cluster: m.Cluster, Kind: kind,
+			View: m.View, Seq: m.Seq, First: prev, Second: env})
 	case types.MsgViewChange:
 		vc, err := types.DecodeViewChange(env.Payload)
-		if err != nil {
+		if err != nil || !s.authentic(env) {
 			return nil
 		}
-		if !s.authentic(env) {
+		prev := s.index(claimKey{node: env.From, cluster: vc.Cluster, head: true, seq: vc.LastSeq}, vc.LastHash, env)
+		if prev == nil {
 			return nil
 		}
-		return s.observeClaim(env, vc)
+		return s.emit(&FraudProof{Offender: env.From, Cluster: vc.Cluster, Kind: FraudConflictingViewChange,
+			View: vc.NewView, Seq: vc.LastSeq, First: prev, Second: env})
 	default:
 		return nil
 	}
 }
 
-func (s *Slasher) observeSlot(env *types.Envelope, m *types.ConsensusMsg) []*types.FraudProof {
-	if len(m.PrevHashes) == 0 {
-		// A slot claim that names no parent is not self-contained evidence:
-		// it cannot be told apart from an honest re-vote after a chain
-		// re-bind, so it is never indexed (current engines always name one).
-		return nil
-	}
-	key := voteKey{node: env.From, cluster: m.Cluster, view: m.View, seq: m.Seq,
-		parent: m.PrevHashes[0]}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	prev, ok := s.votes[key]
-	if !ok {
-		if len(s.votes) >= s.cfg.MaxEntries {
-			oldest := s.voteOrder[0]
-			s.voteOrder = s.voteOrder[1:]
-			delete(s.votes, oldest)
-			s.evicted++
-		}
-		s.votes[key] = voteRec{digest: m.Digest, env: env}
-		s.voteOrder = append(s.voteOrder, key)
-		return nil
-	}
-	if prev.digest == m.Digest {
-		return nil // consistent claim (or byte-identical replay): benign
-	}
-	kind := types.FraudDoubleVote
-	if prev.env.Type == types.MsgPropose || env.Type == types.MsgPropose {
-		kind = types.FraudDoubleProposal
-	}
-	p := &types.FraudProof{
-		Offender: env.From, Cluster: m.Cluster, Kind: kind,
-		View: m.View, Seq: m.Seq,
-		First: prev.env, Second: env,
-	}
-	return s.emitLocked(p)
-}
-
-func (s *Slasher) observeClaim(env *types.Envelope, vc *types.ViewChange) []*types.FraudProof {
-	key := claimKey{node: env.From, cluster: vc.Cluster, height: vc.LastSeq}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// index records a claim and returns the envelope of an earlier claim under
+// the same key that binds a different value, or nil. The same value again —
+// a consistent claim or a byte-identical replay — is benign.
+func (s *Slasher) index(key claimKey, value types.Hash, env *types.Envelope) *types.Envelope {
 	prev, ok := s.claims[key]
 	if !ok {
 		if len(s.claims) >= s.cfg.MaxEntries {
-			oldest := s.claimOrder[0]
-			s.claimOrder = s.claimOrder[1:]
-			delete(s.claims, oldest)
-			s.evicted++
+			delete(s.claims, s.order[0])
+			s.order = s.order[1:]
 		}
-		s.claims[key] = claimRec{head: vc.LastHash, env: env}
-		s.claimOrder = append(s.claimOrder, key)
+		s.claims[key] = claimRec{value: value, env: env}
+		s.order = append(s.order, key)
 		return nil
 	}
-	if prev.head == vc.LastHash {
+	if prev.value == value {
 		return nil
 	}
-	p := &types.FraudProof{
-		Offender: env.From, Cluster: vc.Cluster, Kind: types.FraudConflictingViewChange,
-		View: vc.NewView, Seq: vc.LastSeq,
-		First: prev.env, Second: env,
-	}
-	return s.emitLocked(p)
+	return prev.env
 }
 
-// emitLocked records a locally detected proof, deduplicating on its locus.
-func (s *Slasher) emitLocked(p *types.FraudProof) []*types.FraudProof {
-	if s.proofIdx[p.Key()] || len(s.proofs) >= s.cfg.MaxProofs {
+// emit records a detected proof, deduplicating on its locus.
+func (s *Slasher) emit(p *FraudProof) []*FraudProof {
+	if s.proofIdx[p.Key()] {
 		return nil
 	}
 	s.proofIdx[p.Key()] = true
 	s.proofs = append(s.proofs, p)
-	return []*types.FraudProof{p}
+	return []*FraudProof{p}
 }
 
-// AddProof ingests a proof received from a peer (gossip) or reloaded from
-// storage. It is verified before acceptance — a Byzantine peer must not be
-// able to plant false evidence. Returns true when the proof is new.
-func (s *Slasher) AddProof(p *types.FraudProof) bool {
-	if err := p.Verify(s.cfg.Verifier); err != nil {
-		return false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.proofIdx[p.Key()] || len(s.proofs) >= s.cfg.MaxProofs {
-		return false
-	}
-	s.proofIdx[p.Key()] = true
-	s.proofs = append(s.proofs, p)
-	return true
-}
-
-// Proofs returns a snapshot of all retained fraud proofs.
-func (s *Slasher) Proofs() []*types.FraudProof {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]*types.FraudProof, len(s.proofs))
-	copy(out, s.proofs)
-	return out
-}
-
-// Offenders aggregates retained proofs per accused node.
-func (s *Slasher) Offenders() map[types.NodeID]int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[types.NodeID]int)
-	for _, p := range s.proofs {
-		out[p.Offender]++
-	}
-	return out
-}
+// Proofs returns the retained fraud proofs.
+func (s *Slasher) Proofs() []*FraudProof { return s.proofs }

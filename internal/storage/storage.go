@@ -174,12 +174,9 @@ type Store struct {
 	wal      *os.File
 	walBase  uint64
 	walDirty bool
-	// evid is the fraud-proof evidence log (evidence.log), opened lazily on
-	// the first AppendEvidence; see evidence.go.
-	evid    *os.File
-	ckptSeq uint64
-	closed  bool
-	buf     []byte // framed-record scratch, reused under mu (see frameRecord)
+	ckptSeq  uint64
+	closed   bool
+	buf      []byte // framed-record scratch, reused under mu (see frameRecord)
 
 	// flushStop terminates the SyncGroup background flusher.
 	flushStop chan struct{}
@@ -668,12 +665,6 @@ func (s *Store) Close() error {
 			err = werr
 		}
 		s.wal = nil
-	}
-	if s.evid != nil {
-		if eerr := s.evid.Close(); err == nil {
-			err = eerr
-		}
-		s.evid = nil
 	}
 	return err
 }

@@ -368,60 +368,6 @@ func TestParseSyncPolicy(t *testing.T) {
 	}
 }
 
-// TestEvidenceAppendAndReload: fraud proofs appended to the evidence log
-// survive a close/reopen cycle intact and in order, and a corrupted tail
-// truncates the scan rather than failing it — evidence recovered so far must
-// stay usable.
-func TestEvidenceAppendAndReload(t *testing.T) {
-	dir := t.TempDir()
-	st, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := [][]byte{[]byte("proof-one"), []byte("proof-two"), []byte("proof-three")}
-	for _, p := range want {
-		if err := st.AppendEvidence(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	check := func(st *Store) {
-		t.Helper()
-		got, err := st.Evidence()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("got %d evidence records, want %d", len(got), len(want))
-		}
-		for i := range want {
-			if string(got[i]) != string(want[i]) {
-				t.Fatalf("record %d = %q, want %q", i, got[i], want[i])
-			}
-		}
-	}
-	check(st)
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Simulate a torn final write.
-	f, err := os.OpenFile(filepath.Join(dir, evidenceFile), os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write([]byte{0xde, 0xad, 0xbe}); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	st2, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st2.Close()
-	check(st2)
-}
-
 // TestAppendCommitBatchRoundTrip writes one group-commit batch (several
 // commit records framed and fsynced as a single append) and recovers it:
 // batched framing must be byte-compatible with the one-record path.

@@ -715,9 +715,9 @@ func (n *Net) runPeer(p *peer) {
 
 // drainConn drains ch into wc — coalescing, shaping when sh is non-nil, and
 // probing each keepalive interval when one is set — until the connection
-// fails or the fabric closes. It returns the frames drained but not yet
-// written (runPeer retries them after reconnect; writeLoop drops them with
-// accounting), how many there are, and whether the fabric is still open.
+// fails or closes, or the fabric closes. It returns the frames drained but
+// not yet written (runPeer retries them after reconnect; writeLoop drops them
+// with accounting), how many there are, and whether the fabric is still open.
 func (n *Net) drainConn(ch <-chan outFrame, wc *wireConn, carry []byte, sh *linkShaper, sess *crypto.FrameSession, keepalive time.Duration) ([]byte, int, bool) {
 	var kaC <-chan time.Time
 	if keepalive > 0 {
@@ -745,6 +745,8 @@ func (n *Net) drainConn(ch <-chan outFrame, wc *wireConn, carry []byte, sh *link
 		select {
 		case <-n.done:
 			return carry, 0, false
+		case <-wc.done:
+			return carry, 0, true
 		case f := <-ch:
 			if sh == nil {
 				var count int
@@ -815,6 +817,7 @@ func (n *Net) adoptConn(c net.Conn, inbound bool) *wireConn {
 		inbound:      inbound,
 		seq:          n.connSeq.Add(1),
 		writeTimeout: n.cfg.WriteTimeout,
+		done:         make(chan struct{}),
 	}
 	n.mu.Lock()
 	if n.closed {
@@ -976,6 +979,9 @@ type wireConn struct {
 	inbound      bool          // accepted (true) vs dialed; only accepted conns idle out
 	seq          int64         // fabric-unique, salts this connection's loss generator
 	writeTimeout time.Duration
+	// done is closed with the socket, so a writer blocked on an empty queue
+	// exits with its connection rather than with the fabric.
+	done chan struct{}
 
 	wmu       sync.Mutex
 	closeOnce sync.Once
@@ -1010,7 +1016,10 @@ func (wc *wireConn) enqueue(f outFrame, stats *transport.Stats) {
 }
 
 func (wc *wireConn) close() {
-	wc.closeOnce.Do(func() { wc.c.Close() })
+	wc.closeOnce.Do(func() {
+		close(wc.done)
+		wc.c.Close()
+	})
 }
 
 // Loopback builds one listening fabric per replica on 127.0.0.1 plus a

@@ -3,6 +3,7 @@ package tcpnet
 import (
 	"encoding/binary"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -300,5 +301,47 @@ func TestCloseDropsSends(t *testing.T) {
 	a.Send(1, &types.Envelope{Type: types.MsgRequest, From: 0})
 	if got := a.Stats().Dropped.Load(); got != before+1 {
 		t.Fatalf("send after close: dropped %d → %d", before, got)
+	}
+}
+
+// TestTCPClientChurnLeavesNoWriter: a client connection that sent a hello
+// gets a return-route writer; when the client goes away, the writer must go
+// with the connection. Fifty connect/hello/reply/close cycles leave the
+// replica's goroutine count where it started.
+func TestTCPClientChurnLeavesNoWriter(t *testing.T) {
+	fabs, spare, err := Loopback([]types.NodeID{0}, testSecret, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spare.Close()
+	replica := fabs[0]
+	t.Cleanup(replica.Close)
+	replicaInbox := replica.Register(0)
+	baseline := runtime.NumGoroutine()
+
+	for i := 0; i < 50; i++ {
+		client, err := New(Config{Peers: map[types.NodeID]string{0: replica.Addr()}, Secret: testSecret})
+		if err != nil {
+			t.Fatal(err)
+		}
+		clientID := types.ClientIDBase + types.NodeID(i)
+		clientInbox := client.Register(clientID)
+		client.Send(0, &types.Envelope{Type: types.MsgRequest, From: clientID})
+		waitEnvelope(t, replicaInbox, 5*time.Second)
+		replica.Send(clientID, &types.Envelope{Type: types.MsgReply, From: 0})
+		waitEnvelope(t, clientInbox, 5*time.Second)
+		client.Close()
+	}
+
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			replica.mu.RLock()
+			conns := len(replica.conns)
+			replica.mu.RUnlock()
+			t.Fatalf("%d goroutines after 50 client cycles, baseline %d (%d connections tracked)",
+				runtime.NumGoroutine(), baseline, conns)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

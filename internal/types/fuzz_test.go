@@ -181,11 +181,11 @@ func FuzzDecodeStateDigest(f *testing.F) {
 func FuzzDecodeQueryResponse(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0})
-	f.Add([]byte{byte(QueryEvidence) + 1})
+	f.Add([]byte{byte(QueryTrace) + 1})
 	f.Add((&MetricsDump{Node: 2, Metrics: []MetricVal{{Name: "committed_txs", Values: []uint64{4}}}}).Encode([]byte{byte(QueryMetrics)}))
 	f.Add((&StateDigest{Node: 3, Height: 7}).Encode([]byte{byte(QueryState)}))
 	f.Add((&TraceDump{Node: 1, Lines: []string{"propose v=0 seq=1"}}).Encode([]byte{byte(QueryTrace)}))
-	f.Add((&EvidenceDump{Node: 4, Proofs: []*FraudProof{fuzzFraudProof()}}).Encode([]byte{byte(QueryEvidence)}))
+	f.Add((&MetricsDump{Node: 4, Metrics: []MetricVal{{Name: "stage_intra_prepared_us", Kind: 2, Values: []uint64{3, 900, 0, 1, 2}}}}).Encode([]byte{byte(QueryMetrics)}))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		kind, body, err := DecodeQueryResponse(b)
 		if err != nil {
@@ -206,62 +206,11 @@ func FuzzDecodeQueryResponse(f *testing.F) {
 			if d, err := DecodeTraceDump(body); err == nil {
 				enc = d.Encode(prefix)
 			}
-		case QueryEvidence:
-			if d, err := DecodeEvidenceDump(body); err == nil {
-				enc = d.Encode(prefix)
-			}
 		default:
 			t.Fatalf("decoded unknown query kind %d", kind)
 		}
 		if enc != nil && !bytes.Equal(enc, b[:len(enc)]) {
 			t.Fatalf("%d: re-encode mismatch for %x", kind, b[:len(enc)])
-		}
-	})
-}
-
-func fuzzFraudProof() *FraudProof {
-	mk := func(d string) *Envelope {
-		m := &ConsensusMsg{View: 2, Seq: 5, Digest: HashBytes([]byte(d)), Cluster: 1}
-		return &Envelope{Type: MsgPropose, From: 9, Payload: m.Encode(nil), Sig: []byte{1, 2, 3, 4}}
-	}
-	return &FraudProof{
-		Offender: 9, Cluster: 1, Kind: FraudDoubleProposal, View: 2, Seq: 5,
-		First: mk("a"), Second: mk("b"),
-	}
-}
-
-func FuzzDecodeFraudProof(f *testing.F) {
-	f.Add([]byte{})
-	f.Add(fuzzFraudProof().Encode(nil))
-	vc := &FraudProof{Offender: 3, Cluster: 0, Kind: FraudConflictingViewChange, View: 1, Seq: 7,
-		First:  &Envelope{Type: MsgViewChange, From: 3, Payload: (&ViewChange{NewView: 1, LastSeq: 7, LastHash: HashBytes([]byte("x"))}).Encode(nil)},
-		Second: &Envelope{Type: MsgViewChange, From: 3, Payload: (&ViewChange{NewView: 1, LastSeq: 7, LastHash: HashBytes([]byte("y"))}).Encode(nil)},
-	}
-	f.Add(vc.Encode(nil))
-	f.Fuzz(func(t *testing.T, b []byte) {
-		p, err := DecodeFraudProof(b)
-		if err != nil {
-			return
-		}
-		enc := p.Encode(nil)
-		if !bytes.Equal(enc, b[:len(enc)]) {
-			t.Fatalf("re-encode mismatch")
-		}
-	})
-}
-
-func FuzzDecodeEvidenceDump(f *testing.F) {
-	f.Add([]byte{})
-	f.Add((&EvidenceDump{Node: 4}).Encode(nil))
-	f.Add((&EvidenceDump{Node: 4, Proofs: []*FraudProof{fuzzFraudProof()}}).Encode(nil))
-	f.Fuzz(func(t *testing.T, b []byte) {
-		d, err := DecodeEvidenceDump(b)
-		if err != nil {
-			return
-		}
-		enc := d.Encode(nil)
-		if !bytes.Equal(enc, b[:len(enc)]) {
-			t.Fatalf("re-encode mismatch")
 		}
 	})
 }

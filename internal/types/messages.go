@@ -49,9 +49,6 @@ const (
 	// Active/passive replication baseline.
 	MsgAPRStateUpdate // active replica → passive replicas
 
-	// Slashing: a FraudProof gossiped between replicas on detection.
-	MsgFraudProof
-
 	// Operator queries: a driver asks a replica for one dump (QueryKind)
 	// and the replica answers with the kind byte followed by the dump.
 	MsgQuery
@@ -73,7 +70,6 @@ var msgNames = map[MsgType]string{
 	MsgAHLPrepare: "ahl-prepare", MsgAHLVote: "ahl-vote", MsgAHLDecision: "ahl-decision",
 	MsgAHLAck: "ahl-ack", MsgAHLRCInternal: "ahl-rc",
 	MsgAPRStateUpdate: "apr-update",
-	MsgFraudProof:     "fraud-proof",
 	MsgQuery:          "query", MsgQueryResponse: "query-resp",
 	MsgSubmit: "submit", MsgSubmitReply: "submit-reply",
 }
@@ -490,10 +486,9 @@ type QueryKind uint8
 
 // Operator query kinds.
 const (
-	QueryMetrics  QueryKind = iota + 1 // MetricsDump: the full obs registry
-	QueryState                         // StateDigest: the store fingerprint
-	QueryTrace                         // TraceDump: the protocol-event rings
-	QueryEvidence                      // EvidenceDump: the slasher's proofs
+	QueryMetrics QueryKind = iota + 1 // MetricsDump: the full obs registry
+	QueryState                        // StateDigest: the store fingerprint
+	QueryTrace                        // TraceDump: the protocol-event rings
 )
 
 // DecodeQueryResponse splits a MsgQueryResponse payload into its kind and
@@ -503,7 +498,7 @@ func DecodeQueryResponse(b []byte) (QueryKind, []byte, error) {
 		return 0, nil, fmt.Errorf("types: empty query response")
 	}
 	k := QueryKind(b[0])
-	if k < QueryMetrics || k > QueryEvidence {
+	if k < QueryMetrics || k > QueryTrace {
 		return 0, nil, fmt.Errorf("types: unknown query kind %d", k)
 	}
 	return k, b[1:], nil

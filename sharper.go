@@ -185,17 +185,9 @@ type Options struct {
 	// checkpoints (default 256).
 	CheckpointInterval int
 	// Ed25519 switches Byzantine deployments from the default HMAC
-	// authenticators to real ed25519 signatures. Slower, but fraud proofs
-	// minted under it are verifiable by third parties holding only public
-	// keys.
+	// authenticators to real ed25519 signatures. Slower, but a signed
+	// message can then be checked by a party holding only public keys.
 	Ed25519 bool
-	// Slash arms the equivocation-detecting auditor on every replica:
-	// conflicting signed claims (double proposals, double votes, conflicting
-	// view-change histories) are turned into fraud proofs, gossiped
-	// cluster-wide, persisted to the evidence log when DataDir is set, and
-	// exposed through FraudProofs. See DESIGN.md, "Adversary model &
-	// slashing".
-	Slash bool
 }
 
 // Network is a running SharPer deployment.
@@ -243,7 +235,6 @@ func New(opts Options) (*Network, error) {
 		Sync:                opts.Sync,
 		CheckpointInterval:  opts.CheckpointInterval,
 		Ed25519:             opts.Ed25519,
-		Slash:               opts.Slash,
 	}
 	if opts.Multiregion {
 		cfg.Shaping = transport.Multiregion()
@@ -294,11 +285,6 @@ func (n *Network) DAG() *ledger.DAG { return n.d.DAG() }
 // whose sched_* gauges each replica's event loop refreshes before it
 // answers).
 func (n *Network) SchedStats() types.SchedStats { return n.d.SchedStats() }
-
-// FraudProofs returns every distinct fraud proof the deployment's slashers
-// hold (empty unless Options.Slash; gossip deduplicated). Call it on a
-// quiesced (or closed) network, like SchedStats.
-func (n *Network) FraudProofs() []*types.FraudProof { return n.d.FraudProofs() }
 
 // Verify checks ledger consistency across all clusters: per-view hash
 // chains, cross-shard agreement, and pairwise commit order. Call it on a
