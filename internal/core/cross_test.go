@@ -7,6 +7,7 @@ import (
 	"sharper/internal/consensus"
 	"sharper/internal/crypto"
 	"sharper/internal/ledger"
+	"sharper/internal/mempool"
 	"sharper/internal/types"
 )
 
@@ -1014,8 +1015,8 @@ func TestLaunchDropsCommittedRequests(t *testing.T) {
 		t.Fatalf("%d cross-shard blocks on the initiator's chain, want 1", len(blocks))
 	}
 	fresh := xtx(99, 0, 1)
-	got := n.dropCommitted([]*types.Transaction{blocks[0].Txs[0], fresh})
-	if len(got) != 1 || got[0] != fresh {
+	got := n.dropCommitted([]*mempool.Record{{Tx: blocks[0].Txs[0]}, {Tx: fresh}})
+	if len(got) != 1 || got[0].Tx != fresh {
 		t.Fatalf("launching batch kept %d of [committed, fresh], want only the fresh one", len(got))
 	}
 }

@@ -400,18 +400,16 @@ func (e *executor) applyWaves(jobs []applyJob) {
 }
 
 // sendReplies settles a block's transactions with the gateway after the
-// group's durable append: every replica that admitted a transaction owes its
-// submitter a verdict from its own commit observation.
+// group's durable append, in one pool call: every replica that admitted a
+// transaction owes its submitter a verdict from its own commit observation.
 func (e *executor) sendReplies(outs []replyOut) {
-	n := e.n
-	var ts time.Time
-	if n.tracer != nil {
-		ts = time.Now() // one clock read per block; stamps are block-grained anyway
-	}
-	for _, o := range outs {
-		if !o.resend && n.tracer != nil {
-			n.tracer.Finish(o.tx.ID, ts)
+	if tr := e.n.tracer; tr != nil {
+		ts := time.Now() // one clock read per block; stamps are block-grained anyway
+		for _, o := range outs {
+			if !o.resend {
+				tr.Finish(o.tx.ID, ts)
+			}
 		}
-		n.gw.observeCommit(o.tx, o.committed)
 	}
+	e.n.gw.settle(outs)
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sync"
 	"time"
 
 	"sharper/internal/mempool"
@@ -24,47 +23,24 @@ import (
 // commit is observed or the TTL sweep gives up, so a stalled primary backs
 // pressure up to every admitting gateway, which then sheds with Overloaded.
 //
-// Liveness rule: a gateway that handed a transaction toward ordering watches
-// it (watchHandovers). One that stays uncommitted past IntraTimeout, while no
-// block the primary initiated has arrived for as long, makes the gateway
-// suspect the primary it was handed to; one that was handed to the primary of
-// an earlier view and is still uncommitted half an IntraTimeout into the
-// current view goes back to the pool, and the pump offers it to the current
-// primary. A transaction a live gateway admitted therefore commits after a
-// primary crash without a client retransmission.
+// Liveness rule: a gateway watches what it handed toward ordering (the
+// pool's hand-over watch, watchHandovers). A record that stays uncommitted
+// past IntraTimeout, while no block the primary initiated has arrived for as
+// long, makes the gateway suspect the primary it was handed to; one that was
+// handed to the primary of an earlier view and is still uncommitted half an
+// IntraTimeout into the current view goes back to the pool, and the pump
+// offers it to the current primary. A transaction a live gateway admitted
+// therefore commits after a primary crash without a client retransmission.
 type gateway struct {
 	n       *Node
 	pool    *mempool.Pool
 	metrics *obs.MempoolMetrics
 
-	// handed lists, oldest first, the batches drained toward ordering whose
-	// commits watchHandovers has not checked yet. view is the intra-shard
-	// view the pump last saw and viewSince when it first saw it. Loop-owned.
-	handed    []handover
+	// view is the intra-shard view the pump last saw and viewSince when it
+	// first saw it. codes is onSubmit's scratch. Loop-owned.
 	view      uint64
 	viewSince time.Time
-
-	// origins maps an admitted transaction to the client endpoint owed a
-	// SubmitReply, stamped for expiry. Written on the loop (onSubmit),
-	// consumed on the executor goroutine (observeCommit).
-	mu      sync.Mutex
-	origins map[types.TxID]gatewayOrigin
-}
-
-// handover is one batch drained from the pool at one instant: into this
-// node's accumulators on the primary, onto a propagation message elsewhere.
-type handover struct {
-	at  time.Time
-	txs []*types.Transaction
-	// shared: the watch already ran out once on these in this view (and, in
-	// a Byzantine cluster, the peers were given them).
-	shared bool
-}
-
-// gatewayOrigin is one client endpoint awaiting a commit verdict.
-type gatewayOrigin struct {
-	to types.NodeID
-	at time.Time
+	codes     []mempool.Code
 }
 
 func newGateway(n *Node, cfg mempool.Config) *gateway {
@@ -72,7 +48,6 @@ func newGateway(n *Node, cfg mempool.Config) *gateway {
 		n:       n,
 		pool:    mempool.New(cfg),
 		metrics: obs.NewMempoolMetrics(n.reg),
-		origins: make(map[types.TxID]gatewayOrigin),
 	}
 }
 
@@ -86,7 +61,14 @@ func (g *gateway) onSubmit(env *types.Envelope, now time.Time) {
 		return
 	}
 	n := g.n
-	direct := s.Via == 0
+	// The client owed verdicts, 0 for a propagation batch. Replica 0's own
+	// batches carry Via 0 as well; no client has ID 0.
+	var from types.NodeID
+	if s.Via == 0 {
+		from = env.From
+	}
+	direct := from != 0
+	admit := s.Txs[:0] // filtered in place: the decoded batch is this call's own
 	for _, tx := range s.Txs {
 		if len(tx.Involved) == 0 {
 			continue
@@ -110,73 +92,46 @@ func (g *gateway) onSubmit(env *types.Envelope, now time.Time) {
 		// is the only check that does.
 		if direct {
 			if committed, ok := n.window.Get(tx.ID); ok {
-				code := types.SubmitCommitted
-				if !committed {
-					code = types.SubmitRejected
-				}
-				g.sendReply(env.From, tx.ID, code)
+				g.sendReply(env.From, tx.ID, verdictCode(committed))
 				continue
 			}
 		} else if n.window.Contains(tx.ID) {
-			if g.metrics != nil {
-				g.metrics.Deduped.Inc()
-			}
+			g.metrics.Deduped.Inc()
 			continue
 		}
-		switch g.pool.Admit(tx, now) {
+		admit = append(admit, tx)
+	}
+	// A direct submitter is owed the commit verdict of what it submitted,
+	// duplicates included.
+	g.codes = g.pool.AdmitAll(admit, from, now, g.codes[:0])
+	for i, tx := range admit {
+		var reply types.SubmitCode
+		switch g.codes[i] {
 		case mempool.Admitted:
-			if g.metrics != nil {
-				g.metrics.Admitted.Inc()
-				lat := (now.UnixNano() - tx.Timestamp) / 1000
-				if lat < 0 {
-					lat = 0
-				}
-				g.metrics.IngestMicros.Observe(uint64(lat))
-			}
-			if direct {
-				g.recordOrigin(tx.ID, env.From, now)
-			}
+			g.metrics.Admitted.Inc()
+			g.metrics.IngestMicros.Observe(uint64(max(now.UnixNano()-tx.Timestamp, 0) / 1000))
+			continue
 		case mempool.Duplicate:
-			if g.metrics != nil {
-				g.metrics.Deduped.Inc()
-			}
-			if direct {
-				// The duplicate submitter is owed the commit verdict too.
-				g.recordOrigin(tx.ID, env.From, now)
-			}
+			g.metrics.Deduped.Inc()
+			continue
 		case mempool.Overloaded:
-			if g.metrics != nil {
-				g.metrics.Shed.Inc()
-			}
-			if direct {
-				g.sendReply(env.From, tx.ID, types.SubmitOverloaded)
-			}
+			g.metrics.Shed.Inc()
+			reply = types.SubmitOverloaded
 		case mempool.Expired:
-			if g.metrics != nil {
-				g.metrics.Expired.Inc()
-			}
-			if direct {
-				g.sendReply(env.From, tx.ID, types.SubmitExpired)
-			}
+			g.metrics.Expired.Inc()
+			reply = types.SubmitExpired
+		}
+		if direct {
+			g.sendReply(env.From, tx.ID, reply)
 		}
 	}
 }
 
-func (g *gateway) recordOrigin(id types.TxID, to types.NodeID, now time.Time) {
-	g.mu.Lock()
-	g.origins[id] = gatewayOrigin{to: to, at: now}
-	g.mu.Unlock()
-}
-
-// takeOrigin removes and returns the endpoint owed a reply for id.
-func (g *gateway) takeOrigin(id types.TxID) (types.NodeID, bool) {
-	g.mu.Lock()
-	o, ok := g.origins[id]
-	if ok {
-		delete(g.origins, id)
+func verdictCode(committed bool) types.SubmitCode {
+	if committed {
+		return types.SubmitCommitted
 	}
-	g.mu.Unlock()
-	return o.to, ok
+	return types.SubmitRejected
 }
 
 func (g *gateway) sendReply(to types.NodeID, id types.TxID, code types.SubmitCode) {
@@ -187,135 +142,99 @@ func (g *gateway) sendReply(to types.NodeID, id types.TxID, code types.SubmitCod
 	})
 }
 
-// observeCommit settles one executed transaction: its mempool capacity is
-// released and any client owed a verdict gets it. Called from the commit
-// pipeline's reply stage (after the durable group append) on the executor
-// goroutine, and on the loop for a drained transaction that turns out to be
-// executed already.
-func (g *gateway) observeCommit(tx *types.Transaction, committed bool) {
-	g.pool.MarkCommitted(tx.Digest(), time.Now())
-	origin, ok := g.takeOrigin(tx.ID)
-	if !ok {
-		return
+// settle ends the records of executed transactions, with one pool lock, and
+// answers the clients owed their verdicts. Called from the commit pipeline's
+// reply stage (after the durable group append) on the executor goroutine,
+// once per block, and on the loop for drained transactions that turn out to
+// be executed already.
+func (g *gateway) settle(outs []replyOut) {
+	ids := make([]types.TxID, 0, 64)
+	for _, o := range outs {
+		ids = append(ids, o.tx.ID)
 	}
-	code := types.SubmitCommitted
-	if !committed {
-		code = types.SubmitRejected
+	// The owed endpoints come back in the order of outs.
+	owed := g.pool.Settle(ids, make([]mempool.Owed, 0, 8))
+	for _, o := range outs {
+		if len(owed) > 0 && owed[0].ID == o.tx.ID {
+			g.sendReply(owed[0].To, o.tx.ID, verdictCode(o.committed))
+			owed = owed[1:]
+		}
 	}
-	g.sendReply(origin, tx.ID, code)
 }
 
-// sweep expires pool state by age: pending transactions past the TTL are
-// answered with Expired; origins whose transaction silently disappeared
-// (e.g. shed at the primary after propagation) are dropped so the map cannot
-// grow without bound — the client's retransmission re-drives the submit.
-// Runs on the event loop tick.
+// sweep drops pool records past the TTL: the clients of pending ones are
+// answered with Expired, drained ones go silently. Runs on the event loop
+// tick.
 func (g *gateway) sweep(now time.Time) {
-	expired := g.pool.Sweep(now)
-	if len(expired) > 0 && g.metrics != nil {
-		g.metrics.Expired.Add(uint64(len(expired)))
-	}
-	for _, tx := range expired {
-		if origin, ok := g.takeOrigin(tx.ID); ok {
-			g.sendReply(origin, tx.ID, types.SubmitExpired)
+	expired := g.pool.Sweep(now, nil)
+	g.metrics.Expired.Add(uint64(len(expired)))
+	for _, e := range expired {
+		if e.To != 0 {
+			g.sendReply(e.To, e.ID, types.SubmitExpired)
 		}
 	}
-	cutoff := now.Add(-2 * g.pool.Config().TTL)
-	g.mu.Lock()
-	for id, o := range g.origins {
-		if o.at.Before(cutoff) {
-			delete(g.origins, id)
-		}
-	}
-	g.mu.Unlock()
 }
 
 // refreshGauges publishes the pool's occupancy; called with the node's other
 // gauge refreshes on the event loop.
 func (g *gateway) refreshGauges() {
-	if g.metrics == nil {
-		return
-	}
 	g.metrics.PendingBytes.Set(uint64(g.pool.PendingBytes()))
 	g.metrics.PendingCount.Set(uint64(g.pool.PendingCount()))
 }
 
-// noteHandover starts the watch on a batch just drained from the pool.
-// Batches drained within one tick share an entry: the watch runs on the tick.
-func (g *gateway) noteHandover(txs []*types.Transaction, now time.Time) {
-	if k := len(g.handed) - 1; k >= 0 && !g.handed[k].shared &&
-		now.Sub(g.handed[k].at) < g.n.cfg.TickInterval {
-		g.handed[k].txs = append(g.handed[k].txs, txs...)
-		return
-	}
-	g.handed = append(g.handed, handover{at: now, txs: txs})
-}
-
-// watchHandovers applies the liveness rule to every batch whose time has run
-// out. A batch handed over in the current view gets IntraTimeout from the
-// hand-over. One handed over in an earlier view gets half of that from the
-// start of the current view: offered again at once, the transactions the view
-// change itself carries over (whatever the deposed primary had proposed) would
-// be ordered twice, while the new primary has to order the rest before the
-// backups' own timers, one IntraTimeout from the install, depose it in turn.
-// Runs on the tick.
+// watchHandovers applies the liveness rule to every drained record whose
+// time has run out (mempool.Pool.Due and Act). A record handed over in the current
+// view gets IntraTimeout from the hand-over. One handed over in an earlier
+// view gets half of that from the start of the current view: offered again
+// at once, the transactions the view change itself carries over (whatever
+// the deposed primary had proposed) would be ordered twice, while the new
+// primary has to order the rest before the backups' own timers, one
+// IntraTimeout from the install, depose it in turn. Runs on the tick.
 func (g *gateway) watchHandovers(now time.Time) {
 	n := g.n
-	for len(g.handed) > 0 {
-		h := g.handed[0]
-		stale := h.at.Before(g.viewSince)
-		due := h.at.Add(n.cfg.IntraTimeout)
-		if stale {
-			due = g.viewSince.Add(n.cfg.IntraTimeout / 2)
-		}
-		if now.Before(due) {
-			return
-		}
-		g.handed[0] = handover{}
-		g.handed = g.handed[1:]
-		open := h.txs[:0]
-		for _, tx := range h.txs {
-			if !n.window.Contains(tx.ID) {
-				open = append(open, tx)
-			}
-		}
-		primary := n.intra.IsPrimary()
-		if stale || (!primary && now.Sub(n.ledAppend) < n.cfg.IntraTimeout) {
+	primary := n.intra.IsPrimary()
+	alive := !primary && now.Sub(n.ledAppend) < n.cfg.IntraTimeout
+	byz := n.cfg.ClusterModel == types.Byzantine
+	var share []*types.Transaction
+	suspect := false
+	due := g.pool.Due(now, g.viewSince, n.cfg.IntraTimeout, nil)
+	for i := range due {
+		d := &due[i]
+		switch d.Act = mempool.Rewatch; {
+		case n.window.Contains(d.Rec.Tx.ID):
+			d.Act = mempool.Unwatch
+		case d.Stale || alive:
 			// Handed to a primary that is gone — or to one that is alive:
-			// blocks it initiated still arrive, so the batch waits behind
+			// blocks it initiated still arrive, so the record waits behind
 			// something else (a cross-shard lock, a backed-off lead — a
 			// correct primary can take seconds over those, so no
 			// per-transaction bound holds) or the hand-over was lost on the
-			// way. Deposing the primary cures neither; offering the batch
-			// again cures the second, and the primary's own pool screens it
-			// if it was the first.
-			g.pool.Requeue(open)
-			continue
-		}
-		// Expired and settled-elsewhere transactions have left the pool;
-		// only what it still counts in flight keeps the primary on the clock.
-		if open = g.pool.InFlight(open); len(open) == 0 {
-			continue
-		}
-		switch {
+			// way. Deposing the primary cures neither; offering it again
+			// cures the second, and the primary's own pool screens it if it
+			// was the first.
+			d.Act = mempool.Reoffer
 		case primary:
-			// The backups' timers police a primary; it only keeps the batch
+			// The backups' timers police a primary; it only keeps the record
 			// on watch for the day it is deposed.
-		case n.cfg.ClusterModel == types.Byzantine && !h.shared:
+		case byz && !d.Shared:
 			// One replica's suspicion deposes no Byzantine primary — it only
-			// takes that replica out of the quorum. Give the batch to the
+			// takes that replica out of the quorum. Give the record to the
 			// peers first: their watches then run out together with this
 			// one's second round, and f+1 suspicions bring the rest along.
-			peers := othersOf(n.cfg.Topology.Members(n.cfg.Cluster), n.cfg.Self)
-			for rest := open; len(rest) > 0; {
-				k := min(len(rest), propagationBatch(n.cfg.BatchSize))
-				n.cfg.Net.Multicast(peers, n.propagation(rest[:k]))
-				rest = rest[k:]
-			}
+			share = append(share, d.Rec.Tx)
 		default:
-			n.send(n.intra.SuspectPrimary(now))
+			suspect = true
 		}
-		g.handed = append(g.handed, handover{at: now, txs: open, shared: true})
+	}
+	g.pool.Act(due, now, n.cfg.IntraTimeout)
+	peers := othersOf(n.cfg.Topology.Members(n.cfg.Cluster), n.cfg.Self)
+	for len(share) > 0 {
+		k := min(len(share), propagationBatch(n.cfg.BatchSize))
+		n.cfg.Net.Multicast(peers, n.propagation(share[:k]))
+		share = share[k:]
+	}
+	if suspect {
+		n.send(n.intra.SuspectPrimary(now))
 	}
 }
 
@@ -333,7 +252,7 @@ func (n *Node) pumpGateway(now time.Time) {
 	}
 	primary := n.intra.IsPrimary()
 	if !primary {
-		n.releaseAccumulators()
+		n.releaseAccumulators(now)
 	}
 	if !g.pool.HasQueued() {
 		return
@@ -343,25 +262,21 @@ func (n *Node) pumpGateway(now time.Time) {
 	}
 	if primary {
 		budget := n.cfg.BatchSize*n.cfg.MaxInFlight - len(n.pendingIntra) - len(n.pendingCross)
-		if budget > 256 {
-			budget = 256
-		}
-		txs := g.pool.Drain(budget)
-		if len(txs) == 0 {
-			return
-		}
-		g.noteHandover(txs, now)
-		for _, tx := range txs {
-			n.ingestFromPool(tx, now)
-		}
+		n.ingest(g.pool.Drain(min(budget, 256)), now)
 		return
 	}
-	batch := g.pool.Drain(propagationBatch(n.cfg.BatchSize))
-	if len(batch) == 0 {
-		return
+	if recs := g.pool.Drain(propagationBatch(n.cfg.BatchSize)); len(recs) > 0 {
+		n.cfg.Net.Send(n.intra.Primary(), n.propagation(txsOf(recs)))
 	}
-	g.noteHandover(batch, now)
-	n.cfg.Net.Send(n.intra.Primary(), n.propagation(batch))
+}
+
+// txsOf returns the transactions of recs, in order.
+func txsOf(recs []*mempool.Record) []*types.Transaction {
+	txs := make([]*types.Transaction, len(recs))
+	for i, r := range recs {
+		txs[i] = r.Tx
+	}
+	return txs
 }
 
 // propagation wraps txs as one gateway-to-gateway, admission-only batch.
@@ -379,63 +294,59 @@ func (n *Node) propagation(txs []*types.Transaction) *types.Envelope {
 // otherwise hold those transactions forever (Propose refuses, flushIntra puts
 // the batch back, every turn) and propose them again, long committed
 // elsewhere, if it were re-elected.
-func (n *Node) releaseAccumulators() {
+func (n *Node) releaseAccumulators(now time.Time) {
 	if len(n.pendingIntra)+len(n.pendingCross) == 0 {
 		return
 	}
-	txs := append(n.pendingIntra, n.pendingCross...)
+	recs := append(n.pendingIntra, n.pendingCross...)
 	n.pendingIntra, n.pendingCross = nil, nil
-	for _, tx := range txs {
-		delete(n.queued, tx.ID)
-		delete(n.crossArrived, tx.ID)
-		delete(n.inFlight, tx.ID)
-	}
-	n.gw.pool.Requeue(txs)
+	n.gw.pool.Requeue(recs, now)
 }
 
 // propagationBatch sizes a gateway→primary batch: several sealer batches per
 // wire message, bounded by the cross-shard bitmap width.
 func propagationBatch(batchSize int) int {
-	pb := 4 * batchSize
-	if pb < 16 {
-		pb = 16
-	}
-	if pb > 64 {
-		pb = 64
-	}
-	return pb
+	return min(max(4*batchSize, 16), 64)
 }
 
-// ingestFromPool routes one drained transaction into the proposal path
-// unless it is already executed, queued, on the chain, or in consensus.
-// Skipped transactions stay in the pool's in-flight set; the commit
-// observation (or the TTL sweep) releases them.
-func (n *Node) ingestFromPool(tx *types.Transaction, now time.Time) {
-	if committed, ok := n.window.Get(tx.ID); ok {
-		// Already executed (e.g. a peer gateway's copy won the race): settle
-		// immediately so the origin gets its verdict.
-		n.gw.observeCommit(tx, committed)
+// ingest routes records the primary just drained into the batch
+// accumulators, unless the transaction is already executed (settled at
+// once, so its origin gets the verdict), on the chain, misrouted, or still
+// led by an earlier cross-shard attempt — a withdrawn attempt backs off for
+// longer than a client waits before it retransmits, and batching the
+// request again would commit it twice. A skipped record stays handed over;
+// its commit, or the TTL sweep, ends it.
+func (n *Node) ingest(recs []*mempool.Record, now time.Time) {
+	if len(recs) == 0 {
 		return
 	}
-	if n.queued[tx.ID] || n.window.Contains(tx.ID) {
-		return
-	}
-	if t, ok := n.inFlight[tx.ID]; ok && now.Sub(t) < n.cfg.IntraTimeout {
-		return
-	}
-	if !tx.IsCrossShard() {
-		if tx.Involved[0] != n.cfg.Cluster {
-			return // misrouted; admission should have filtered this
+	var done []replyOut
+	kept := recs[:0]
+	for _, r := range recs {
+		tx := r.Tx
+		if committed, ok := n.window.Get(tx.ID); ok {
+			done = append(done, replyOut{tx: tx, committed: committed})
+			continue
 		}
-		n.inFlight[tx.ID] = now
-		n.tracer.Start(tx.ID, false, now)
-		n.proposeIntra(tx, now)
-		return
+		if n.window.Contains(tx.ID) || n.initiatorCluster(tx.Involved) != n.cfg.Cluster ||
+			tx.IsCrossShard() && n.cross.Leading(tx.ID) {
+			continue
+		}
+		kept = append(kept, r)
 	}
-	if n.initiatorCluster(tx.Involved) != n.cfg.Cluster {
-		return
+	if len(done) > 0 {
+		n.gw.settle(done)
 	}
-	n.inFlight[tx.ID] = now
-	n.tracer.Start(tx.ID, true, now)
-	n.proposeCross(tx, now)
+	for _, r := range n.gw.pool.Mark(kept, mempool.Queued, now) {
+		cross := r.Tx.IsCrossShard()
+		n.tracer.Start(r.Tx.ID, cross, now)
+		if cross {
+			n.pendingCross = append(n.pendingCross, r)
+			continue
+		}
+		if len(n.pendingIntra) == 0 {
+			n.intraSince = now
+		}
+		n.pendingIntra = append(n.pendingIntra, r)
+	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"sharper/internal/consensus"
 	"sharper/internal/mempool"
 	"sharper/internal/types"
 )
@@ -485,6 +486,149 @@ func TestDeposedPrimaryHandsOverAccumulators(t *testing.T) {
 	}
 	if err := d.DAG().Verify(); err != nil {
 		t.Fatalf("DAG verify: %v", err)
+	}
+}
+
+// TestGatewayTwoBodiesOneTxID: a client submits body A to one backup
+// gateway and body B (same TxID, one amount changed) to another. The TxID
+// commits once, the client hears Committed, and no replica keeps a record
+// of the losing body: every pool is empty within a second of the commit.
+func TestGatewayTwoBodiesOneTxID(t *testing.T) {
+	for _, model := range []types.FailureModel{types.CrashOnly, types.Byzantine} {
+		t.Run(model.String(), func(t *testing.T) {
+			d := newTestDeployment(t, model, 2)
+			c := d.NewClient()
+			members := d.Topo.Members(0)
+			a := c.MakeTx(intraOps(d, 0))
+			b := *a
+			b.Ops = []types.Op{a.Ops[0]}
+			b.Ops[0].Amount++
+			submitTo(c, members[1], a)
+			submitTo(c, members[2], &b)
+			if code, from := awaitVerdict(t, c, a.ID, 5*time.Second); code != types.SubmitCommitted {
+				t.Fatalf("verdict %s from %s, want committed", code, from)
+			}
+			deadline := time.Now().Add(time.Second)
+			for _, n := range d.Nodes() {
+				for n.gw.pool.PendingCount() != 0 {
+					if time.Now().After(deadline) {
+						t.Fatalf("replica %s still holds %d records a second after the commit", n.ID(), n.gw.pool.PendingCount())
+					}
+					time.Sleep(5 * time.Millisecond)
+				}
+			}
+			waitQuiesce(t, d)
+			for _, m := range members {
+				count := 0
+				for _, blk := range d.Node(m).View().Blocks() {
+					for _, tx := range blk.Txs {
+						if tx.ID == a.ID {
+							count++
+						}
+					}
+				}
+				if count != 1 {
+					t.Fatalf("replica %s ordered the TxID %d times, want once", m, count)
+				}
+			}
+			if err := d.DAG().Verify(); err != nil {
+				t.Fatalf("DAG verify: %v", err)
+			}
+		})
+	}
+}
+
+// TestRecordLeavesOnEveryExit drives one record through each way out, on
+// replicas that never start, so the test owns their loops: settled by a
+// commit, expired while pending (its client hears Expired), handed over and
+// past the TTL (dropped silently), and proposed by a primary deposed before
+// the transaction reached its chain. After one sweep past the TTL no replica
+// holds anything for any of them.
+func TestRecordLeavesOnEveryExit(t *testing.T) {
+	d, primary := idleNode(t)
+	members := d.Topo.Members(0)
+	backup, other := d.Node(members[1]), d.Node(members[2])
+	c := d.NewClient()
+	now := time.Now()
+	submit := func(n *Node, tx *types.Transaction) {
+		payload := (&types.Submit{Txs: []*types.Transaction{tx}}).Encode(nil)
+		n.gw.onSubmit(&types.Envelope{Type: types.MsgSubmit, From: c.id, Payload: payload}, now)
+		if st, ok := n.gw.pool.State(tx.ID); !ok || st != mempool.Pending {
+			t.Fatalf("%s not pending at %s", tx.ID, n.ID())
+		}
+	}
+
+	settled := c.MakeTx(intraOps(d, 0))
+	submit(primary, settled)
+	primary.exec.sendReplies([]replyOut{{tx: settled, committed: true}})
+	if code, _ := awaitVerdict(t, c, settled.ID, time.Second); code != types.SubmitCommitted {
+		t.Fatalf("settled: verdict %s", code)
+	}
+
+	expired := c.MakeTx(intraOps(d, 0))
+	submit(backup, expired)
+
+	handed := c.MakeTx(intraOps(d, 0))
+	submit(other, handed)
+	other.pumpGateway(now)
+	if st, _ := other.gw.pool.State(handed.ID); st != mempool.HandedOver {
+		t.Fatalf("handed: state %d after the pump", st)
+	}
+
+	proposed := c.MakeTx(intraOps(d, 0))
+	submit(primary, proposed)
+	primary.pumpGateway(now)
+	primary.flushIntra(now)
+	if st, _ := primary.gw.pool.State(proposed.ID); st != mempool.Proposed {
+		t.Fatalf("proposed: state %d after the flush", st)
+	}
+	// Depose the primary: the other two members elect member 1 for view 1,
+	// and its NEWVIEW reaches the old primary.
+	vote := other.intra.SuspectPrimary(now)
+	backup.intra.SuspectPrimary(now)
+	var newView []consensus.Outbound
+	for _, o := range vote {
+		outs, _ := backup.intra.Step(o.Env, now)
+		newView = append(newView, outs...)
+	}
+	for _, o := range newView {
+		if o.Env.Type == types.MsgNewView {
+			primary.intra.Step(o.Env, now)
+		}
+	}
+	if primary.intra.IsPrimary() {
+		t.Fatal("the old primary was not deposed")
+	}
+	primary.pumpGateway(now)
+
+	past := now.Add(primary.gw.pool.Config().TTL + time.Millisecond)
+	for _, n := range []*Node{primary, backup, other} {
+		n.gw.sweep(past)
+		if k := n.gw.pool.PendingCount(); k != 0 {
+			t.Fatalf("replica %s holds %d records after the sweep", n.ID(), k)
+		}
+		if len(n.pendingIntra)+len(n.pendingCross) != 0 {
+			t.Fatalf("replica %s still accumulates %d transactions", n.ID(), len(n.pendingIntra)+len(n.pendingCross))
+		}
+		for _, tx := range []*types.Transaction{settled, expired, handed, proposed} {
+			if st, ok := n.gw.pool.State(tx.ID); ok {
+				t.Fatalf("replica %s keeps %s in state %d", n.ID(), tx.ID, st)
+			}
+		}
+	}
+	if code, _ := awaitVerdict(t, c, expired.ID, time.Second); code != types.SubmitExpired {
+		t.Fatalf("expired: verdict %s", code)
+	}
+	for {
+		select {
+		case env := <-c.inbox:
+			if r, err := types.DecodeSubmitReply(env.Payload); err == nil && (r.TxID == handed.ID || r.TxID == proposed.ID) {
+				t.Fatalf("%s answered %s: a drained record leaves silently", r.TxID, r.Code)
+			}
+			continue
+		case <-time.After(50 * time.Millisecond):
+		}
+		break
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"sharper/internal/consensus"
 	"sharper/internal/crypto"
 	"sharper/internal/ledger"
+	"sharper/internal/mempool"
 	"sharper/internal/obs"
 	"sharper/internal/ordering"
 	"sharper/internal/paxos"
@@ -79,22 +80,18 @@ type Node struct {
 	// the executor goroutine.
 	exec *executor
 
-	// Primary-side request accumulators. pendingIntra is the intra-shard
-	// batch accumulator drained by flushIntra (up to BatchSize per
-	// consensus instance, bounded by MaxInFlight pipelined instances);
-	// pendingCross queues cross-shard requests, launched one batch (same
-	// involved-cluster set) at a time.
-	pendingIntra []*types.Transaction
-	pendingCross []*types.Transaction
+	// Primary-side request accumulators, holding mempool records (their
+	// state is Queued until proposed). pendingIntra is the intra-shard batch
+	// accumulator drained by flushIntra (up to BatchSize per consensus
+	// instance, bounded by MaxInFlight pipelined instances); pendingCross
+	// queues cross-shard requests, launched one batch (same involved-cluster
+	// set) at a time, and a record's arrival stamp drives the per-set
+	// BatchTimeout accumulation in takeLaunchableBatch.
+	pendingIntra []*mempool.Record
+	pendingCross []*mempool.Record
 	// intraSince is when the oldest accumulated intra-shard request
 	// arrived, driving the BatchTimeout partial-batch flush.
 	intraSince time.Time
-	// crossArrived timestamps queued cross-shard requests, driving the
-	// per-set BatchTimeout accumulation in takeLaunchableBatch.
-	crossArrived map[types.TxID]time.Time
-	// queued tracks membership of the two queues so client retransmissions
-	// of queued transactions are not enqueued twice.
-	queued map[types.TxID]bool
 	// Intra-shard messages deferred because they would bind the chain slot
 	// the held cross-shard vote promised away (§3.2), replayed when the
 	// conflict table changes. deferredGen is the table generation the
@@ -118,11 +115,9 @@ type Node struct {
 	// rejected entries are what checkpoints carry.
 	window *consensus.CommitWindow
 	// gw is the client-ingress gateway (gateway.go): the mempool behind
-	// MsgSubmit and the commit-observation reply path.
+	// MsgSubmit, whose records are the node's one record of a live
+	// transaction, and the commit-observation reply path.
 	gw *gateway
-	// inFlight dedups client retransmissions against proposals that are
-	// still working their way through consensus.
-	inFlight map[types.TxID]time.Time
 
 	// Chain-sync (state transfer) bookkeeping: a replica that fell behind
 	// while blocked asks peers for the blocks it missed. Under the
@@ -167,19 +162,16 @@ type Node struct {
 // newNode builds a replica; call Start to run it.
 func newNode(cfg nodeConfig) *Node {
 	n := &Node{
-		cfg:          cfg,
-		inbox:        cfg.Net.Register(cfg.Self),
-		view:         ledger.NewView(cfg.Cluster),
-		store:        state.NewStore(cfg.Cluster, state.ShardMap{NumShards: len(cfg.Topology.Clusters)}),
-		window:       consensus.NewCommitWindow(),
-		crossArrived: make(map[types.TxID]time.Time),
-		inFlight:     make(map[types.TxID]time.Time),
-		queued:       make(map[types.TxID]bool),
-		lastAppend:   time.Now(),
-		syncVotes:    make(map[uint64]map[types.NodeID]types.Hash),
-		syncBlocks:   make(map[uint64]map[types.Hash]*types.Block),
-		stopCh:       make(chan struct{}),
-		doneCh:       make(chan struct{}),
+		cfg:        cfg,
+		inbox:      cfg.Net.Register(cfg.Self),
+		view:       ledger.NewView(cfg.Cluster),
+		store:      state.NewStore(cfg.Cluster, state.ShardMap{NumShards: len(cfg.Topology.Clusters)}),
+		window:     consensus.NewCommitWindow(),
+		lastAppend: time.Now(),
+		syncVotes:  make(map[uint64]map[types.NodeID]types.Hash),
+		syncBlocks: make(map[uint64]map[types.Hash]*types.Block),
+		stopCh:     make(chan struct{}),
+		doneCh:     make(chan struct{}),
 	}
 	genesis := ledger.GenesisHash()
 	n.reg = cfg.Metrics
@@ -588,13 +580,10 @@ func (n *Node) appendBlock(b *types.Block) error {
 }
 
 // handOff moves a block just appended to the DAG into the commit pipeline:
-// the executor applies it, group-commits it to the chain log, and answers the
-// gateway's clients. The loop's retransmission-dedup map is cleared now —
-// the window's pending entries screen the transactions from here on.
+// the executor applies it, group-commits it to the chain log, settles its
+// pool records and answers the gateway's clients. The window's pending
+// entries screen the transactions from here on.
 func (n *Node) handOff(b *types.Block, valid uint64, traceSeq uint64, digest types.Hash) {
-	for _, tx := range b.Txs {
-		delete(n.inFlight, tx.ID)
-	}
 	if len(b.Txs) > 0 && n.initiatorCluster(b.Txs[0].Involved) == n.cfg.Cluster {
 		n.ledAppend = n.lastAppend // every append path stamps lastAppend first
 	}
@@ -755,7 +744,7 @@ func (n *Node) adoptBlock(b *types.Block, now time.Time) bool {
 	seq, head := n.view.HeadInfo() // the block just appended, hashed once by the view
 	outs, decs, orphans := n.intra.SyncChainHead(seq, head, now)
 	n.send(outs)
-	n.requeueOrphans(orphans)
+	n.requeueOrphans(orphans, now)
 	n.applyIntra(decs, now)
 	return true
 }
@@ -928,21 +917,6 @@ func (n *Node) initiatorCluster(set types.ClusterSet) types.ClusterID {
 	return set.Min()
 }
 
-// proposeIntra adds an intra-shard request to the batch accumulator; the
-// accumulator is drained by flushIntra (called from maybeLaunch after every
-// dispatch and tick, so a request proposes in the same turn it arrives
-// whenever the pipeline has room).
-func (n *Node) proposeIntra(tx *types.Transaction, now time.Time) {
-	if n.queued[tx.ID] {
-		return
-	}
-	if len(n.pendingIntra) == 0 {
-		n.intraSince = now
-	}
-	n.queued[tx.ID] = true
-	n.pendingIntra = append(n.pendingIntra, tx)
-}
-
 // inFlightIntra reports the number of pipelined intra-shard instances above
 // the committed head.
 func (n *Node) inFlightIntra() int {
@@ -984,29 +958,21 @@ func (n *Node) flushIntra(now time.Time) {
 			now.Sub(n.intraSince) < n.cfg.BatchTimeout {
 			return // wait for the batch to fill while the pipeline works
 		}
-		take := n.cfg.BatchSize
-		if take > len(n.pendingIntra) {
-			take = len(n.pendingIntra)
-		}
-		batch := make([]*types.Transaction, take)
-		copy(batch, n.pendingIntra)
-		n.pendingIntra = n.pendingIntra[take:]
-		n.intraSince = now
+		take := min(n.cfg.BatchSize, len(n.pendingIntra))
+		batch := txsOf(n.pendingIntra[:take])
 		for _, tx := range batch {
-			delete(n.queued, tx.ID)
 			n.tracer.Stamp(tx.ID, obs.StageSeal, now)
 		}
+		n.intraSince = now
 		outs, seq := n.intra.Propose(batch, now)
 		if seq == 0 {
 			// The engine refused (view change, or a fresh primary still
-			// replaying a deposed view's values): put the batch back and try
-			// again next turn.
-			for _, tx := range batch {
-				n.queued[tx.ID] = true
-			}
-			n.pendingIntra = append(batch, n.pendingIntra...)
+			// replaying a deposed view's values): the batch stays in the
+			// accumulator for the next turn.
 			return
 		}
+		n.gw.pool.Mark(n.pendingIntra[:take], mempool.Proposed, now)
+		n.pendingIntra = n.pendingIntra[take:]
 		if n.tracer != nil {
 			ids := make([]types.TxID, len(batch))
 			for i, tx := range batch {
@@ -1019,21 +985,6 @@ func (n *Node) flushIntra(now time.Time) {
 		}
 		n.send(outs)
 	}
-}
-
-func (n *Node) proposeCross(tx *types.Transaction, now time.Time) {
-	if n.queued[tx.ID] || n.cross.Leading(tx.ID) {
-		// Leading: a withdrawn attempt backs off for longer than a client
-		// waits before it retransmits, and longer than inFlight screens a
-		// retransmission; batching the request again would commit it twice.
-		return
-	}
-	n.queued[tx.ID] = true
-	n.crossArrived[tx.ID] = now
-	n.pendingCross = append(n.pendingCross, tx)
-	// maybeLaunch (called after every dispatch) initiates immediately when
-	// the node is free, so an uncontended request still proposes in the
-	// same turn it arrives.
 }
 
 // maybeLaunch makes progress on whatever the node was forced to postpone:
@@ -1090,11 +1041,10 @@ func (n *Node) launchCross(now time.Time) {
 		if batch = n.dropCommitted(batch); len(batch) == 0 {
 			continue
 		}
-		for _, tx := range batch {
-			n.inFlight[tx.ID] = now
-		}
-		n.bindCrossTrace(batch, now)
-		n.send(n.cross.Initiate(batch, now))
+		n.gw.pool.Mark(batch, mempool.Proposed, now)
+		txs := txsOf(batch)
+		n.bindCrossTrace(txs, now)
+		n.send(n.cross.Initiate(txs, now))
 	}
 }
 
@@ -1103,11 +1053,11 @@ func (n *Node) launchCross(now time.Time) {
 // for seconds behind a blocked cluster set, and meanwhile commit through
 // another node's lead (a view change hands forwarded requests to the new
 // primary while the deposed one still holds them).
-func (n *Node) dropCommitted(batch []*types.Transaction) []*types.Transaction {
+func (n *Node) dropCommitted(batch []*mempool.Record) []*mempool.Record {
 	kept := batch[:0]
-	for _, tx := range batch {
-		if !n.window.Contains(tx.ID) {
-			kept = append(kept, tx)
+	for _, r := range batch {
+		if !n.window.Contains(r.Tx.ID) {
+			kept = append(kept, r)
 		}
 	}
 	return kept
@@ -1134,7 +1084,7 @@ func (n *Node) bindCrossTrace(batch []*types.Transaction, now time.Time) {
 // batch-of-one would forfeit the amortization batching buys while gaining
 // nothing (the participants grant the pipelined attempts serially anyway).
 // It returns nil when every queued set is blocked or still accumulating.
-func (n *Node) takeLaunchableBatch(now time.Time) []*types.Transaction {
+func (n *Node) takeLaunchableBatch(now time.Time) []*mempool.Record {
 	launchIdx := -1
 	var set types.ClusterSet
 	var skipped []types.ClusterSet
@@ -1151,7 +1101,8 @@ func (n *Node) takeLaunchableBatch(now time.Time) []*types.Transaction {
 	// decided predecessor, which releases unconditionally.
 	freshOK := !n.cross.Locked() && n.chainStatus().Drained
 scan:
-	for i, tx := range n.pendingCross {
+	for i, r := range n.pendingCross {
+		tx := r.Tx
 		for _, s := range skipped {
 			if s.Equal(tx.Involved) {
 				continue scan
@@ -1169,7 +1120,7 @@ scan:
 				skipped = append(skipped, tx.Involved)
 				continue
 			}
-		} else if now.Sub(n.crossArrived[tx.ID]) < n.cfg.RetryTimeout {
+		} else if now.Sub(n.gw.pool.Since(r)) < n.cfg.RetryTimeout {
 			// A lead over this set is already working: only a FULL follow-up
 			// batch launches alongside it, and only when batching is on at
 			// all. Partial batches wait for the in-flight lead to decide
@@ -1184,7 +1135,7 @@ scan:
 			if n.cfg.BatchSize > 1 {
 				count := 0
 				for _, later := range n.pendingCross[i:] {
-					if later.Involved.Equal(tx.Involved) {
+					if later.Tx.Involved.Equal(tx.Involved) {
 						count++
 					}
 				}
@@ -1202,20 +1153,16 @@ scan:
 	if launchIdx < 0 {
 		return nil
 	}
-	batch := make([]*types.Transaction, 0, n.cfg.BatchSize)
+	batch := make([]*mempool.Record, 0, n.cfg.BatchSize)
 	rest := n.pendingCross[:0]
-	for i, tx := range n.pendingCross {
-		if i >= launchIdx && len(batch) < n.cfg.BatchSize && tx.Involved.Equal(set) {
-			batch = append(batch, tx)
+	for i, r := range n.pendingCross {
+		if i >= launchIdx && len(batch) < n.cfg.BatchSize && r.Tx.Involved.Equal(set) {
+			batch = append(batch, r)
 		} else {
-			rest = append(rest, tx)
+			rest = append(rest, r)
 		}
 	}
 	n.pendingCross = rest
-	for _, tx := range batch {
-		delete(n.queued, tx.ID)
-		delete(n.crossArrived, tx.ID)
-	}
 	return batch
 }
 
@@ -1286,7 +1233,7 @@ func (n *Node) applyCrossOne(d crossDecision, now time.Time) {
 	seq, head := n.view.HeadInfo() // the block just appended, hashed once by the view
 	outs, decs, orphans := n.intra.SyncChainHead(seq, head, now)
 	n.send(outs)
-	n.requeueOrphans(orphans)
+	n.requeueOrphans(orphans, now)
 	n.applyIntra(decs, now)
 	n.afterChainAdvance(now)
 }
@@ -1303,17 +1250,21 @@ func (n *Node) onChain(txs []*types.Transaction) bool {
 
 // requeueOrphans re-accumulates this primary's transactions whose pipeline
 // slots were taken by an externally decided block; they ride in the next
-// batch.
-func (n *Node) requeueOrphans(orphans []*types.Transaction) {
+// batch. One with no record here (a value carried over from a deposed view)
+// is admitted like a propagated copy; if admission refuses it, its origin
+// gateway's watch offers it again.
+func (n *Node) requeueOrphans(orphans []*types.Transaction, now time.Time) {
+	fresh := orphans[:0]
 	for _, tx := range orphans {
-		if !n.window.Contains(tx.ID) && !n.queued[tx.ID] {
-			if len(n.pendingIntra) == 0 {
-				n.intraSince = n.lastAppend
-			}
-			n.queued[tx.ID] = true
-			n.pendingIntra = append(n.pendingIntra, tx)
+		if !n.window.Contains(tx.ID) {
+			fresh = append(fresh, tx)
 		}
 	}
+	recs := n.gw.pool.Adopt(fresh, now)
+	if len(recs) > 0 && len(n.pendingIntra) == 0 {
+		n.intraSince = n.lastAppend
+	}
+	n.pendingIntra = append(n.pendingIntra, recs...)
 }
 
 // afterChainAdvance wakes the cross engine (parked proposals may now be

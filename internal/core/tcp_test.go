@@ -83,13 +83,17 @@ func TestTCPDeploymentCommits(t *testing.T) {
 }
 
 // waitConverged waits until every replica of each cluster converges on the
-// same chain head (cross-shard commits propagate asynchronously to
-// non-initiator replicas).
+// same chain head and every involved cluster holds each cross-shard block
+// (cross-shard commits propagate asynchronously to non-initiator replicas
+// and clusters). Past the deadline it returns and the caller's audit fails.
 func waitConverged(t *testing.T, d *Deployment) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		settled := true
+		// A client hears "committed" once its initiator cluster executed; the
+		// other involved clusters append the block when the commit reaches
+		// them.
+		settled := d.DAG().Verify() == nil
 		for _, cid := range d.Topo.ClusterIDs() {
 			members := d.Topo.Members(cid)
 			ref := d.Node(members[0]).View()

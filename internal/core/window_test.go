@@ -38,15 +38,20 @@ func TestWindowScreensAppendedTxAtIngest(t *testing.T) {
 		t.Fatal("an appended, unexecuted transaction already has a verdict")
 	}
 	now := time.Now()
-	n.ingestFromPool(tx, now)
-	n.requeueOrphans([]*types.Transaction{tx})
-	if len(n.pendingIntra) != 0 || n.queued[tx.ID] {
+	if code := n.gw.pool.Admit(tx, now); code != mempool.Admitted {
+		t.Fatalf("admit: %d", code)
+	}
+	recs := n.gw.pool.Drain(1)
+	n.ingest(recs, now)
+	n.requeueOrphans([]*types.Transaction{tx}, now)
+	st, _ := n.gw.pool.State(tx.ID)
+	if len(n.pendingIntra) != 0 || st == mempool.Queued {
 		t.Fatalf("appended transaction queued for proposal again (%d pending)", len(n.pendingIntra))
 	}
-	if _, ok := n.inFlight[tx.ID]; ok {
+	if st == mempool.Proposed {
 		t.Fatal("appended transaction proposed again")
 	}
-	if kept := n.dropCommitted([]*types.Transaction{tx}); len(kept) != 0 {
+	if kept := n.dropCommitted(recs); len(kept) != 0 {
 		t.Fatal("appended transaction kept in a launching batch")
 	}
 }

@@ -1,19 +1,23 @@
 // Package mempool implements the per-shard transaction pool behind the
-// client-ingress gateway: digest-keyed admission with dedup against pending
-// and in-flight transactions, byte- and count-capped pending pools, an
-// expiration window, and FIFO draining toward the sealer.
+// client-ingress gateway. A pool entry, a Record, is a replica's one record
+// of a live transaction: keyed by TxID from admission until its commit is
+// observed or the TTL sweep drops it, it carries the transaction's state on
+// its way to ordering and the instant it entered it, the client endpoint
+// owed a verdict, and the hand-over watch (Due, Act).
 //
-// The pool forgets a transaction once its commit is observed. Dedup against
-// executed transactions is the gateway's: it consults the node's reply cache,
-// keyed by TxID, before offering anything to the pool.
+// Dedup against executed transactions is the gateway's: it consults the
+// node's committed-transaction window, keyed by TxID, before offering
+// anything to the pool. The pool dedups by TxID too, so a second body under
+// a known TxID is a Duplicate, and the commit of either body ends the one
+// record.
 //
-// The pool's capacity accounting covers pending ∪ in-flight transactions:
-// a transaction drained toward the primary stays counted against the caps
-// until its commit is observed, so a stalled primary (e.g. the commit
-// pipeline's backpressure gate holding proposals) backs pressure all the way
-// up to the admitting gateways, whose Admit then sheds with Overloaded. The
-// byte cap is therefore a hard bound on gateway-held transaction memory, not
-// just on the queued tail.
+// The pool's capacity accounting covers every live record: a transaction
+// drained toward the primary stays counted against the caps until its commit
+// is observed, so a stalled primary (e.g. the commit pipeline's backpressure
+// gate holding proposals) backs pressure all the way up to the admitting
+// gateways, whose Admit then sheds with Overloaded. The byte cap is
+// therefore a hard bound on gateway-held transaction memory, not just on the
+// queued tail.
 package mempool
 
 import (
@@ -30,20 +34,20 @@ type Code uint8
 // Admission outcomes.
 const (
 	Admitted   Code = iota // accepted into the pending pool
-	Duplicate              // already pending or in flight
+	Duplicate              // a record with this TxID is live
 	Overloaded             // shed: pool at byte or count capacity
 	Expired                // client timestamp outside the TTL window
 )
 
 // Config bounds one pool. Zero values take the defaults below.
 type Config struct {
-	// MaxBytes caps the encoded size of pending + in-flight transactions.
+	// MaxBytes caps the encoded size of the live records' transactions.
 	MaxBytes int64
-	// MaxCount caps the number of pending + in-flight transactions.
+	// MaxCount caps the number of live records.
 	MaxCount int
 	// TTL is how far a client timestamp may be from the admitting replica's
-	// clock, in either direction, and how long a pending transaction may wait
-	// before the sweep expires it.
+	// clock, in either direction, and how long a record may live before the
+	// sweep drops it.
 	TTL time.Duration
 }
 
@@ -68,224 +72,389 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// entry is one pooled transaction with its admission bookkeeping.
-type entry struct {
-	tx       *types.Transaction
-	digest   types.Hash
+// State is where a live record stands on its way to ordering.
+type State uint8
+
+// Record states. Every state but Pending counts as drained: the record sits
+// on the hand-over watch until its transaction is seen on the chain.
+const (
+	Pending    State = iota // admitted, waiting in the FIFO for Drain
+	HandedOver              // drained: propagated to the primary, or taken by the primary itself
+	Queued                  // in the primary's batch accumulators (intra- or cross-shard, by its Tx)
+	Proposed                // proposed to consensus by this replica
+	Gone                    // settled or swept; no longer in the pool
+)
+
+// Record is one live transaction. Tx is fixed at admission; every other
+// field is read and written only under the pool's lock, so the node moves
+// records between states through the pool's methods, one call per batch.
+type Record struct {
+	Tx *types.Transaction
+
 	size     int64
 	admitted time.Time
+	state    State
+	since    time.Time    // when the record entered state
+	origin   types.NodeID // the client endpoint owed a verdict; 0 when none
+
+	// The hand-over watch: when the record was drained (or watched again),
+	// and whether the watch already ran out once on it in this view.
+	drainedAt time.Time
+	shared    bool
+
+	list       *list // pending or watch; nil when on neither
+	prev, next *Record
+}
+
+// list is an intrusive FIFO of records, circular through its root as in
+// container/list. n is read without the pool's lock (HasQueued).
+type list struct {
+	root Record
+	n    atomic.Int64
+}
+
+func (l *list) init() { l.root.next, l.root.prev = &l.root, &l.root }
+
+func (l *list) push(r *Record) {
+	r.list, r.prev, r.next = l, l.root.prev, &l.root
+	r.prev.next, l.root.prev = r, r
+	l.n.Add(1)
+}
+
+// unlink takes r off whichever list holds it.
+func unlink(r *Record) {
+	if r.list == nil {
+		return
+	}
+	r.prev.next, r.next.prev = r.next, r.prev
+	r.list.n.Add(-1)
+	r.list, r.prev, r.next = nil, nil, nil
+}
+
+// Owed names a client endpoint owed a verdict on one transaction.
+type Owed struct {
+	ID types.TxID
+	To types.NodeID // 0: nobody
 }
 
 // Pool is one gateway's transaction pool. Safe for concurrent use: the node
-// loop admits and drains while the commit pipeline's executor goroutine
-// marks commits.
+// loop admits, drains and moves records while the commit pipeline's executor
+// goroutine settles them.
 type Pool struct {
 	cfg Config
 
-	mu       sync.Mutex
-	pending  map[types.Hash]*entry // admitted, not yet drained
-	order    []*entry              // FIFO over pending (nil holes after removal)
-	head     int                   // first live index in order
-	inflight map[types.Hash]*entry // drained toward the sealer, commit not yet seen
-
-	bytes int64 // pending + inflight encoded bytes
-	count int   // pending + inflight transactions
-
-	// queuedN mirrors len(pending) so the hot pump path can skip the mutex
-	// when the pool is idle.
-	queuedN atomic.Int64
+	mu      sync.Mutex
+	byID    map[types.TxID]*Record // every live record
+	pending list                   // Pending records, FIFO toward Drain
+	watch   list                   // drained records, in drain order
+	bytes   int64                  // live records' encoded bytes
 }
 
 // New returns an empty pool bounded by cfg.
 func New(cfg Config) *Pool {
-	return &Pool{
-		cfg:      cfg.withDefaults(),
-		pending:  make(map[types.Hash]*entry),
-		inflight: make(map[types.Hash]*entry),
-	}
+	p := &Pool{cfg: cfg.withDefaults(), byID: make(map[types.TxID]*Record)}
+	p.pending.init()
+	p.watch.init()
+	return p
 }
 
 // Config returns the bounds the pool runs with (defaults applied).
 func (p *Pool) Config() Config { return p.cfg }
 
-// txSize is the capacity cost of one transaction: its canonical encoding.
-func txSize(tx *types.Transaction) int64 {
-	return int64(len(tx.Encode(nil)))
+// Admit offers tx to the pool with nobody owed a verdict (a peer's
+// propagated copy) and returns the admission verdict.
+func (p *Pool) Admit(tx *types.Transaction, now time.Time) Code {
+	var code [1]Code
+	return p.AdmitAll([]*types.Transaction{tx}, 0, now, code[:0])[0]
 }
 
-// Admit offers tx to the pool and returns the admission verdict. A
-// timestamp more than the TTL behind or ahead of now is Expired: an admitted
-// transaction stamps the commit window, and one far ahead would pin its
-// entry there until now catches up. Expired wins over Duplicate and
-// Overloaded so clients learn to refresh their timestamp; Duplicate wins
-// over Overloaded so re-submits of tracked work never read as shed load.
-func (p *Pool) Admit(tx *types.Transaction, now time.Time) Code {
+// AdmitAll offers one submission's transactions under one lock, appending
+// their verdicts to codes. from, when not 0, is the client endpoint owed the
+// commit verdict of each admitted or duplicate transaction; a later direct
+// submit of a live transaction takes its place.
+func (p *Pool) AdmitAll(txs []*types.Transaction, from types.NodeID, now time.Time, codes []Code) []Code {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, tx := range txs {
+		codes = append(codes, p.admitLocked(tx, from, now))
+	}
+	return codes
+}
+
+// admitLocked applies one verdict priority. A timestamp more than the TTL
+// behind or ahead of now is Expired: an admitted transaction stamps the
+// commit window, and one far ahead would pin its entry there until now
+// catches up. Expired wins over Duplicate and Overloaded so clients learn to
+// refresh their timestamp; Duplicate wins over Overloaded so re-submits of
+// tracked work never read as shed load.
+func (p *Pool) admitLocked(tx *types.Transaction, from types.NodeID, now time.Time) Code {
 	ttl := p.cfg.TTL.Nanoseconds()
 	if age := now.UnixNano() - tx.Timestamp; age > ttl || age < -ttl {
 		return Expired
 	}
-	d := tx.Digest()
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if _, ok := p.pending[d]; ok {
+	if r, ok := p.byID[tx.ID]; ok {
+		if from != 0 {
+			r.origin = from
+		}
 		return Duplicate
 	}
-	if _, ok := p.inflight[d]; ok {
-		return Duplicate
-	}
-	size := txSize(tx)
-	if p.count+1 > p.cfg.MaxCount || p.bytes+size > p.cfg.MaxBytes {
+	size := int64(tx.EncodedLen())
+	if len(p.byID)+1 > p.cfg.MaxCount || p.bytes+size > p.cfg.MaxBytes {
 		return Overloaded
 	}
-	e := &entry{tx: tx, digest: d, size: size, admitted: now}
-	p.pending[d] = e
-	p.order = append(p.order, e)
+	r := &Record{Tx: tx, size: size, admitted: now, since: now, origin: from}
+	p.byID[tx.ID] = r
+	p.pending.push(r)
 	p.bytes += size
-	p.count++
-	p.queuedN.Store(int64(len(p.pending)))
 	return Admitted
 }
 
-// Drain pops up to max transactions from the pending FIFO and moves them to
-// the in-flight set (they stay counted against the caps until MarkCommitted
-// or an expiry sweep releases them). Returns nil when the pool is empty or
+// Drain pops up to max records from the pending FIFO, hands them over and
+// starts their watch. They stay counted against the caps until their commit
+// is observed or the sweep drops them. Returns nil when the pool is empty or
 // max is non-positive.
-func (p *Pool) Drain(max int) []*types.Transaction {
+func (p *Pool) Drain(max int) []*Record {
 	if max <= 0 {
 		return nil
 	}
+	now := time.Now()
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	var out []*types.Transaction
-	for p.head < len(p.order) && len(out) < max {
-		e := p.order[p.head]
-		p.order[p.head] = nil
-		p.head++
-		if e == nil || p.pending[e.digest] != e {
-			continue // removed by a sweep
-		}
-		delete(p.pending, e.digest)
-		p.inflight[e.digest] = e
-		out = append(out, e.tx)
+	var out []*Record
+	for r := p.pending.root.next; r != &p.pending.root && len(out) < max; r = p.pending.root.next {
+		r.state, r.since = HandedOver, now
+		p.rewatch(r, now, false)
+		out = append(out, r)
 	}
-	p.compactLocked()
-	p.queuedN.Store(int64(len(p.pending)))
 	return out
 }
 
-// InFlight returns the members of txs that were drained and have neither
-// settled nor expired since, filtering txs in place.
-func (p *Pool) InFlight(txs []*types.Transaction) []*types.Transaction {
+// rewatch moves r to the tail of the watch, watched from now.
+func (p *Pool) rewatch(r *Record, now time.Time, shared bool) {
+	unlink(r)
+	r.drainedAt, r.shared = now, shared
+	p.watch.push(r)
+}
+
+// Mark moves drained records the node put into its batch accumulators
+// (Queued) or proposed to consensus (Proposed) into that state, keeping in
+// recs (filtered in place) only the ones still live.
+func (p *Pool) Mark(recs []*Record, s State, now time.Time) []*Record {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	kept := txs[:0]
-	for _, tx := range txs {
-		if _, ok := p.inflight[tx.Digest()]; ok {
-			kept = append(kept, tx)
+	kept := recs[:0]
+	for _, r := range recs {
+		if r.state != Gone {
+			r.state, r.since = s, now
+			kept = append(kept, r)
 		}
 	}
 	return kept
 }
 
-// Requeue moves the members of txs that are in flight back to the tail of the
-// pending FIFO, so a later Drain hands them out again: what a gateway does
-// with transactions whose hand-over it has reason to believe was lost. Their
-// admission time, and with it their TTL, is unchanged.
-func (p *Pool) Requeue(txs []*types.Transaction) {
+// Adopt returns the records of transactions this replica's primary must
+// propose again (its instances lost their slots), marked queued. One with
+// no record here is admitted like a propagated copy, and dropped if
+// admission refuses it; one already queued is skipped.
+func (p *Pool) Adopt(txs []*types.Transaction, now time.Time) []*Record {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	var out []*Record
 	for _, tx := range txs {
-		d := tx.Digest()
-		e, ok := p.inflight[d]
-		if !ok {
+		if p.byID[tx.ID] == nil && p.admitLocked(tx, 0, now) != Admitted {
 			continue
 		}
-		delete(p.inflight, d)
-		p.pending[d] = e
-		p.order = append(p.order, e)
+		r := p.byID[tx.ID]
+		if r.state == Queued {
+			continue
+		}
+		if r.state == Pending {
+			p.rewatch(r, now, false)
+		}
+		r.state, r.since = Queued, now
+		out = append(out, r)
 	}
-	p.queuedN.Store(int64(len(p.pending)))
+	return out
 }
 
-// MarkCommitted records that the transaction with digest d committed (or was
-// ordered and rejected — either way it is settled): the pool forgets it and
-// releases its capacity. It keeps no record of the settlement, so the instant
-// is ignored; the gateway's reply cache answers later duplicates.
+// Since returns when r entered its current state: for a queued record, its
+// arrival in the accumulators.
+func (p *Pool) Since(r *Record) time.Time {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return r.since
+}
+
+// State reports the state of the live record for id.
+func (p *Pool) State(id types.TxID) (State, bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if r, ok := p.byID[id]; ok {
+		return r.state, true
+	}
+	return Gone, false
+}
+
+// Requeue moves the drained members of recs back to the tail of the pending
+// FIFO, so a later Drain hands them out again: what a replica does with the
+// contents of accumulators it no longer owns (the watch's re-offers take the
+// same path through Act). Settled and pending records are left alone. Their
+// admission time, and with it their TTL, is unchanged.
+func (p *Pool) Requeue(recs []*Record, now time.Time) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, r := range recs {
+		p.requeueLocked(r, now)
+	}
+}
+
+func (p *Pool) requeueLocked(r *Record, now time.Time) {
+	if r.state == Pending || r.state == Gone {
+		return
+	}
+	unlink(r)
+	r.state, r.since = Pending, now
+	p.pending.push(r)
+}
+
+// Action is the hand-over watch's verdict on one record whose time ran out.
+type Action uint8
+
+// Watch verdicts.
+const (
+	Unwatch Action = iota // its settlement is coming (it is on the chain): stop watching
+	Reoffer               // back to the pending FIFO, unless it is queued or freshly proposed
+	Rewatch               // watch again from now, marked shared
+)
+
+// Due is one record whose watch ran out, with what the watch knew of it;
+// the caller sets Act.
+type Due struct {
+	Rec    *Record
+	Stale  bool // drained before the current view began here
+	Shared bool // the watch already ran out on it once in this view
+	Act    Action
+}
+
+// Due takes off the hand-over watch, oldest drain first, every record whose
+// time has run out: timeout from its drain, or, for a record drained before
+// viewSince (the instant this replica entered the current view), half of it
+// from viewSince. The caller decides each one's Act, without the pool's
+// lock, and hands the verdicts to Act.
+func (p *Pool) Due(now, viewSince time.Time, timeout time.Duration, dst []Due) []Due {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for r := p.watch.root.next; r != &p.watch.root; r = p.watch.root.next {
+		stale := r.drainedAt.Before(viewSince)
+		due := r.drainedAt.Add(timeout)
+		if stale {
+			due = viewSince.Add(timeout / 2)
+		}
+		if now.Before(due) {
+			break
+		}
+		unlink(r)
+		dst = append(dst, Due{Rec: r, Stale: stale, Shared: r.shared})
+	}
+	return dst
+}
+
+// Act applies the watch's verdicts to records Due returned. A Reoffer
+// leaves a queued record (the accumulators hold it) and one proposed within
+// timeout on the watch, from now; settled records are left alone.
+func (p *Pool) Act(due []Due, now time.Time, timeout time.Duration) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, d := range due {
+		switch r := d.Rec; {
+		case r.state == Gone || d.Act == Unwatch:
+		case d.Act == Rewatch:
+			p.rewatch(r, now, true)
+		case r.state == Queued || r.state == Proposed && now.Sub(r.since) < timeout:
+			p.rewatch(r, now, false)
+		default:
+			p.requeueLocked(r, now)
+		}
+	}
+}
+
+// Settle ends the records of ids, whose commits (or rejections) were
+// observed, releasing their capacity, and appends to owed, in the order of
+// ids, the endpoints owed a verdict.
+func (p *Pool) Settle(ids []types.TxID, owed []Owed) []Owed {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, id := range ids {
+		if r, ok := p.byID[id]; ok {
+			p.removeLocked(r)
+			if r.origin != 0 {
+				owed = append(owed, Owed{ID: id, To: r.origin})
+			}
+		}
+	}
+	return owed
+}
+
+// MarkCommitted settles the record whose transaction hashes to d. It walks
+// the live records, drained ones first, in drain and then admission order,
+// hashing each until one matches: one hash per call when commits arrive in
+// that order. No production path calls it (the node settles by TxID), and it
+// goes when the benchmark's mempool probe next changes. The instant is
+// ignored.
 func (p *Pool) MarkCommitted(d types.Hash, _ time.Time) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if e, ok := p.pending[d]; ok {
-		delete(p.pending, d)
-		p.queuedN.Store(int64(len(p.pending)))
-		p.releaseLocked(e)
-	} else if e, ok := p.inflight[d]; ok {
-		delete(p.inflight, d)
-		p.releaseLocked(e)
-	}
-}
-
-// releaseLocked returns e's capacity to the pool.
-func (p *Pool) releaseLocked(e *entry) {
-	p.bytes -= e.size
-	p.count--
-}
-
-// Sweep expires state by age: pending transactions older than the TTL are
-// removed and returned (the gateway answers their origins with Expired);
-// over-age in-flight entries are silently released (their commit reply, if
-// any, already went through the reply cache). Call it periodically from the
-// node tick.
-func (p *Pool) Sweep(now time.Time) []*types.Transaction {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var expired []*types.Transaction
-	cutoff := now.Add(-p.cfg.TTL)
-	for d, e := range p.pending {
-		if e.admitted.Before(cutoff) {
-			delete(p.pending, d)
-			p.releaseLocked(e)
-			expired = append(expired, e.tx)
+	for _, l := range [...]*list{&p.watch, &p.pending} {
+		for r := l.root.next; r != &l.root; r = r.next {
+			if r.Tx.Digest() == d {
+				p.removeLocked(r)
+				return
+			}
 		}
 	}
-	p.queuedN.Store(int64(len(p.pending)))
-	for d, e := range p.inflight {
-		if e.admitted.Before(cutoff) {
-			delete(p.inflight, d)
-			p.releaseLocked(e)
+}
+
+// removeLocked forgets r and returns its capacity to the pool.
+func (p *Pool) removeLocked(r *Record) {
+	delete(p.byID, r.Tx.ID)
+	unlink(r)
+	r.state = Gone
+	p.bytes -= r.size
+}
+
+// Sweep drops records older than the TTL. A pending one is returned, with
+// its origin (To 0 when none), so the gateway answers Expired; a drained one
+// goes silently, because its commit may still come and the window answers a
+// retransmission. Call it periodically from the node tick.
+func (p *Pool) Sweep(now time.Time, expired []Owed) []Owed {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	cutoff := now.Add(-p.cfg.TTL)
+	for id, r := range p.byID {
+		if r.admitted.Before(cutoff) {
+			if r.state == Pending {
+				expired = append(expired, Owed{ID: id, To: r.origin})
+			}
+			p.removeLocked(r)
 		}
 	}
 	return expired
 }
 
-// compactLocked reclaims the consumed prefix of the pending FIFO.
-func (p *Pool) compactLocked() {
-	if p.head > 0 && (p.head >= len(p.order) || p.head > 4096) {
-		p.order = append(p.order[:0], p.order[p.head:]...)
-		p.head = 0
-	}
-}
-
-// PendingBytes returns the encoded size of pending + in-flight transactions.
+// PendingBytes returns the encoded size of the live records' transactions.
 func (p *Pool) PendingBytes() int64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.bytes
 }
 
-// PendingCount returns the number of pending + in-flight transactions.
+// PendingCount returns the number of live records.
 func (p *Pool) PendingCount() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.count
+	return len(p.byID)
 }
 
-// QueuedCount returns the number of pending (not yet drained) transactions.
-func (p *Pool) QueuedCount() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.pending)
-}
-
-// HasQueued reports whether any transaction awaits draining, without taking
-// the pool lock (the node's pump runs after every dispatch).
-func (p *Pool) HasQueued() bool { return p.queuedN.Load() > 0 }
+// HasQueued reports whether any record awaits draining, without taking the
+// pool lock (the node's pump runs after every dispatch).
+func (p *Pool) HasQueued() bool { return p.pending.n.Load() > 0 }

@@ -31,7 +31,7 @@ func TestAdmitDrainCommit(t *testing.T) {
 		t.Fatalf("pending count %d", n)
 	}
 	got := p.Drain(10)
-	if len(got) != 1 || got[0] != tx {
+	if len(got) != 1 || got[0].Tx != tx {
 		t.Fatalf("drain returned %v", got)
 	}
 	// In flight still counts against capacity and still dedups.
@@ -66,7 +66,7 @@ func TestCountCapSheds(t *testing.T) {
 	if c := p.Admit(mkTx(types.ClientIDBase, 3, now), now); c != Overloaded {
 		t.Fatalf("inflight over cap: got %d, want Overloaded", c)
 	}
-	p.MarkCommitted(mkTx(types.ClientIDBase, 1, now).Digest(), now)
+	p.Settle([]types.TxID{{Client: types.ClientIDBase, Seq: 1}}, nil)
 	if c := p.Admit(mkTx(types.ClientIDBase, 3, now), now); c != Admitted {
 		t.Fatalf("after release: got %d", c)
 	}
@@ -102,8 +102,8 @@ func TestExpiry(t *testing.T) {
 	if c := p.Admit(fresh, now); c != Admitted {
 		t.Fatalf("fresh admit: %d", c)
 	}
-	exp := p.Sweep(now.Add(5 * time.Second))
-	if len(exp) != 1 || exp[0] != fresh {
+	exp := p.Sweep(now.Add(5*time.Second), nil)
+	if len(exp) != 1 || exp[0].ID != fresh.ID {
 		t.Fatalf("sweep returned %v", exp)
 	}
 	if n := p.PendingCount(); n != 0 {
@@ -115,7 +115,9 @@ func TestExpiry(t *testing.T) {
 		t.Fatalf("admit 3: %d", c)
 	}
 	p.Drain(1)
-	p.Sweep(now.Add(20 * time.Second))
+	if exp := p.Sweep(now.Add(20*time.Second), nil); len(exp) != 0 {
+		t.Fatalf("sweep answered a drained transaction: %v", exp)
+	}
 	if n := p.PendingCount(); n != 0 {
 		t.Fatalf("inflight expiry left %d counted", n)
 	}
@@ -145,19 +147,20 @@ func TestDrainFIFO(t *testing.T) {
 	if len(got) != 3 {
 		t.Fatalf("drained %d", len(got))
 	}
-	for i, tx := range got {
-		if tx.ID.Seq != uint64(i+1) {
-			t.Fatalf("drain order: pos %d got seq %d", i, tx.ID.Seq)
+	for i, r := range got {
+		if r.Tx.ID.Seq != uint64(i+1) {
+			t.Fatalf("drain order: pos %d got seq %d", i, r.Tx.ID.Seq)
 		}
 	}
-	if n := p.QueuedCount(); n != 2 {
+	if n := int(p.pending.n.Load()); n != 2 {
 		t.Fatalf("queued after drain: %d", n)
 	}
 }
 
-// TestRequeueReturnsInFlightToPending covers the gateway's re-offer: only
-// what is still in flight goes back, it drains again, it keeps counting
-// against the caps throughout, and it keeps its original admission time.
+// TestRequeueReturnsInFlightToPending covers the gateway's re-offer: a
+// requeued handed-over record drains again, a settled one and one not
+// drained since are left alone, it keeps counting against the caps
+// throughout, and it keeps its original admission time.
 func TestRequeueReturnsInFlightToPending(t *testing.T) {
 	now := time.Now()
 	p := New(Config{TTL: time.Second})
@@ -167,30 +170,115 @@ func TestRequeueReturnsInFlightToPending(t *testing.T) {
 			t.Fatalf("admit %s: got %d", tx.ID, code)
 		}
 	}
-	if got := p.Drain(2); len(got) != 2 { // a, b in flight; c pending
-		t.Fatalf("drained %d", len(got))
+	drained := p.Drain(2) // a, b handed over; c pending
+	if len(drained) != 2 {
+		t.Fatalf("drained %d", len(drained))
 	}
-	p.MarkCommitted(a.Digest(), now)
-	if got := p.InFlight([]*types.Transaction{a, b, c}); len(got) != 1 || got[0] != b {
-		t.Fatalf("InFlight = %v, want only the drained, unsettled one", got)
+	p.Settle([]types.TxID{a.ID}, nil)
+	p.Requeue(drained, now) // a settled: only b moves
+	if st, ok := p.State(a.ID); ok {
+		t.Fatalf("settled record still live in state %d", st)
 	}
-
-	p.Requeue([]*types.Transaction{a, b, c}) // a settled, c never drained: only b moves
-	if n := p.QueuedCount(); n != 2 {
+	if n := int(p.pending.n.Load()); n != 2 {
 		t.Fatalf("queued after requeue: %d, want 2", n)
 	}
 	if n := p.PendingCount(); n != 2 {
 		t.Fatalf("capacity after requeue: %d, want 2", n)
 	}
+	p.Requeue(drained[1:], now) // b is pending again: not queued twice
+	if n := int(p.pending.n.Load()); n != 2 {
+		t.Fatalf("requeue of a pending record: queued %d, want 2", n)
+	}
 	if code := p.Admit(b, now); code != Duplicate {
 		t.Fatalf("re-admit requeued: got %d, want Duplicate", code)
 	}
-	if got := p.Drain(10); len(got) != 2 || got[0] != c || got[1] != b {
+	if got := p.Drain(10); len(got) != 2 || got[0].Tx != c || got[1].Tx != b {
 		t.Fatalf("drain after requeue = %v, want the pending one then the requeued one", got)
 	}
 	// A requeued transaction ages from its admission, not from the requeue.
-	p.Requeue([]*types.Transaction{b})
-	if exp := p.Sweep(now.Add(2 * time.Second)); len(exp) != 1 || exp[0] != b {
+	p.Requeue(drained[1:], now)
+	if exp := p.Sweep(now.Add(2*time.Second), nil); len(exp) != 1 || exp[0].ID != b.ID {
 		t.Fatalf("sweep expired %v, want the requeued transaction", exp)
+	}
+}
+
+// TestSecondBodyIsDuplicate: a second body under a live TxID is a Duplicate
+// that takes over the verdict's endpoint, and settling the TxID ends the one
+// record, whichever body committed.
+func TestSecondBodyIsDuplicate(t *testing.T) {
+	now := time.Now()
+	p := New(Config{})
+	a := mkTx(types.ClientIDBase, 1, now)
+	b := mkTx(types.ClientIDBase, 1, now)
+	b.Ops = []types.Op{{From: 1, To: 2, Amount: 4}}
+	if codes := p.AdmitAll([]*types.Transaction{a}, 7, now, nil); codes[0] != Admitted {
+		t.Fatalf("first body: %d", codes[0])
+	}
+	if codes := p.AdmitAll([]*types.Transaction{b}, 9, now, nil); codes[0] != Duplicate {
+		t.Fatalf("second body: %d, want Duplicate", codes[0])
+	}
+	owed := p.Settle([]types.TxID{b.ID}, nil)
+	if len(owed) != 1 || owed[0].To != 9 {
+		t.Fatalf("owed %v, want the later submitter", owed)
+	}
+	if n, size := p.PendingCount(), p.PendingBytes(); n != 0 || size != 0 {
+		t.Fatalf("%d records, %d bytes left after settling", n, size)
+	}
+}
+
+// TestWatchVerdicts walks the hand-over watch: nothing before the deadline,
+// then each verdict. A reoffered record drains again, a freshly proposed one
+// and a queued one stay watched, a rewatched one is due a timeout later, and
+// an unwatched one stays live off the watch.
+func TestWatchVerdicts(t *testing.T) {
+	const timeout = time.Second
+	now := time.Now()
+	p := New(Config{})
+	txs := make([]*types.Transaction, 5)
+	for i := range txs {
+		txs[i] = mkTx(types.ClientIDBase, uint64(i+1), now)
+		p.Admit(txs[i], now)
+	}
+	recs := p.Drain(5)
+	later := time.Now().Add(timeout) // every drain's deadline has passed
+	p.Mark(p.Mark(recs[1:2], Queued, now), Proposed, later.Add(-timeout/2))
+	p.Mark(recs[2:3], Queued, now)
+	verdict := []Action{Reoffer, Reoffer, Reoffer, Rewatch, Unwatch}
+	walk := func(at time.Time) []Due {
+		due := p.Due(at, time.Time{}, timeout, nil)
+		for i := range due {
+			due[i].Act = verdict[due[i].Rec.Tx.ID.Seq-1]
+		}
+		p.Act(due, at, timeout)
+		return due
+	}
+	if due := walk(now); len(due) != 0 {
+		t.Fatalf("watch ran out early on %d records", len(due))
+	}
+	due := walk(later)
+	if len(due) != 5 {
+		t.Fatalf("watch saw %d records, want all five", len(due))
+	}
+	for i, d := range due {
+		if d.Rec != recs[i] || d.Stale || d.Shared {
+			t.Fatalf("due %d: %+v, want record %d in drain order, neither stale nor shared", i, d, i+1)
+		}
+	}
+	if got := p.Drain(5); len(got) != 1 || got[0] != recs[0] {
+		t.Fatalf("drained %v after the watch, want only the reoffered handed-over record", got)
+	}
+	for i, want := range []State{HandedOver, Proposed, Queued, HandedOver, HandedOver} {
+		if st, ok := p.State(txs[i].ID); !ok || st != want {
+			t.Fatalf("record %d: state %d (live %v), want %d", i+1, st, ok, want)
+		}
+	}
+	due = p.Due(later.Add(timeout), time.Time{}, timeout, nil)
+	if len(due) != 4 {
+		t.Fatalf("second walk saw %d records, want every watched record but the unwatched one", len(due))
+	}
+	for _, d := range due {
+		if d.Shared != (d.Rec == recs[3]) {
+			t.Fatalf("record %d: shared %v, want only the rewatched one shared", d.Rec.Tx.ID.Seq, d.Shared)
+		}
 	}
 }

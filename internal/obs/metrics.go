@@ -120,19 +120,17 @@ func (m *StoreMetrics) Ckpt() *Counter {
 // MempoolMetrics instruments the client-ingress gateway and its mempool.
 type MempoolMetrics struct {
 	Admitted     *Counter   // transactions admitted into the pending pool
-	Deduped      *Counter   // submits dropped as duplicates (pending, in flight, or executed)
+	Deduped      *Counter   // submits dropped as duplicates (a live record, or executed)
 	Expired      *Counter   // submits rejected or swept for stale timestamps
 	Shed         *Counter   // submits shed with Overloaded (pool at capacity)
-	PendingBytes *Gauge     // encoded bytes pending + in flight
-	PendingCount *Gauge     // transactions pending + in flight
+	PendingBytes *Gauge     // encoded bytes of the live records
+	PendingCount *Gauge     // live records
 	IngestMicros *Histogram // client timestamp → mempool admission latency
 }
 
-// NewMempoolMetrics registers the gateway/mempool series. Nil registry → nil.
+// NewMempoolMetrics registers the gateway/mempool series. Nil registry →
+// nil series, whose updates are no-ops.
 func NewMempoolMetrics(r *Registry) *MempoolMetrics {
-	if r == nil {
-		return nil
-	}
 	return &MempoolMetrics{
 		Admitted:     r.Counter("mempool_admitted"),
 		Deduped:      r.Counter("mempool_deduped"),

@@ -306,9 +306,11 @@ func TestCloseDropsSends(t *testing.T) {
 
 // TestTCPClientChurnLeavesNoWriter: a client connection that sent a hello
 // gets a return-route writer; when the client goes away, the writer must go
-// with the connection. Fifty connect/hello/reply/close cycles leave the
-// replica's goroutine count where it started.
+// with the connection. A thousand connect/hello/reply/close cycles leave the
+// replica's goroutine count, tracked connections and learned routes where
+// they started.
 func TestTCPClientChurnLeavesNoWriter(t *testing.T) {
+	const cycles = 1000
 	fabs, spare, err := Loopback([]types.NodeID{0}, testSecret, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -317,9 +319,15 @@ func TestTCPClientChurnLeavesNoWriter(t *testing.T) {
 	replica := fabs[0]
 	t.Cleanup(replica.Close)
 	replicaInbox := replica.Register(0)
+	tracked := func() (conns, routes int) {
+		replica.mu.RLock()
+		defer replica.mu.RUnlock()
+		return len(replica.conns), len(replica.routes)
+	}
 	baseline := runtime.NumGoroutine()
+	baseConns, baseRoutes := tracked()
 
-	for i := 0; i < 50; i++ {
+	for i := 0; i < cycles; i++ {
 		client, err := New(Config{Peers: map[types.NodeID]string{0: replica.Addr()}, Secret: testSecret})
 		if err != nil {
 			t.Fatal(err)
@@ -334,13 +342,14 @@ func TestTCPClientChurnLeavesNoWriter(t *testing.T) {
 	}
 
 	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > baseline {
+	for {
+		conns, routes := tracked()
+		if runtime.NumGoroutine() <= baseline && conns <= baseConns && routes <= baseRoutes {
+			return
+		}
 		if time.Now().After(deadline) {
-			replica.mu.RLock()
-			conns := len(replica.conns)
-			replica.mu.RUnlock()
-			t.Fatalf("%d goroutines after 50 client cycles, baseline %d (%d connections tracked)",
-				runtime.NumGoroutine(), baseline, conns)
+			t.Fatalf("after %d client cycles: %d goroutines (baseline %d), %d connections (%d), %d routes (%d)",
+				cycles, runtime.NumGoroutine(), baseline, conns, baseConns, routes, baseRoutes)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

@@ -21,6 +21,22 @@ func fuzzTx(seq uint64) *Transaction {
 	}
 }
 
+// checkEncodedLen pins EncodedLen to the encoding on every transaction a
+// fuzz target decodes, its seeds included.
+func checkEncodedLen(t *testing.T, txs []*Transaction) {
+	t.Helper()
+	for _, tx := range txs {
+		if got, want := tx.EncodedLen(), len(tx.Encode(nil)); got != want {
+			t.Fatalf("EncodedLen %d, encoding %d bytes", got, want)
+		}
+	}
+}
+
+// TestTransactionEncodedLen: the seeds' transaction and an empty one.
+func TestTransactionEncodedLen(t *testing.T) {
+	checkEncodedLen(t, []*Transaction{fuzzTx(1), {}})
+}
+
 func FuzzDecodeEnvelope(f *testing.F) {
 	f.Add([]byte{})
 	f.Add((&Envelope{Type: MsgRequest, From: 7, Payload: []byte("hi"), Sig: []byte{1, 2, 3}}).Encode(nil))
@@ -65,6 +81,7 @@ func FuzzDecodeTxBatch(f *testing.F) {
 		if err != nil {
 			return
 		}
+		checkEncodedLen(t, txs)
 		enc := EncodeTxBatch(nil, txs)
 		if !bytes.Equal(enc, b[:len(enc)]) {
 			t.Fatalf("re-encode mismatch")
@@ -83,6 +100,7 @@ func FuzzDecodeConsensusMsg(f *testing.F) {
 		if err != nil {
 			return
 		}
+		checkEncodedLen(t, m.Txs)
 		enc := m.Encode(nil)
 		if !bytes.Equal(enc, b[:len(enc)]) {
 			t.Fatalf("re-encode mismatch")
@@ -145,6 +163,7 @@ func FuzzDecodeSubmit(f *testing.F) {
 	f.Add((&SubmitReply{TxID: TxID{Client: ClientIDBase + 1, Seq: 9}, Replica: 2, Code: SubmitOverloaded}).Encode(nil))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		if s, err := DecodeSubmit(b); err == nil {
+			checkEncodedLen(t, s.Txs)
 			enc := s.Encode(nil)
 			if !bytes.Equal(enc, b[:len(enc)]) {
 				t.Fatalf("submit re-encode mismatch")

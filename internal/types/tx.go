@@ -134,6 +134,12 @@ func (t *Transaction) Encode(dst []byte) []byte {
 	return dst
 }
 
+// EncodedLen returns len(t.Encode(nil)) without encoding: the fixed fields,
+// 24 bytes per op and 2 per involved cluster, with two length prefixes.
+func (t *Transaction) EncodedLen() int {
+	return 4 + 8 + 1 + 4 + 8 + 2 + 24*len(t.Ops) + 2 + 2*len(t.Involved)
+}
+
 // DecodeTransaction parses a transaction from b, returning the transaction
 // and the number of bytes consumed.
 func DecodeTransaction(b []byte) (*Transaction, int, error) {
