@@ -203,6 +203,12 @@ func (g *gateway) watchHandovers(now time.Time) {
 		switch d.Act = mempool.Rewatch; {
 		case n.window.Contains(d.Rec.Tx.ID):
 			d.Act = mempool.Unwatch
+		case (d.Stale || alive) && (d.State == mempool.Queued ||
+			d.State == mempool.Proposed && now.Sub(d.Since) < n.cfg.IntraTimeout):
+			// Due a re-offer, but this replica's accumulators hold it, or it
+			// proposed it within the timeout: offered again, it could be
+			// ordered twice. Watch it again.
+			d.Act = mempool.Keep
 		case d.Stale || alive:
 			// Handed to a primary that is gone — or to one that is alive:
 			// blocks it initiated still arrive, so the record waits behind
@@ -226,7 +232,7 @@ func (g *gateway) watchHandovers(now time.Time) {
 			suspect = true
 		}
 	}
-	g.pool.Act(due, now, n.cfg.IntraTimeout)
+	g.pool.Act(due, now)
 	peers := othersOf(n.cfg.Topology.Members(n.cfg.Cluster), n.cfg.Self)
 	for len(share) > 0 {
 		k := min(len(share), propagationBatch(n.cfg.BatchSize))

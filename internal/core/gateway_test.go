@@ -551,9 +551,10 @@ func TestRecordLeavesOnEveryExit(t *testing.T) {
 	c := d.NewClient()
 	now := time.Now()
 	submit := func(n *Node, tx *types.Transaction) {
+		k := n.gw.pool.PendingCount()
 		payload := (&types.Submit{Txs: []*types.Transaction{tx}}).Encode(nil)
 		n.gw.onSubmit(&types.Envelope{Type: types.MsgSubmit, From: c.id, Payload: payload}, now)
-		if st, ok := n.gw.pool.State(tx.ID); !ok || st != mempool.Pending {
+		if n.gw.pool.PendingCount() != k+1 || !n.gw.pool.HasQueued() {
 			t.Fatalf("%s not pending at %s", tx.ID, n.ID())
 		}
 	}
@@ -571,16 +572,16 @@ func TestRecordLeavesOnEveryExit(t *testing.T) {
 	handed := c.MakeTx(intraOps(d, 0))
 	submit(other, handed)
 	other.pumpGateway(now)
-	if st, _ := other.gw.pool.State(handed.ID); st != mempool.HandedOver {
-		t.Fatalf("handed: state %d after the pump", st)
+	if other.gw.pool.HasQueued() || other.gw.pool.PendingCount() != 1 {
+		t.Fatal("handed: not drained and still counted after the pump")
 	}
 
 	proposed := c.MakeTx(intraOps(d, 0))
 	submit(primary, proposed)
 	primary.pumpGateway(now)
 	primary.flushIntra(now)
-	if st, _ := primary.gw.pool.State(proposed.ID); st != mempool.Proposed {
-		t.Fatalf("proposed: state %d after the flush", st)
+	if len(primary.pendingIntra) != 0 || primary.inFlightIntra() != 1 || primary.gw.pool.PendingCount() != 1 {
+		t.Fatal("proposed: not proposed and still counted after the flush")
 	}
 	// Depose the primary: the other two members elect member 1 for view 1,
 	// and its NEWVIEW reaches the old primary.
@@ -610,11 +611,6 @@ func TestRecordLeavesOnEveryExit(t *testing.T) {
 		if len(n.pendingIntra)+len(n.pendingCross) != 0 {
 			t.Fatalf("replica %s still accumulates %d transactions", n.ID(), len(n.pendingIntra)+len(n.pendingCross))
 		}
-		for _, tx := range []*types.Transaction{settled, expired, handed, proposed} {
-			if st, ok := n.gw.pool.State(tx.ID); ok {
-				t.Fatalf("replica %s keeps %s in state %d", n.ID(), tx.ID, st)
-			}
-		}
 	}
 	if code, _ := awaitVerdict(t, c, expired.ID, time.Second); code != types.SubmitExpired {
 		t.Fatalf("expired: verdict %s", code)
@@ -629,6 +625,43 @@ func TestRecordLeavesOnEveryExit(t *testing.T) {
 		case <-time.After(50 * time.Millisecond):
 		}
 		break
+	}
+}
+
+// TestCrossLaunchSkipsSweptRecord: a queued cross-shard record the TTL sweep
+// drops before its batch launches is not initiated, and the launched batch
+// carries each surviving transaction once.
+func TestCrossLaunchSkipsSweptRecord(t *testing.T) {
+	d, err := testDeployment(t, Config{Model: types.CrashOnly, Clusters: 2, F: 1, Seed: 7, BatchSize: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.SeedAccounts(8, 1_000)
+	t.Cleanup(d.Stop)
+	n := d.Node(d.Topo.Members(0)[0])
+	c := d.NewClient()
+	a, b := c.MakeTx(crossOps(d, 0, 1)), c.MakeTx(crossOps(d, 0, 1))
+	now := time.Now()
+	ttl := n.gw.pool.Config().TTL
+	n.gw.pool.Admit(a, now)
+	n.gw.pool.Admit(b, now.Add(ttl/2))
+	n.ingest(n.gw.pool.Drain(2), now)
+	if len(n.pendingCross) != 2 {
+		t.Fatalf("%d cross-shard records queued, want 2", len(n.pendingCross))
+	}
+	past := now.Add(ttl + time.Millisecond)
+	if n.gw.pool.Sweep(past, nil); n.gw.pool.PendingCount() != 1 {
+		t.Fatalf("%d records after the sweep, want the later one", n.gw.pool.PendingCount())
+	}
+	n.launchCross(past)
+	var launched []types.TxID
+	for _, inst := range n.cross.leads {
+		for _, tx := range inst.txs {
+			launched = append(launched, tx.ID)
+		}
+	}
+	if len(launched) != 1 || launched[0] != b.ID {
+		t.Fatalf("initiated %v, want only %s", launched, b.ID)
 	}
 }
 

@@ -89,6 +89,9 @@ type Node struct {
 	// BatchTimeout accumulation in takeLaunchableBatch.
 	pendingIntra []*mempool.Record
 	pendingCross []*mempool.Record
+	// crossSince is takeLaunchableBatch's scratch: pendingCross's arrival
+	// stamps, read from the pool under one lock per scan.
+	crossSince []time.Time
 	// intraSince is when the oldest accumulated intra-shard request
 	// arrived, driving the BatchTimeout partial-batch flush.
 	intraSince time.Time
@@ -1038,10 +1041,12 @@ func (n *Node) launchCross(now time.Time) {
 		if batch == nil {
 			return
 		}
-		if batch = n.dropCommitted(batch); len(batch) == 0 {
+		// Mark keeps the records still live: one the TTL sweep dropped
+		// while it sat in the queue is not initiated, and its client's
+		// retransmission is answered Expired.
+		if batch = n.gw.pool.Mark(n.dropCommitted(batch), mempool.Proposed, now); len(batch) == 0 {
 			continue
 		}
-		n.gw.pool.Mark(batch, mempool.Proposed, now)
 		txs := txsOf(batch)
 		n.bindCrossTrace(txs, now)
 		n.send(n.cross.Initiate(txs, now))
@@ -1100,6 +1105,7 @@ func (n *Node) takeLaunchableBatch(now time.Time) []*mempool.Record {
 	// Same-set followers are exempt: they wait only on their already-
 	// decided predecessor, which releases unconditionally.
 	freshOK := !n.cross.Locked() && n.chainStatus().Drained
+	since := n.crossSince[:0]
 scan:
 	for i, r := range n.pendingCross {
 		tx := r.Tx
@@ -1120,7 +1126,11 @@ scan:
 				skipped = append(skipped, tx.Involved)
 				continue
 			}
-		} else if now.Sub(n.gw.pool.Since(r)) < n.cfg.RetryTimeout {
+		} else {
+			if len(since) == 0 {
+				since = n.gw.pool.Since(n.pendingCross, since)
+				n.crossSince = since
+			}
 			// A lead over this set is already working: only a FULL follow-up
 			// batch launches alongside it, and only when batching is on at
 			// all. Partial batches wait for the in-flight lead to decide
@@ -1131,17 +1141,17 @@ scan:
 			// (the per-chain commit cadence is one block per accept/commit
 			// round trip regardless). The RetryTimeout fallback bounds the
 			// wait behind a wedged (dormant, backing-off) lead.
-			full := false
-			if n.cfg.BatchSize > 1 {
+			launch := now.Sub(since[i]) >= n.cfg.RetryTimeout
+			if !launch && n.cfg.BatchSize > 1 {
 				count := 0
 				for _, later := range n.pendingCross[i:] {
 					if later.Tx.Involved.Equal(tx.Involved) {
 						count++
 					}
 				}
-				full = count >= n.cfg.BatchSize
+				launch = count >= n.cfg.BatchSize
 			}
-			if !full {
+			if !launch {
 				skipped = append(skipped, tx.Involved)
 				continue
 			}

@@ -44,11 +44,12 @@ func TestWindowScreensAppendedTxAtIngest(t *testing.T) {
 	recs := n.gw.pool.Drain(1)
 	n.ingest(recs, now)
 	n.requeueOrphans([]*types.Transaction{tx}, now)
-	st, _ := n.gw.pool.State(tx.ID)
-	if len(n.pendingIntra) != 0 || st == mempool.Queued {
+	if len(n.pendingIntra) != 0 {
 		t.Fatalf("appended transaction queued for proposal again (%d pending)", len(n.pendingIntra))
 	}
-	if st == mempool.Proposed {
+	head, _ := n.intra.ProposedHead()
+	n.flushIntra(now)
+	if seq, _ := n.intra.ProposedHead(); seq != head {
 		t.Fatal("appended transaction proposed again")
 	}
 	if kept := n.dropCommitted(recs); len(kept) != 0 {

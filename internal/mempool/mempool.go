@@ -237,8 +237,9 @@ func (p *Pool) rewatch(r *Record, now time.Time, shared bool) {
 }
 
 // Mark moves drained records the node put into its batch accumulators
-// (Queued) or proposed to consensus (Proposed) into that state, keeping in
-// recs (filtered in place) only the ones still live.
+// (Queued) or proposed to consensus (Proposed) into that state and returns
+// the ones still live, filtered in place: recs itself is left with stale
+// entries past the returned length, so callers use only the result.
 func (p *Pool) Mark(recs []*Record, s State, now time.Time) []*Record {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -277,22 +278,15 @@ func (p *Pool) Adopt(txs []*types.Transaction, now time.Time) []*Record {
 	return out
 }
 
-// Since returns when r entered its current state: for a queued record, its
-// arrival in the accumulators.
-func (p *Pool) Since(r *Record) time.Time {
+// Since appends to dst when each of recs entered its current state: for a
+// queued record, its arrival in the accumulators.
+func (p *Pool) Since(recs []*Record, dst []time.Time) []time.Time {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return r.since
-}
-
-// State reports the state of the live record for id.
-func (p *Pool) State(id types.TxID) (State, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if r, ok := p.byID[id]; ok {
-		return r.state, true
+	for _, r := range recs {
+		dst = append(dst, r.since)
 	}
-	return Gone, false
+	return dst
 }
 
 // Requeue moves the drained members of recs back to the tail of the pending
@@ -323,16 +317,19 @@ type Action uint8
 // Watch verdicts.
 const (
 	Unwatch Action = iota // its settlement is coming (it is on the chain): stop watching
-	Reoffer               // back to the pending FIFO, unless it is queued or freshly proposed
+	Reoffer               // back to the pending FIFO, for a later Drain
+	Keep                  // watch again from now
 	Rewatch               // watch again from now, marked shared
 )
 
-// Due is one record whose watch ran out, with what the watch knew of it;
-// the caller sets Act.
+// Due is one record whose watch ran out, with what the pool knew of it when
+// the watch ran out; the caller sets Act.
 type Due struct {
 	Rec    *Record
-	Stale  bool // drained before the current view began here
-	Shared bool // the watch already ran out on it once in this view
+	State  State     // HandedOver, Queued or Proposed
+	Since  time.Time // when it entered State
+	Stale  bool      // drained before the current view began here
+	Shared bool      // the watch already ran out on it once in this view
 	Act    Action
 }
 
@@ -354,26 +351,22 @@ func (p *Pool) Due(now, viewSince time.Time, timeout time.Duration, dst []Due) [
 			break
 		}
 		unlink(r)
-		dst = append(dst, Due{Rec: r, Stale: stale, Shared: r.shared})
+		dst = append(dst, Due{Rec: r, State: r.state, Since: r.since, Stale: stale, Shared: r.shared})
 	}
 	return dst
 }
 
-// Act applies the watch's verdicts to records Due returned. A Reoffer
-// leaves a queued record (the accumulators hold it) and one proposed within
-// timeout on the watch, from now; settled records are left alone.
-func (p *Pool) Act(due []Due, now time.Time, timeout time.Duration) {
+// Act applies the watch's verdicts to records Due returned. Records settled
+// since are left alone.
+func (p *Pool) Act(due []Due, now time.Time) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for _, d := range due {
-		switch r := d.Rec; {
-		case r.state == Gone || d.Act == Unwatch:
-		case d.Act == Rewatch:
-			p.rewatch(r, now, true)
-		case r.state == Queued || r.state == Proposed && now.Sub(r.since) < timeout:
-			p.rewatch(r, now, false)
-		default:
-			p.requeueLocked(r, now)
+		switch {
+		case d.Act == Reoffer:
+			p.requeueLocked(d.Rec, now)
+		case d.Act != Unwatch && d.Rec.state != Gone:
+			p.rewatch(d.Rec, now, d.Act == Rewatch)
 		}
 	}
 }

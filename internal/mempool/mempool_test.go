@@ -7,6 +7,16 @@ import (
 	"sharper/internal/types"
 )
 
+// stateOf reports the state of the live record for id.
+func stateOf(p *Pool, id types.TxID) (State, bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if r, ok := p.byID[id]; ok {
+		return r.state, true
+	}
+	return Gone, false
+}
+
 func mkTx(client types.NodeID, seq uint64, at time.Time) *types.Transaction {
 	return &types.Transaction{
 		ID:        types.TxID{Client: client, Seq: seq},
@@ -176,7 +186,7 @@ func TestRequeueReturnsInFlightToPending(t *testing.T) {
 	}
 	p.Settle([]types.TxID{a.ID}, nil)
 	p.Requeue(drained, now) // a settled: only b moves
-	if st, ok := p.State(a.ID); ok {
+	if st, ok := stateOf(p, a.ID); ok {
 		t.Fatalf("settled record still live in state %d", st)
 	}
 	if n := int(p.pending.n.Load()); n != 2 {
@@ -227,9 +237,10 @@ func TestSecondBodyIsDuplicate(t *testing.T) {
 }
 
 // TestWatchVerdicts walks the hand-over watch: nothing before the deadline,
-// then each verdict. A reoffered record drains again, a freshly proposed one
-// and a queued one stay watched, a rewatched one is due a timeout later, and
-// an unwatched one stays live off the watch.
+// then each record with its state and the instant it entered it, and each
+// verdict applied. A reoffered record drains again, a kept one and a
+// rewatched one are due a timeout later (only the rewatched one shared), an
+// unwatched one stays live off the watch, and a settled one is left alone.
 func TestWatchVerdicts(t *testing.T) {
 	const timeout = time.Second
 	now := time.Now()
@@ -243,13 +254,13 @@ func TestWatchVerdicts(t *testing.T) {
 	later := time.Now().Add(timeout) // every drain's deadline has passed
 	p.Mark(p.Mark(recs[1:2], Queued, now), Proposed, later.Add(-timeout/2))
 	p.Mark(recs[2:3], Queued, now)
-	verdict := []Action{Reoffer, Reoffer, Reoffer, Rewatch, Unwatch}
+	verdict := []Action{Reoffer, Keep, Keep, Rewatch, Unwatch}
 	walk := func(at time.Time) []Due {
 		due := p.Due(at, time.Time{}, timeout, nil)
 		for i := range due {
 			due[i].Act = verdict[due[i].Rec.Tx.ID.Seq-1]
 		}
-		p.Act(due, at, timeout)
+		p.Act(due, at)
 		return due
 	}
 	if due := walk(now); len(due) != 0 {
@@ -264,11 +275,20 @@ func TestWatchVerdicts(t *testing.T) {
 			t.Fatalf("due %d: %+v, want record %d in drain order, neither stale nor shared", i, d, i+1)
 		}
 	}
+	if d := due[1]; d.State != Proposed || !d.Since.Equal(later.Add(-timeout/2)) {
+		t.Fatalf("proposed record due in state %d since %v", d.State, d.Since)
+	}
+	if d := due[2]; d.State != Queued || !d.Since.Equal(now) {
+		t.Fatalf("queued record due in state %d since %v", d.State, d.Since)
+	}
+	if d := due[0]; d.State != HandedOver {
+		t.Fatalf("handed-over record due in state %d", d.State)
+	}
 	if got := p.Drain(5); len(got) != 1 || got[0] != recs[0] {
 		t.Fatalf("drained %v after the watch, want only the reoffered handed-over record", got)
 	}
 	for i, want := range []State{HandedOver, Proposed, Queued, HandedOver, HandedOver} {
-		if st, ok := p.State(txs[i].ID); !ok || st != want {
+		if st, ok := stateOf(p, txs[i].ID); !ok || st != want {
 			t.Fatalf("record %d: state %d (live %v), want %d", i+1, st, ok, want)
 		}
 	}
@@ -280,5 +300,13 @@ func TestWatchVerdicts(t *testing.T) {
 		if d.Shared != (d.Rec == recs[3]) {
 			t.Fatalf("record %d: shared %v, want only the rewatched one shared", d.Rec.Tx.ID.Seq, d.Shared)
 		}
+	}
+	p.Settle([]types.TxID{txs[1].ID}, nil)
+	for i := range due {
+		due[i].Act = Reoffer
+	}
+	p.Act(due, later.Add(timeout))
+	if got := p.Drain(5); len(got) != 3 {
+		t.Fatalf("reoffered %d records, want the three still live", len(got))
 	}
 }
